@@ -65,8 +65,9 @@ ExplorationResult explore(const ArchitectureModel& initial,
   std::map<std::string, std::size_t> seen;
   graph.states.push_back(ConfigState{initial, ConfigGraph::npos,
                                      ConfigGraph::npos, 0});
-  result.order_digest = fnv1a(kFnvOffset, canonical_config_key(initial));
-  seen.emplace(canonical_config_key(initial), 0);
+  std::string initial_key = canonical_config_key(initial);
+  result.order_digest = fnv1a(kFnvOffset, initial_key);
+  seen.emplace(std::move(initial_key), 0);
 
   bool hit_config_cap = false;
   bool hit_depth_cap = false;
@@ -91,13 +92,22 @@ ExplorationResult explore(const ArchitectureModel& initial,
       continue;
     }
 
+    // Every rule's step 0 reads the source state, so one stuck set serves
+    // all of them; later steps read intermediate models and recompute it.
+    const std::vector<std::string> source_stuck =
+        quiescence_unreachable(source);
     for (std::size_t r = 0; r < plans.size() && !hit_config_cap; ++r) {
       const Plan& plan = plans[r];
+      // Test step 0 on the source before paying for a copy of the model.
+      if (!plan.empty() &&
+          !plan_step_applicable(source, plan[0], 0, nullptr, &source_stuck)) {
+        continue;  // rule not enabled in this state
+      }
       ArchitectureModel model = source;
       std::size_t applied = 0;
       std::vector<TransientViolation> pending;
       for (std::size_t i = 0; i < plan.size(); ++i) {
-        if (!plan_step_applicable(model, plan[i], i)) break;
+        if (i > 0 && !plan_step_applicable(model, plan[i], i)) break;
         apply_plan_step(model, plan[i]);
         ++applied;
         // Mid-firing transient check: the runtime enacts plans step by
@@ -111,15 +121,13 @@ ExplorationResult explore(const ArchitectureModel& initial,
       }
 
       if (applied < plan.size()) {
-        if (applied > 0) {
-          // The runtime would abort here and roll back the applied prefix
-          // (reconfig::Txn): no edge, but the transients were exposed.
-          ++result.aborted_firings;
-          for (TransientViolation& t : pending) t.rolled_back = true;
-          result.transients.insert(result.transients.end(),
-                                   pending.begin(), pending.end());
-        }
-        continue;  // applied == 0: rule not enabled in this state
+        // The runtime would abort here and roll back the applied prefix
+        // (reconfig::Txn): no edge, but the transients were exposed.
+        ++result.aborted_firings;
+        for (TransientViolation& t : pending) t.rolled_back = true;
+        result.transients.insert(result.transients.end(), pending.begin(),
+                                 pending.end());
+        continue;
       }
 
       // The final post-step configuration is the settled successor; its
@@ -132,7 +140,7 @@ ExplorationResult explore(const ArchitectureModel& initial,
       result.transients.insert(result.transients.end(), pending.begin(),
                                pending.end());
 
-      const std::string key = canonical_config_key(model);
+      std::string key = canonical_config_key(model);
       auto it = seen.find(key);
       if (it != seen.end()) {
         graph.edges.push_back(ConfigEdge{s, it->second, r});
@@ -143,14 +151,14 @@ ExplorationResult explore(const ArchitectureModel& initial,
         break;
       }
       const std::size_t to = graph.states.size();
-      seen.emplace(key, to);
       result.order_digest = fnv1a(result.order_digest, key);
+      seen.emplace(std::move(key), to);
       graph.edges.push_back(ConfigEdge{s, to, r});
-      graph.states.push_back(ConfigState{model, s, r, depth + 1});
+      graph.states.push_back(ConfigState{std::move(model), s, r, depth + 1});
 
       if (options.verify_states) {
         const AnalysisReport verdict =
-            verify_architecture(model, options.verifier);
+            verify_architecture(graph.states[to].model, options.verifier);
         if (verdict.errors() > 0) {
           std::string message =
               "reachable configuration fails verification: " +

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
-#include <set>
+#include <string_view>
 
 #include "util/strings.h"
 
@@ -11,10 +10,23 @@ namespace aars::analysis {
 
 namespace {
 
-/// Sorted provider list rendered "[a,b,c]".
-std::string provider_set(std::vector<std::string> providers) {
-  std::sort(providers.begin(), providers.end());
-  return "[" + util::join(providers, ",") + "]";
+/// Appends the sorted provider list rendered "[a,b,c]".
+void append_provider_set(std::string& out,
+                         const std::vector<std::string>& providers) {
+  std::vector<std::string_view> sorted(providers.begin(), providers.end());
+  std::sort(sorted.begin(), sorted.end());
+  out += '[';
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    if (i > 0) out += ',';
+    out += sorted[i];
+  }
+  out += ']';
+}
+
+std::string provider_set(const std::vector<std::string>& providers) {
+  std::string out;
+  append_provider_set(out, providers);
+  return out;
 }
 
 bool compare_count(adl::AstCompare cmp, int actual, int bound) {
@@ -85,21 +97,43 @@ std::string cooldown_rule_names(const ConfigGraph& graph) {
 }  // namespace
 
 std::string canonical_config_key(const ArchitectureModel& model) {
-  std::vector<std::string> parts;
-  parts.reserve(model.instances.size() + model.connectors.size() +
-                model.bindings.size());
+  // Every part goes into one buffer; the parts are sorted as views into it
+  // and joined with ';'.
+  std::string buffer;
+  std::vector<std::size_t> ends;
+  ends.reserve(model.instances.size() + model.connectors.size() +
+               model.bindings.size());
   for (const ModelInstance& inst : model.instances) {
-    parts.push_back("i:" + inst.name + ":" + inst.type + "@" + inst.node);
+    buffer.append("i:").append(inst.name).append(":").append(inst.type);
+    buffer.append("@").append(inst.node);
+    ends.push_back(buffer.size());
   }
   for (const ModelConnector& conn : model.connectors) {
-    parts.push_back("c:" + conn.name + provider_set(conn.providers));
+    buffer.append("c:").append(conn.name);
+    append_provider_set(buffer, conn.providers);
+    ends.push_back(buffer.size());
   }
   for (const ModelBinding& bind : model.bindings) {
-    parts.push_back("b:" + bind.caller + "." + bind.port + ">" +
-                    bind.connector + provider_set(bind.providers));
+    buffer.append("b:").append(bind.caller).append(".").append(bind.port);
+    buffer.append(">").append(bind.connector);
+    append_provider_set(buffer, bind.providers);
+    ends.push_back(buffer.size());
+  }
+  std::vector<std::string_view> parts;
+  parts.reserve(ends.size());
+  std::size_t begin = 0;
+  for (const std::size_t end : ends) {
+    parts.push_back(std::string_view(buffer).substr(begin, end - begin));
+    begin = end;
   }
   std::sort(parts.begin(), parts.end());
-  return util::join(parts, ";");
+  std::string key;
+  key.reserve(buffer.size() + parts.size());
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (i > 0) key += ';';
+    key += parts[i];
+  }
+  return key;
 }
 
 std::string render_path(const ConfigGraph& graph, std::size_t state) {

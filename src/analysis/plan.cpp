@@ -1,7 +1,6 @@
 #include "analysis/plan.h"
 
 #include <algorithm>
-#include <set>
 
 #include "util/strings.h"
 
@@ -121,7 +120,8 @@ void apply_plan_step(ArchitectureModel& model, const PlanStep& step) {
 }
 
 bool plan_step_applicable(const ArchitectureModel& model, const PlanStep& step,
-                          std::size_t index, AnalysisReport* report) {
+                          std::size_t index, AnalysisReport* report,
+                          const std::vector<std::string>* stuck) {
   // Precondition failures short-circuit on the first violation when no
   // report is wanted — the explorer probes enabledness in a hot loop.
   AnalysisReport scratch;
@@ -174,8 +174,12 @@ bool plan_step_applicable(const ArchitectureModel& model, const PlanStep& step,
   }
 
   if (ok && quiesces_target(step.op)) {
-    const std::vector<std::string> stuck = quiescence_unreachable(model);
-    if (std::find(stuck.begin(), stuck.end(), step.instance) != stuck.end()) {
+    std::vector<std::string> computed;
+    if (stuck == nullptr) {
+      computed = quiescence_unreachable(model);
+      stuck = &computed;
+    }
+    if (std::binary_search(stuck->begin(), stuck->end(), step.instance)) {
       out.add(
           Severity::kError, "quiescence-unreachable",
           util::format("step %zu (%s %s)", index + 1, to_string(step.op),

@@ -73,9 +73,12 @@ struct PlanReview {
 /// is recorded as a "plan-invalid"/"quiescence-unreachable" error with the
 /// step labelled `index` + 1. The configuration-space explorer uses this to
 /// decide whether a rule's plan template is enabled in a given state.
+/// `stuck`, when non-null, must be `quiescence_unreachable(model)`: callers
+/// probing many steps against one model compute it once and pass it in.
 bool plan_step_applicable(const ArchitectureModel& model, const PlanStep& step,
                           std::size_t index = 0,
-                          AnalysisReport* report = nullptr);
+                          AnalysisReport* report = nullptr,
+                          const std::vector<std::string>* stuck = nullptr);
 
 /// Applies one step whose preconditions already passed (see
 /// `plan_step_applicable`). Mutates `model` in place.

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
+#include <string_view>
 
 #include "util/strings.h"
 
@@ -11,122 +13,154 @@ namespace aars::analysis {
 
 namespace {
 
-/// caller -> outgoing call edges (one per binding provider).
-struct CallEdge {
-  std::string to;
-  bool sync = true;
-  std::string connector;
-};
+/// The call graph of one model, built once per verification pass.  Nodes
+/// are the instances plus any binding caller that is not an instance, in
+/// name order; each node's edges follow binding order, then provider order.
+/// An edge to a provider that is no node (a dangling provider) has `to` -1.
+struct CallGraph {
+  struct Edge {
+    int to = -1;
+    bool sync = true;
+  };
+  std::vector<std::string_view> names;
+  std::vector<std::vector<Edge>> out;
 
-using CallGraph = std::map<std::string, std::vector<CallEdge>>;
-
-CallGraph call_graph(const ArchitectureModel& model) {
-  CallGraph graph;
-  for (const ModelInstance& inst : model.instances) graph[inst.name];
-  for (const ModelBinding& bind : model.bindings) {
-    const ModelConnector* conn = model.find_connector(bind.connector);
-    const bool sync = conn == nullptr || conn->sync_delivery;
-    for (const std::string& provider : bind.providers) {
-      graph[bind.caller].push_back(CallEdge{provider, sync, bind.connector});
+  explicit CallGraph(const ArchitectureModel& model) {
+    for (const ModelInstance& inst : model.instances) {
+      names.push_back(inst.name);
+    }
+    for (const ModelBinding& bind : model.bindings) {
+      names.push_back(bind.caller);
+    }
+    std::sort(names.begin(), names.end());
+    names.erase(std::unique(names.begin(), names.end()), names.end());
+    out.resize(names.size());
+    for (const ModelBinding& bind : model.bindings) {
+      const ModelConnector* conn = model.find_connector(bind.connector);
+      const bool sync = conn == nullptr || conn->sync_delivery;
+      std::vector<Edge>& edges = out[index_of(bind.caller)];
+      for (const std::string& provider : bind.providers) {
+        edges.push_back(Edge{index_of(provider), sync});
+      }
     }
   }
-  return graph;
-}
 
-/// Tarjan SCC over the call graph, optionally restricted to sync edges.
-std::vector<std::vector<std::string>> strongly_connected(
-    const CallGraph& graph, bool sync_only) {
-  struct NodeState {
-    int index = -1;
-    int lowlink = 0;
-    bool on_stack = false;
+  /// Node index of `name`, or -1 when it names no node.
+  int index_of(std::string_view name) const {
+    const auto it = std::lower_bound(names.begin(), names.end(), name);
+    return it != names.end() && *it == name
+               ? static_cast<int>(it - names.begin())
+               : -1;
+  }
+};
+
+/// Call cycles — nontrivial SCCs (size > 1 or a self-loop), optionally over
+/// sync edges only — in the order Tarjan completes them, roots visited in
+/// name order. Members are sorted, i.e. in name order.
+std::vector<std::vector<int>> call_cycles(const CallGraph& graph,
+                                          bool sync_only) {
+  const auto followed = [sync_only](const CallGraph::Edge& edge) {
+    return edge.to >= 0 && (edge.sync || !sync_only);
   };
-  std::map<std::string, NodeState> state;
-  std::vector<std::string> stack;
-  std::vector<std::vector<std::string>> components;
+  const std::size_t n = graph.names.size();
+  std::vector<int> index(n, -1);
+  std::vector<int> lowlink(n, 0);
+  std::vector<bool> on_stack(n, false);
+  std::vector<int> stack;
+  std::vector<std::vector<int>> cycles;
   int next_index = 0;
 
   // Iterative Tarjan (explicit frames) to stay safe on deep graphs.
   struct Frame {
-    std::string node;
+    int node;
     std::size_t edge = 0;
   };
-  for (const auto& [root, unused] : graph) {
-    (void)unused;
-    if (state[root].index >= 0) continue;
-    std::vector<Frame> frames{Frame{root}};
-    state[root].index = state[root].lowlink = next_index++;
-    state[root].on_stack = true;
-    stack.push_back(root);
+  std::vector<Frame> frames;
+  const auto visit = [&](int node) {
+    index[node] = lowlink[node] = next_index++;
+    on_stack[node] = true;
+    stack.push_back(node);
+    frames.push_back(Frame{node});
+  };
+  for (int root = 0; root < static_cast<int>(n); ++root) {
+    if (index[root] >= 0) continue;
+    visit(root);
     while (!frames.empty()) {
       Frame& frame = frames.back();
-      const auto& edges = graph.at(frame.node);
+      const std::vector<CallGraph::Edge>& edges = graph.out[frame.node];
       bool descended = false;
       while (frame.edge < edges.size()) {
-        const CallEdge& edge = edges[frame.edge++];
-        if (sync_only && !edge.sync) continue;
-        if (!graph.count(edge.to)) continue;  // dangling provider
-        NodeState& to = state[edge.to];
-        if (to.index < 0) {
-          to.index = to.lowlink = next_index++;
-          to.on_stack = true;
-          stack.push_back(edge.to);
-          frames.push_back(Frame{edge.to});
+        const CallGraph::Edge& edge = edges[frame.edge++];
+        if (!followed(edge)) continue;
+        if (index[edge.to] < 0) {
+          visit(edge.to);
           descended = true;
           break;
         }
-        if (to.on_stack) {
-          state[frame.node].lowlink =
-              std::min(state[frame.node].lowlink, to.index);
+        if (on_stack[edge.to]) {
+          lowlink[frame.node] = std::min(lowlink[frame.node], index[edge.to]);
         }
       }
       if (descended) continue;
       // Frame exhausted: pop and propagate the lowlink.
-      const std::string node = frame.node;
+      const int node = frame.node;
       frames.pop_back();
       if (!frames.empty()) {
-        state[frames.back().node].lowlink = std::min(
-            state[frames.back().node].lowlink, state[node].lowlink);
+        lowlink[frames.back().node] =
+            std::min(lowlink[frames.back().node], lowlink[node]);
       }
-      if (state[node].lowlink == state[node].index) {
-        std::vector<std::string> component;
-        while (true) {
-          const std::string member = stack.back();
-          stack.pop_back();
-          state[member].on_stack = false;
-          component.push_back(member);
-          if (member == node) break;
-        }
-        components.push_back(std::move(component));
+      if (lowlink[node] != index[node]) continue;
+      // `node` roots an SCC: its members sit on the stack from `node` up.
+      auto first = stack.end();
+      do {
+        --first;
+        on_stack[*first] = false;
+      } while (*first != node);
+      const bool cyclic =
+          stack.end() - first > 1 ||
+          std::any_of(graph.out[node].begin(), graph.out[node].end(),
+                      [&](const CallGraph::Edge& e) {
+                        return e.to == node && followed(e);
+                      });
+      if (cyclic) {
+        std::vector<int> cycle(first, stack.end());
+        std::sort(cycle.begin(), cycle.end());
+        cycles.push_back(std::move(cycle));
       }
-    }
-  }
-  return components;
-}
-
-bool has_self_loop(const CallGraph& graph, const std::string& node,
-                   bool sync_only) {
-  auto it = graph.find(node);
-  if (it == graph.end()) return false;
-  for (const CallEdge& edge : it->second) {
-    if (edge.to == node && (!sync_only || edge.sync)) return true;
-  }
-  return false;
-}
-
-/// Nontrivial SCCs (size > 1 or a self-loop) — the actual call cycles.
-std::vector<std::vector<std::string>> call_cycles(const CallGraph& graph,
-                                                  bool sync_only) {
-  std::vector<std::vector<std::string>> cycles;
-  for (auto& component : strongly_connected(graph, sync_only)) {
-    if (component.size() > 1 ||
-        has_self_loop(graph, component.front(), sync_only)) {
-      std::sort(component.begin(), component.end());
-      cycles.push_back(std::move(component));
+      stack.erase(first, stack.end());
     }
   }
   return cycles;
 }
+
+std::string cycle_subject(const CallGraph& graph,
+                          const std::vector<int>& cycle) {
+  std::string subject;
+  for (const int member : cycle) {
+    if (!subject.empty()) subject += " -> ";
+    subject += graph.names[member];
+  }
+  return subject;
+}
+
+/// min_latency_us answers for one pass, computed once per (from, to) pair.
+class RouteMemo {
+ public:
+  explicit RouteMemo(const ArchitectureModel& model) : model_(model) {}
+
+  std::optional<std::int64_t> latency_us(const std::string& from,
+                                         const std::string& to) {
+    const auto [it, inserted] = memo_.try_emplace({from, to});
+    if (inserted) it->second = model_.min_latency_us(from, to);
+    return it->second;
+  }
+
+ private:
+  const ArchitectureModel& model_;
+  std::map<std::pair<std::string_view, std::string_view>,
+           std::optional<std::int64_t>>
+      memo_;
+};
 
 void check_bindings(const ArchitectureModel& model, AnalysisReport& report) {
   std::set<std::pair<std::string, std::string>> seen_ports;
@@ -197,85 +231,91 @@ void check_bindings(const ArchitectureModel& model, AnalysisReport& report) {
 }
 
 void check_reachability(const ArchitectureModel& model,
-                        AnalysisReport& report) {
+                        const CallGraph& graph, AnalysisReport& report) {
   // Workload entry points: connectors nobody calls into through a binding
   // are external ingress; instances that call out but are never providers
   // are workload drivers.
-  std::set<std::string> called_connectors;
-  std::set<std::string> providers;
+  std::vector<std::string_view> called_connectors;
+  std::vector<bool> provider(graph.names.size(), false);
   for (const ModelBinding& bind : model.bindings) {
-    called_connectors.insert(bind.connector);
-    providers.insert(bind.providers.begin(), bind.providers.end());
+    called_connectors.push_back(bind.connector);
+    for (const std::string& name : bind.providers) {
+      const int p = graph.index_of(name);
+      if (p >= 0) provider[p] = true;
+    }
   }
+  std::sort(called_connectors.begin(), called_connectors.end());
 
-  std::set<std::string> reachable;
-  std::vector<std::string> frontier;
+  std::vector<bool> reachable(graph.names.size(), false);
+  std::vector<int> frontier;
+  const auto reach = [&](int node) {
+    if (node < 0 || reachable[node]) return;
+    reachable[node] = true;
+    frontier.push_back(node);
+  };
   for (const ModelConnector& conn : model.connectors) {
-    if (called_connectors.count(conn.name)) continue;
-    for (const std::string& provider : conn.providers) {
-      if (reachable.insert(provider).second) frontier.push_back(provider);
+    if (std::binary_search(called_connectors.begin(), called_connectors.end(),
+                           std::string_view(conn.name))) {
+      continue;
     }
+    for (const std::string& name : conn.providers) reach(graph.index_of(name));
   }
   for (const ModelBinding& bind : model.bindings) {
-    if (providers.count(bind.caller)) continue;
-    if (reachable.insert(bind.caller).second) frontier.push_back(bind.caller);
+    const int caller = graph.index_of(bind.caller);
+    if (!provider[caller]) reach(caller);
   }
-  const CallGraph graph = call_graph(model);
   while (!frontier.empty()) {
-    const std::string at = std::move(frontier.back());
+    const int at = frontier.back();
     frontier.pop_back();
-    auto it = graph.find(at);
-    if (it == graph.end()) continue;
-    for (const CallEdge& edge : it->second) {
-      if (reachable.insert(edge.to).second) frontier.push_back(edge.to);
-    }
+    for (const CallGraph::Edge& edge : graph.out[at]) reach(edge.to);
   }
   for (const ModelInstance& inst : model.instances) {
-    if (!reachable.count(inst.name)) {
+    if (!reachable[graph.index_of(inst.name)]) {
       report.add(Severity::kWarning, "unreachable-component", inst.name,
                  "not reachable from any workload entry point", inst.line);
     }
   }
 }
 
-void check_cycles(const ArchitectureModel& model, AnalysisReport& report) {
-  const CallGraph graph = call_graph(model);
-  const auto sync_cycles = call_cycles(graph, /*sync_only=*/true);
-  std::set<std::string> in_sync_cycle;
-  for (const auto& cycle : sync_cycles) {
-    in_sync_cycle.insert(cycle.begin(), cycle.end());
-    report.add(Severity::kError, "sync-call-cycle", util::join(cycle, " -> "),
+void check_cycles(const ArchitectureModel& model, const CallGraph& graph,
+                  AnalysisReport& report) {
+  const auto line_of = [&](const std::vector<int>& cycle) {
+    const ModelInstance* first =
+        model.find_instance(std::string(graph.names[cycle.front()]));
+    return first != nullptr ? first->line : 0;
+  };
+  std::vector<bool> in_sync_cycle(graph.names.size(), false);
+  for (const std::vector<int>& cycle : call_cycles(graph, /*sync_only=*/true)) {
+    for (const int member : cycle) in_sync_cycle[member] = true;
+    report.add(Severity::kError, "sync-call-cycle",
+               cycle_subject(graph, cycle),
                "synchronous call cycle: deadlocks under load and makes "
                "quiescence unreachable",
-               model.find_instance(cycle.front()) != nullptr
-                   ? model.find_instance(cycle.front())->line
-                   : 0);
+               line_of(cycle));
   }
-  for (const auto& cycle : call_cycles(graph, /*sync_only=*/false)) {
+  for (const std::vector<int>& cycle :
+       call_cycles(graph, /*sync_only=*/false)) {
     // Already reported as the harder sync variant?
-    const bool subsumed =
-        std::all_of(cycle.begin(), cycle.end(), [&](const std::string& n) {
-          return in_sync_cycle.count(n) > 0;
-        });
+    const bool subsumed = std::all_of(cycle.begin(), cycle.end(),
+                                      [&](int n) { return in_sync_cycle[n]; });
     if (subsumed) continue;
     report.add(Severity::kWarning, "connector-cycle",
-               util::join(cycle, " -> "),
+               cycle_subject(graph, cycle),
                "call cycle through queued connectors: unbounded feedback "
                "unless the application breaks it",
-               model.find_instance(cycle.front()) != nullptr
-                   ? model.find_instance(cycle.front())->line
-                   : 0);
+               line_of(cycle));
   }
 }
 
-void check_routes(const ArchitectureModel& model, AnalysisReport& report) {
+void check_routes(const ArchitectureModel& model, RouteMemo& routes,
+                  AnalysisReport& report) {
   for (const ModelBinding& bind : model.bindings) {
     const ModelInstance* caller = model.find_instance(bind.caller);
     if (caller == nullptr || !model.has_node(caller->node)) continue;
     for (const std::string& provider_name : bind.providers) {
       const ModelInstance* provider = model.find_instance(provider_name);
       if (provider == nullptr || !model.has_node(provider->node)) continue;
-      if (!model.min_latency_us(caller->node, provider->node).has_value()) {
+      if (!routes.latency_us(caller->node, provider->node).has_value()) {
         report.add(Severity::kError, "no-route",
                    bind.caller + "." + bind.port + " -> " + provider_name,
                    "no route from node '" + caller->node + "' to node '" +
@@ -286,7 +326,8 @@ void check_routes(const ArchitectureModel& model, AnalysisReport& report) {
   }
 }
 
-void check_qos(const ArchitectureModel& model, AnalysisReport& report) {
+void check_qos(const ArchitectureModel& model, RouteMemo& routes,
+               AnalysisReport& report) {
   for (const ModelBinding& bind : model.bindings) {
     const ModelConnector* conn = model.find_connector(bind.connector);
     if (conn == nullptr || conn->budget_us <= 0) continue;
@@ -295,8 +336,8 @@ void check_qos(const ArchitectureModel& model, AnalysisReport& report) {
     for (const std::string& provider_name : bind.providers) {
       const ModelInstance* provider = model.find_instance(provider_name);
       if (provider == nullptr) continue;
-      const auto there = model.min_latency_us(caller->node, provider->node);
-      const auto back = model.min_latency_us(provider->node, caller->node);
+      const auto there = routes.latency_us(caller->node, provider->node);
+      const auto back = routes.latency_us(provider->node, caller->node);
       if (!there.has_value() || !back.has_value()) continue;  // no-route owns it
       const std::int64_t floor_us = *there + *back;
       if (floor_us > conn->budget_us) {
@@ -394,23 +435,29 @@ void check_protocols(const ArchitectureModel& model,
 AnalysisReport verify_architecture(const ArchitectureModel& model,
                                    const VerifierOptions& options) {
   AnalysisReport report;
+  const CallGraph graph(model);
+  RouteMemo routes(model);
   check_bindings(model, report);
-  check_reachability(model, report);
-  check_cycles(model, report);
-  check_routes(model, report);
-  check_qos(model, report);
+  check_reachability(model, graph, report);
+  check_cycles(model, graph, report);
+  check_routes(model, routes, report);
+  check_qos(model, routes, report);
   if (options.check_protocols) check_protocols(model, options, report);
   return report;
 }
 
 std::vector<std::string> quiescence_unreachable(
     const ArchitectureModel& model) {
-  const CallGraph graph = call_graph(model);
-  std::set<std::string> members;
-  for (const auto& cycle : call_cycles(graph, /*sync_only=*/true)) {
-    members.insert(cycle.begin(), cycle.end());
+  const CallGraph graph(model);
+  std::vector<bool> stuck(graph.names.size(), false);
+  for (const std::vector<int>& cycle : call_cycles(graph, /*sync_only=*/true)) {
+    for (const int member : cycle) stuck[member] = true;
   }
-  return {members.begin(), members.end()};
+  std::vector<std::string> members;
+  for (std::size_t n = 0; n < stuck.size(); ++n) {
+    if (stuck[n]) members.emplace_back(graph.names[n]);
+  }
+  return members;
 }
 
 }  // namespace aars::analysis

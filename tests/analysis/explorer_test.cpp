@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "adl/compiler.h"
 #include "analysis/adl_screen.h"
 #include "analysis/architecture.h"
 
@@ -270,6 +271,57 @@ property capacity_floor { always replicas(Worker) >= 1; }
     }
   }
   EXPECT_TRUE(path_found);
+}
+
+TEST(ExplorerTest, QuiescenceStuckTargetDisablesOnlyItsRule) {
+  // ping <-> pong is an all-synchronous cycle, so `remove ping` can never
+  // quiesce its target: shed_ping is disabled in every state, while
+  // shed_spare (same state, target off the cycle) is enabled.  untangle
+  // first re-points ping at the queued connector, which breaks the cycle,
+  // so its second step may remove ping: that step must be judged on the
+  // intermediate configuration, not on the state the firing started from.
+  const adl::CompilationResult compiled = adl::compile(R"(interface Work {
+  service run(cost: double) -> int;
+}
+component Worker provides Work;
+component Relay provides Work { requires out: Work; }
+component Driver { requires work: Work; }
+node main { capacity 10000; }
+node client { capacity 10000; }
+link main <-> client { latency 1ms; bandwidth 100mbps; }
+instance worker: Worker on main;
+instance spare: Worker on main;
+instance ping: Relay on main;
+instance pong: Relay on main;
+instance driver: Driver on client;
+connector jobs { routing round_robin; delivery queued; capacity 64; }
+connector to_pong { routing direct; delivery sync; }
+connector to_ping { routing direct; delivery sync; }
+bind driver.work -> worker, spare, ping via jobs;
+bind ping.out -> pong via to_pong;
+bind pong.out -> ping via to_ping;
+when queue_depth(jobs) < 4 reconfigure shed_spare { remove spare; }
+when queue_depth(jobs) < 2 reconfigure shed_ping { remove ping; }
+when queue_depth(jobs) < 1 reconfigure untangle {
+  rebind ping.out -> jobs;
+  remove ping;
+}
+)");
+  ASSERT_TRUE(compiled.ok()) << compiled.diagnostics.render();
+  const ExplorationResult result =
+      explore(model_from(compiled.config), compiled.program);
+  // {initial, -spare, -ping, -spare-ping}: shed_ping never fires.
+  ASSERT_EQ(result.graph.states.size(), 4u);
+  const std::vector<ConfigEdge> want = {
+      {0, 1, 0}, {0, 2, 2}, {1, 3, 2}, {2, 3, 0}};
+  ASSERT_EQ(result.graph.edges.size(), want.size());
+  for (std::size_t e = 0; e < want.size(); ++e) {
+    EXPECT_EQ(result.graph.edges[e].from, want[e].from) << "edge " << e;
+    EXPECT_EQ(result.graph.edges[e].to, want[e].to) << "edge " << e;
+    EXPECT_EQ(result.graph.edges[e].rule, want[e].rule) << "edge " << e;
+  }
+  EXPECT_EQ(result.aborted_firings, 0u);
+  EXPECT_EQ(result.order_digest, 0x6be099c600526c69ULL);
 }
 
 TEST(ExplorerTest, EmptyProgramExploresOnlyTheInitialState) {

@@ -96,6 +96,12 @@ TEST(VerifierTest, BindingToUnknownProviderDangles) {
   model.bindings[0].providers = {"ghost"};
   const AnalysisReport report = verify_architecture(model);
   EXPECT_TRUE(report.has("dangling-binding"));
+  // The call-graph edge to a provider that is no instance leads nowhere: it
+  // neither reaches the server nor closes a cycle.
+  EXPECT_TRUE(report.has("unreachable-component"));
+  EXPECT_FALSE(report.has("sync-call-cycle"));
+  EXPECT_FALSE(report.has("connector-cycle"));
+  EXPECT_TRUE(quiescence_unreachable(model).empty());
 }
 
 TEST(VerifierTest, BindingWithNoProvidersDangles) {
@@ -181,14 +187,32 @@ ArchitectureModel cycle_model(bool sync) {
   return model;
 }
 
-TEST(VerifierTest, SynchronousCallCycleIsError) {
-  const AnalysisReport report = verify_architecture(cycle_model(true));
-  EXPECT_FALSE(report.ok());
-  ASSERT_TRUE(report.has("sync-call-cycle"));
+/// Subjects of the diagnostics with `code`, in emission order.
+std::vector<std::string> subjects(const AnalysisReport& report,
+                                  const std::string& code) {
+  std::vector<std::string> out;
   for (const Diagnostic& d : report.diagnostics) {
-    if (d.code == "sync-call-cycle") {
-      EXPECT_EQ(d.subject, "a -> b");
-    }
+    if (d.code == code) out.push_back(d.subject);
+  }
+  return out;
+}
+
+TEST(VerifierTest, SynchronousCallCycleIsError) {
+  // `x` is only a binding caller and a provider name, never an instance:
+  // a -> x -> a still closes one synchronous cycle.
+  ArchitectureModel via_caller = cycle_model(true);
+  via_caller.instances.erase(via_caller.instances.begin() + 1);  // b
+  via_caller.connectors[0].providers = {"x"};
+  via_caller.bindings[0].providers = {"x"};
+  via_caller.bindings[1].caller = "x";
+  const std::pair<ArchitectureModel, std::string> cases[] = {
+      {cycle_model(true), "a -> b"}, {via_caller, "a -> x"}};
+  for (const auto& [model, subject] : cases) {
+    const AnalysisReport report = verify_architecture(model);
+    EXPECT_FALSE(report.ok());
+    EXPECT_EQ(subjects(report, "sync-call-cycle"),
+              std::vector<std::string>{subject});
+    EXPECT_FALSE(report.has("connector-cycle"));
   }
 }
 
@@ -199,21 +223,72 @@ TEST(VerifierTest, QueuedCycleIsOnlyAFeedbackWarning) {
   EXPECT_TRUE(report.has("connector-cycle"));
 }
 
+/// Two synchronous cycles, `first` <-> `second` and `third` <-> `fourth`,
+/// optionally joined into one larger cycle by queued edges second -> third
+/// and fourth -> first.
+ArchitectureModel two_cycle_model(const std::string& first,
+                                  const std::string& second,
+                                  const std::string& third,
+                                  const std::string& fourth, bool joined) {
+  ArchitectureModel model;
+  model.nodes = {"n1"};
+  const std::string names[] = {first, second, third, fourth};
+  for (const std::string& name : names) {
+    model.instances.push_back(make_instance(name, "R", "n1", {"out", "q"}));
+    model.connectors.push_back(make_connector("to_" + name, true, {name}));
+  }
+  const auto call = [&](const std::string& from, const std::string& to) {
+    model.bindings.push_back(make_binding(from, "out", "to_" + to, {to}));
+  };
+  call(first, second);
+  call(second, first);
+  call(third, fourth);
+  call(fourth, third);
+  if (joined) {
+    model.connectors.push_back(make_connector("queue", false, {third, first}));
+    model.bindings.push_back(make_binding(second, "q", "queue", {third}));
+    model.bindings.push_back(make_binding(fourth, "q", "queue", {first}));
+  }
+  return model;
+}
+
 TEST(VerifierTest, QuiescenceUnreachableListsSyncCycleMembers) {
   const std::vector<std::string> stuck =
       quiescence_unreachable(cycle_model(true));
   EXPECT_EQ(stuck, (std::vector<std::string>{"a", "b"}));
   EXPECT_TRUE(quiescence_unreachable(cycle_model(false)).empty());
   EXPECT_TRUE(quiescence_unreachable(base_model()).empty());
+  // Two disjoint cycles whose members interleave by name: the result is
+  // every member once, sorted, not grouped by cycle.
+  EXPECT_EQ(quiescence_unreachable(two_cycle_model("d", "a", "c", "b", false)),
+            (std::vector<std::string>{"a", "b", "c", "d"}));
+}
+
+TEST(VerifierTest, QueuedCycleOverSyncCyclesIsNotReportedAgain) {
+  // a <-> b and c <-> d are synchronous; queued edges b -> c and d -> a
+  // close a -> b -> c -> d into one larger cycle.  Every member of it
+  // already sits on a reported sync cycle, so it adds no connector-cycle.
+  const AnalysisReport report =
+      verify_architecture(two_cycle_model("a", "b", "c", "d", true));
+  EXPECT_EQ(subjects(report, "sync-call-cycle"),
+            (std::vector<std::string>{"a -> b", "c -> d"}));
+  EXPECT_FALSE(report.has("connector-cycle"));
 }
 
 TEST(VerifierTest, SelfLoopIsACycle) {
-  ArchitectureModel model;
-  model.nodes = {"n1"};
-  model.instances.push_back(make_instance("rec", "R", "n1", {"out"}));
-  model.connectors.push_back(make_connector("self", true, {"rec"}));
-  model.bindings.push_back(make_binding("rec", "out", "self", {"rec"}));
-  EXPECT_TRUE(verify_architecture(model).has("sync-call-cycle"));
+  // The second input puts a dangling provider ahead of the self-loop edge.
+  for (const std::vector<std::string>& providers :
+       {std::vector<std::string>{"rec"},
+        std::vector<std::string>{"ghost", "rec"}}) {
+    ArchitectureModel model;
+    model.nodes = {"n1"};
+    model.instances.push_back(make_instance("rec", "R", "n1", {"out"}));
+    model.connectors.push_back(make_connector("self", true, providers));
+    model.bindings.push_back(make_binding("rec", "out", "self", providers));
+    EXPECT_EQ(subjects(verify_architecture(model), "sync-call-cycle"),
+              std::vector<std::string>{"rec"});
+    EXPECT_EQ(quiescence_unreachable(model), std::vector<std::string>{"rec"});
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -233,6 +308,14 @@ TEST(VerifierTest, BudgetBelowLatencyFloorIsInfeasible) {
   const AnalysisReport report = verify_architecture(model);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.has("qos-infeasible"));
+
+  // A second binding over the same node pair is its own finding, even though
+  // the pair's latency is computed once per pass.
+  model.instances.push_back(make_instance("client2", "Client", "n2", {"out"}));
+  model.bindings.push_back(make_binding("client2", "out", "c", {"server"}));
+  EXPECT_EQ(subjects(verify_architecture(model), "qos-infeasible"),
+            (std::vector<std::string>{"c: client -> server",
+                                      "c: client2 -> server"}));
 }
 
 TEST(VerifierTest, FeasibleBudgetPasses) {
