@@ -28,7 +28,6 @@
 namespace aars::bench {
 namespace {
 
-using analysis::AnalysisReport;
 using analysis::ArchitectureModel;
 using analysis::ModelBinding;
 using analysis::ModelConnector;
@@ -195,6 +194,7 @@ double elapsed_us(std::chrono::steady_clock::time_point start) {
 
 int main() {
   using namespace aars::bench;
+  namespace adl = aars::adl;
   namespace analysis = aars::analysis;
   banner("E13 — static verification",
          "Seeded-defect catch rate and verification cost vs architecture "
@@ -213,7 +213,7 @@ int main() {
     for (const std::size_t n : catch_sizes) {
       ArchitectureModel model = pipeline(n, /*with_protocols=*/true);
       defect.seed(model);
-      const AnalysisReport report = analysis::verify_architecture(model);
+      const adl::Diagnostics report = analysis::verify_architecture(model);
       ++seeded;
       if (report.has(defect.expected_code)) {
         ++hit;
@@ -231,9 +231,9 @@ int main() {
   // --- 2. false positives ---------------------------------------------------
   std::size_t false_positives = 0;
   for (const std::size_t n : cost_sizes) {
-    const AnalysisReport report =
+    const adl::Diagnostics report =
         analysis::verify_architecture(pipeline(n, true));
-    false_positives += report.diagnostics.size();
+    false_positives += report.items.size();
   }
 
   // --- 3. cost vs size ------------------------------------------------------
@@ -243,7 +243,7 @@ int main() {
     const ArchitectureModel model = pipeline(n, true);
 
     auto start = std::chrono::steady_clock::now();
-    const AnalysisReport full = analysis::verify_architecture(model);
+    const adl::Diagnostics full = analysis::verify_architecture(model);
     const double full_us = elapsed_us(start);
 
     analysis::VerifierOptions structural;

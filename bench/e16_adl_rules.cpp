@@ -143,7 +143,9 @@ int main() {
     if (!result.ok()) {
       std::printf("FAIL: %s does not compile:\n%s\n",
                   configs[i].filename().c_str(),
-                  result.diagnostics.render(result.source).c_str());
+                  adl::render_text(result.diagnostics, configs[i].string(),
+                                   result.source)
+                      .c_str());
       ok = false;
       continue;
     }

@@ -151,10 +151,10 @@ RunResult run_storm(std::uint64_t seed, util::Duration horizon) {
         // Every settle point — commit or abort — must leave a structurally
         // sound architecture.  Reachability errors are excused only while
         // the fault that caused them is live.
-        const analysis::AnalysisReport verdict =
+        const adl::Diagnostics verdict =
             analysis::verify_architecture(analysis::model_from(app));
-        for (const analysis::Diagnostic& d : verdict.diagnostics) {
-          if (d.severity != analysis::Severity::kError) continue;
+        for (const adl::Diagnostic& d : verdict.items) {
+          if (d.severity != adl::Severity::kError) continue;
           if (is_reachability_code(d.code)) continue;
           ++out.structural_errors;
           std::printf("FAIL: structural error after '%s' settled: [%s] %s\n",

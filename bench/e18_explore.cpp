@@ -81,7 +81,8 @@ ExplorationResult explore_source(const std::string& source,
   const adl::CompilationResult result = analysis::compile_adl(source);
   if (!result.ok()) {
     std::fprintf(stderr, "compile failed:\n%s\n",
-                 result.diagnostics.render().c_str());
+                 adl::render_text(result.diagnostics, "<input>", source)
+                     .c_str());
     return {};
   }
   return analysis::explore(analysis::model_from(result.config),
@@ -170,7 +171,7 @@ int main() {
   std::size_t false_positives = 0;
   for (const std::string& file : clean) {
     const ExplorationResult result = explore_source(read_config(file));
-    false_positives += result.report.diagnostics.size();
+    false_positives += result.report.items.size();
   }
 
   struct PathDefect {

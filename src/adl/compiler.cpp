@@ -140,8 +140,7 @@ CompilationResult compile_file(const std::string& path,
   if (!in) {
     CompilationResult result;
     result.diagnostics.error(SourceLoc{}, "unreadable-file",
-                             "cannot read '" + path + "'",
-                             util::ErrorCode::kNotFound);
+                             "cannot read '" + path + "'");
     return result;
   }
   std::ostringstream buffer;

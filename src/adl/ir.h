@@ -178,7 +178,8 @@ struct CompilationResult {
   RuleProgram program;
   Diagnostics diagnostics;
   /// Retained source text, so callers can render caret snippets
-  /// (`diagnostics.render(source)`) without re-reading the file.
+  /// (`render_text(diagnostics, file, source)`) without re-reading the
+  /// file.
   std::string source;
 
   bool ok() const { return diagnostics.ok(); }

@@ -6,10 +6,6 @@
 
 namespace aars::adl {
 
-using util::Error;
-using util::ErrorCode;
-using util::Result;
-
 namespace {
 
 struct Cursor {
@@ -129,8 +125,7 @@ std::vector<Token> lex(std::string_view source, Diagnostics& diags) {
       bool is_integer = !has_dot;
       if (!apply_unit(unit, value, is_integer)) {
         diags.error(unit_loc, "unknown-unit",
-                    util::format("unknown unit '%s'", unit.c_str()),
-                    ErrorCode::kParseError);
+                    util::format("unknown unit '%s'", unit.c_str()));
         continue;
       }
       Token token;
@@ -158,8 +153,7 @@ std::vector<Token> lex(std::string_view source, Diagnostics& diags) {
         text += cur.advance();
       }
       if (cur.done()) {
-        diags.error(loc, "unterminated-string", "unterminated string",
-                    ErrorCode::kParseError);
+        diags.error(loc, "unterminated-string", "unterminated string");
         break;
       }
       cur.advance();  // closing quote
@@ -205,18 +199,10 @@ std::vector<Token> lex(std::string_view source, Diagnostics& diags) {
       continue;
     }
     diags.error(loc, "unexpected-character",
-                util::format("unexpected character '%c'", c),
-                ErrorCode::kParseError);
+                util::format("unexpected character '%c'", c));
     cur.advance();
   }
   tokens.push_back(Token{TokenKind::kEnd, "", 0, 0.0, cur.loc()});
-  return tokens;
-}
-
-Result<std::vector<Token>> tokenize(std::string_view source) {
-  Diagnostics diags;
-  std::vector<Token> tokens = lex(source, diags);
-  if (!diags.ok()) return diags.to_error();
   return tokens;
 }
 

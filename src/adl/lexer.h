@@ -1,13 +1,13 @@
 // Tokeniser for the configuration language — stage 1 of the compiler.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "adl/ast.h"
 #include "adl/diagnostics.h"
-#include "util/errors.h"
 
 namespace aars::adl {
 
@@ -38,8 +38,5 @@ struct Token {
 ///   rates     -> bytes/second: bps, kbps, mbps, gbps (decimal, bits input)
 /// Comments run from `//` to end of line.
 std::vector<Token> lex(std::string_view source, Diagnostics& diags);
-
-/// Legacy entrypoint: first lex error flattened to a util::Error.
-util::Result<std::vector<Token>> tokenize(std::string_view source);
 
 }  // namespace aars::adl

@@ -5,9 +5,6 @@
 
 namespace aars::adl {
 
-using util::Error;
-using util::ErrorCode;
-using util::Result;
 using util::Value;
 
 namespace {
@@ -105,8 +102,7 @@ class Parser {
     // errors from running off the end of the file.
     if (code == nullptr) code = eof ? "unexpected-eof" : "parse-error";
     diags_.error(t.loc, code,
-                 what + " (near '" + (eof ? "end of input" : t.text) + "')",
-                 ErrorCode::kParseError);
+                 what + " (near '" + (eof ? "end of input" : t.text) + "')");
     return false;
   }
 
@@ -128,8 +124,7 @@ class Parser {
               prev.text.empty() ? 1 : prev.text.size());
           diags_.error(loc, eof ? "unexpected-eof" : "parse-error",
                        std::string("expected '") + p + "' (after '" +
-                           prev.text + "')",
-                       ErrorCode::kParseError);
+                           prev.text + "')");
           return false;
         }
       }
@@ -890,13 +885,6 @@ Configuration parse_ast(std::string_view source, Diagnostics& diags) {
   if (!diags.ok()) return {};
   Parser parser(std::move(tokens), diags);
   return parser.run();
-}
-
-Result<Configuration> parse(std::string_view source) {
-  Diagnostics diags;
-  Configuration config = parse_ast(source, diags);
-  if (!diags.ok()) return diags.to_error();
-  return config;
 }
 
 }  // namespace aars::adl

@@ -6,7 +6,6 @@
 
 #include "adl/ast.h"
 #include "adl/diagnostics.h"
-#include "util/errors.h"
 
 namespace aars::adl {
 
@@ -14,9 +13,5 @@ namespace aars::adl {
 /// column) into `diags`. Returns the partial AST built so far; callers must
 /// check `diags.ok()` before using it.
 Configuration parse_ast(std::string_view source, Diagnostics& diags);
-
-/// Legacy entrypoint (deprecated, prefer adl::compile): first diagnostic
-/// flattened to a util::Error whose message carries "line N".
-util::Result<Configuration> parse(std::string_view source);
 
 }  // namespace aars::adl

@@ -89,20 +89,14 @@ class Sema {
   }
 
  private:
-  void error(const SourceLoc& loc, const char* code, const std::string& what,
-             ErrorCode legacy = ErrorCode::kInvalidArgument) {
-    diags_.error(loc, code, what, legacy);
-  }
-
-  /// Uniqueness check preserving the legacy kAlreadyExists code.
+  /// Reports every duplicate name among `decls`.
   template <typename T>
   void check_unique(const std::vector<T>& decls, const char* kind) {
     std::set<std::string> seen;
     for (const T& d : decls) {
       if (!seen.insert(d.name).second) {
-        error(d.loc, "duplicate-name",
-              util::format("duplicate %s '%s'", kind, d.name.c_str()),
-              ErrorCode::kAlreadyExists);
+        diags_.error(d.loc, "duplicate-name",
+                     util::format("duplicate %s '%s'", kind, d.name.c_str()));
       }
     }
   }
@@ -115,15 +109,15 @@ class Sema {
       std::set<std::string> service_names;
       for (const AstService& svc : iface.services) {
         if (!service_names.insert(svc.name).second) {
-          error(svc.loc, "duplicate-service",
-                "duplicate service '" + svc.name + "' in " + iface.name);
+          diags_.error(svc.loc, "duplicate-service",
+                       "duplicate service '" + svc.name + "' in " + iface.name);
           continue;
         }
         ServiceSignature sig;
         sig.name = svc.name;
         auto result_type = value_type_from_name(svc.result_type);
         if (!result_type.ok()) {
-          error(svc.loc, "unknown-type", result_type.error().message());
+          diags_.error(svc.loc, "unknown-type", result_type.error().message());
           continue;
         }
         sig.result = result_type.value();
@@ -131,14 +125,14 @@ class Sema {
         bool params_ok = true;
         for (const AstParam& p : svc.params) {
           if (!param_names.insert(p.name).second) {
-            error(svc.loc, "duplicate-parameter",
-                  "duplicate parameter '" + p.name + "' in " + svc.name);
+            diags_.error(svc.loc, "duplicate-parameter",
+                         "duplicate parameter '" + p.name + "' in " + svc.name);
             params_ok = false;
             break;
           }
           auto ptype = value_type_from_name(p.type);
           if (!ptype.ok()) {
-            error(svc.loc, "unknown-type", ptype.error().message());
+            diags_.error(svc.loc, "unknown-type", ptype.error().message());
             params_ok = false;
             break;
           }
@@ -155,39 +149,41 @@ class Sema {
     check_unique(config_.components, "component");
     for (const AstComponent& comp : config_.components) {
       if (!comp.provides.empty() && !out_.interfaces.count(comp.provides)) {
-        error(comp.loc, "unknown-interface",
-              comp.name + " provides unknown interface '" + comp.provides +
-                  "'");
+        diags_.error(comp.loc, "unknown-interface",
+                     comp.name + " provides unknown interface '" +
+                         comp.provides + "'");
       }
       std::set<std::string> port_names;
       for (const AstRequire& req : comp.requires_) {
         if (!port_names.insert(req.port).second) {
-          error(req.loc, "duplicate-port",
-                "duplicate port '" + req.port + "' on " + comp.name);
+          diags_.error(req.loc, "duplicate-port",
+                       "duplicate port '" + req.port + "' on " + comp.name);
           continue;
         }
         if (!out_.interfaces.count(req.interface)) {
-          error(req.loc, "unknown-interface",
-                comp.name + "." + req.port + " requires unknown interface '" +
-                    req.interface + "'");
+          diags_.error(req.loc, "unknown-interface",
+                       comp.name + "." + req.port +
+                           " requires unknown interface '" + req.interface +
+                           "'");
         }
       }
       std::set<std::string> attr_names;
       for (const AstAttribute& attr : comp.attributes) {
         if (!attr_names.insert(attr.name).second) {
-          error(attr.loc, "duplicate-attribute",
-                "duplicate attribute '" + attr.name + "' on " + comp.name);
+          diags_.error(attr.loc, "duplicate-attribute",
+                       "duplicate attribute '" + attr.name + "' on " +
+                           comp.name);
           continue;
         }
         auto atype = value_type_from_name(attr.type);
         if (!atype.ok()) {
-          error(attr.loc, "unknown-type", atype.error().message());
+          diags_.error(attr.loc, "unknown-type", atype.error().message());
           continue;
         }
         if (!literal_matches(atype.value(), attr.default_value)) {
-          error(attr.loc, "type-mismatch",
-                "default for '" + attr.name +
-                    "' does not match declared type " + attr.type);
+          diags_.error(attr.loc, "type-mismatch",
+                       "default for '" + attr.name +
+                           "' does not match declared type " + attr.type);
         }
       }
       if (comp.protocol.has_value()) compile_protocol(comp);
@@ -200,8 +196,8 @@ class Sema {
   void compile_protocol(const AstComponent& comp) {
     const AstProtocol& protocol = *comp.protocol;
     if (protocol.states.empty()) {
-      error(protocol.loc, "empty-protocol",
-            "protocol on " + comp.name + " declares no states");
+      diags_.error(protocol.loc, "empty-protocol",
+                   "protocol on " + comp.name + " declares no states");
       return;
     }
     lts::Lts lts(comp.name);
@@ -209,8 +205,9 @@ class Sema {
     for (std::size_t i = 0; i < protocol.states.size(); ++i) {
       const AstProtocolState& state = protocol.states[i];
       if (states.count(state.name)) {
-        error(state.loc, "duplicate-state",
-              "duplicate protocol state '" + state.name + "' on " + comp.name);
+        diags_.error(state.loc, "duplicate-state",
+                     "duplicate protocol state '" + state.name + "' on " +
+                         comp.name);
         return;
       }
       const lts::StateId id = i == 0 ? lts.initial() : lts.add_state();
@@ -220,16 +217,16 @@ class Sema {
     for (const AstProtocolTransition& t : protocol.transitions) {
       auto from = states.find(t.from);
       if (from == states.end()) {
-        error(t.loc, "unknown-state",
-              "protocol transition from unknown state '" + t.from + "' on " +
-                  comp.name);
+        diags_.error(t.loc, "unknown-state",
+                     "protocol transition from unknown state '" + t.from +
+                         "' on " + comp.name);
         return;
       }
       auto to = states.find(t.to);
       if (to == states.end()) {
-        error(t.loc, "unknown-state",
-              "protocol transition to unknown state '" + t.to + "' on " +
-                  comp.name);
+        diags_.error(t.loc, "unknown-state",
+                     "protocol transition to unknown state '" + t.to + "' on " +
+                         comp.name);
         return;
       }
       lts::Label label = t.direction == '?'   ? lts::in(t.action)
@@ -246,24 +243,24 @@ class Sema {
     for (const AstNode& n : config_.nodes) node_names_.insert(n.name);
     for (const AstLink& link : config_.links) {
       if (!node_names_.count(link.from)) {
-        error(link.loc, "unknown-node",
-              "link references unknown node '" + link.from + "'");
+        diags_.error(link.loc, "unknown-node",
+                     "link references unknown node '" + link.from + "'");
         continue;
       }
       if (!node_names_.count(link.to)) {
-        error(link.loc, "unknown-node",
-              "link references unknown node '" + link.to + "'");
+        diags_.error(link.loc, "unknown-node",
+                     "link references unknown node '" + link.to + "'");
         continue;
       }
       if (link.from == link.to) {
-        error(link.loc, "self-link", "self links are not allowed");
+        diags_.error(link.loc, "self-link", "self links are not allowed");
         continue;
       }
       if (link.bandwidth_bytes_per_sec <= 0) {
-        error(link.loc, "invalid-value", "bandwidth must be positive");
+        diags_.error(link.loc, "invalid-value", "bandwidth must be positive");
       }
       if (link.latency_us < 0) {
-        error(link.loc, "invalid-value", "latency must be >= 0");
+        diags_.error(link.loc, "invalid-value", "latency must be >= 0");
       }
     }
   }
@@ -275,13 +272,14 @@ class Sema {
       const AstInstance& inst = config_.instances[i];
       auto comp_it = components_.find(inst.type);
       if (comp_it == components_.end()) {
-        error(inst.loc, "unknown-type",
-              inst.name + ": unknown component type '" + inst.type + "'");
+        diags_.error(inst.loc, "unknown-type",
+                     inst.name + ": unknown component type '" + inst.type +
+                         "'");
         continue;
       }
       if (!node_names_.count(inst.node)) {
-        error(inst.loc, "unknown-node",
-              inst.name + ": unknown node '" + inst.node + "'");
+        diags_.error(inst.loc, "unknown-node",
+                     inst.name + ": unknown node '" + inst.node + "'");
         continue;
       }
       const AstComponent& type = *comp_it->second;
@@ -294,16 +292,16 @@ class Sema {
           }
         }
         if (declared == nullptr) {
-          error(inst.loc, "unknown-attribute",
-                inst.name + ": component " + inst.type +
-                    " has no attribute '" + attr_name + "'");
+          diags_.error(inst.loc, "unknown-attribute",
+                       inst.name + ": component " + inst.type +
+                           " has no attribute '" + attr_name + "'");
           continue;
         }
         auto atype = value_type_from_name(declared->type);
         if (atype.ok() && !literal_matches(atype.value(), literal)) {
-          error(inst.loc, "type-mismatch",
-                inst.name + ": value for '" + attr_name +
-                    "' does not match declared type " + declared->type);
+          diags_.error(inst.loc, "type-mismatch",
+                       inst.name + ": value for '" + attr_name +
+                           "' does not match declared type " + declared->type);
         }
       }
       out_.instance_index.emplace(inst.name, i);
@@ -319,22 +317,23 @@ class Sema {
     for (std::size_t i = 0; i < config_.connectors.size(); ++i) {
       const AstConnector& conn = config_.connectors[i];
       if (!kRoutings.count(conn.routing)) {
-        error(conn.loc, "unknown-routing",
-              conn.name + ": unknown routing '" + conn.routing + "'");
+        diags_.error(conn.loc, "unknown-routing",
+                     conn.name + ": unknown routing '" + conn.routing + "'");
         continue;
       }
       if (!kDeliveries.count(conn.delivery)) {
-        error(conn.loc, "unknown-delivery",
-              conn.name + ": unknown delivery '" + conn.delivery + "'");
+        diags_.error(conn.loc, "unknown-delivery",
+                     conn.name + ": unknown delivery '" + conn.delivery + "'");
         continue;
       }
       if (conn.capacity <= 0) {
-        error(conn.loc, "invalid-value",
-              conn.name + ": capacity must be positive");
+        diags_.error(conn.loc, "invalid-value",
+                     conn.name + ": capacity must be positive");
         continue;
       }
       if (conn.budget_us < 0) {
-        error(conn.loc, "invalid-value", conn.name + ": budget must be >= 0");
+        diags_.error(conn.loc, "invalid-value",
+                     conn.name + ": budget must be >= 0");
         continue;
       }
       out_.connector_index.emplace(conn.name, i);
@@ -346,8 +345,9 @@ class Sema {
     for (const AstBinding& bind : config_.bindings) {
       auto from_it = out_.instance_index.find(bind.from_instance);
       if (from_it == out_.instance_index.end()) {
-        error(bind.loc, "unknown-instance",
-              "binding from unknown instance '" + bind.from_instance + "'");
+        diags_.error(bind.loc, "unknown-instance",
+                     "binding from unknown instance '" + bind.from_instance +
+                         "'");
         continue;
       }
       const AstInstance& from_inst = config_.instances[from_it->second];
@@ -362,9 +362,9 @@ class Sema {
         }
       }
       if (port == nullptr) {
-        error(bind.loc, "unknown-port",
-              from_inst.type + " has no required port '" + bind.from_port +
-                  "'");
+        diags_.error(bind.loc, "unknown-port",
+                     from_inst.type + " has no required port '" +
+                         bind.from_port + "'");
         continue;
       }
       auto required_it = out_.interfaces.find(port->interface);
@@ -374,8 +374,8 @@ class Sema {
       for (const std::string& provider_name : bind.to_instances) {
         auto to_it = out_.instance_index.find(provider_name);
         if (to_it == out_.instance_index.end()) {
-          error(bind.loc, "unknown-instance",
-                "binding to unknown instance '" + provider_name + "'");
+          diags_.error(bind.loc, "unknown-instance",
+                       "binding to unknown instance '" + provider_name + "'");
           providers_ok = false;
           break;
         }
@@ -387,9 +387,9 @@ class Sema {
         }
         const AstComponent& to_type = *to_comp->second;
         if (to_type.provides.empty()) {
-          error(bind.loc, "no-provided-interface",
-                provider_name + " (type " + to_type.name +
-                    ") provides no interface");
+          diags_.error(bind.loc, "no-provided-interface",
+                       provider_name + " (type " + to_type.name +
+                           ") provides no interface");
           providers_ok = false;
           break;
         }
@@ -400,9 +400,9 @@ class Sema {
         }
         if (util::Status s = provided_it->second.satisfies(required);
             !s.ok()) {
-          error(bind.loc, "interface-mismatch",
-                "binding " + bind.from_instance + "." + bind.from_port +
-                    " -> " + provider_name + ": " + s.error().message());
+          diags_.error(bind.loc, "interface-mismatch",
+                       "binding " + bind.from_instance + "." + bind.from_port +
+                           " -> " + provider_name + ": " + s.error().message());
           providers_ok = false;
           break;
         }
@@ -410,21 +410,22 @@ class Sema {
       if (!providers_ok) continue;
       if (!bind.via_connector.empty() &&
           !out_.connector_index.count(bind.via_connector)) {
-        error(bind.loc, "unknown-connector",
-              "binding via unknown connector '" + bind.via_connector + "'");
+        diags_.error(bind.loc, "unknown-connector",
+                     "binding via unknown connector '" + bind.via_connector +
+                         "'");
         continue;
       }
       if (bind.to_instances.size() > 1) {
         if (bind.via_connector.empty()) {
-          error(bind.loc, "missing-connector",
-                "multi-provider binding requires an explicit connector");
+          diags_.error(bind.loc, "missing-connector",
+                       "multi-provider binding requires an explicit connector");
           continue;
         }
         const AstConnector& conn =
             config_.connectors[out_.connector_index.at(bind.via_connector)];
         if (conn.routing == "direct") {
-          error(bind.loc, "invalid-routing",
-                "direct connector cannot serve multiple providers");
+          diags_.error(bind.loc, "invalid-routing",
+                       "direct connector cannot serve multiple providers");
         }
       }
     }
@@ -435,16 +436,15 @@ class Sema {
     std::set<std::string> rule_names;
     for (const AstRule& rule : config_.rules) {
       if (!rule.name.empty() && !rule_names.insert(rule.name).second) {
-        error(rule.loc, "duplicate-name",
-              util::format("duplicate rule '%s'", rule.name.c_str()),
-              ErrorCode::kAlreadyExists);
+        diags_.error(rule.loc, "duplicate-name",
+                     util::format("duplicate rule '%s'", rule.name.c_str()));
       }
       analyze_condition(rule.condition);
       if (rule.cooldown_us < 0) {
-        error(rule.loc, "invalid-value", "rule cooldown must be >= 0");
+        diags_.error(rule.loc, "invalid-value", "rule cooldown must be >= 0");
       }
       if (rule.deadline_us < 0) {
-        error(rule.loc, "invalid-value", "rule deadline must be >= 0");
+        diags_.error(rule.loc, "invalid-value", "rule deadline must be >= 0");
       }
       RuleScope scope(out_.instance_index);
       for (const AstRuleAction& action : rule.actions) {
@@ -464,31 +464,31 @@ class Sema {
     }
     if (cond.metric == "queue_depth") {
       if (cond.metric_subject.empty()) {
-        error(cond.loc, "missing-metric-argument",
-              "queue_depth needs a connector argument");
+        diags_.error(cond.loc, "missing-metric-argument",
+                     "queue_depth needs a connector argument");
       } else if (!out_.connector_index.count(cond.metric_subject)) {
-        error(cond.loc, "unknown-connector",
-              "queue_depth references unknown connector '" +
-                  cond.metric_subject + "'");
+        diags_.error(cond.loc, "unknown-connector",
+                     "queue_depth references unknown connector '" +
+                         cond.metric_subject + "'");
       }
     } else if (cond.metric == "backlog") {
       if (cond.metric_subject.empty()) {
-        error(cond.loc, "missing-metric-argument",
-              "backlog needs a node argument");
+        diags_.error(cond.loc, "missing-metric-argument",
+                     "backlog needs a node argument");
       } else if (!node_names_.count(cond.metric_subject)) {
-        error(cond.loc, "unknown-node",
-              "backlog references unknown node '" + cond.metric_subject +
-                  "'");
+        diags_.error(cond.loc, "unknown-node",
+                     "backlog references unknown node '" + cond.metric_subject +
+                         "'");
       }
     } else if (cond.metric == "fault.active") {
       if (!cond.metric_subject.empty()) {
-        error(cond.loc, "invalid-metric-argument",
-              "fault.active takes no argument");
+        diags_.error(cond.loc, "invalid-metric-argument",
+                     "fault.active takes no argument");
       }
     } else {
-      error(cond.loc, "unknown-metric",
-            "unknown condition metric '" + cond.metric +
-                "' (expected queue_depth, backlog or fault.active)");
+      diags_.error(cond.loc, "unknown-metric",
+                   "unknown condition metric '" + cond.metric +
+                       "' (expected queue_depth, backlog or fault.active)");
     }
   }
 
@@ -497,23 +497,24 @@ class Sema {
     using Kind = AstRuleAction::Kind;
     const auto require_instance = [&](const std::string& name) {
       if (!scope.resolves(name)) {
-        error(action.loc, "unknown-instance",
-              "rule" + (rule.name.empty() ? "" : " '" + rule.name + "'") +
-                  " references unknown instance '" + name + "'");
+        diags_.error(
+            action.loc, "unknown-instance",
+            "rule" + (rule.name.empty() ? "" : " '" + rule.name + "'") +
+                " references unknown instance '" + name + "'");
         return false;
       }
       return true;
     };
     const auto require_type = [&](const std::string& name) {
       if (!components_.count(name)) {
-        error(action.loc, "unknown-type",
-              "rule action uses unknown component type '" + name + "'");
+        diags_.error(action.loc, "unknown-type",
+                     "rule action uses unknown component type '" + name + "'");
       }
     };
     const auto require_node = [&](const std::string& name) {
       if (!node_names_.count(name)) {
-        error(action.loc, "unknown-node",
-              "rule action uses unknown node '" + name + "'");
+        diags_.error(action.loc, "unknown-node",
+                     "rule action uses unknown node '" + name + "'");
       }
     };
     switch (action.kind) {
@@ -521,9 +522,8 @@ class Sema {
         require_type(action.type);
         require_node(action.node);
         if (scope.resolves(action.name)) {
-          error(action.loc, "duplicate-name",
-                "added instance '" + action.name + "' already exists",
-                ErrorCode::kAlreadyExists);
+          diags_.error(action.loc, "duplicate-name",
+                       "added instance '" + action.name + "' already exists");
         }
         scope.add(action.name);
         break;
@@ -545,9 +545,9 @@ class Sema {
       case Kind::kRebind:
         require_instance(action.instance);
         if (!out_.connector_index.count(action.connector)) {
-          error(action.loc, "unknown-connector",
-                "rebind targets unknown connector '" + action.connector +
-                    "'");
+          diags_.error(action.loc, "unknown-connector",
+                       "rebind targets unknown connector '" + action.connector +
+                           "'");
         }
         break;
       case Kind::kReroute:
@@ -566,13 +566,14 @@ class Sema {
       std::map<std::string, std::int64_t> upper, lower;
       for (const AstQosBound& bound : goal.qos) {
         if (!out_.connector_index.count(bound.connector)) {
-          error(bound.loc, "unknown-connector",
-                "goal '" + goal.name + "' bounds unknown connector '" +
-                    bound.connector + "'");
+          diags_.error(bound.loc, "unknown-connector",
+                       "goal '" + goal.name + "' bounds unknown connector '" +
+                           bound.connector + "'");
           continue;
         }
         if (bound.latency_us < 0) {
-          error(bound.loc, "invalid-value", "latency bound must be >= 0");
+          diags_.error(bound.loc, "invalid-value",
+                       "latency bound must be >= 0");
           continue;
         }
         auto& side = bound.upper ? upper : lower;
@@ -588,24 +589,27 @@ class Sema {
         auto lo = lower.find(bound.connector);
         if (up != upper.end() && lo != lower.end() &&
             up->second < lo->second) {
-          error(bound.loc, "contradictory-qos",
-                util::format("goal '%s': contradictory latency bounds on "
-                             "'%s' (<= %lldus but >= %lldus)",
-                             goal.name.c_str(), bound.connector.c_str(),
-                             static_cast<long long>(up->second),
-                             static_cast<long long>(lo->second)));
+          diags_.error(
+              bound.loc, "contradictory-qos",
+              util::format("goal '%s': contradictory latency bounds on '%s' "
+                           "(<= %lldus but >= %lldus)",
+                           goal.name.c_str(), bound.connector.c_str(),
+                           static_cast<long long>(up->second),
+                           static_cast<long long>(lo->second)));
         }
       }
       std::map<std::string, std::pair<int, int>> replica_range;  // [lo, hi]
       for (const AstReplicaBound& bound : goal.replicas) {
         if (!components_.count(bound.type)) {
-          error(bound.loc, "unknown-type",
-                "goal '" + goal.name + "' bounds unknown component type '" +
-                    bound.type + "'");
+          diags_.error(bound.loc, "unknown-type",
+                       "goal '" + goal.name +
+                           "' bounds unknown component type '" + bound.type +
+                           "'");
           continue;
         }
         if (bound.count < 0) {
-          error(bound.loc, "invalid-value", "replica count must be >= 0");
+          diags_.error(bound.loc, "invalid-value",
+                       "replica count must be >= 0");
           continue;
         }
         int lo = 0, hi = std::numeric_limits<int>::max();
@@ -624,22 +628,22 @@ class Sema {
           it->second.second = std::min(it->second.second, hi);
         }
         if (it->second.first > it->second.second) {
-          error(bound.loc, "contradictory-replicas",
-                util::format("goal '%s': contradictory replica bounds on "
-                             "'%s'",
-                             goal.name.c_str(), bound.type.c_str()));
+          diags_.error(bound.loc, "contradictory-replicas",
+                       util::format("goal '%s': contradictory replica bounds "
+                                    "on '%s'",
+                                    goal.name.c_str(), bound.type.c_str()));
         }
       }
       for (const AstPlacement& placement : goal.placements) {
         if (!out_.instance_index.count(placement.instance)) {
-          error(placement.loc, "unknown-instance",
-                "goal '" + goal.name + "' places unknown instance '" +
-                    placement.instance + "'");
+          diags_.error(placement.loc, "unknown-instance",
+                       "goal '" + goal.name + "' places unknown instance '" +
+                           placement.instance + "'");
         }
         if (!node_names_.count(placement.node)) {
-          error(placement.loc, "unknown-node",
-                "goal '" + goal.name + "' places on unknown node '" +
-                    placement.node + "'");
+          diags_.error(placement.loc, "unknown-node",
+                       "goal '" + goal.name + "' places on unknown node '" +
+                           placement.node + "'");
         }
       }
     }
@@ -653,28 +657,28 @@ class Sema {
     for (const AstScenario& scenario : config_.scenarios) {
       for (const std::string& goal : scenario.goals) {
         if (!goal_names.count(goal)) {
-          error(scenario.loc, "unknown-goal",
-                "scenario '" + scenario.name + "' references unknown goal '" +
-                    goal + "'");
+          diags_.error(scenario.loc, "unknown-goal",
+                       "scenario '" + scenario.name +
+                           "' references unknown goal '" + goal + "'");
         }
       }
       if (scenario.duration_us < 0) {
-        error(scenario.loc, "invalid-value",
-              "scenario duration must be >= 0");
+        diags_.error(scenario.loc, "invalid-value",
+                     "scenario duration must be >= 0");
       }
       // Full fault/load line syntax is validated by the consumers
       // (fault::FaultScenario::parse, scenario::LoadPhase::parse), which
       // live above this layer; sema only rejects obviously-dead lines.
       for (const auto& [fault, loc] : scenario.faults) {
         if (fault.find_first_not_of(" \t") == std::string::npos) {
-          error(loc, "empty-line",
-                "scenario '" + scenario.name + "' has an empty fault line");
+          diags_.error(loc, "empty-line", "scenario '" + scenario.name +
+                                              "' has an empty fault line");
         }
       }
       for (const auto& [load, loc] : scenario.loads) {
         if (load.find_first_not_of(" \t") == std::string::npos) {
-          error(loc, "empty-line",
-                "scenario '" + scenario.name + "' has an empty load line");
+          diags_.error(loc, "empty-line", "scenario '" + scenario.name +
+                                              "' has an empty load line");
         }
       }
     }
@@ -703,9 +707,9 @@ class Sema {
       for (const AstPropertyClause& clause : prop.clauses) {
         if (clause.kind == AstPropertyClause::Kind::kReverts) {
           if (!rule_names.count(clause.rule)) {
-            error(clause.loc, "unknown-rule",
-                  "property '" + prop.name + "' reverts unknown rule '" +
-                      clause.rule + "'");
+            diags_.error(clause.loc, "unknown-rule",
+                         "property '" + prop.name + "' reverts unknown rule '" +
+                             clause.rule + "'");
           }
           continue;
         }
@@ -714,33 +718,33 @@ class Sema {
           case AstPredicate::Kind::kExists:
           case AstPredicate::Kind::kRunning:
             if (!instance_universe.count(pred.subject)) {
-              error(pred.loc, "unknown-instance",
-                    "property '" + prop.name +
-                        "' references unknown instance '" + pred.subject +
-                        "'");
+              diags_.error(pred.loc, "unknown-instance",
+                           "property '" + prop.name +
+                               "' references unknown instance '" +
+                               pred.subject + "'");
             }
             if (pred.kind == AstPredicate::Kind::kRunning &&
                 !components_.count(pred.type)) {
-              error(pred.loc, "unknown-type",
-                    "property '" + prop.name +
-                        "' references unknown component type '" + pred.type +
-                        "'");
+              diags_.error(pred.loc, "unknown-type",
+                           "property '" + prop.name +
+                               "' references unknown component type '" +
+                               pred.type + "'");
             }
             break;
           case AstPredicate::Kind::kRouted:
             if (!out_.connector_index.count(pred.subject)) {
-              error(pred.loc, "unknown-connector",
-                    "property '" + prop.name +
-                        "' references unknown connector '" + pred.subject +
-                        "'");
+              diags_.error(pred.loc, "unknown-connector",
+                           "property '" + prop.name +
+                               "' references unknown connector '" +
+                               pred.subject + "'");
             }
             break;
           case AstPredicate::Kind::kReplicas:
             if (!components_.count(pred.subject)) {
-              error(pred.loc, "unknown-type",
-                    "property '" + prop.name +
-                        "' references unknown component type '" +
-                        pred.subject + "'");
+              diags_.error(pred.loc, "unknown-type",
+                           "property '" + prop.name +
+                               "' references unknown component type '" +
+                               pred.subject + "'");
             }
             break;
         }

@@ -20,19 +20,16 @@ PlanOp plan_op(adl::RuleOp op) {
   return PlanOp::kAdd;
 }
 
-/// Forwards analyser findings into the compile diagnostics at `loc`,
-/// prefixed with the construct they came from. Info findings are dropped.
-void forward(const AnalysisReport& report, const adl::SourceLoc& loc,
+/// Re-reports analyser findings at `loc`, prefixed with the construct they
+/// came from. Info findings are dropped.
+void forward(const adl::Diagnostics& report, const adl::SourceLoc& loc,
              const std::string& context, adl::CompilationResult& result) {
-  for (const Diagnostic& d : report.diagnostics) {
-    const std::string message =
-        context + (d.subject.empty() ? "" : d.subject + ": ") + d.message;
-    if (d.severity == Severity::kError) {
-      result.diagnostics.error(loc, d.code, message,
-                               util::ErrorCode::kVerificationFailed);
-    } else if (d.severity == Severity::kWarning) {
-      result.diagnostics.warning(loc, d.code, message);
-    }
+  for (const adl::Diagnostic& d : report.items) {
+    if (d.severity == adl::Severity::kInfo) continue;
+    result.diagnostics.add(
+        d.severity, d.code, "",
+        context + (d.subject.empty() ? "" : d.subject + ": ") + d.message,
+        loc.line, loc.column);
   }
 }
 
@@ -56,8 +53,7 @@ void screen_rules(const ArchitectureModel& model,
             "rule '" + rule.name.str() + "': 'remove " +
                 rule.actions[a].instance.str() + "' before the end of a " +
                 "deadline-guarded plan cannot be rolled back losslessly; " +
-                "move it last or drop the deadline",
-            util::ErrorCode::kVerificationFailed);
+                "move it last or drop the deadline");
       }
     }
   }
@@ -90,8 +86,7 @@ void screen_goals(const ArchitectureModel& model,
                              goal.name.c_str(),
                              static_cast<long long>(bound.latency_us),
                              bound.connector.c_str(),
-                             static_cast<long long>(floor_us)),
-                util::ErrorCode::kVerificationFailed);
+                             static_cast<long long>(floor_us)));
           }
         }
       }
@@ -103,7 +98,7 @@ void screen_scenarios(const ArchitectureModel& model,
                       adl::CompilationResult& result) {
   for (const adl::AstScenario& scenario : result.config.ast.scenarios) {
     for (const auto& [fault, loc] : scenario.faults) {
-      const AnalysisReport report = lint_scenario(fault, model);
+      const adl::Diagnostics report = lint_scenario(fault, model);
       forward(report, loc, "scenario '" + scenario.name + "': ", result);
     }
   }

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "adl/validator.h"
+#include "adl/ir.h"
 #include "lts/lts.h"
 
 namespace aars::runtime {

@@ -157,7 +157,7 @@ ExplorationResult explore(const ArchitectureModel& initial,
       graph.states.push_back(ConfigState{std::move(model), s, r, depth + 1});
 
       if (options.verify_states) {
-        const AnalysisReport verdict =
+        const adl::Diagnostics verdict =
             verify_architecture(graph.states[to].model, options.verifier);
         if (verdict.errors() > 0) {
           std::string message =
@@ -170,7 +170,7 @@ ExplorationResult explore(const ArchitectureModel& initial,
           message += "; diff vs initial: " +
                      render_state_diff(graph.states[0].model,
                                        graph.states[to].model);
-          result.report.add(Severity::kError, "unsafe-config",
+          result.report.add(adl::Severity::kError, "unsafe-config",
                             render_path(graph, to), message,
                             program.rules[r].line, program.rules[r].column);
         }
@@ -189,7 +189,7 @@ ExplorationResult explore(const ArchitectureModel& initial,
             ? util::format("configuration cap (%zu)", options.max_configs)
             : util::format("depth cap (%zu)", options.max_depth);
     result.report.add(
-        Severity::kWarning, "exploration-truncated", "",
+        adl::Severity::kWarning, "exploration-truncated", "",
         "exploration stopped at the " + bound + " after " +
             std::to_string(graph.states.size()) +
             " configuration(s): findings cover only the explored prefix, "

@@ -34,7 +34,7 @@ struct ExplorerOptions {
 };
 
 struct ExplorationResult {
-  AnalysisReport report;
+  adl::Diagnostics report;
   ConfigGraph graph;
   /// Mid-firing transient states that violated an `always` clause.
   std::vector<TransientViolation> transients;

@@ -276,7 +276,7 @@ void check_path_properties(
     const ConfigGraph& graph,
     const std::vector<adl::CompiledPathProperty>& properties,
     const std::vector<TransientViolation>& transients, bool truncated,
-    AnalysisReport& report) {
+    adl::Diagnostics& report) {
   for (std::size_t pi = 0; pi < properties.size(); ++pi) {
     const adl::CompiledPathProperty& prop = properties[pi];
     const std::string label =
@@ -311,7 +311,7 @@ void check_path_properties(
           (transient == nullptr ||
            settled_depth <= graph.states[transient->from_state].depth + 1)) {
         report.add(
-            Severity::kError, "invariant-violated",
+            adl::Severity::kError, "invariant-violated",
             render_path(graph, settled),
             label + ": 'always " + to_string(prop.pred) +
                 "' is violated in a reachable configuration; diff vs " +
@@ -322,7 +322,7 @@ void check_path_properties(
       } else if (transient != nullptr) {
         const std::string path = render_path(graph, transient->from_state);
         report.add(
-            Severity::kError, "transient-violation",
+            adl::Severity::kError, "transient-violation",
             (transient->from_state == 0 ? std::string()
                                         : path + " -> ") +
                 graph.rule_names[transient->rule],
@@ -353,7 +353,7 @@ void check_path_properties(
         any = any || satisfying[s];
       }
       if (!any) {
-        report.add(Severity::kError, "eventually-starved", "(initial)",
+        report.add(adl::Severity::kError, "eventually-starved", "(initial)",
                    label + ": 'eventually " + to_string(prop.pred) +
                        "' — no reachable configuration satisfies the " +
                        "predicate",
@@ -365,7 +365,7 @@ void check_path_properties(
         if (covered[s]) continue;
         const std::string cooldowns = cooldown_rule_names(graph);
         report.add(
-            Severity::kError, "eventually-starved", render_path(graph, s),
+            adl::Severity::kError, "eventually-starved", render_path(graph, s),
             label + ": 'eventually " + to_string(prop.pred) +
                 "' starves: from this configuration no cooldown-free rule " +
                 "sequence reaches a satisfying configuration" +
@@ -389,7 +389,7 @@ void check_path_properties(
       if (reached[edge.from]) continue;
       const std::string path = render_path(graph, edge.from);
       report.add(
-          Severity::kError, "revert-unreachable",
+          adl::Severity::kError, "revert-unreachable",
           (edge.from == 0 ? std::string() : path + " -> ") +
               graph.rule_names[edge.rule],
           label + ": 'reverts " + prop.rule.str() +

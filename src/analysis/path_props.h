@@ -16,7 +16,7 @@
 
 #include "adl/ir.h"
 #include "analysis/architecture.h"
-#include "analysis/diagnostics.h"
+#include "adl/diagnostics.h"
 
 namespace aars::analysis {
 
@@ -100,6 +100,6 @@ void check_path_properties(
     const ConfigGraph& graph,
     const std::vector<adl::CompiledPathProperty>& properties,
     const std::vector<TransientViolation>& transients, bool truncated,
-    AnalysisReport& report);
+    adl::Diagnostics& report);
 
 }  // namespace aars::analysis

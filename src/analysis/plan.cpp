@@ -8,9 +8,9 @@ namespace aars::analysis {
 
 namespace {
 
-void step_error(AnalysisReport& report, std::size_t index,
+void step_error(adl::Diagnostics& report, std::size_t index,
                 const PlanStep& step, const std::string& message) {
-  report.add(Severity::kError, "plan-invalid",
+  report.add(adl::Severity::kError, "plan-invalid",
              util::format("step %zu (%s %s)", index + 1, to_string(step.op),
                           step.instance.c_str()),
              message, 0);
@@ -120,12 +120,12 @@ void apply_plan_step(ArchitectureModel& model, const PlanStep& step) {
 }
 
 bool plan_step_applicable(const ArchitectureModel& model, const PlanStep& step,
-                          std::size_t index, AnalysisReport* report,
+                          std::size_t index, adl::Diagnostics* report,
                           const std::vector<std::string>* stuck) {
   // Precondition failures short-circuit on the first violation when no
   // report is wanted — the explorer probes enabledness in a hot loop.
-  AnalysisReport scratch;
-  AnalysisReport& out = report != nullptr ? *report : scratch;
+  adl::Diagnostics scratch;
+  adl::Diagnostics& out = report != nullptr ? *report : scratch;
   bool ok = true;
   const ModelInstance* target = model.find_instance(step.instance);
 
@@ -181,7 +181,7 @@ bool plan_step_applicable(const ArchitectureModel& model, const PlanStep& step,
     }
     if (std::binary_search(stuck->begin(), stuck->end(), step.instance)) {
       out.add(
-          Severity::kError, "quiescence-unreachable",
+          adl::Severity::kError, "quiescence-unreachable",
           util::format("step %zu (%s %s)", index + 1, to_string(step.op),
                        step.instance.c_str()),
           "target sits on an all-synchronous call cycle; block -> drain "

@@ -59,7 +59,7 @@ using Plan = std::vector<PlanStep>;
 /// Outcome of verifying a plan against a current architecture.
 struct PlanReview {
   /// Step preconditions + post-state verification findings.
-  AnalysisReport report;
+  adl::Diagnostics report;
   /// The model after all applicable steps (even when verification fails,
   /// for inspection).
   ArchitectureModel post_state;
@@ -77,7 +77,7 @@ struct PlanReview {
 /// probing many steps against one model compute it once and pass it in.
 bool plan_step_applicable(const ArchitectureModel& model, const PlanStep& step,
                           std::size_t index = 0,
-                          AnalysisReport* report = nullptr,
+                          adl::Diagnostics* report = nullptr,
                           const std::vector<std::string>* stuck = nullptr);
 
 /// Applies one step whose preconditions already passed (see

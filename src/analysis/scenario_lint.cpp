@@ -19,10 +19,10 @@ bool has_link(const ArchitectureModel& model, const std::string& a,
 }
 
 void lint_line(const std::string& line, int line_no,
-               const ArchitectureModel* model, AnalysisReport& report) {
+               const ArchitectureModel* model, adl::Diagnostics& report) {
   const auto parsed = fault::FaultScenario::parse(line);
   if (!parsed.ok()) {
-    report.add(Severity::kError, "scenario-syntax", "",
+    report.add(adl::Severity::kError, "scenario-syntax", "",
                parsed.error().message(), line_no);
     return;
   }
@@ -30,13 +30,13 @@ void lint_line(const std::string& line, int line_no,
   const fault::FaultSpec& spec = parsed.value().faults().front();
 
   if (spec.duration <= 0) {
-    report.add(Severity::kWarning, "zero-duration", spec.subject(),
+    report.add(adl::Severity::kWarning, "zero-duration", spec.subject(),
                "fault heals the instant it starts; it will have no effect",
                line_no);
   }
   if (spec.kind == fault::FaultKind::kLinkLoss &&
       (spec.loss_probability < 0.0 || spec.loss_probability > 1.0)) {
-    report.add(Severity::kError, "loss-out-of-range", spec.subject(),
+    report.add(adl::Severity::kError, "loss-out-of-range", spec.subject(),
                util::format("loss probability %.3f is outside [0, 1]",
                             spec.loss_probability),
                line_no);
@@ -49,28 +49,28 @@ void lint_line(const std::string& line, int line_no,
   if (model == nullptr) return;
   if (spec.kind == fault::FaultKind::kHostCrash) {
     if (!model->has_node(spec.host)) {
-      report.add(Severity::kError, "unknown-host", spec.host,
+      report.add(adl::Severity::kError, "unknown-host", spec.host,
                  "scenario crashes a host the architecture does not declare",
                  line_no);
     }
   } else {
     for (const std::string& end : {spec.link_a, spec.link_b}) {
       if (!model->has_node(end)) {
-        report.add(Severity::kError, "unknown-host", end,
+        report.add(adl::Severity::kError, "unknown-host", end,
                    "link endpoint is not a declared node", line_no);
       }
     }
     if (model->has_node(spec.link_a) && model->has_node(spec.link_b) &&
         !has_link(*model, spec.link_a, spec.link_b)) {
-      report.add(Severity::kError, "unknown-link",
+      report.add(adl::Severity::kError, "unknown-link",
                  spec.link_a + "-" + spec.link_b,
                  "no link between these nodes in the architecture", line_no);
     }
   }
 }
 
-AnalysisReport lint(const std::string& text, const ArchitectureModel* model) {
-  AnalysisReport report;
+adl::Diagnostics lint(const std::string& text, const ArchitectureModel* model) {
+  adl::Diagnostics report;
   int line_no = 0;
   std::size_t start = 0;
   while (start <= text.size()) {
@@ -89,12 +89,12 @@ AnalysisReport lint(const std::string& text, const ArchitectureModel* model) {
 
 }  // namespace
 
-AnalysisReport lint_scenario(const std::string& text) {
+adl::Diagnostics lint_scenario(const std::string& text) {
   return lint(text, nullptr);
 }
 
-AnalysisReport lint_scenario(const std::string& text,
-                             const ArchitectureModel& model) {
+adl::Diagnostics lint_scenario(const std::string& text,
+                               const ArchitectureModel& model) {
   return lint(text, &model);
 }
 

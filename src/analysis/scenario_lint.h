@@ -8,15 +8,15 @@
 #pragma once
 
 #include "analysis/architecture.h"
-#include "analysis/diagnostics.h"
+#include "adl/diagnostics.h"
 
 namespace aars::analysis {
 
 /// Lints scenario `text`; diagnostics carry 1-based line numbers.
-AnalysisReport lint_scenario(const std::string& text);
+adl::Diagnostics lint_scenario(const std::string& text);
 
 /// Same, additionally resolving host/link names against `model`.
-AnalysisReport lint_scenario(const std::string& text,
-                             const ArchitectureModel& model);
+adl::Diagnostics lint_scenario(const std::string& text,
+                               const ArchitectureModel& model);
 
 }  // namespace aars::analysis

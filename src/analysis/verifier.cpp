@@ -162,17 +162,17 @@ class RouteMemo {
       memo_;
 };
 
-void check_bindings(const ArchitectureModel& model, AnalysisReport& report) {
+void check_bindings(const ArchitectureModel& model, adl::Diagnostics& report) {
   std::set<std::pair<std::string, std::string>> seen_ports;
   for (const ModelBinding& bind : model.bindings) {
     const std::string subject = bind.caller + "." + bind.port;
     if (!seen_ports.insert({bind.caller, bind.port}).second) {
-      report.add(Severity::kError, "duplicate-binding", subject,
+      report.add(adl::Severity::kError, "duplicate-binding", subject,
                  "required port is bound more than once", bind.line);
     }
     const ModelInstance* caller = model.find_instance(bind.caller);
     if (caller == nullptr) {
-      report.add(Severity::kError, "dangling-binding", subject,
+      report.add(adl::Severity::kError, "dangling-binding", subject,
                  "binding from unknown instance '" + bind.caller + "'",
                  bind.line);
     } else if (!caller->required.empty()) {
@@ -180,19 +180,19 @@ void check_bindings(const ArchitectureModel& model, AnalysisReport& report) {
           caller->required.begin(), caller->required.end(),
           [&](const ModelPort& p) { return p.port == bind.port; });
       if (!known) {
-        report.add(Severity::kError, "unknown-port", subject,
+        report.add(adl::Severity::kError, "unknown-port", subject,
                    "instance type '" + caller->type + "' declares no port '" +
                        bind.port + "'",
                    bind.line);
       }
     }
     if (bind.providers.empty()) {
-      report.add(Severity::kError, "dangling-binding", subject,
+      report.add(adl::Severity::kError, "dangling-binding", subject,
                  "binding has no provider", bind.line);
     }
     for (const std::string& provider : bind.providers) {
       if (model.find_instance(provider) == nullptr) {
-        report.add(Severity::kError, "dangling-binding", subject,
+        report.add(adl::Severity::kError, "dangling-binding", subject,
                    "binding to unknown instance '" + provider + "'",
                    bind.line);
       }
@@ -207,7 +207,7 @@ void check_bindings(const ArchitectureModel& model, AnalysisReport& report) {
             return b.caller == inst.name && b.port == port.port;
           });
       if (!bound) {
-        report.add(Severity::kWarning, "unbound-port",
+        report.add(adl::Severity::kWarning, "unbound-port",
                    inst.name + "." + port.port,
                    "required port is not bound to any provider", inst.line);
       }
@@ -219,11 +219,11 @@ void check_bindings(const ArchitectureModel& model, AnalysisReport& report) {
         model.bindings.begin(), model.bindings.end(),
         [&](const ModelBinding& b) { return b.connector == conn.name; });
     if (has_caller && conn.providers.empty()) {
-      report.add(Severity::kError, "dangling-binding", conn.name,
+      report.add(adl::Severity::kError, "dangling-binding", conn.name,
                  "connector has bound callers but no provider", conn.line);
     }
     if (!has_caller && conn.providers.empty()) {
-      report.add(Severity::kWarning, "connector-unused", conn.name,
+      report.add(adl::Severity::kWarning, "connector-unused", conn.name,
                  "connector has no providers and no bound callers",
                  conn.line);
     }
@@ -231,7 +231,7 @@ void check_bindings(const ArchitectureModel& model, AnalysisReport& report) {
 }
 
 void check_reachability(const ArchitectureModel& model,
-                        const CallGraph& graph, AnalysisReport& report) {
+                        const CallGraph& graph, adl::Diagnostics& report) {
   // Workload entry points: connectors nobody calls into through a binding
   // are external ingress; instances that call out but are never providers
   // are workload drivers.
@@ -271,14 +271,14 @@ void check_reachability(const ArchitectureModel& model,
   }
   for (const ModelInstance& inst : model.instances) {
     if (!reachable[graph.index_of(inst.name)]) {
-      report.add(Severity::kWarning, "unreachable-component", inst.name,
+      report.add(adl::Severity::kWarning, "unreachable-component", inst.name,
                  "not reachable from any workload entry point", inst.line);
     }
   }
 }
 
 void check_cycles(const ArchitectureModel& model, const CallGraph& graph,
-                  AnalysisReport& report) {
+                  adl::Diagnostics& report) {
   const auto line_of = [&](const std::vector<int>& cycle) {
     const ModelInstance* first =
         model.find_instance(std::string(graph.names[cycle.front()]));
@@ -287,7 +287,7 @@ void check_cycles(const ArchitectureModel& model, const CallGraph& graph,
   std::vector<bool> in_sync_cycle(graph.names.size(), false);
   for (const std::vector<int>& cycle : call_cycles(graph, /*sync_only=*/true)) {
     for (const int member : cycle) in_sync_cycle[member] = true;
-    report.add(Severity::kError, "sync-call-cycle",
+    report.add(adl::Severity::kError, "sync-call-cycle",
                cycle_subject(graph, cycle),
                "synchronous call cycle: deadlocks under load and makes "
                "quiescence unreachable",
@@ -299,7 +299,7 @@ void check_cycles(const ArchitectureModel& model, const CallGraph& graph,
     const bool subsumed = std::all_of(cycle.begin(), cycle.end(),
                                       [&](int n) { return in_sync_cycle[n]; });
     if (subsumed) continue;
-    report.add(Severity::kWarning, "connector-cycle",
+    report.add(adl::Severity::kWarning, "connector-cycle",
                cycle_subject(graph, cycle),
                "call cycle through queued connectors: unbounded feedback "
                "unless the application breaks it",
@@ -308,7 +308,7 @@ void check_cycles(const ArchitectureModel& model, const CallGraph& graph,
 }
 
 void check_routes(const ArchitectureModel& model, RouteMemo& routes,
-                  AnalysisReport& report) {
+                  adl::Diagnostics& report) {
   for (const ModelBinding& bind : model.bindings) {
     const ModelInstance* caller = model.find_instance(bind.caller);
     if (caller == nullptr || !model.has_node(caller->node)) continue;
@@ -316,7 +316,7 @@ void check_routes(const ArchitectureModel& model, RouteMemo& routes,
       const ModelInstance* provider = model.find_instance(provider_name);
       if (provider == nullptr || !model.has_node(provider->node)) continue;
       if (!routes.latency_us(caller->node, provider->node).has_value()) {
-        report.add(Severity::kError, "no-route",
+        report.add(adl::Severity::kError, "no-route",
                    bind.caller + "." + bind.port + " -> " + provider_name,
                    "no route from node '" + caller->node + "' to node '" +
                        provider->node + "'",
@@ -327,7 +327,7 @@ void check_routes(const ArchitectureModel& model, RouteMemo& routes,
 }
 
 void check_qos(const ArchitectureModel& model, RouteMemo& routes,
-               AnalysisReport& report) {
+               adl::Diagnostics& report) {
   for (const ModelBinding& bind : model.bindings) {
     const ModelConnector* conn = model.find_connector(bind.connector);
     if (conn == nullptr || conn->budget_us <= 0) continue;
@@ -342,7 +342,7 @@ void check_qos(const ArchitectureModel& model, RouteMemo& routes,
       const std::int64_t floor_us = *there + *back;
       if (floor_us > conn->budget_us) {
         report.add(
-            Severity::kError, "qos-infeasible",
+            adl::Severity::kError, "qos-infeasible",
             conn->name + ": " + bind.caller + " -> " + provider_name,
             util::format("declared budget %lldus is below the topology's "
                          "round-trip latency floor %lldus",
@@ -368,7 +368,7 @@ lts::Lts renamed(const lts::Lts& lts_in, const std::string& name) {
 }
 
 void check_protocols(const ArchitectureModel& model,
-                     const VerifierOptions& options, AnalysisReport& report) {
+                     const VerifierOptions& options, adl::Diagnostics& report) {
   if (model.protocols.empty()) return;
   // Union-find over instances connected by bindings: each connected group
   // is one collaboration whose protocols must compose deadlock-free.
@@ -416,7 +416,7 @@ void check_protocols(const ArchitectureModel& model,
     report.states_explored += composed.states_explored;
     if (!composed.deadlock_free) {
       std::string trace = util::join(composed.counterexample, ", ");
-      report.add(Severity::kError, "protocol-deadlock",
+      report.add(adl::Severity::kError, "protocol-deadlock",
                  util::join(role_names, " || "),
                  composed.diagnosis +
                      (trace.empty() ? std::string{}
@@ -424,7 +424,7 @@ void check_protocols(const ArchitectureModel& model,
                  line);
     } else if (composed.truncated) {
       report.truncated = true;
-      report.add(Severity::kWarning, "protocol-truncated",
+      report.add(adl::Severity::kWarning, "protocol-truncated",
                  util::join(role_names, " || "), composed.diagnosis, line);
     }
   }
@@ -432,9 +432,9 @@ void check_protocols(const ArchitectureModel& model,
 
 }  // namespace
 
-AnalysisReport verify_architecture(const ArchitectureModel& model,
-                                   const VerifierOptions& options) {
-  AnalysisReport report;
+adl::Diagnostics verify_architecture(const ArchitectureModel& model,
+                                     const VerifierOptions& options) {
+  adl::Diagnostics report;
   const CallGraph graph(model);
   RouteMemo routes(model);
   check_bindings(model, report);

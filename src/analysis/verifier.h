@@ -17,7 +17,7 @@
 #pragma once
 
 #include "analysis/architecture.h"
-#include "analysis/diagnostics.h"
+#include "adl/diagnostics.h"
 
 namespace aars::analysis {
 
@@ -45,8 +45,8 @@ struct VerifierOptions {
 };
 
 /// Runs every whole-architecture check against the model.
-AnalysisReport verify_architecture(const ArchitectureModel& model,
-                                   const VerifierOptions& options = {});
+adl::Diagnostics verify_architecture(const ArchitectureModel& model,
+                                     const VerifierOptions& options = {});
 
 /// Instances that can never reach a quiescence point: members of a call
 /// cycle whose every edge is synchronous (in-flight work re-enters the

@@ -33,15 +33,10 @@ struct RuntimeOptions {
   bool metrics = false;
   /// Inline ADL sources, compiled and deployed at build() in order.
   std::vector<std::string> adl_sources;
-  /// ADL files, compiled and deployed at build() after the inline sources.
-  std::vector<std::string> adl_files;
   std::optional<reconfig::ReconfigurationEngine::Options> engine_options;
   std::optional<analysis::VerifyMode> verify_mode;
   std::size_t verify_max_states = 100000;
   std::optional<util::Duration> raml_period;
-  /// How ADL rule firings are enacted: transactional (undo journal +
-  /// rollback) with an optional default whole-firing deadline.
-  reconfig::TxnPolicy txn_policy;
   /// Install-time model checking of ADL rule programs (off by default):
   /// explore the reachable-configuration graph before any rule can fire.
   reconfig::ExploreGate explore_gate;
@@ -91,11 +86,6 @@ class OptionsBuilder {
     options_.adl_sources.push_back(std::move(source));
     return self();
   }
-  /// Like adl(), reading the source from `path` at build() time.
-  Derived& with_adl(std::string path) {
-    options_.adl_files.push_back(std::move(path));
-    return self();
-  }
   Derived& with_reconfig(reconfig::ReconfigurationEngine::Options options) {
     options_.engine_options = options;
     return self();
@@ -127,17 +117,6 @@ class OptionsBuilder {
     options_.raml_period = period;
     return self();
   }
-  /// Transactional enactment of rule firings (the default): a failed step
-  /// or an expired whole-firing deadline rolls the applied prefix back.
-  /// `default_deadline` bounds firings whose rule declares no `deadline`
-  /// property (0 = unbounded).
-  Derived& transactional_rules(bool on = true,
-                               util::Duration default_deadline = 0) {
-    options_.txn_policy.transactional = on;
-    options_.txn_policy.default_deadline = default_deadline;
-    return self();
-  }
-
   const RuntimeOptions& options() const { return options_; }
 
  protected:

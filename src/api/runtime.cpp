@@ -212,14 +212,6 @@ Result<std::unique_ptr<Runtime>> Runtime::Builder::build() {
     if (!deployment.ok()) return deployment.error();
     take_program(result);
   }
-  for (const std::string& path : options_.adl_files) {
-    adl::CompilationResult result =
-        analysis::compile_adl_file(path, screen_options);
-    if (!result.ok()) return result.diagnostics.to_error();
-    auto deployment = runtime::deploy(result.config, *rt->app_);
-    if (!deployment.ok()) return deployment.error();
-    take_program(result);
-  }
 
   for (const DeployDecl& decl : deploys_) {
     const util::NodeId node = rt->network_.node_id(decl.host);
@@ -375,8 +367,8 @@ Result<std::unique_ptr<Runtime>> Runtime::Builder::build() {
     // fault.active metric reach the rules.
     rt->raml_->watch_faults(*rt->injector_);
     auto rules = reconfig::RuleSet::install(
-        rule_program, *rt->app_, *rt->engine_, rt->injector_.get(),
-        options_.txn_policy, options_.explore_gate);
+        rule_program, *rt->app_, *rt->engine_, rt->injector_.get(), {},
+        options_.explore_gate);
     if (!rules.ok()) return rules.error();
     rt->raml_->install_rule_set(std::move(rules).value());
   }

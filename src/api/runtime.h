@@ -110,7 +110,7 @@ class Runtime {
 
 class Runtime::Builder : public api::OptionsBuilder<Runtime::Builder> {
  public:
-  // World configuration (seed/config/metrics), ADL sources (adl/with_adl),
+  // World configuration (seed/config/metrics), ADL sources (adl),
   // managers (with_reconfig/with_verification/with_raml) come from the
   // shared api::OptionsBuilder mixin.
 

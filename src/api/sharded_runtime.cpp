@@ -279,15 +279,11 @@ Result<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Builder::build() {
   // connectors); shard 0's own builder recompiles and deploys them.
   constexpr std::size_t kAdlShard = 0;
   std::vector<adl::CompilationResult> adl_compiled;
-  if (!options_.adl_sources.empty() || !options_.adl_files.empty()) {
+  if (!options_.adl_sources.empty()) {
     analysis::VerifierOptions screen_options;
     screen_options.max_states = options_.verify_max_states;
     for (const std::string& source : options_.adl_sources) {
       adl_compiled.push_back(analysis::compile_adl(source, screen_options));
-    }
-    for (const std::string& path : options_.adl_files) {
-      adl_compiled.push_back(
-          analysis::compile_adl_file(path, screen_options));
     }
     for (adl::CompilationResult& result : adl_compiled) {
       if (!result.ok()) return result.diagnostics.to_error();
@@ -332,7 +328,6 @@ Result<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Builder::build() {
     }
     if (s == kAdlShard) {
       for (const std::string& source : options_.adl_sources) rb.adl(source);
-      for (const std::string& path : options_.adl_files) rb.with_adl(path);
       if (options_.raml_period.has_value()) {
         rb.with_raml(*options_.raml_period);
       }

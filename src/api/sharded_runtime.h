@@ -101,7 +101,7 @@ class ShardedRuntime {
 class ShardedRuntime::Builder
     : public api::OptionsBuilder<ShardedRuntime::Builder> {
  public:
-  // Shared verbs (seed/config/metrics, adl/with_adl, with_reconfig,
+  // Shared verbs (seed/config/metrics, adl, with_reconfig,
   // with_verification, with_raml) come from the api::OptionsBuilder mixin.
   // Shard semantics: seed is the base RNG seed — shard i's stack seeds with
   // (seed + i), so shard 0 of a 1-shard world matches an unsharded Runtime

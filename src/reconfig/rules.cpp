@@ -62,7 +62,7 @@ Result<std::shared_ptr<RuleSet>> RuleSet::install(
     }
   }
 
-  std::shared_ptr<RuleSet> set(new RuleSet(app, engine, injector, policy));
+  std::shared_ptr<RuleSet> set(new RuleSet(app, engine, injector));
 
   for (const adl::CompiledRule& compiled : program.rules) {
     BoundRule rule;
@@ -253,7 +253,6 @@ void RuleSet::fire(std::size_t rule_index, SimTime now) {
   Txn::Options options;
   options.deadline = rule.deadline;
   options.injector = injector_;
-  options.atomic = policy_.transactional;
   auto txn = Txn::create(app_, engine_, rule.name.str(), options);
   for (const BoundAction& action : rule.actions) {
     TxnAction step;
@@ -310,15 +309,6 @@ void RuleSet::on_firing_done(std::size_t rule_index,
     }
   } else if (report.verdict == TxnVerdict::kRolledBack) {
     ++stats_.rolled_back;
-  } else if (report.ok()) {
-    // Sequencer mode (non-transactional) with every step applied: still
-    // mirror the swaps.
-    for (const StepOutcome& step : report.steps) {
-      if (step.status.ok() && step.swapped_from.valid() &&
-          step.swapped_to.valid()) {
-        rebind_instance(step.swapped_from, step.swapped_to);
-      }
-    }
   }
 
   if (firing_observer_) firing_observer_(rule.name, report);

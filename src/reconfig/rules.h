@@ -13,9 +13,7 @@
 //   * firing enacts the rule's pre-bound action table as one reconfig::Txn:
 //     steps run in order, each journals its inverse, and a failed step (or
 //     an expired whole-firing deadline) rolls the applied prefix back in
-//     reverse, so a half-fired rule never leaves a partial topology behind
-//     (TxnPolicy::transactional can downgrade this to the legacy
-//     sequence-and-record behaviour).
+//     reverse, so a half-fired rule never leaves a partial topology behind.
 //
 // Event-conditioned rules don't poll: meta::Raml subscribes them to its
 // FLO/C rule engine and calls fire_event_rule() when the trigger arrives.
@@ -35,9 +33,6 @@ namespace aars::reconfig {
 
 /// How RuleSet enacts a firing.
 struct TxnPolicy {
-  /// Atomic enactment: stop on the first failed step and roll the journal
-  /// back.  false = legacy sequencer (failures recorded, nothing undone).
-  bool transactional = true;
   /// Whole-firing deadline applied to rules that don't declare their own
   /// `deadline` property.  0 = unbounded.
   Duration default_deadline = 0;
@@ -103,7 +98,6 @@ class RuleSet : public std::enable_shared_from_this<RuleSet> {
 
   std::size_t rule_count() const { return rules_.size(); }
   const Stats& stats() const { return stats_; }
-  const TxnPolicy& policy() const { return policy_; }
 
  private:
   struct BoundAction {
@@ -143,8 +137,8 @@ class RuleSet : public std::enable_shared_from_this<RuleSet> {
   };
 
   RuleSet(Application& app, ReconfigurationEngine& engine,
-          fault::FaultInjector* injector, TxnPolicy policy)
-      : app_(app), engine_(engine), injector_(injector), policy_(policy) {}
+          fault::FaultInjector* injector)
+      : app_(app), engine_(engine), injector_(injector) {}
 
   /// Current value of a metric condition. Id-indexed lookups only.
   double sample(const BoundRule& rule, SimTime now) const;
@@ -163,7 +157,6 @@ class RuleSet : public std::enable_shared_from_this<RuleSet> {
   Application& app_;
   ReconfigurationEngine& engine_;
   fault::FaultInjector* injector_;
-  TxnPolicy policy_;
   std::vector<BoundRule> rules_;
   std::vector<std::pair<util::Symbol, std::size_t>> event_rules_;
   Stats stats_;

@@ -184,8 +184,7 @@ Txn::Resurrect Txn::capture_resurrect(ComponentId id) const {
 }
 
 void Txn::step(std::size_t index) {
-  if (deadline_at_ > 0 && app_.loop().now() >= deadline_at_ &&
-      options_.atomic) {
+  if (deadline_at_ > 0 && app_.loop().now() >= deadline_at_) {
     abort(index, Error{ErrorCode::kTimeout,
                        "txn deadline expired after step " +
                            std::to_string(index) + "/" +
@@ -389,23 +388,12 @@ void Txn::fail_step(std::size_t index, Status why) {
   StepOutcome& out = report_.steps[index];
   out.attempted = true;
   out.status = why;
-  if (options_.atomic) {
-    abort(index, std::move(why));
-    return;
-  }
-  // Sequencer mode: record the failure and keep going.
-  if (abort_status_.ok()) abort_status_ = why;
-  step(index + 1);
+  abort(index, std::move(why));
 }
 
 void Txn::commit() {
-  if (options_.atomic) {
-    report_.verdict = TxnVerdict::kCommitted;
-    report_.status = Status::success();
-  } else {
-    // Sequencer mode never rolls back; surface the first failure, if any.
-    report_.status = abort_status_;
-  }
+  report_.verdict = TxnVerdict::kCommitted;
+  report_.status = Status::success();
   finish();
 }
 

@@ -74,11 +74,6 @@ class Txn : public std::enable_shared_from_this<Txn> {
     /// Consulted before each step for `fail-step k of n` windows; may be
     /// null (no injected step faults).
     fault::FaultInjector* injector = nullptr;
-    /// Transactional semantics: stop on the first failed step and roll the
-    /// journal back. When false the txn degrades to a sequencer — failures
-    /// are recorded, later steps still run, nothing is undone (the legacy
-    /// fire-and-forget behaviour, minus the concurrency).
-    bool atomic = true;
   };
 
   static std::shared_ptr<Txn> create(Application& app,
@@ -105,7 +100,7 @@ class Txn : public std::enable_shared_from_this<Txn> {
 
   /// Runs the plan. `done` receives the aggregated report: kCommitted with
   /// every step ok, or kRolledBack with the failing step's status and the
-  /// rollback accounting (Options::atomic). Must be called at most once.
+  /// rollback accounting. Must be called at most once.
   void run(Done done);
 
   bool started() const { return started_; }
@@ -150,7 +145,7 @@ class Txn : public std::enable_shared_from_this<Txn> {
 
   void step(std::size_t index);
   void on_step_done(std::size_t index, const ReconfigReport& sub);
-  /// Marks step `index` failed with `why`; aborts (atomic) or advances.
+  /// Marks step `index` failed with `why` and aborts the txn.
   void fail_step(std::size_t index, Status why);
   void commit();
   void abort(std::size_t failed_index, Status why);
@@ -188,7 +183,6 @@ class Txn : public std::enable_shared_from_this<Txn> {
   Done done_;
   SimTime deadline_at_ = 0;  // 0 = none
   std::size_t rollback_cursor_ = 0;
-  Status abort_status_ = Status::success();
   bool started_ = false;
   bool finished_ = false;
 };

@@ -1,7 +1,5 @@
 #include "runtime/deployer.h"
 
-#include "adl/compiler.h"
-
 namespace aars::runtime {
 
 using adl::AstBinding;
@@ -149,15 +147,6 @@ Result<Deployment> deploy(const CompiledConfiguration& config,
     }
   }
   return out;
-}
-
-Result<Deployment> deploy_source(const std::string& source, Application& app) {
-  // Topology-only compile (no analysis screen: the runtime layer cannot
-  // link the analyser).  Callers that want rules pre-verified should
-  // compile through analysis::compile_adl and deploy the result.
-  adl::CompilationResult result = adl::compile(source);
-  if (!result.ok()) return result.diagnostics.to_error();
-  return deploy(result.config, app);
 }
 
 }  // namespace aars::runtime

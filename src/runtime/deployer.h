@@ -11,7 +11,7 @@
 #include <map>
 #include <string>
 
-#include "adl/compiler.h"
+#include "adl/ir.h"
 #include "runtime/application.h"
 
 namespace aars::runtime {
@@ -28,9 +28,5 @@ struct Deployment {
 /// Application.
 util::Result<Deployment> deploy(const adl::CompiledConfiguration& config,
                                 Application& app);
-
-/// Convenience: parse + validate + deploy in one step.
-util::Result<Deployment> deploy_source(const std::string& source,
-                                       Application& app);
 
 }  // namespace aars::runtime

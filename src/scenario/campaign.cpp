@@ -49,7 +49,6 @@ Campaign::Campaign(CampaignSpec spec, std::uint64_t seed)
 
 void Campaign::build_profile() {
   const double horizon = to_sec(spec_.duration);
-  const double mean_session = std::max(kEps, to_sec(spec_.mean_session));
 
   // 1. Per-phase linear rate segments, clipped to [0, horizon].
   auto add_segment = [&](std::uint32_t phase, double t0, double t1, double r0,

@@ -8,9 +8,6 @@
 
 #include <string>
 
-#include "adl/parser.h"
-#include "adl/validator.h"
-
 namespace aars::adl {
 namespace {
 
@@ -33,8 +30,8 @@ bind driver.work -> worker via jobs;
 )";
 
 const Diagnostic& first_error(const CompilationResult& result) {
-  for (const Diagnostic& d : result.diagnostics.items()) {
-    if (d.severity == DiagSeverity::kError) return d;
+  for (const Diagnostic& d : result.diagnostics.items) {
+    if (d.severity == Severity::kError) return d;
   }
   static const Diagnostic none;
   return none;
@@ -42,7 +39,7 @@ const Diagnostic& first_error(const CompilationResult& result) {
 
 TEST(CompilerTest, CleanTopologyCompilesWithEmptyProgram) {
   CompilationResult result = compile(kBase);
-  ASSERT_TRUE(result.ok()) << result.diagnostics.render();
+  ASSERT_TRUE(result.ok()) << render_text(result.diagnostics, "<input>");
   EXPECT_TRUE(result.program.empty());
   EXPECT_EQ(result.config.instance_index.size(), 2u);
   EXPECT_EQ(result.config.connector_index.size(), 1u);
@@ -58,7 +55,8 @@ TEST(CompilerTest, RuleLoweredToPreResolvedProgram) {
 }
 )";
   CompilationResult result = compile(source);
-  ASSERT_TRUE(result.ok()) << result.diagnostics.render(source);
+  ASSERT_TRUE(result.ok())
+      << render_text(result.diagnostics, "<input>", source);
   ASSERT_EQ(result.program.rules.size(), 1u);
 
   const CompiledRule& rule = result.program.rules[0];
@@ -89,7 +87,8 @@ TEST(CompilerTest, AnonymousRulesAreNamedByIndex) {
       "when queue_depth(jobs) > 1 reconfigure { remove worker; }\n"
       "when backlog(primary) > 2 reconfigure { migrate worker to standby; }\n";
   CompilationResult result = compile(source);
-  ASSERT_TRUE(result.ok()) << result.diagnostics.render(source);
+  ASSERT_TRUE(result.ok())
+      << render_text(result.diagnostics, "<input>", source);
   ASSERT_EQ(result.program.rules.size(), 2u);
   EXPECT_EQ(result.program.rules[0].name, util::Symbol("rule_0"));
   EXPECT_EQ(result.program.rules[1].name, util::Symbol("rule_1"));
@@ -106,7 +105,8 @@ TEST(CompilerTest, EventConditionIsInterned) {
       "  replace worker with Worker as worker_spare;\n"
       "}\n";
   CompilationResult result = compile(source);
-  ASSERT_TRUE(result.ok()) << result.diagnostics.render(source);
+  ASSERT_TRUE(result.ok())
+      << render_text(result.diagnostics, "<input>", source);
   ASSERT_EQ(result.program.rules.size(), 1u);
   const CompiledRule& rule = result.program.rules[0];
   EXPECT_TRUE(rule.condition.is_event);
@@ -131,7 +131,8 @@ scenario outage {
 }
 )";
   CompilationResult result = compile(source);
-  ASSERT_TRUE(result.ok()) << result.diagnostics.render(source);
+  ASSERT_TRUE(result.ok())
+      << render_text(result.diagnostics, "<input>", source);
   ASSERT_EQ(result.program.goals.size(), 1u);
   const CompiledGoal& goal = result.program.goals[0];
   EXPECT_EQ(goal.name, util::Symbol("responsive"));
@@ -162,8 +163,8 @@ TEST(CompilerTest, UnterminatedRuleBlockKeepsItsCode) {
   // The explicit code survives even though the parser ran off the end of
   // the file.
   EXPECT_EQ(d.code, "unterminated-rule");
-  EXPECT_EQ(d.legacy_code, ErrorCode::kParseError);
-  EXPECT_GE(d.line, 13);
+  EXPECT_EQ(d.line, 15);  // end of input, on the line after the last one
+  EXPECT_EQ(d.column, 1);
 }
 
 TEST(CompilerTest, UnknownMetricHasLineAndColumn) {
@@ -214,8 +215,10 @@ TEST(CompilerTest, RenderDrawsACaretUnderTheColumn) {
       "when qdepth(jobs) > 1 reconfigure r { remove worker; }\n";
   CompilationResult result = compile(source);
   ASSERT_FALSE(result.ok());
-  const std::string rendered = result.diagnostics.render(result.source);
-  EXPECT_NE(rendered.find("unknown-metric"), std::string::npos);
+  const std::string rendered =
+      render_text(result.diagnostics, "app.adl", result.source);
+  EXPECT_NE(rendered.find("app.adl:13:6: error: [unknown-metric] "),
+            std::string::npos);
   // The offending source line is echoed...
   EXPECT_NE(rendered.find("when qdepth(jobs)"), std::string::npos);
   // ...with a caret under column 6 (2-space indent + 5 pad spaces).
@@ -230,7 +233,7 @@ TEST(CompilerTest, MultipleErrorsAreAllReported) {
   CompilationResult result = compile(source);
   ASSERT_FALSE(result.ok());
   // Sema keeps going after the first bad rule — both problems surface in
-  // one compile, which the legacy one-error entrypoints never could.
+  // one compile.
   EXPECT_EQ(result.diagnostics.errors(), 2u);
 }
 
@@ -269,29 +272,24 @@ TEST(CompilerTest, MissingTokenOnTheSameLineStaysAtTheNextToken) {
   EXPECT_NE(d.message.find("';'"), std::string::npos);
 }
 
-// --- legacy shims ----------------------------------------------------------
-
-TEST(CompilerTest, LegacyParseFlattensWithLineAndColumn) {
-  auto parsed = parse("interface {");
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.error().code(), ErrorCode::kParseError);
-  EXPECT_NE(parsed.error().message().find("line 1 col "), std::string::npos);
-}
-
-TEST(CompilerTest, LegacyValidateKeepsHistoricalErrorCodes) {
-  auto parsed = parse("interface A {} interface A {}");
-  ASSERT_TRUE(parsed.ok());
-  auto validated = validate(std::move(parsed).value());
-  ASSERT_FALSE(validated.ok());
-  EXPECT_EQ(validated.error().code(), ErrorCode::kAlreadyExists);
-  EXPECT_NE(validated.error().message().find("col"), std::string::npos);
-}
+// --- flattening to util::Error --------------------------------------------
 
 TEST(CompilerTest, CompileFileReportsUnreadablePath) {
   CompilationResult result = compile_file("/nonexistent/x.adl");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(first_error(result).code, "unreadable-file");
-  EXPECT_EQ(first_error(result).legacy_code, ErrorCode::kNotFound);
+  EXPECT_EQ(first_error(result).line, 0);
+  EXPECT_EQ(result.diagnostics.to_error().code(), ErrorCode::kParseError);
+}
+
+TEST(CompilerTest, EveryStageFlattensToAParseError) {
+  // A sema finding flattens like a parse error: the front end's one
+  // ErrorCode, the first error's location and its message.
+  CompilationResult result = compile("interface A {} interface A {}");
+  ASSERT_FALSE(result.ok());
+  const util::Error error = result.diagnostics.to_error();
+  EXPECT_EQ(error.code(), ErrorCode::kParseError);
+  EXPECT_EQ(error.message(), "line 1 col 16: duplicate interface 'A'");
 }
 
 }  // namespace

@@ -5,22 +5,30 @@
 namespace aars::adl {
 namespace {
 
-using util::ErrorCode;
+std::vector<Token> lex_ok(std::string_view src) {
+  Diagnostics diags;
+  std::vector<Token> tokens = lex(src, diags);
+  EXPECT_TRUE(diags.ok()) << render_text(diags, "<input>", src);
+  return tokens;
+}
 
-std::vector<Token> lex(std::string_view src) {
-  auto result = tokenize(src);
-  EXPECT_TRUE(result.ok()) << (result.ok() ? "" : result.error().message());
-  return result.ok() ? result.value() : std::vector<Token>{};
+/// The only diagnostic lexing `src` reports (an empty one, after a test
+/// failure, when there is not exactly one).
+Diagnostic lex_error(std::string_view src) {
+  Diagnostics diags;
+  lex(src, diags);
+  EXPECT_EQ(diags.items.size(), 1u) << render_text(diags, "<input>", src);
+  return diags.items.size() == 1 ? diags.items[0] : Diagnostic{};
 }
 
 TEST(LexerTest, EmptyInputYieldsEnd) {
-  const auto tokens = lex("");
+  const auto tokens = lex_ok("");
   ASSERT_EQ(tokens.size(), 1u);
   EXPECT_EQ(tokens[0].kind, TokenKind::kEnd);
 }
 
 TEST(LexerTest, IdentifiersAndKeywords) {
-  const auto tokens = lex("component Camera provides Video");
+  const auto tokens = lex_ok("component Camera provides Video");
   ASSERT_EQ(tokens.size(), 5u);
   EXPECT_EQ(tokens[0].text, "component");
   EXPECT_EQ(tokens[1].text, "Camera");
@@ -28,13 +36,13 @@ TEST(LexerTest, IdentifiersAndKeywords) {
 }
 
 TEST(LexerTest, DottedIdentifiers) {
-  const auto tokens = lex("cam.out");
+  const auto tokens = lex_ok("cam.out");
   EXPECT_EQ(tokens[0].kind, TokenKind::kIdentifier);
   EXPECT_EQ(tokens[0].text, "cam.out");
 }
 
 TEST(LexerTest, IntegerAndFloatLiterals) {
-  const auto tokens = lex("42 3.25 -7");
+  const auto tokens = lex_ok("42 3.25 -7");
   EXPECT_EQ(tokens[0].kind, TokenKind::kInteger);
   EXPECT_EQ(tokens[0].int_value, 42);
   EXPECT_EQ(tokens[1].kind, TokenKind::kFloat);
@@ -43,38 +51,43 @@ TEST(LexerTest, IntegerAndFloatLiterals) {
 }
 
 TEST(LexerTest, DurationUnitsNormaliseToMicroseconds) {
-  const auto tokens = lex("5ms 2s 100us");
+  const auto tokens = lex_ok("5ms 2s 100us");
   EXPECT_EQ(tokens[0].int_value, 5000);
   EXPECT_EQ(tokens[1].int_value, 2000000);
   EXPECT_EQ(tokens[2].int_value, 100);
 }
 
 TEST(LexerTest, BandwidthUnitsNormaliseToBytesPerSecond) {
-  const auto tokens = lex("100mbps 8bps 1gbps");
+  const auto tokens = lex_ok("100mbps 8bps 1gbps");
   EXPECT_DOUBLE_EQ(tokens[0].float_value, 100e6 / 8.0);
   EXPECT_DOUBLE_EQ(tokens[1].float_value, 1.0);
   EXPECT_DOUBLE_EQ(tokens[2].float_value, 1e9 / 8.0);
 }
 
 TEST(LexerTest, UnknownUnitIsParseError) {
-  auto result = tokenize("5lightyears");
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code(), ErrorCode::kParseError);
+  const Diagnostic d = lex_error("5lightyears");
+  EXPECT_EQ(d.severity, Severity::kError);
+  EXPECT_EQ(d.code, "unknown-unit");
+  EXPECT_EQ(d.line, 1);
+  EXPECT_EQ(d.column, 2);  // the unit, just past the digits
 }
 
 TEST(LexerTest, StringsWithEscapes) {
-  const auto tokens = lex("\"hello world\" \"a\\\"b\"");
+  const auto tokens = lex_ok("\"hello world\" \"a\\\"b\"");
   EXPECT_EQ(tokens[0].kind, TokenKind::kString);
   EXPECT_EQ(tokens[0].text, "hello world");
   EXPECT_EQ(tokens[1].text, "a\"b");
 }
 
 TEST(LexerTest, UnterminatedStringFails) {
-  EXPECT_FALSE(tokenize("\"oops").ok());
+  const Diagnostic d = lex_error("\"oops");
+  EXPECT_EQ(d.code, "unterminated-string");
+  EXPECT_EQ(d.line, 1);
+  EXPECT_EQ(d.column, 1);  // the opening quote
 }
 
 TEST(LexerTest, ArrowsAndPunctuation) {
-  const auto tokens = lex("a -> b <-> { } ( ) [ ] : ; , =");
+  const auto tokens = lex_ok("a -> b <-> { } ( ) [ ] : ; , =");
   EXPECT_EQ(tokens[1].kind, TokenKind::kArrow);
   EXPECT_EQ(tokens[3].kind, TokenKind::kDuplexArrow);
   int punct = 0;
@@ -85,14 +98,14 @@ TEST(LexerTest, ArrowsAndPunctuation) {
 }
 
 TEST(LexerTest, CommentsAreSkipped) {
-  const auto tokens = lex("a // this is a comment\nb");
+  const auto tokens = lex_ok("a // this is a comment\nb");
   ASSERT_EQ(tokens.size(), 3u);
   EXPECT_EQ(tokens[0].text, "a");
   EXPECT_EQ(tokens[1].text, "b");
 }
 
 TEST(LexerTest, LineNumbersTracked) {
-  const auto tokens = lex("a\nb\n  c");
+  const auto tokens = lex_ok("a\nb\n  c");
   EXPECT_EQ(tokens[0].loc.line, 1);
   EXPECT_EQ(tokens[1].loc.line, 2);
   EXPECT_EQ(tokens[2].loc.line, 3);
@@ -100,9 +113,10 @@ TEST(LexerTest, LineNumbersTracked) {
 }
 
 TEST(LexerTest, UnexpectedCharacterReportsLine) {
-  auto result = tokenize("ok\n  @");
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.error().message().find("line 2"), std::string::npos);
+  const Diagnostic d = lex_error("ok\n  @");
+  EXPECT_EQ(d.code, "unexpected-character");
+  EXPECT_EQ(d.line, 2);
+  EXPECT_EQ(d.column, 3);
 }
 
 }  // namespace

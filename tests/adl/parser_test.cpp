@@ -5,12 +5,28 @@
 namespace aars::adl {
 namespace {
 
-using util::ErrorCode;
-
 Configuration parse_ok(std::string_view src) {
-  auto result = parse(src);
-  EXPECT_TRUE(result.ok()) << (result.ok() ? "" : result.error().message());
-  return result.ok() ? std::move(result).value() : Configuration{};
+  Diagnostics diags;
+  Configuration config = parse_ast(src, diags);
+  EXPECT_TRUE(diags.ok()) << render_text(diags, "<input>", src);
+  return config;
+}
+
+/// The one diagnostic parsing `src` reports: the parser stops at its first
+/// error (an empty one, after a test failure, when there is not exactly
+/// one).
+Diagnostic parse_error(std::string_view src) {
+  Diagnostics diags;
+  parse_ast(src, diags);
+  EXPECT_EQ(diags.items.size(), 1u) << render_text(diags, "<input>", src);
+  return diags.items.size() == 1 ? diags.items[0] : Diagnostic{};
+}
+
+void expect_at(const Diagnostic& d, const char* code, int line, int column) {
+  EXPECT_EQ(d.severity, Severity::kError);
+  EXPECT_EQ(d.code, code);
+  EXPECT_EQ(d.line, line);
+  EXPECT_EQ(d.column, column);
 }
 
 TEST(ParserTest, EmptySourceIsEmptyConfig) {
@@ -178,50 +194,48 @@ TEST(ParserTest, ProtocolBlockWithStatesAndTransitions) {
 }
 
 TEST(ParserTest, SecondProtocolBlockRejected) {
-  EXPECT_FALSE(parse(R"(
+  const Diagnostic d = parse_error(R"(
     component C {
       protocol { state s final; }
       protocol { state t final; }
     }
-  )")
-                   .ok());
+  )");
+  expect_at(d, "parse-error", 4, 7);  // the second `protocol`
 }
 
 TEST(ParserTest, ProtocolTransitionNeedsDirection) {
   // `on action` without ? / ! / tau is malformed.
-  auto result = parse(
+  const Diagnostic d = parse_error(
       "component C {\n  protocol {\n    state a;\n    a -> a on echo;\n  }\n}");
-  EXPECT_FALSE(result.ok());
+  expect_at(d, "parse-error", 4, 19);  // the `;` where `?` or `!` belongs
 }
 
 TEST(ParserTest, ErrorsCarryLineNumbers) {
-  auto result = parse("interface I {\n  bogus x;\n}");
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code(), ErrorCode::kParseError);
-  EXPECT_NE(result.error().message().find("line 2"), std::string::npos);
+  const Diagnostic d = parse_error("interface I {\n  bogus x;\n}");
+  expect_at(d, "parse-error", 2, 3);
+  EXPECT_NE(d.message.find("bogus"), std::string::npos);
 }
 
 TEST(ParserTest, UnknownDeclarationFails) {
-  EXPECT_FALSE(parse("widget W {}").ok());
+  expect_at(parse_error("widget W {}"), "parse-error", 1, 1);
 }
 
 TEST(ParserTest, BindingSourceMustBeDotted) {
-  EXPECT_FALSE(parse("bind cam -> x;").ok());
+  expect_at(parse_error("bind cam -> x;"), "parse-error", 1, 10);
 }
 
 TEST(ParserTest, MissingSemicolonFails) {
-  EXPECT_FALSE(parse("node n { capacity 5 }").ok());
+  expect_at(parse_error("node n { capacity 5 }"), "parse-error", 1, 21);
 }
 
 TEST(ParserTest, NegativeCapacityFails) {
-  EXPECT_FALSE(parse("node n { capacity -5; }").ok());
+  expect_at(parse_error("node n { capacity -5; }"), "parse-error", 1, 21);
 }
 
 TEST(ParserTest, LossOutOfRangeFails) {
-  EXPECT_FALSE(
-      parse("node a { capacity 1; } node b { capacity 1; }"
-            "link a -> b { loss 1.5; }")
-          .ok());
+  expect_at(parse_error("node a { capacity 1; } node b { capacity 1; }"
+                        "link a -> b { loss 1.5; }"),
+            "parse-error", 1, 68);  // just past the offending value
 }
 
 TEST(ParserTest, FullRealisticConfiguration) {

@@ -32,8 +32,8 @@ std::string with_base(const std::string& extra) {
 }
 
 bool has_error(const CompilationResult& result, const std::string& code) {
-  for (const Diagnostic& d : result.diagnostics.items()) {
-    if (d.severity == DiagSeverity::kError && d.code == code) return true;
+  for (const Diagnostic& d : result.diagnostics.items) {
+    if (d.severity == Severity::kError && d.code == code) return true;
   }
   return false;
 }
@@ -47,7 +47,7 @@ TEST(PropertyTest, LowersEveryClauseForm) {
   reverts degrade;
 }
 )"));
-  ASSERT_TRUE(result.ok()) << result.diagnostics.render();
+  ASSERT_TRUE(result.ok()) << render_text(result.diagnostics, "<input>");
   ASSERT_EQ(result.program.properties.size(), 5u);
   EXPECT_FALSE(result.program.empty());
 
@@ -83,7 +83,7 @@ TEST(PropertyTest, InvariantIsASynonym) {
   always replicas(Worker) >= 1;
 }
 )"));
-  ASSERT_TRUE(result.ok()) << result.diagnostics.render();
+  ASSERT_TRUE(result.ok()) << render_text(result.diagnostics, "<input>");
   ASSERT_EQ(result.program.properties.size(), 1u);
   EXPECT_EQ(result.program.properties[0].property.str(), "floor");
 }
@@ -97,7 +97,7 @@ TEST(PropertyTest, PredicateOverRuleIntroducedInstanceResolves) {
 }
 property grown { eventually exists(worker2); }
 )"));
-  ASSERT_TRUE(result.ok()) << result.diagnostics.render();
+  ASSERT_TRUE(result.ok()) << render_text(result.diagnostics, "<input>");
 }
 
 TEST(PropertyTest, UnknownNamesAreErrors) {

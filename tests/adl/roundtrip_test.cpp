@@ -1,8 +1,8 @@
-// Migration safety net: every shipped .adl must compile through the new
-// multi-stage pipeline to exactly the topology the legacy parse()+validate()
-// pair produced. Rules/goals/scenarios are new surface (the legacy path
-// carries them in the AST untouched), so the comparison covers the full AST
-// plus the resolved indices.
+// Safety net for the compiler's stage wiring: every shipped .adl must
+// compile through adl::compile() to exactly the topology its front-end
+// stages (parse_ast, then analyze) produce when run one by one, and every
+// declared rule, goal and scenario must survive into the emitted program.
+// The comparison covers the full AST plus the resolved indices.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,7 @@
 
 #include "adl/compiler.h"
 #include "adl/parser.h"
-#include "adl/validator.h"
+#include "adl/sema.h"
 
 namespace aars::adl {
 namespace {
@@ -38,10 +38,10 @@ std::string slurp(const std::filesystem::path& path) {
   return buffer.str();
 }
 
-void expect_same_topology(const CompiledConfiguration& legacy,
+void expect_same_topology(const CompiledConfiguration& staged,
                           const CompiledConfiguration& unified,
                           const std::string& label) {
-  const Configuration& a = legacy.ast;
+  const Configuration& a = staged.ast;
   const Configuration& b = unified.ast;
 
   ASSERT_EQ(a.nodes.size(), b.nodes.size()) << label;
@@ -83,15 +83,15 @@ void expect_same_topology(const CompiledConfiguration& legacy,
   }
 
   // Resolved artifacts the deployer consumes.
-  EXPECT_EQ(legacy.instance_index, unified.instance_index) << label;
-  EXPECT_EQ(legacy.connector_index, unified.connector_index) << label;
-  ASSERT_EQ(legacy.interfaces.size(), unified.interfaces.size()) << label;
-  for (const auto& [name, desc] : legacy.interfaces) {
+  EXPECT_EQ(staged.instance_index, unified.instance_index) << label;
+  EXPECT_EQ(staged.connector_index, unified.connector_index) << label;
+  ASSERT_EQ(staged.interfaces.size(), unified.interfaces.size()) << label;
+  for (const auto& [name, desc] : staged.interfaces) {
     ASSERT_TRUE(unified.interfaces.count(name)) << label << ": " << name;
     EXPECT_EQ(desc.version(), unified.interfaces.at(name).version())
         << label << ": " << name;
   }
-  EXPECT_EQ(legacy.protocols.size(), unified.protocols.size()) << label;
+  EXPECT_EQ(staged.protocols.size(), unified.protocols.size()) << label;
 }
 
 TEST(RoundTripTest, EveryShippedConfigCompilesIdentically) {
@@ -101,17 +101,17 @@ TEST(RoundTripTest, EveryShippedConfigCompilesIdentically) {
     const std::string label = path.filename().string();
     const std::string source = slurp(path);
 
-    auto parsed = parse(source);
-    ASSERT_TRUE(parsed.ok()) << label << ": " << parsed.error().message();
-    auto validated = validate(std::move(parsed).value());
-    ASSERT_TRUE(validated.ok())
-        << label << ": " << validated.error().message();
+    Diagnostics diags;
+    Configuration ast = parse_ast(source, diags);
+    ASSERT_TRUE(diags.ok()) << render_text(diags, label, source);
+    const CompiledConfiguration staged = analyze(std::move(ast), diags);
+    ASSERT_TRUE(diags.ok()) << render_text(diags, label, source);
 
     CompilationResult unified = compile(source);
-    ASSERT_TRUE(unified.ok()) << label << ":\n"
-                              << unified.diagnostics.render(source);
+    ASSERT_TRUE(unified.ok())
+        << render_text(unified.diagnostics, label, source);
 
-    expect_same_topology(validated.value(), unified.config, label);
+    expect_same_topology(staged, unified.config, label);
 
     // Every declared rule/goal/scenario must survive into the program.
     EXPECT_EQ(unified.program.rules.size(), unified.config.ast.rules.size())

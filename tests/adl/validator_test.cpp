@@ -1,19 +1,34 @@
-#include "adl/validator.h"
-
+// Semantic analysis: name resolution, typing and binding compatibility,
+// driven through adl::compile().
 #include <gtest/gtest.h>
 
-#include "adl/parser.h"
+#include "adl/compiler.h"
+#include "adl/sema.h"
 
 namespace aars::adl {
 namespace {
 
-using util::ErrorCode;
+CompiledConfiguration compile_ok(std::string_view src) {
+  CompilationResult result = compile(src);
+  EXPECT_TRUE(result.ok()) << render_text(result.diagnostics, "<input>", src);
+  return std::move(result.config);
+}
 
-util::Result<CompiledConfiguration> compile(std::string_view src) {
-  auto parsed = parse(src);
-  EXPECT_TRUE(parsed.ok()) << (parsed.ok() ? "" : parsed.error().message());
-  if (!parsed.ok()) return parsed.error();
-  return validate(std::move(parsed).value());
+/// The first error compiling `src` reports (an empty one, after a test
+/// failure, when it compiles).
+Diagnostic first_error(std::string_view src) {
+  const CompilationResult result = compile(src);
+  for (const Diagnostic& d : result.diagnostics.items) {
+    if (d.severity == Severity::kError) return d;
+  }
+  ADD_FAILURE() << "compiled cleanly:\n" << src;
+  return {};
+}
+
+void expect_at(const Diagnostic& d, const char* code, int line, int column) {
+  EXPECT_EQ(d.code, code);
+  EXPECT_EQ(d.line, line);
+  EXPECT_EQ(d.column, column);
 }
 
 constexpr const char* kBase = R"(
@@ -32,95 +47,91 @@ constexpr const char* kBase = R"(
 )";
 
 TEST(ValidatorTest, ValidConfigurationCompiles) {
-  auto compiled = compile(kBase);
-  ASSERT_TRUE(compiled.ok()) << compiled.error().message();
-  EXPECT_EQ(compiled.value().interfaces.count("Echo"), 1u);
-  EXPECT_EQ(compiled.value().instance_index.size(), 2u);
-  EXPECT_EQ(compiled.value().connector_index.size(), 1u);
+  const CompiledConfiguration compiled = compile_ok(kBase);
+  EXPECT_EQ(compiled.interfaces.count("Echo"), 1u);
+  EXPECT_EQ(compiled.instance_index.size(), 2u);
+  EXPECT_EQ(compiled.connector_index.size(), 1u);
 }
 
 TEST(ValidatorTest, InterfacesBecomeDescriptions) {
-  auto compiled = compile(kBase);
-  ASSERT_TRUE(compiled.ok());
-  const auto& echo = compiled.value().interfaces.at("Echo");
+  const CompiledConfiguration compiled = compile_ok(kBase);
+  ASSERT_EQ(compiled.interfaces.count("Echo"), 1u);
+  const auto& echo = compiled.interfaces.at("Echo");
   EXPECT_EQ(echo.version(), 1);
   ASSERT_NE(echo.find("echo"), nullptr);
   EXPECT_EQ(echo.find("echo")->params[0].type, util::ValueType::kString);
 }
 
 TEST(ValidatorTest, DuplicateInterfaceRejected) {
-  auto compiled = compile("interface A {} interface A {}");
-  ASSERT_FALSE(compiled.ok());
-  EXPECT_EQ(compiled.error().code(), ErrorCode::kAlreadyExists);
+  expect_at(first_error("interface A {} interface A {}"), "duplicate-name", 1,
+            16);
 }
 
 TEST(ValidatorTest, UnknownProvidedInterfaceRejected) {
-  auto compiled = compile("component C provides Ghost;");
-  ASSERT_FALSE(compiled.ok());
+  expect_at(first_error("component C provides Ghost;"), "unknown-interface",
+            1, 1);
 }
 
 TEST(ValidatorTest, UnknownRequiredInterfaceRejected) {
-  auto compiled = compile("component C { requires p: Ghost; }");
-  EXPECT_FALSE(compiled.ok());
+  expect_at(first_error("component C { requires p: Ghost; }"),
+            "unknown-interface", 1, 24);
 }
 
 TEST(ValidatorTest, UnknownAttributeTypeRejected) {
-  auto compiled = compile("component C { attribute a: widget; }");
-  EXPECT_FALSE(compiled.ok());
+  expect_at(first_error("component C { attribute a: widget; }"),
+            "unknown-type", 1, 25);
 }
 
 TEST(ValidatorTest, DefaultValueTypeMismatchRejected) {
-  auto compiled = compile("component C { attribute a: int = \"oops\"; }");
-  EXPECT_FALSE(compiled.ok());
+  expect_at(first_error("component C { attribute a: int = \"oops\"; }"),
+            "type-mismatch", 1, 25);
 }
 
 TEST(ValidatorTest, DoubleAttributeAcceptsIntLiteral) {
-  auto compiled = compile("component C { attribute a: double = 3; }");
-  EXPECT_TRUE(compiled.ok());
+  EXPECT_TRUE(compile("component C { attribute a: double = 3; }").ok());
 }
 
 TEST(ValidatorTest, LinkToUnknownNodeRejected) {
-  auto compiled =
-      compile("node a { capacity 1; } link a -> ghost { latency 1ms; }");
-  EXPECT_FALSE(compiled.ok());
+  expect_at(
+      first_error("node a { capacity 1; } link a -> ghost { latency 1ms; }"),
+      "unknown-node", 1, 24);
 }
 
 TEST(ValidatorTest, InstanceOfUnknownTypeRejected) {
-  auto compiled =
-      compile("node n { capacity 1; } instance x: Ghost on n;");
-  EXPECT_FALSE(compiled.ok());
+  expect_at(first_error("node n { capacity 1; } instance x: Ghost on n;"),
+            "unknown-type", 1, 24);
 }
 
 TEST(ValidatorTest, InstanceOnUnknownNodeRejected) {
-  auto compiled = compile("component C; instance x: C on ghost;");
-  EXPECT_FALSE(compiled.ok());
+  expect_at(first_error("component C; instance x: C on ghost;"),
+            "unknown-node", 1, 14);
 }
 
 TEST(ValidatorTest, OverrideOfUnknownAttributeRejected) {
-  auto compiled = compile(
-      "component C; node n { capacity 1; } instance x: C on n { a = 1; }");
-  EXPECT_FALSE(compiled.ok());
+  expect_at(first_error("component C; node n { capacity 1; } "
+                        "instance x: C on n { a = 1; }"),
+            "unknown-attribute", 1, 37);
 }
 
 TEST(ValidatorTest, OverrideTypeMismatchRejected) {
-  auto compiled = compile(
-      "component C { attribute a: int = 1; } node n { capacity 1; }"
-      "instance x: C on n { a = \"s\"; }");
-  EXPECT_FALSE(compiled.ok());
+  expect_at(
+      first_error("component C { attribute a: int = 1; } node n { capacity 1; }"
+                  "instance x: C on n { a = \"s\"; }"),
+      "type-mismatch", 1, 61);
 }
 
 TEST(ValidatorTest, UnknownRoutingRejected) {
-  auto compiled = compile("connector c { routing magic; }");
-  EXPECT_FALSE(compiled.ok());
+  expect_at(first_error("connector c { routing magic; }"), "unknown-routing",
+            1, 1);
 }
 
 TEST(ValidatorTest, BindingFromUnknownInstanceRejected) {
-  auto compiled = compile("bind ghost.p -> also_ghost;");
-  EXPECT_FALSE(compiled.ok());
+  expect_at(first_error("bind ghost.p -> also_ghost;"), "unknown-instance", 1,
+            1);
 }
 
 TEST(ValidatorTest, BindingUnknownPortRejected) {
-  auto compiled = compile(R"(
+  expect_at(first_error(R"(
     interface I { service f(); }
     component A provides I;
     component B { requires p: I; }
@@ -128,24 +139,24 @@ TEST(ValidatorTest, BindingUnknownPortRejected) {
     instance a: A on n;
     instance b: B on n;
     bind b.ghost -> a;
-  )");
-  EXPECT_FALSE(compiled.ok());
+  )"),
+            "unknown-port", 8, 5);
 }
 
 TEST(ValidatorTest, BindingToNonProviderRejected) {
-  auto compiled = compile(R"(
+  expect_at(first_error(R"(
     interface I { service f(); }
     component A { requires p: I; }
     node n { capacity 1; }
     instance a: A on n;
     instance b: A on n;
     bind a.p -> b;
-  )");
-  ASSERT_FALSE(compiled.ok());
+  )"),
+            "no-provided-interface", 7, 5);
 }
 
 TEST(ValidatorTest, IncompatibleInterfaceBindingRejected) {
-  auto compiled = compile(R"(
+  const Diagnostic d = first_error(R"(
     interface I { service f(); }
     interface J { service g(); }
     component A provides J;
@@ -155,13 +166,12 @@ TEST(ValidatorTest, IncompatibleInterfaceBindingRejected) {
     instance b: B on n;
     bind b.p -> a;
   )");
-  ASSERT_FALSE(compiled.ok());
-  EXPECT_NE(compiled.error().message().find("interface mismatch"),
-            std::string::npos);
+  expect_at(d, "interface-mismatch", 9, 5);
+  EXPECT_NE(d.message.find("interface mismatch"), std::string::npos);
 }
 
 TEST(ValidatorTest, MultiProviderNeedsExplicitConnector) {
-  auto compiled = compile(R"(
+  expect_at(first_error(R"(
     interface I { service f(); }
     component A provides I;
     component B { requires p: I; }
@@ -170,12 +180,12 @@ TEST(ValidatorTest, MultiProviderNeedsExplicitConnector) {
     instance a2: A on n;
     instance b: B on n;
     bind b.p -> a1, a2;
-  )");
-  EXPECT_FALSE(compiled.ok());
+  )"),
+            "missing-connector", 9, 5);
 }
 
 TEST(ValidatorTest, MultiProviderOnDirectConnectorRejected) {
-  auto compiled = compile(R"(
+  expect_at(first_error(R"(
     interface I { service f(); }
     component A provides I;
     component B { requires p: I; }
@@ -185,12 +195,12 @@ TEST(ValidatorTest, MultiProviderOnDirectConnectorRejected) {
     instance b: B on n;
     connector c { routing direct; }
     bind b.p -> a1, a2 via c;
-  )");
-  EXPECT_FALSE(compiled.ok());
+  )"),
+            "invalid-routing", 10, 5);
 }
 
 TEST(ValidatorTest, MultiProviderOnRoundRobinAccepted) {
-  auto compiled = compile(R"(
+  compile_ok(R"(
     interface I { service f(); }
     component A provides I;
     component B { requires p: I; }
@@ -201,7 +211,6 @@ TEST(ValidatorTest, MultiProviderOnRoundRobinAccepted) {
     connector c { routing round_robin; }
     bind b.p -> a1, a2 via c;
   )");
-  EXPECT_TRUE(compiled.ok()) << compiled.error().message();
 }
 
 TEST(ValidatorTest, ValueTypeNames) {
@@ -214,7 +223,7 @@ TEST(ValidatorTest, ValueTypeNames) {
 // Protocol compilation.
 
 TEST(ValidatorTest, ProtocolCompilesToLts) {
-  auto compiled = compile(R"(
+  const CompiledConfiguration compiled = compile_ok(R"(
     interface Echo { service echo(text: string) -> string; }
     component Server provides Echo {
       protocol {
@@ -225,9 +234,8 @@ TEST(ValidatorTest, ProtocolCompilesToLts) {
       }
     }
   )");
-  ASSERT_TRUE(compiled.ok()) << compiled.error().message();
-  ASSERT_EQ(compiled.value().protocols.count("Server"), 1u);
-  const lts::Lts& lts = compiled.value().protocols.at("Server");
+  ASSERT_EQ(compiled.protocols.count("Server"), 1u);
+  const lts::Lts& lts = compiled.protocols.at("Server");
   EXPECT_EQ(lts.state_count(), 2u);
   EXPECT_TRUE(lts.is_final(0));   // first declared state is initial
   EXPECT_FALSE(lts.is_final(1));
@@ -235,14 +243,13 @@ TEST(ValidatorTest, ProtocolCompilesToLts) {
 }
 
 TEST(ValidatorTest, EmptyProtocolRejected) {
-  auto compiled = compile("component C {\n  protocol {\n  }\n}");
-  ASSERT_FALSE(compiled.ok());
-  EXPECT_NE(compiled.error().message().find("declares no states"),
-            std::string::npos);
+  const Diagnostic d = first_error("component C {\n  protocol {\n  }\n}");
+  expect_at(d, "empty-protocol", 2, 3);
+  EXPECT_NE(d.message.find("declares no states"), std::string::npos);
 }
 
 TEST(ValidatorTest, DuplicateProtocolStateRejected) {
-  auto compiled = compile(R"(
+  const Diagnostic d = first_error(R"(
     component C {
       protocol {
         state s final;
@@ -250,13 +257,12 @@ TEST(ValidatorTest, DuplicateProtocolStateRejected) {
       }
     }
   )");
-  ASSERT_FALSE(compiled.ok());
-  EXPECT_NE(compiled.error().message().find("duplicate protocol state"),
-            std::string::npos);
+  expect_at(d, "duplicate-state", 5, 15);
+  EXPECT_NE(d.message.find("duplicate protocol state"), std::string::npos);
 }
 
 TEST(ValidatorTest, TransitionFromUnknownStateRejected) {
-  auto compiled = compile(R"(
+  const Diagnostic d = first_error(R"(
     component C {
       protocol {
         state s final;
@@ -264,56 +270,53 @@ TEST(ValidatorTest, TransitionFromUnknownStateRejected) {
       }
     }
   )");
-  ASSERT_FALSE(compiled.ok());
-  EXPECT_NE(compiled.error().message().find("unknown state"),
-            std::string::npos);
+  expect_at(d, "unknown-state", 5, 9);
+  EXPECT_NE(d.message.find("unknown state"), std::string::npos);
 }
 
 TEST(ValidatorTest, ConnectorBudgetIsCompiled) {
-  auto compiled = compile(R"(
+  const CompiledConfiguration compiled = compile_ok(R"(
     connector fast { routing direct; delivery sync; budget 5ms; }
   )");
-  ASSERT_TRUE(compiled.ok()) << compiled.error().message();
-  const std::size_t index = compiled.value().connector_index.at("fast");
-  EXPECT_EQ(compiled.value().ast.connectors[index].budget_us, 5000);
+  ASSERT_EQ(compiled.connector_index.count("fast"), 1u);
+  const std::size_t index = compiled.connector_index.at("fast");
+  EXPECT_EQ(compiled.ast.connectors[index].budget_us, 5000);
 }
 
 // ---------------------------------------------------------------------------
-// Error paths must carry source line numbers so lint output is clickable.
+// Error paths must carry source locations so lint output is clickable.
 
 TEST(ValidatorTest, DiagnosticsCarryLineNumbers) {
   struct Case {
     const char* src;
-    const char* expected_line;
+    const char* code;
+    int line;
+    int column;
   };
   const Case cases[] = {
       // Instance of unknown type on line 2.
-      {"node n { capacity 1; }\ninstance x: Ghost on n;\n", "line 2"},
+      {"node n { capacity 1; }\ninstance x: Ghost on n;\n", "unknown-type", 2,
+       1},
       // Instance on unknown node, line 3.
       {"interface I { service f(); }\ncomponent A provides I;\n"
        "instance a: A on nowhere;\n",
-       "line 3"},
+       "unknown-node", 3, 1},
       // Binding from unknown instance, line 1.
-      {"bind ghost.p -> also_ghost;\n", "line 1"},
+      {"bind ghost.p -> also_ghost;\n", "unknown-instance", 1, 1},
       // Duplicate protocol state, line 4.
       {"component C {\n  protocol {\n    state s final;\n    state s;\n  }\n}",
-       "line 4"},
+       "duplicate-state", 4, 11},
       // Transition from unknown state, line 4.
       {"component C {\n  protocol {\n    state s final;\n"
        "    ghost -> s on go?;\n  }\n}",
-       "line 4"},
+       "unknown-state", 4, 5},
       // Unknown routing policy, line 2.
       {"node n { capacity 1; }\nconnector c { routing psychic; }\n",
-       "line 2"},
+       "unknown-routing", 2, 1},
   };
   for (const Case& c : cases) {
-    auto compiled = compile(c.src);
-    ASSERT_FALSE(compiled.ok()) << c.src;
-    EXPECT_NE(compiled.error().message().find(c.expected_line),
-              std::string::npos)
-        << "diagnostic for:\n"
-        << c.src << "\nlost its line number: "
-        << compiled.error().message();
+    SCOPED_TRACE(c.src);
+    expect_at(first_error(c.src), c.code, c.line, c.column);
   }
 }
 

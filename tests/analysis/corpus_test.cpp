@@ -9,8 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "adl/parser.h"
-#include "adl/validator.h"
+#include "adl/compiler.h"
 #include "analysis/adl_screen.h"
 #include "analysis/architecture.h"
 #include "analysis/explorer.h"
@@ -29,15 +28,13 @@ std::string read_file(const std::string& relative) {
   return buffer.str();
 }
 
+/// Front-end compile (no analysis screen) of a corpus file, as a model.
 ArchitectureModel compile_config(const std::string& relative) {
-  auto parsed = adl::parse(read_file(relative));
-  EXPECT_TRUE(parsed.ok())
-      << relative << ": " << (parsed.ok() ? "" : parsed.error().message());
-  auto compiled = adl::validate(std::move(parsed).value());
-  EXPECT_TRUE(compiled.ok())
-      << relative << ": "
-      << (compiled.ok() ? "" : compiled.error().message());
-  return model_from(compiled.value());
+  const std::string source = read_file(relative);
+  const adl::CompilationResult result = adl::compile(source);
+  EXPECT_TRUE(result.ok())
+      << adl::render_text(result.diagnostics, relative, source);
+  return model_from(result.config);
 }
 
 const std::vector<std::string> kCleanConfigs = {
@@ -64,8 +61,8 @@ const std::vector<SeededDefect> kDefects = {
 
 TEST(CorpusTest, ShippedConfigsProduceZeroDiagnostics) {
   for (const std::string& file : kCleanConfigs) {
-    const AnalysisReport report = verify_architecture(compile_config(file));
-    EXPECT_EQ(report.diagnostics.size(), 0u)
+    const adl::Diagnostics report = verify_architecture(compile_config(file));
+    EXPECT_EQ(report.items.size(), 0u)
         << file << " is not clean: " << report.summary() << " — "
         << report.first_error();
   }
@@ -73,15 +70,15 @@ TEST(CorpusTest, ShippedConfigsProduceZeroDiagnostics) {
 
 TEST(CorpusTest, ShippedScenarioLintsCleanAgainstItsTopology) {
   const ArchitectureModel model = compile_config("self_healing.adl");
-  const AnalysisReport report =
+  const adl::Diagnostics report =
       lint_scenario(read_file("scenarios/storm.fault"), model);
-  EXPECT_EQ(report.diagnostics.size(), 0u) << report.summary();
+  EXPECT_EQ(report.items.size(), 0u) << report.summary();
 }
 
 TEST(CorpusTest, EverySeededArchitectureDefectIsCaught) {
   std::size_t caught = 0;
   for (const SeededDefect& defect : kDefects) {
-    const AnalysisReport report =
+    const adl::Diagnostics report =
         verify_architecture(compile_config(defect.file));
     const bool hit = report.has(defect.code);
     EXPECT_TRUE(hit) << defect.file << " did not trigger " << defect.code
@@ -95,7 +92,7 @@ TEST(CorpusTest, EverySeededArchitectureDefectIsCaught) {
 
 TEST(CorpusTest, SeededScenarioDefectIsCaught) {
   const ArchitectureModel model = compile_config("self_healing.adl");
-  const AnalysisReport report =
+  const adl::Diagnostics report =
       lint_scenario(read_file("defects/d10_bad_scenario.fault"), model);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.has("unknown-host"));
@@ -104,9 +101,9 @@ TEST(CorpusTest, SeededScenarioDefectIsCaught) {
 
 TEST(CorpusTest, DefectDiagnosticsCarrySourceLines) {
   for (const SeededDefect& defect : kDefects) {
-    const AnalysisReport report =
+    const adl::Diagnostics report =
         verify_architecture(compile_config(defect.file));
-    for (const Diagnostic& d : report.diagnostics) {
+    for (const adl::Diagnostic& d : report.items) {
       if (d.code == defect.code) {
         EXPECT_GT(d.line, 0) << defect.file << ": " << d.code
                              << " lost its source line";
@@ -116,33 +113,40 @@ TEST(CorpusTest, DefectDiagnosticsCarrySourceLines) {
 }
 
 /// Rule/goal defects (d11+) go through the full compiler + compile-time
-/// screen — d11 is a parse failure, so the legacy parse+validate path used
-/// by compile_config() can't express these; compile_adl() reports them as
-/// structured diagnostics instead.
-const std::vector<SeededDefect> kRuleDefects = {
-    {"defects/d11_unterminated_rule.adl", "unterminated-rule"},
-    {"defects/d12_unknown_metric.adl", "unknown-metric"},
-    {"defects/d13_rule_unknown_instance.adl", "unknown-instance"},
-    {"defects/d14_goal_contradiction.adl", "contradictory-qos"},
-    {"defects/d15_scenario_unknown_goal.adl", "unknown-goal"},
-    {"defects/d16_rule_plan_unverifiable.adl", "no-route"},
+/// screen — d11 is a parse failure and d16 is caught only by the screen —
+/// and are reported as structured diagnostics at the offending construct.
+struct LocatedDefect {
+  const char* file;
+  const char* code;
+  int line;
+  int column;
+};
+const std::vector<LocatedDefect> kRuleDefects = {
+    {"defects/d11_unterminated_rule.adl", "unterminated-rule", 10, 1},
+    {"defects/d12_unknown_metric.adl", "unknown-metric", 8, 6},
+    {"defects/d13_rule_unknown_instance.adl", "unknown-instance", 9, 3},
+    {"defects/d14_goal_contradiction.adl", "contradictory-qos", 20, 11},
+    {"defects/d15_scenario_unknown_goal.adl", "unknown-goal", 11, 1},
+    {"defects/d16_rule_plan_unverifiable.adl", "no-route", 20, 1},
 };
 
 TEST(CorpusTest, EverySeededRuleDefectIsCaughtAtCompileTime) {
-  for (const SeededDefect& defect : kRuleDefects) {
-    const adl::CompilationResult result = compile_adl(read_file(defect.file));
+  for (const LocatedDefect& defect : kRuleDefects) {
+    const std::string source = read_file(defect.file);
+    const adl::CompilationResult result = compile_adl(source);
     EXPECT_FALSE(result.ok()) << defect.file << " compiled clean";
     bool hit = false;
-    for (const adl::Diagnostic& d : result.diagnostics.items()) {
+    for (const adl::Diagnostic& d : result.diagnostics.items) {
       if (d.code == defect.code) {
         hit = true;
-        EXPECT_GT(d.line, 0) << defect.file << ": " << d.code
-                             << " lost its source line";
+        EXPECT_EQ(d.line, defect.line) << defect.file << ": " << d.code;
+        EXPECT_EQ(d.column, defect.column) << defect.file << ": " << d.code;
       }
     }
     EXPECT_TRUE(hit) << defect.file << " did not trigger " << defect.code
                      << ":\n"
-                     << result.diagnostics.render();
+                     << adl::render_text(result.diagnostics, defect.file,
+                                         source);
   }
 }
 
@@ -161,13 +165,13 @@ TEST(CorpusTest, EverySeededPathDefectIsCaughtByExploration) {
     ASSERT_TRUE(result.ok())
         << defect.file << " must compile clean (the whole point is that "
         << "only exploration catches it):\n"
-        << result.diagnostics.render();
+        << adl::render_text(result.diagnostics, defect.file);
     const ExplorationResult explored =
         explore(model_from(result.config), result.program);
     EXPECT_TRUE(explored.report.has(defect.code))
         << defect.file << " did not trigger " << defect.code << " (got: "
         << explored.report.summary() << ")";
-    for (const Diagnostic& d : explored.report.diagnostics) {
+    for (const adl::Diagnostic& d : explored.report.items) {
       if (d.code == defect.code) {
         EXPECT_GT(d.line, 0) << defect.file << ": " << d.code
                              << " lost its source line";
@@ -179,10 +183,10 @@ TEST(CorpusTest, EverySeededPathDefectIsCaughtByExploration) {
 TEST(CorpusTest, CleanConfigsExploreWithoutFindings) {
   for (const std::string& file : kCleanConfigs) {
     const adl::CompilationResult result = compile_adl(read_file(file));
-    ASSERT_TRUE(result.ok()) << file << ": " << result.diagnostics.render();
+    ASSERT_TRUE(result.ok()) << adl::render_text(result.diagnostics, file);
     const ExplorationResult explored =
         explore(model_from(result.config), result.program);
-    EXPECT_TRUE(explored.report.diagnostics.empty())
+    EXPECT_TRUE(explored.report.items.empty())
         << file << " exploration is not clean: " << explored.report.summary()
         << " — " << explored.report.first_error();
     EXPECT_FALSE(explored.report.truncated)
@@ -192,14 +196,15 @@ TEST(CorpusTest, CleanConfigsExploreWithoutFindings) {
 
 TEST(CorpusTest, AdaptiveConfigCompilesWithItsFullProgram) {
   const adl::CompilationResult result = compile_adl(read_file("adaptive.adl"));
-  ASSERT_TRUE(result.ok()) << result.diagnostics.render();
+  ASSERT_TRUE(result.ok())
+      << adl::render_text(result.diagnostics, "adaptive.adl");
   EXPECT_EQ(result.program.rules.size(), 3u);
   EXPECT_EQ(result.program.goals.size(), 1u);
   EXPECT_EQ(result.program.scenarios.size(), 1u);
 }
 
 TEST(CorpusTest, ProtocolBearingConfigsReportVerificationCost) {
-  const AnalysisReport report = verify_architecture(
+  const adl::Diagnostics report = verify_architecture(
       compile_config("three_tier.adl"));
   EXPECT_TRUE(report.ok());
   EXPECT_GT(report.states_explored, 0u);

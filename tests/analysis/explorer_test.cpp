@@ -37,7 +37,7 @@ when queue_depth(jobs) < 2 reconfigure shed_s2 { remove s2; }
 ExplorationResult explore_source(const std::string& source,
                                  const ExplorerOptions& options = {}) {
   const adl::CompilationResult result = compile_adl(source);
-  EXPECT_TRUE(result.ok()) << result.diagnostics.render();
+  EXPECT_TRUE(result.ok()) << adl::render_text(result.diagnostics, "<input>");
   return explore(model_from(result.config), result.program, options);
 }
 
@@ -264,7 +264,7 @@ property capacity_floor { always replicas(Worker) >= 1; }
   EXPECT_TRUE(result.report.has("unsafe-config")) << result.report.summary();
   EXPECT_TRUE(result.report.has("invariant-violated"));
   bool path_found = false;
-  for (const Diagnostic& d : result.report.diagnostics) {
+  for (const adl::Diagnostic& d : result.report.items) {
     if (d.code == "invariant-violated") {
       EXPECT_EQ(d.subject, "shed_spare -> consolidate");
       path_found = true;
@@ -307,7 +307,8 @@ when queue_depth(jobs) < 1 reconfigure untangle {
   remove ping;
 }
 )");
-  ASSERT_TRUE(compiled.ok()) << compiled.diagnostics.render();
+  ASSERT_TRUE(compiled.ok())
+      << adl::render_text(compiled.diagnostics, "<input>");
   const ExplorationResult result =
       explore(model_from(compiled.config), compiled.program);
   // {initial, -spare, -ping, -spare-ping}: shed_ping never fires.
@@ -338,7 +339,7 @@ instance driver: Driver on client;
 connector jobs { routing direct; delivery queued; capacity 64; }
 bind driver.work -> worker via jobs;
 )");
-  ASSERT_TRUE(result.ok()) << result.diagnostics.render();
+  ASSERT_TRUE(result.ok()) << adl::render_text(result.diagnostics, "<input>");
   const ExplorationResult explored =
       explore(model_from(result.config), result.program);
   EXPECT_EQ(explored.graph.states.size(), 1u);

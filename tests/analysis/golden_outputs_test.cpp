@@ -71,8 +71,8 @@ std::string read_file(const std::string& relative) {
 }
 
 void write_report(std::ostream& out, const char* label,
-                  const AnalysisReport& report) {
-  for (const Diagnostic& d : report.diagnostics) {
+                  const adl::Diagnostics& report) {
+  for (const adl::Diagnostic& d : report.items) {
     out << label << ": " << to_string(d.severity) << " " << d.code << " | "
         << d.subject << "\n";
   }
@@ -84,7 +84,7 @@ std::string transcript() {
     const std::string source = read_file(file);
     out << "== " << file << "\n";
     const adl::CompilationResult screened = compile_adl(source);
-    for (const adl::Diagnostic& d : screened.diagnostics.items()) {
+    for (const adl::Diagnostic& d : screened.diagnostics.items) {
       out << "compile: " << adl::to_string(d.severity) << " " << d.code
           << " | " << d.message << "\n";
     }
@@ -96,7 +96,7 @@ std::string transcript() {
       continue;
     }
     const ArchitectureModel model = model_from(compiled.config);
-    const AnalysisReport verdict = verify_architecture(model);
+    const adl::Diagnostics verdict = verify_architecture(model);
     write_report(out, "verify", verdict);
     out << "verify-first-error: " << verdict.first_error() << "\n";
 

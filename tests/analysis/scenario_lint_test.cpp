@@ -18,8 +18,8 @@ ArchitectureModel topology() {
   return model;
 }
 
-int line_of(const AnalysisReport& report, const std::string& code) {
-  for (const Diagnostic& d : report.diagnostics) {
+int line_of(const adl::Diagnostics& report, const std::string& code) {
+  for (const adl::Diagnostic& d : report.items) {
     if (d.code == code) return d.line;
   }
   return -1;
@@ -32,9 +32,9 @@ TEST(ScenarioLintTest, CleanScenarioHasNoDiagnostics) {
       "at 1s partition link=host-client for 200ms\n"
       "at 2s degrade link=client-spare latency=5ms jitter=1ms for 1s\n"
       "at 3s loss link=host-client p=0.3 for 250ms\n";
-  const AnalysisReport report = lint_scenario(text, topology());
+  const adl::Diagnostics report = lint_scenario(text, topology());
   EXPECT_TRUE(report.ok()) << report.summary();
-  EXPECT_EQ(report.diagnostics.size(), 0u);
+  EXPECT_EQ(report.items.size(), 0u);
 }
 
 TEST(ScenarioLintTest, SyntaxErrorCarriesLineNumber) {
@@ -42,21 +42,21 @@ TEST(ScenarioLintTest, SyntaxErrorCarriesLineNumber) {
       "at 500ms crash host=host for 300ms\n"
       "\n"
       "at whenever crash host=host for 300ms\n";
-  const AnalysisReport report = lint_scenario(text);
+  const adl::Diagnostics report = lint_scenario(text);
   EXPECT_FALSE(report.ok());
   ASSERT_TRUE(report.has("scenario-syntax"));
   EXPECT_EQ(line_of(report, "scenario-syntax"), 3);
 }
 
 TEST(ScenarioLintTest, OutOfRangeLossRejectedWithLineNumber) {
-  const AnalysisReport report =
+  const adl::Diagnostics report =
       lint_scenario("at 1s loss link=host-client p=1.5 for 250ms\n");
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(line_of(report, "scenario-syntax"), 1);
 }
 
 TEST(ScenarioLintTest, ZeroDurationIsWarning) {
-  const AnalysisReport report =
+  const adl::Diagnostics report =
       lint_scenario("at 1s crash host=host for 0ms\n", topology());
   EXPECT_TRUE(report.ok());
   ASSERT_TRUE(report.has("zero-duration"));
@@ -64,7 +64,7 @@ TEST(ScenarioLintTest, ZeroDurationIsWarning) {
 }
 
 TEST(ScenarioLintTest, UnknownCrashHostDetected) {
-  const AnalysisReport report =
+  const adl::Diagnostics report =
       lint_scenario("at 1s crash host=ghost for 100ms\n", topology());
   EXPECT_FALSE(report.ok());
   ASSERT_TRUE(report.has("unknown-host"));
@@ -72,7 +72,7 @@ TEST(ScenarioLintTest, UnknownCrashHostDetected) {
 }
 
 TEST(ScenarioLintTest, UnknownLinkEndpointDetected) {
-  const AnalysisReport report = lint_scenario(
+  const adl::Diagnostics report = lint_scenario(
       "at 1s partition link=host-nowhere for 100ms\n", topology());
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.has("unknown-host"));
@@ -80,7 +80,7 @@ TEST(ScenarioLintTest, UnknownLinkEndpointDetected) {
 
 TEST(ScenarioLintTest, MissingLinkBetweenDeclaredNodesDetected) {
   // Both endpoints exist, but the topology has no host-spare link.
-  const AnalysisReport report = lint_scenario(
+  const adl::Diagnostics report = lint_scenario(
       "at 1s degrade link=host-spare latency=1ms jitter=0ms for 1s\n",
       topology());
   EXPECT_FALSE(report.ok());
@@ -88,29 +88,29 @@ TEST(ScenarioLintTest, MissingLinkBetweenDeclaredNodesDetected) {
 }
 
 TEST(ScenarioLintTest, LinkDirectionDoesNotMatter) {
-  const AnalysisReport report = lint_scenario(
+  const adl::Diagnostics report = lint_scenario(
       "at 1s partition link=client-host for 100ms\n", topology());
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 TEST(ScenarioLintTest, WithoutModelTopologyChecksAreSkipped) {
-  const AnalysisReport report =
+  const adl::Diagnostics report =
       lint_scenario("at 1s crash host=ghost for 100ms\n");
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_FALSE(report.has("unknown-host"));
 }
 
 TEST(ScenarioLintTest, CommentsAndBlankLinesIgnored) {
-  const AnalysisReport report = lint_scenario(
+  const adl::Diagnostics report = lint_scenario(
       "# just commentary\n\n   \n# more\n", topology());
-  EXPECT_EQ(report.diagnostics.size(), 0u);
+  EXPECT_EQ(report.items.size(), 0u);
 }
 
 TEST(ScenarioLintTest, DiagnosticsAccumulateAcrossLines) {
   const std::string text =
       "at 1s crash host=ghost for 100ms\n"
       "at 2s crash host=phantom for 0ms\n";
-  const AnalysisReport report = lint_scenario(text, topology());
+  const adl::Diagnostics report = lint_scenario(text, topology());
   EXPECT_EQ(report.errors(), 2u);   // two unknown hosts
   EXPECT_EQ(report.warnings(), 1u); // one zero-duration
   EXPECT_EQ(line_of(report, "zero-duration"), 2);

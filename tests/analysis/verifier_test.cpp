@@ -4,8 +4,7 @@
 
 #include <algorithm>
 
-#include "adl/parser.h"
-#include "adl/validator.h"
+#include "adl/compiler.h"
 #include "analysis/architecture.h"
 #include "testing/test_components.h"
 
@@ -59,27 +58,25 @@ ArchitectureModel base_model() {
 }
 
 ArchitectureModel compile_model(std::string_view src) {
-  auto parsed = adl::parse(src);
-  EXPECT_TRUE(parsed.ok()) << (parsed.ok() ? "" : parsed.error().message());
-  auto compiled = adl::validate(std::move(parsed).value());
-  EXPECT_TRUE(compiled.ok())
-      << (compiled.ok() ? "" : compiled.error().message());
-  return model_from(compiled.value());
+  const adl::CompilationResult result = adl::compile(src);
+  EXPECT_TRUE(result.ok())
+      << adl::render_text(result.diagnostics, "<input>", src);
+  return model_from(result.config);
 }
 
 // ---------------------------------------------------------------------------
 // Structural checks.
 
 TEST(VerifierTest, CleanModelHasNoDiagnostics) {
-  const AnalysisReport report = verify_architecture(base_model());
+  const adl::Diagnostics report = verify_architecture(base_model());
   EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.diagnostics.size(), 0u) << report.summary();
+  EXPECT_EQ(report.items.size(), 0u) << report.summary();
 }
 
 TEST(VerifierTest, DuplicateBindingDetected) {
   ArchitectureModel model = base_model();
   model.bindings.push_back(make_binding("client", "out", "c", {"server"}));
-  const AnalysisReport report = verify_architecture(model);
+  const adl::Diagnostics report = verify_architecture(model);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.has("duplicate-binding"));
 }
@@ -87,14 +84,14 @@ TEST(VerifierTest, DuplicateBindingDetected) {
 TEST(VerifierTest, BindingFromUnknownInstanceDangles) {
   ArchitectureModel model = base_model();
   model.bindings.push_back(make_binding("ghost", "out", "c", {"server"}));
-  const AnalysisReport report = verify_architecture(model);
+  const adl::Diagnostics report = verify_architecture(model);
   EXPECT_TRUE(report.has("dangling-binding"));
 }
 
 TEST(VerifierTest, BindingToUnknownProviderDangles) {
   ArchitectureModel model = base_model();
   model.bindings[0].providers = {"ghost"};
-  const AnalysisReport report = verify_architecture(model);
+  const adl::Diagnostics report = verify_architecture(model);
   EXPECT_TRUE(report.has("dangling-binding"));
   // The call-graph edge to a provider that is no instance leads nowhere: it
   // neither reaches the server nor closes a cycle.
@@ -107,21 +104,21 @@ TEST(VerifierTest, BindingToUnknownProviderDangles) {
 TEST(VerifierTest, BindingWithNoProvidersDangles) {
   ArchitectureModel model = base_model();
   model.bindings[0].providers.clear();
-  const AnalysisReport report = verify_architecture(model);
+  const adl::Diagnostics report = verify_architecture(model);
   EXPECT_TRUE(report.has("dangling-binding"));
 }
 
 TEST(VerifierTest, UndeclaredPortDetected) {
   ArchitectureModel model = base_model();
   model.bindings[0].port = "nonesuch";
-  const AnalysisReport report = verify_architecture(model);
+  const adl::Diagnostics report = verify_architecture(model);
   EXPECT_TRUE(report.has("unknown-port"));
 }
 
 TEST(VerifierTest, UnboundRequiredPortIsWarning) {
   ArchitectureModel model = base_model();
   model.instances[1].required.push_back({"audit", ""});
-  const AnalysisReport report = verify_architecture(model);
+  const adl::Diagnostics report = verify_architecture(model);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_TRUE(report.has("unbound-port"));
 }
@@ -129,7 +126,7 @@ TEST(VerifierTest, UnboundRequiredPortIsWarning) {
 TEST(VerifierTest, ConnectorWithCallersButNoProviderIsError) {
   ArchitectureModel model = base_model();
   model.connectors[0].providers.clear();
-  const AnalysisReport report = verify_architecture(model);
+  const adl::Diagnostics report = verify_architecture(model);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.has("dangling-binding"));
 }
@@ -137,7 +134,7 @@ TEST(VerifierTest, ConnectorWithCallersButNoProviderIsError) {
 TEST(VerifierTest, UnusedConnectorIsWarning) {
   ArchitectureModel model = base_model();
   model.connectors.push_back(make_connector("stale", true, {}));
-  const AnalysisReport report = verify_architecture(model);
+  const adl::Diagnostics report = verify_architecture(model);
   EXPECT_TRUE(report.ok());
   EXPECT_TRUE(report.has("connector-unused"));
 }
@@ -148,10 +145,10 @@ TEST(VerifierTest, UnusedConnectorIsWarning) {
 TEST(VerifierTest, OrphanInstanceIsUnreachable) {
   ArchitectureModel model = base_model();
   model.instances.push_back(make_instance("orphan", "Worker", "n1"));
-  const AnalysisReport report = verify_architecture(model);
+  const adl::Diagnostics report = verify_architecture(model);
   EXPECT_TRUE(report.ok());
   ASSERT_TRUE(report.has("unreachable-component"));
-  for (const Diagnostic& d : report.diagnostics) {
+  for (const adl::Diagnostic& d : report.items) {
     if (d.code == "unreachable-component") {
       EXPECT_EQ(d.subject, "orphan");
     }
@@ -165,7 +162,7 @@ TEST(VerifierTest, ProviderBehindIngressConnectorIsReachable) {
   model.nodes = {"n1"};
   model.instances.push_back(make_instance("server", "EchoServer", "n1"));
   model.connectors.push_back(make_connector("front", true, {"server"}));
-  const AnalysisReport report = verify_architecture(model);
+  const adl::Diagnostics report = verify_architecture(model);
   EXPECT_FALSE(report.has("unreachable-component"));
 }
 
@@ -188,10 +185,10 @@ ArchitectureModel cycle_model(bool sync) {
 }
 
 /// Subjects of the diagnostics with `code`, in emission order.
-std::vector<std::string> subjects(const AnalysisReport& report,
+std::vector<std::string> subjects(const adl::Diagnostics& report,
                                   const std::string& code) {
   std::vector<std::string> out;
-  for (const Diagnostic& d : report.diagnostics) {
+  for (const adl::Diagnostic& d : report.items) {
     if (d.code == code) out.push_back(d.subject);
   }
   return out;
@@ -208,7 +205,7 @@ TEST(VerifierTest, SynchronousCallCycleIsError) {
   const std::pair<ArchitectureModel, std::string> cases[] = {
       {cycle_model(true), "a -> b"}, {via_caller, "a -> x"}};
   for (const auto& [model, subject] : cases) {
-    const AnalysisReport report = verify_architecture(model);
+    const adl::Diagnostics report = verify_architecture(model);
     EXPECT_FALSE(report.ok());
     EXPECT_EQ(subjects(report, "sync-call-cycle"),
               std::vector<std::string>{subject});
@@ -217,7 +214,7 @@ TEST(VerifierTest, SynchronousCallCycleIsError) {
 }
 
 TEST(VerifierTest, QueuedCycleIsOnlyAFeedbackWarning) {
-  const AnalysisReport report = verify_architecture(cycle_model(false));
+  const adl::Diagnostics report = verify_architecture(cycle_model(false));
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_FALSE(report.has("sync-call-cycle"));
   EXPECT_TRUE(report.has("connector-cycle"));
@@ -268,7 +265,7 @@ TEST(VerifierTest, QueuedCycleOverSyncCyclesIsNotReportedAgain) {
   // a <-> b and c <-> d are synchronous; queued edges b -> c and d -> a
   // close a -> b -> c -> d into one larger cycle.  Every member of it
   // already sits on a reported sync cycle, so it adds no connector-cycle.
-  const AnalysisReport report =
+  const adl::Diagnostics report =
       verify_architecture(two_cycle_model("a", "b", "c", "d", true));
   EXPECT_EQ(subjects(report, "sync-call-cycle"),
             (std::vector<std::string>{"a -> b", "c -> d"}));
@@ -297,7 +294,7 @@ TEST(VerifierTest, SelfLoopIsACycle) {
 TEST(VerifierTest, MissingRouteDetected) {
   ArchitectureModel model = base_model();
   model.links.clear();
-  const AnalysisReport report = verify_architecture(model);
+  const adl::Diagnostics report = verify_architecture(model);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.has("no-route"));
 }
@@ -305,7 +302,7 @@ TEST(VerifierTest, MissingRouteDetected) {
 TEST(VerifierTest, BudgetBelowLatencyFloorIsInfeasible) {
   ArchitectureModel model = base_model();
   model.connectors[0].budget_us = 1500;  // round trip floor is 2000us
-  const AnalysisReport report = verify_architecture(model);
+  const adl::Diagnostics report = verify_architecture(model);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.has("qos-infeasible"));
 
@@ -365,7 +362,8 @@ constexpr const char* kHandshakeBase = R"(
 )";
 
 TEST(VerifierTest, MatchingProtocolsComposeDeadlockFree) {
-  const AnalysisReport report = verify_architecture(compile_model(kHandshakeBase));
+  const adl::Diagnostics report =
+      verify_architecture(compile_model(kHandshakeBase));
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_FALSE(report.has("protocol-deadlock"));
   EXPECT_GT(report.states_explored, 0u);
@@ -399,15 +397,20 @@ TEST(VerifierTest, MismatchedProtocolOrderDeadlocks) {
     connector c { routing direct; delivery sync; }
     bind caller.out -> responder via c;
   )";
-  const AnalysisReport report = verify_architecture(compile_model(kDeadlock));
+  const adl::Diagnostics report = verify_architecture(compile_model(kDeadlock));
   EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(report.has("protocol-deadlock"));
+  ASSERT_TRUE(report.has("protocol-deadlock"));
+  for (const adl::Diagnostic& d : report.items) {
+    if (d.code != "protocol-deadlock") continue;
+    EXPECT_EQ(d.line, 21);   // the first instance the composition joins
+    EXPECT_EQ(d.column, 0);  // structural findings locate whole lines
+  }
 }
 
 TEST(VerifierTest, StateBoundTruncatesWithWarning) {
   VerifierOptions options;
   options.max_states = 1;
-  const AnalysisReport report =
+  const adl::Diagnostics report =
       verify_architecture(compile_model(kHandshakeBase), options);
   EXPECT_TRUE(report.truncated);
   EXPECT_TRUE(report.has("protocol-truncated"));
@@ -416,7 +419,7 @@ TEST(VerifierTest, StateBoundTruncatesWithWarning) {
 TEST(VerifierTest, ProtocolCheckCanBeDisabled) {
   VerifierOptions options;
   options.check_protocols = false;
-  const AnalysisReport report =
+  const adl::Diagnostics report =
       verify_architecture(compile_model(kHandshakeBase), options);
   EXPECT_EQ(report.states_explored, 0u);
 }
@@ -437,9 +440,9 @@ connector front { routing direct; delivery sync; }
 connector stale { routing direct; delivery sync; }
 bind client.out -> server via front;
 )";
-  AnalysisReport report = verify_architecture(compile_model(kUnused));
+  adl::Diagnostics report = verify_architecture(compile_model(kUnused));
   ASSERT_TRUE(report.has("connector-unused"));
-  for (const Diagnostic& d : report.diagnostics) {
+  for (const adl::Diagnostic& d : report.items) {
     if (d.code == "connector-unused") {
       EXPECT_EQ(d.subject, "stale");
       EXPECT_EQ(d.line, 10);
@@ -462,7 +465,7 @@ TEST_F(LiveModelTest, SnapshotOfRunningAppVerifies) {
   EXPECT_TRUE(model.has_node("node_a"));
   ASSERT_NE(model.find_instance("client"), nullptr);
   ASSERT_NE(model.find_instance("server"), nullptr);
-  const AnalysisReport report = verify_architecture(model);
+  const adl::Diagnostics report = verify_architecture(model);
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
@@ -505,7 +508,7 @@ TEST_F(LiveModelTest, LiveSyncCycleCaught) {
   ASSERT_TRUE(app_.bind(a.value(), "out", to_b.value()).ok());
   ASSERT_TRUE(app_.bind(b.value(), "out", to_a.value()).ok());
 
-  const AnalysisReport report = verify_architecture(model_from(app_));
+  const adl::Diagnostics report = verify_architecture(model_from(app_));
   EXPECT_TRUE(report.has("sync-call-cycle"));
   const auto stuck = quiescence_unreachable(model_from(app_));
   EXPECT_EQ(stuck, (std::vector<std::string>{"a", "b"}));

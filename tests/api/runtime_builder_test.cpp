@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "testing/test_components.h"
@@ -224,6 +226,37 @@ TEST(RuntimeBuilderTest, VerificationMaxStatesIsForwarded) {
                 .value();
   EXPECT_EQ(rt->engine().options().verify_mode, analysis::VerifyMode::kWarn);
   EXPECT_EQ(rt->engine().options().verify_max_states, 512u);
+}
+
+std::string read_config(const std::string& relative) {
+  std::ifstream in(std::string(AARS_CONFIG_DIR) + "/" + relative);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+// Every ADL compile failure, whichever stage found it, reaches the caller
+// as kParseError carrying the first error's "line L col C: message".
+TEST(RuntimeBuilderTest, AdlSemaFailureIsAParseError) {
+  auto built = Runtime::builder()
+                   .adl(read_config("defects/d12_unknown_metric.adl"))
+                   .build();
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.error().code(), ErrorCode::kParseError);
+  EXPECT_EQ(built.error().message(),
+            "line 8 col 6: unknown condition metric 'qdepth' (expected "
+            "queue_depth, backlog or fault.active)");
+}
+
+TEST(RuntimeBuilderTest, AdlScreenFailureIsAParseError) {
+  auto built = Runtime::builder()
+                   .adl(read_config("defects/d16_rule_plan_unverifiable.adl"))
+                   .build();
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.error().code(), ErrorCode::kParseError);
+  EXPECT_EQ(built.error().message(),
+            "line 20 col 1: rule 'strand': driver.work -> worker: no route "
+            "from node 'client' to node 'island'");
 }
 
 }  // namespace

@@ -10,8 +10,7 @@
 // same-instant events or perturbs message contents fails it byte-for-byte.
 //
 // Regenerating the golden (only when behaviour changes INTENTIONALLY):
-//   AARS_UPDATE_GOLDEN=1 ./tests/integration_test \
-//       --gtest_filter=DeterminismDigestTest.*
+//   AARS_UPDATE_GOLDEN=1 ./tests/integration_test --gtest_filter=Determinism*
 #include <gtest/gtest.h>
 
 #include <cstdio>

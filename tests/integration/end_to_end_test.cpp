@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "adapt/aspect_library.h"
+#include "adl/compiler.h"
 #include "meta/raml.h"
 #include "reconfig/engine.h"
 #include "runtime/deployer.h"
@@ -37,7 +38,10 @@ TEST_F(EndToEndTest, DeployedMediaPipelineServesUnderLoad) {
     instance media: MediaServer on backbone;
     connector svc { routing direct; delivery sync; aspects [metrics]; }
   )";
-  auto deployment = runtime::deploy_source(config, app_);
+  const adl::CompilationResult compiled = adl::compile(config);
+  ASSERT_TRUE(compiled.ok()) << adl::render_text(compiled.diagnostics,
+                                                 "<input>", config);
+  auto deployment = runtime::deploy(compiled.config, app_);
   ASSERT_TRUE(deployment.ok()) << deployment.error().message();
   const auto svc = deployment.value().connectors.at("svc");
   ASSERT_TRUE(

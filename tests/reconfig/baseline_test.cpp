@@ -17,7 +17,7 @@ TEST_F(BaselineTest, ReplacesAfterOutage) {
   StopRestartReconfigurator::Options options;
   options.restart_delay = util::milliseconds(20);
   StopRestartReconfigurator baseline(app_, options);
-  const auto conn = direct_to("CounterServer", "old", node_a_);
+  direct_to("CounterServer", "old", node_a_);
   const auto old_id = app_.component_id("old");
 
   ReconfigReport report;

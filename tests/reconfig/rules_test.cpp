@@ -200,7 +200,7 @@ TEST(AdlRulesTest, EnforceGateRejectsExplorablyUnsafeProgram) {
   auto rt = std::move(built).value();
 
   adl::CompilationResult result = adl::compile(unsafe_world());
-  ASSERT_TRUE(result.ok()) << result.diagnostics.render();
+  ASSERT_TRUE(result.ok()) << adl::render_text(result.diagnostics, "<input>");
 
   reconfig::ExploreGate gate;
   gate.mode = analysis::VerifyMode::kEnforce;
@@ -216,7 +216,7 @@ TEST(AdlRulesTest, WarnGateInstallsAndCountsFindings) {
   auto rt = std::move(built).value();
 
   adl::CompilationResult result = adl::compile(unsafe_world());
-  ASSERT_TRUE(result.ok()) << result.diagnostics.render();
+  ASSERT_TRUE(result.ok()) << adl::render_text(result.diagnostics, "<input>");
 
   obs::Registry& registry = obs::Registry::global();
   const bool was_enabled = registry.enabled();
@@ -239,7 +239,7 @@ TEST(AdlRulesTest, EnforceGateAcceptsSafeProgram) {
   auto rt = std::move(built).value();
 
   adl::CompilationResult result = adl::compile(scale_out_world());
-  ASSERT_TRUE(result.ok()) << result.diagnostics.render();
+  ASSERT_TRUE(result.ok()) << adl::render_text(result.diagnostics, "<input>");
 
   reconfig::ExploreGate gate;
   gate.mode = analysis::VerifyMode::kEnforce;

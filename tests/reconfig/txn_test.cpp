@@ -177,27 +177,6 @@ TEST_F(TxnTest, RemoveRollbackResurrectsStateFromTheSnapshot) {
   EXPECT_EQ(verifier_errors(), baseline);
 }
 
-TEST_F(TxnTest, SequencerModeRecordsFailuresWithoutRollingBack) {
-  Txn::Options options;
-  options.atomic = false;
-  auto txn = Txn::create(app_, engine_, "legacy", options);
-  txn->remove_component("ghost")  // unknown: fails
-      .add_component("EchoServer", "server2", "node_a");
-  const ReconfigReport report = run(txn);
-
-  // The firing surfaces the first failure but later steps still ran and
-  // nothing was undone.
-  EXPECT_EQ(report.verdict, TxnVerdict::kNone);
-  EXPECT_FALSE(report.ok());
-  EXPECT_EQ(report.status.code(), ErrorCode::kNotFound);
-  ASSERT_EQ(report.steps.size(), 2u);
-  EXPECT_TRUE(report.steps[0].attempted);
-  EXPECT_FALSE(report.steps[0].status.ok());
-  EXPECT_TRUE(report.steps[1].status.ok());
-  EXPECT_EQ(report.rollback_steps, 0u);
-  EXPECT_TRUE(app_.component_id("server2").valid());
-}
-
 TEST_F(TxnTest, ReportReadsUnfinishedUntilTheTxnSettles) {
   // Keep the server busy briefly so the remove protocol genuinely spans
   // simulated time instead of quiescing inline.

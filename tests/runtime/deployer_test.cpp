@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "adl/compiler.h"
 #include "testing/test_components.h"
 
 namespace aars::runtime {
@@ -45,6 +46,14 @@ class DeployerTest : public ::testing::Test {
     });
   }
 
+  /// Compiles `source` and deploys it into app_, the way the runtime
+  /// builder does: a compile failure comes back as its first error.
+  util::Result<Deployment> deploy_adl(std::string_view source) {
+    const adl::CompilationResult compiled = adl::compile(source);
+    if (!compiled.ok()) return compiled.diagnostics.to_error();
+    return deploy(compiled.config, app_);
+  }
+
   sim::EventLoop loop_;
   sim::Network network_;
   component::ComponentRegistry registry_;
@@ -52,7 +61,7 @@ class DeployerTest : public ::testing::Test {
 };
 
 TEST_F(DeployerTest, DeploysFullTopology) {
-  auto deployment = deploy_source(kEchoConfig, app_);
+  auto deployment = deploy_adl(kEchoConfig);
   ASSERT_TRUE(deployment.ok()) << deployment.error().message();
   EXPECT_EQ(deployment.value().nodes.size(), 2u);
   EXPECT_EQ(deployment.value().instances.size(), 2u);
@@ -63,7 +72,7 @@ TEST_F(DeployerTest, DeploysFullTopology) {
 }
 
 TEST_F(DeployerTest, DeployedApplicationServesCalls) {
-  auto deployment = deploy_source(kEchoConfig, app_);
+  auto deployment = deploy_adl(kEchoConfig);
   ASSERT_TRUE(deployment.ok());
   const auto client = deployment.value().instances.at("client");
   auto outcome = app_.invoke_component(
@@ -79,7 +88,7 @@ TEST_F(DeployerTest, MissingImplementationFails) {
     node n { capacity 1; }
     instance m: Mystery on n;
   )";
-  auto deployment = deploy_source(config, app_);
+  auto deployment = deploy_adl(config);
   ASSERT_FALSE(deployment.ok());
   EXPECT_EQ(deployment.error().code(), ErrorCode::kNotFound);
 }
@@ -95,7 +104,7 @@ TEST_F(DeployerTest, ImplementationMustHonourDeclaredInterface) {
     node n { capacity 1; }
     instance s: EchoServer on n;
   )";
-  auto deployment = deploy_source(config, app_);
+  auto deployment = deploy_adl(config);
   ASSERT_FALSE(deployment.ok());
   EXPECT_EQ(deployment.error().code(), ErrorCode::kIncompatible);
 }
@@ -113,7 +122,7 @@ TEST_F(DeployerTest, AttributeDefaultsAndOverridesMerge) {
     node n { capacity 100; }
     instance c: CounterServer on n { limit = 99; }
   )";
-  auto deployment = deploy_source(config, app_);
+  auto deployment = deploy_adl(config);
   ASSERT_TRUE(deployment.ok()) << deployment.error().message();
   const component::Component* comp =
       app_.find_component(deployment.value().instances.at("c"));
@@ -134,21 +143,27 @@ TEST_F(DeployerTest, ImplicitConnectorForBareBinding) {
     instance c: EchoClient on n;
     bind c.out -> s;
   )";
-  auto deployment = deploy_source(config, app_);
+  auto deployment = deploy_adl(config);
   ASSERT_TRUE(deployment.ok()) << deployment.error().message();
   const auto client = deployment.value().instances.at("c");
   EXPECT_TRUE(app_.binding(client, "out").valid());
 }
 
 TEST_F(DeployerTest, ParseErrorsPropagate) {
-  auto deployment = deploy_source("not a config", app_);
+  auto deployment = deploy_adl("not a config");
   ASSERT_FALSE(deployment.ok());
   EXPECT_EQ(deployment.error().code(), ErrorCode::kParseError);
+  EXPECT_EQ(deployment.error().message().rfind("line 1 col 1: ", 0), 0u)
+      << deployment.error().message();
+  EXPECT_TRUE(app_.component_ids().empty());
 }
 
 TEST_F(DeployerTest, ValidationErrorsPropagate) {
-  auto deployment = deploy_source("component C provides Ghost;", app_);
+  auto deployment = deploy_adl("component C provides Ghost;");
   ASSERT_FALSE(deployment.ok());
+  EXPECT_EQ(deployment.error().code(), ErrorCode::kParseError);
+  EXPECT_EQ(deployment.error().message(),
+            "line 1 col 1: C provides unknown interface 'Ghost'");
 }
 
 TEST_F(DeployerTest, MultiProviderBindingAttachesAll) {
@@ -166,7 +181,7 @@ TEST_F(DeployerTest, MultiProviderBindingAttachesAll) {
     connector lb { routing round_robin; }
     bind c.out -> s1, s2 via lb;
   )";
-  auto deployment = deploy_source(config, app_);
+  auto deployment = deploy_adl(config);
   ASSERT_TRUE(deployment.ok()) << deployment.error().message();
   connector::Connector* conn =
       app_.find_connector(deployment.value().connectors.at("lb"));

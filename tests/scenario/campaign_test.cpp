@@ -191,7 +191,8 @@ scenario rush_hour {
 }
 )";
   adl::CompilationResult result = adl::compile(source);
-  ASSERT_TRUE(result.ok()) << result.diagnostics.render(source);
+  ASSERT_TRUE(result.ok())
+      << adl::render_text(result.diagnostics, "<input>", source);
   ASSERT_EQ(result.program.scenarios.size(), 1u);
   const adl::CompiledScenario& compiled = result.program.scenarios[0];
   ASSERT_EQ(compiled.loads.size(), 3u);

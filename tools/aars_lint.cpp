@@ -35,9 +35,9 @@
 #include <string>
 #include <vector>
 
+#include "adl/diagnostics.h"
 #include "analysis/adl_screen.h"
 #include "analysis/architecture.h"
-#include "analysis/diagnostics.h"
 #include "analysis/explorer.h"
 #include "analysis/scenario_lint.h"
 #include "analysis/verifier.h"
@@ -45,10 +45,7 @@
 
 namespace {
 
-using aars::analysis::AnalysisReport;
-using aars::analysis::Severity;
-
-bool ends_with_adl(const std::string& path) {
+bool is_adl_file(const std::string& path) {
   return aars::util::ends_with(path, ".adl");
 }
 
@@ -83,21 +80,15 @@ bool parse_count(int argc, char** argv, int& i, const char* flag,
 /// so lint output stays clickable without scraping error messages.  A
 /// configuration that compiles also runs the whole-architecture verifier
 /// and — under --explore — the configuration-space explorer.
-AnalysisReport lint_adl_file(
+aars::adl::Diagnostics lint_adl_file(
     const std::string& text,
     const aars::analysis::VerifierOptions& options, bool explore,
     const aars::analysis::ExplorerOptions& explorer_options,
     std::optional<aars::analysis::ArchitectureModel>& last_model) {
-  AnalysisReport report;
   aars::adl::CompilationResult result =
       aars::analysis::compile_adl(text, options);
-  for (const aars::adl::Diagnostic& d : result.diagnostics.items()) {
-    report.add(d.severity == aars::adl::DiagSeverity::kError
-                   ? Severity::kError
-                   : Severity::kWarning,
-               d.code, "", d.message, d.line, d.column);
-  }
-  if (!result.ok()) return report;
+  aars::adl::Diagnostics report = std::move(result.diagnostics);
+  if (!report.ok()) return report;
   const aars::analysis::ArchitectureModel model =
       aars::analysis::model_from(result.config);
   report.merge(aars::analysis::verify_architecture(model, options));
@@ -183,8 +174,8 @@ int main(int argc, char** argv) {
     buffer << in.rdbuf();
     const std::string text = buffer.str();
 
-    AnalysisReport report;
-    if (ends_with_adl(path)) {
+    aars::adl::Diagnostics report;
+    if (is_adl_file(path)) {
       report = lint_adl_file(text, options, explore, explorer_options,
                              last_model);
     } else if (last_model.has_value()) {
@@ -200,9 +191,9 @@ int main(int argc, char** argv) {
     if (json) {
       if (!first_json) json_out += ",";
       first_json = false;
-      json_out += aars::analysis::render_json(report, path);
+      json_out += aars::adl::render_json(report, path);
     } else {
-      std::fputs(aars::analysis::render_text(report, path).c_str(), stdout);
+      std::fputs(aars::adl::render_text(report, path).c_str(), stdout);
     }
   }
 
