@@ -1,27 +1,29 @@
 // E15 — Sharded multi-core scaling.
 //
 // Claim (ROADMAP "multi-core execution"): partitioning the simulated world
-// across N worker threads with conservative time windows and lock-free
-// cross-shard mailboxes turns the single-threaded event loop into an
-// aggregate-throughput engine — without giving up determinism (the 1-shard
-// digest parity test) or cross-shard lossless delivery.
+// into N shards, run on min(N, usable CPUs) runner threads with
+// conservative time windows and lock-free cross-shard mailboxes, turns the
+// single-threaded event loop into an aggregate-throughput engine — without
+// giving up determinism (the 1-shard digest parity test) or cross-shard
+// lossless delivery.
 //
 // The ladder runs the same per-shard workload at 1/2/4/8 shards: each
 // shard serves a closed loop of local echo calls with a fixed fraction of
-// cross-shard calls through the fabric.  Reported per rung: wall seconds,
-// executed events, aggregate events/sec, windows, cross-shard deliveries
-// and mailbox overflows.
+// cross-shard calls through the fabric.  Reported per rung: runners, wall
+// seconds, executed events, aggregate events/sec, windows, cross-shard
+// deliveries and mailbox overflows.
 //
-// Exit-code assertions (scaling calibrated to the machine):
+// Exit-code assertions (scaling calibrated to the CPUs the process may
+// use, sim::usable_cpus(), which honours taskset and cpusets):
 //   * every rung completes its calls and loses no cross-shard message;
 //   * 1 shard executes with zero windows (the no-thread fast path);
-//   * aggregate throughput at 8 shards >= 4x the 1-shard rung on machines
-//     with >= 8 hardware threads; proportionally less below that; on a
-//     single-core host only a sanity floor applies (sharding overhead must
-//     not crater throughput).
+//   * aggregate throughput at 8 shards >= 4x the 1-shard rung when >= 8
+//     CPUs are usable; proportionally less below that; with one usable CPU
+//     only a sanity floor applies (sharding overhead must not crater
+//     throughput).
 //
 // Metrics note: the global obs registry stays DISABLED during the measured
-// rungs (gauge/counter writes from N workers would serialize on the shared
+// rungs (gauge/counter writes from N runners would serialize on the shared
 // cache lines and distort scaling); it is re-enabled only for the final
 // BENCH_e15_sharded.json dump.
 #include <algorithm>
@@ -29,7 +31,6 @@
 #include <cstdio>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/sharded_runtime.h"
@@ -54,6 +55,7 @@ constexpr int kCrossEvery = 64;
 
 struct Rung {
   std::size_t shards = 0;
+  std::size_t runners = 0;
   double wall_seconds = 0.0;
   std::size_t executed = 0;
   double events_per_sec = 0.0;
@@ -86,14 +88,14 @@ Rung run_rung(std::size_t shards) {
   auto srt = builder.build().value();
   ShardedRuntime& world = *srt;
 
-  // Per-shard tallies, each written only by its own worker thread.
+  // Per-shard tallies, each written only by its own shard's code.
   std::vector<std::size_t> completed(shards, 0);
   std::vector<std::size_t> failed(shards, 0);
 
   // Closed-loop pumps: each completion immediately issues the next call
   // until the simulated span runs out.  Pump k on shard s sends every
   // kCrossEvery-th call to the next shard's connector; everything else is
-  // local.  All state is per-shard, touched only from that shard's worker.
+  // local.  All state is per-shard, touched only from that shard's code.
   struct Pump {
     std::size_t shard = 0;
     std::size_t serial = 0;
@@ -130,6 +132,7 @@ Rung run_rung(std::size_t shards) {
 
   Rung rung;
   rung.shards = shards;
+  rung.runners = world.shards().runners();
   rung.wall_seconds = wall;
   rung.executed = world.shards().executed() - executed_before;
   rung.events_per_sec =
@@ -144,12 +147,12 @@ Rung run_rung(std::size_t shards) {
   return rung;
 }
 
-/// The scaling bar this machine must clear for the 8-shard rung, derived
-/// from its hardware parallelism: 4x on a >=8-way machine (the headline
-/// claim), half the available cores when 2..7 are present, and a 0.2x
-/// sanity floor when the ladder is pure oversubscription (1 core).
-double required_speedup(unsigned hardware, std::size_t shards) {
-  const auto cores = static_cast<double>(std::max(hardware, 1u));
+/// The scaling bar the 8-shard rung must clear, derived from the CPUs the
+/// process may use: 4x with >= 8 (the headline claim), half of them with
+/// 2..7, and a 0.2x sanity floor with one, where every rung runs on the
+/// calling thread alone.
+double required_speedup(std::size_t cpus, std::size_t shards) {
+  const auto cores = static_cast<double>(cpus);
   if (cores >= static_cast<double>(shards)) {
     return static_cast<double>(shards) / 2.0;
   }
@@ -163,7 +166,7 @@ int main(int argc, char** argv) {
   // --smoke: single 4-shard rung, correctness assertions only (lossless
   // cross-shard delivery, no failed calls).  This is the TSan CI mode —
   // the sanitizer's slowdown makes wall-clock speedup meaningless, but the
-  // worker threads, mailboxes and barriers still get a full workout.
+  // runner threads, mailboxes and barriers still get a full workout.
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--smoke") smoke = true;
@@ -171,13 +174,14 @@ int main(int argc, char** argv) {
 
   aars::bench::banner(
       "E15 — sharded multi-core scaling",
-      "N worker threads, conservative windows, lock-free mailboxes: "
-      "aggregate event throughput vs shard count.");
+      "N shards on min(N, usable CPUs) runner threads, conservative "
+      "windows, lock-free mailboxes: aggregate event throughput vs shard "
+      "count.");
   // Registry deliberately NOT enabled during measurement — see header note.
   aars::bench::perf_clock_start() = std::chrono::steady_clock::now();
 
-  const unsigned hardware = std::thread::hardware_concurrency();
-  std::printf("hardware_concurrency=%u%s\n\n", hardware,
+  const std::size_t cpus = aars::sim::usable_cpus();
+  std::printf("usable_cpus=%zu%s\n\n", cpus,
               smoke ? " (smoke mode: 4-shard rung, correctness only)" : "");
 
   const std::vector<std::size_t> ladder =
@@ -185,16 +189,18 @@ int main(int argc, char** argv) {
   std::vector<Rung> rungs;
   for (std::size_t shards : ladder) rungs.push_back(run_rung(shards));
 
-  Table table({"shards", "wall_s", "events", "agg events/s", "speedup",
-               "windows", "cross", "overflows", "calls", "failed"});
+  Table table({"shards", "runners", "wall_s", "events", "agg events/s",
+               "speedup", "windows", "cross", "overflows", "calls",
+               "failed"});
   const double base = rungs.front().events_per_sec;
   std::string ladder_json = "[";
   for (std::size_t i = 0; i < rungs.size(); ++i) {
     const Rung& r = rungs[i];
     const double speedup = base > 0 ? r.events_per_sec / base : 0.0;
-    table.add_row({std::to_string(r.shards), fmt(r.wall_seconds, 3),
-                   std::to_string(r.executed), fmt(r.events_per_sec, 0),
-                   fmt(speedup, 2), std::to_string(r.windows),
+    table.add_row({std::to_string(r.shards), std::to_string(r.runners),
+                   fmt(r.wall_seconds, 3), std::to_string(r.executed),
+                   fmt(r.events_per_sec, 0), fmt(speedup, 2),
+                   std::to_string(r.windows),
                    std::to_string(r.cross_delivered),
                    std::to_string(r.mailbox_overflows),
                    std::to_string(r.completed_calls),
@@ -202,12 +208,13 @@ int main(int argc, char** argv) {
     char row[512];
     std::snprintf(
         row, sizeof(row),
-        "%s{\"shards\": %zu, \"wall_seconds\": %.6f, \"executed\": %zu, "
-        "\"events_per_sec\": %.1f, \"speedup_vs_1\": %.3f, \"windows\": %llu, "
+        "%s{\"shards\": %zu, \"runners\": %zu, \"wall_seconds\": %.6f, "
+        "\"executed\": %zu, \"events_per_sec\": %.1f, "
+        "\"speedup_vs_1\": %.3f, \"windows\": %llu, "
         "\"cross_delivered\": %llu, \"mailbox_overflows\": %llu, "
         "\"completed_calls\": %zu, \"failed_calls\": %zu}",
-        i ? ", " : "", r.shards, r.wall_seconds, r.executed, r.events_per_sec,
-        speedup, static_cast<unsigned long long>(r.windows),
+        i ? ", " : "", r.shards, r.runners, r.wall_seconds, r.executed,
+        r.events_per_sec, speedup, static_cast<unsigned long long>(r.windows),
         static_cast<unsigned long long>(r.cross_delivered),
         static_cast<unsigned long long>(r.mailbox_overflows),
         r.completed_calls, r.failed_calls);
@@ -218,7 +225,7 @@ int main(int argc, char** argv) {
 
   const Rung& top = rungs.back();
   const double speedup = base > 0 ? top.events_per_sec / base : 0.0;
-  const double required = required_speedup(hardware, top.shards);
+  const double required = required_speedup(cpus, top.shards);
   std::printf("\n8-shard aggregate speedup: %.2fx (required on this "
               "machine: %.2fx)\n", speedup, required);
 
@@ -248,7 +255,7 @@ int main(int argc, char** argv) {
   }
 
   const std::string extra =
-      "\"sharded\": {\"hardware_concurrency\": " + std::to_string(hardware) +
+      "\"sharded\": {\"usable_cpus\": " + std::to_string(cpus) +
       ", \"ladder\": " + ladder_json +
       ", \"speedup_8v1\": " + fmt(speedup, 3) +
       ", \"required_speedup\": " + fmt(required, 3) + "}";

@@ -37,7 +37,6 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/sharded_runtime.h"
@@ -272,7 +271,7 @@ int main(int argc, char** argv) {
   // Registry deliberately NOT enabled during the rungs — see header note.
   aars::bench::perf_clock_start() = std::chrono::steady_clock::now();
 
-  const unsigned hardware = std::thread::hardware_concurrency();
+  const std::size_t cpus = aars::sim::usable_cpus();
   const std::size_t shards = smoke ? 2 : 8;
   const Duration duration =
       smoke ? aars::util::milliseconds(600) : aars::util::seconds(1);
@@ -281,7 +280,7 @@ int main(int argc, char** argv) {
   // ramp — shorter rungs would retire every session before its first frame.
   const Duration ladder_duration =
       smoke ? aars::util::milliseconds(2600) : aars::util::seconds(3);
-  std::printf("hardware_concurrency=%u shards=%zu%s\n\n", hardware, shards,
+  std::printf("usable_cpus=%zu shards=%zu%s\n\n", cpus, shards,
               smoke ? " (smoke mode)" : "");
   bool ok = true;
 

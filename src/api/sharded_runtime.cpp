@@ -48,7 +48,7 @@ void ShardedRuntime::call(std::size_t from, const std::string& connector_name,
   }
 
   // Crossing the fabric: detach the payload (COW buffers must not be
-  // shared across shard threads), ship the request one link latency out,
+  // shared across shards), ship the request one link latency out,
   // and route the reply back the same way.  The callback is moved across
   // twice but only ever *runs* on shard `from`; end-to-end latency is
   // measured on the origin shard's clock.

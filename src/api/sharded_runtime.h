@@ -2,7 +2,8 @@
 //
 // A ShardedRuntime owns N complete per-shard stacks (each an aars::Runtime:
 // loop + network + application + engine) plus the machinery that binds them
-// into one simulation: a sim::ShardSet running the shards on worker threads
+// into one simulation: a sim::ShardSet running the shards on as many
+// threads as the process may use CPUs (the caller's thread among them)
 // under conservative time windows, a runtime::ShardRouter directory mapping
 // hosts/components/connectors to their home shard, and a cross-shard link
 // whose latency sets the window lookahead.
@@ -23,7 +24,7 @@
 //
 // Ownership rules at the shard boundary (see DESIGN.md "Threading and
 // ownership under sharding"): payload Values crossing shards are
-// deep-detached (COW sharing never spans threads), operation names travel
+// deep-detached (COW sharing never spans shards), operation names travel
 // as interned Symbols (immortal storage, safe to read anywhere), and
 // callbacks are *moved* across but only ever executed on their origin
 // shard.  with_shards(1) degrades to plain single-threaded execution,
@@ -64,7 +65,7 @@ class ShardedRuntime {
   /// when the connector is homed on `from`; otherwise the request crosses
   /// the fabric (one link latency each way), `args` is deep-detached, and
   /// `callback` fires on shard `from` with the end-to-end latency.
-  /// Callable mid-window from shard `from`'s worker, or from the
+  /// Callable mid-window from shard `from`'s own code, or from the
   /// coordinator thread between runs.
   void call(std::size_t from, const std::string& connector_name,
             const std::string& operation, util::Value args,
@@ -112,7 +113,8 @@ class ShardedRuntime::Builder
   // its RAML.  with_raml() applies to shard 0.  Engine/verification options
   // apply to every shard.
 
-  /// Number of shards (worker threads). 1 = single-threaded fast path.
+  /// Number of shards: a deterministic partition of the world, run on
+  /// min(n, usable CPUs) threads.  1 = single-threaded fast path.
   Builder& with_shards(std::size_t n);
   /// The fabric connecting shards; its latency becomes the conservative
   /// window lookahead (so it lower-bounds every cross-shard delivery).

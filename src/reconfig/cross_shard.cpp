@@ -104,7 +104,7 @@ struct MigrationState {
 
   bool transfer(SimTime now) {
     // 1. Snapshot on the source; deep-detach every Value crossing the
-    //    shard boundary (COW buffers must not be shared across threads).
+    //    shard boundary (COW buffers must not be shared across shards).
     auto snapshot = source.app->snapshot_component(component);
     if (!snapshot.ok()) return fail(now, snapshot.error());
     component::Snapshot snap = std::move(snapshot).value();

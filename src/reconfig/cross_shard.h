@@ -3,7 +3,7 @@
 // Moves a component instance from one shard's runtime stack to another's —
 // the sharded analogue of the engine's geographical change.  The protocol
 // is a state machine driven by sim::ShardSet barriers (coordinator thread,
-// workers parked — the only moments when two shards' worlds may be touched
+// helpers parked — the only moments when two shards' worlds may be touched
 // together):
 //
 //   screen    verify the change on both sides through each shard engine's
@@ -15,7 +15,7 @@
 //             simulated time) until nothing is in flight to the instance.
 //   transfer  snapshot the component, instantiate + restore it on the
 //             target shard (payloads deep-detached — COW values must not
-//             share buffers across shard threads), re-home its
+//             share buffers across shards), re-home its
 //             single-provider connectors, hand held *event* messages over
 //             for re-delivery on the target, reject held *requests* (their
 //             completion hooks are rooted in the source shard's world and

@@ -8,10 +8,10 @@
 // migration rebinds entries here (at a barrier) as the authoritative
 // switch-over point.
 //
-// Thread-safety by phases, not locks: workers only *read* the maps
+// Thread-safety by phases, not locks: runners only *read* the maps
 // mid-window; every mutation (assign at build time, rebind during
 // migration) happens on the coordinator thread at a barrier with all
-// workers parked, so readers never observe a map in motion.
+// helpers parked, so readers never observe a map in motion.
 #pragma once
 
 #include <cstddef>
@@ -45,7 +45,7 @@ class ShardRouter {
     assign(components_, instance, shard,
            "component already assigned to a shard");
   }
-  /// Migration switch-over: call only at a barrier (workers parked).
+  /// Migration switch-over: call only at a barrier (helpers parked).
   void rebind_component(const std::string& instance, std::size_t shard) {
     rebind(components_, instance, shard,
            "component not assigned to any shard");

@@ -13,18 +13,20 @@
 // inline).
 //
 // Threading: an EventLoop is single-threaded.  Under sharded execution
-// (sim::ShardSet) each loop is owned by one worker thread; the loop can be
-// bound to that thread (`bind_owner_thread`), after which EventHandle
-// operations issued from any *other* thread are rejected (counted, no-op)
-// instead of racing on the slab.  Unbound loops (the default, and the whole
-// single-shard world) behave exactly as before.
+// (sim::ShardSet) a loop belongs to its shard, and a shard's window may run
+// on any runner thread, sharing it with other shards.  For the window the
+// set makes each loop exclusive (`set_exclusive`) and marks the runner as
+// acting for the loop while it executes that shard (`ActingAs`);
+// EventHandle operations from any other caller are rejected (counted,
+// no-op) instead of racing on the slab, whether or not the two shards
+// share a thread.  Loops that are not exclusive (the default, a shard set
+// between windows, and the whole single-shard world) accept every caller.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <queue>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -54,11 +56,11 @@ class EventLoop;
 class EventHandle {
  public:
   EventHandle() = default;
-  /// False when fired, cancelled, foreign-thread (see cancel) or loop-dead.
+  /// False when fired, cancelled, foreign (see cancel) or loop-dead.
   bool active() const;
   /// Cancels the event if it is still scheduled.  Returns true when this
-  /// call performed the cancellation.  When the loop is bound to another
-  /// shard's thread the request is rejected (false; counted in
+  /// call performed the cancellation.  When the loop is exclusive to
+  /// another shard's window the request is rejected (false; counted in
   /// `foreign_cancels_rejected`) instead of racing — route the cancel to
   /// the owning shard instead.
   bool cancel();
@@ -113,25 +115,40 @@ class EventLoop {
 
   /// Timestamp of the earliest live event, or `sentinel` when the queue is
   /// empty.  Pops cancelled tombstones off the head as a side effect.
-  /// Coordinator-side helper (ShardSet barrier): call only from the owning
-  /// thread or while the owner is parked.
+  /// Coordinator-side helper (ShardSet barrier): call only while no runner
+  /// is executing this loop's window.
   SimTime next_event_time(SimTime sentinel);
 
   // --- shard-ownership ---------------------------------------------------------
-  /// Binds the loop to `owner`: from then on EventHandle::cancel()/active()
-  /// from other threads are rejected rather than racing on the slab.
-  /// ShardSet calls this as each worker adopts its loop; single-threaded
-  /// use never binds and is unaffected.
-  void bind_owner_thread(std::thread::id owner) {
-    owner_.store(owner, std::memory_order_relaxed);
+  /// Makes the calling thread act for `loop` until destroyed, then
+  /// restores what it acted for before.  A ShardSet runner holds one per
+  /// shard while it executes that shard's window.
+  class ActingAs {
+   public:
+    explicit ActingAs(const EventLoop& loop) : previous_(acting_for_) {
+      acting_for_ = &loop;
+    }
+    ~ActingAs() { acting_for_ = previous_; }
+    ActingAs(const ActingAs&) = delete;
+    ActingAs& operator=(const ActingAs&) = delete;
+
+   private:
+    const EventLoop* previous_;
+  };
+  /// While exclusive, EventHandle::cancel()/active() from callers not
+  /// acting for this loop are rejected rather than racing on the slab.
+  /// ShardSet makes each loop exclusive for a window; single-threaded use
+  /// never does and is unaffected.
+  void set_exclusive(bool exclusive) {
+    exclusive_.store(exclusive, std::memory_order_relaxed);
   }
-  /// True when the calling thread may touch the slab through a handle
-  /// (loop unbound, or bound to this thread).
-  bool owned_by_this_thread() const {
-    const std::thread::id owner = owner_.load(std::memory_order_relaxed);
-    return owner == std::thread::id{} || owner == std::this_thread::get_id();
+  /// True when the caller may touch the slab through a handle (loop not
+  /// exclusive, or the calling thread acts for it).
+  bool owned_by_caller() const {
+    return !exclusive_.load(std::memory_order_relaxed) ||
+           acting_for_ == this;
   }
-  /// Cross-thread EventHandle operations rejected since construction.
+  /// Foreign EventHandle operations rejected since construction.
   std::uint64_t foreign_cancels_rejected() const {
     return foreign_cancels_rejected_.load(std::memory_order_relaxed);
   }
@@ -213,10 +230,12 @@ class EventLoop {
   std::uint32_t free_head_ = kNoSlot;
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
   std::shared_ptr<EventLoop*> anchor_;
-  /// Owning thread under sharded execution; default-constructed id means
-  /// "unbound" (any thread).  Relaxed atomics: the bind happens before the
-  /// worker runs (ShardSet provides the synchronization).
-  std::atomic<std::thread::id> owner_{};
+  /// The loop the calling thread acts for (see ActingAs); null by default.
+  static inline thread_local const EventLoop* acting_for_ = nullptr;
+  /// Set for the length of a shard window.  Relaxed atomics: the store
+  /// happens before the runner starts the window (ShardSet's park
+  /// handshake provides the synchronization).
+  std::atomic<bool> exclusive_{false};
   std::atomic<std::uint64_t> foreign_cancels_rejected_{0};
   // Observability mirrors (no-ops while the global registry is disabled).
   obs::Counter* obs_executed_;
@@ -227,14 +246,14 @@ class EventLoop {
 inline bool EventHandle::active() const {
   if (!anchor_ || *anchor_ == nullptr) return false;
   EventLoop* loop = *anchor_;
-  if (!loop->owned_by_this_thread()) return false;
+  if (!loop->owned_by_caller()) return false;
   return loop->handle_matches(slot_, generation_, epoch_);
 }
 
 inline bool EventHandle::cancel() {
   if (!anchor_ || *anchor_ == nullptr) return false;
   EventLoop* loop = *anchor_;
-  if (!loop->owned_by_this_thread()) {
+  if (!loop->owned_by_caller()) {
     loop->note_foreign_cancel();
     return false;
   }

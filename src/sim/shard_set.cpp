@@ -1,5 +1,7 @@
 #include "sim/shard_set.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <utility>
 
@@ -11,6 +13,16 @@ SimTime clamp_add(SimTime t, util::Duration d) {
 }
 
 }  // namespace
+
+std::size_t usable_cpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int count = CPU_COUNT(&mask);
+    if (count > 0) return static_cast<std::size_t>(count);
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 ShardSet::ShardSet(std::vector<EventLoop*> loops, Options options)
     : loops_(std::move(loops)), options_(options) {
@@ -26,72 +38,93 @@ ShardSet::ShardSet(std::vector<EventLoop*> loops, Options options)
   for (std::size_t i = 0; i < n * n; ++i) {
     mailboxes_.push_back(std::make_unique<Mailbox>(options_.mailbox_capacity));
   }
-  if (n > 1) {
-    workers_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      workers_.push_back(std::make_unique<Worker>());
+  if (n == 1) return;
+  const std::size_t runner_count = std::min(n, usable_cpus());
+  helpers_.reserve(runner_count - 1);
+  for (std::size_t r = 1; r < runner_count; ++r) {
+    helpers_.push_back(std::make_unique<Helper>());
+  }
+  try {
+    for (std::size_t r = 1; r < runner_count; ++r) {
+      helpers_[r - 1]->thread = std::thread(&ShardSet::helper_main, this, r);
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      workers_[i]->thread = std::thread(&ShardSet::worker_main, this, i);
-    }
+  } catch (...) {
+    stop_helpers();
+    throw;
   }
 }
 
-ShardSet::~ShardSet() {
-  for (auto& w : workers_) {
+ShardSet::~ShardSet() { stop_helpers(); }
+
+void ShardSet::stop_helpers() {
+  for (auto& h : helpers_) {
     {
-      std::lock_guard<std::mutex> lock(w->mu);
-      w->stop = true;
+      std::lock_guard<std::mutex> lock(h->mu);
+      h->stop = true;
     }
-    w->cv.notify_all();
+    h->cv.notify_all();
   }
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) w->thread.join();
+  for (auto& h : helpers_) {
+    if (h->thread.joinable()) h->thread.join();
   }
 }
 
-void ShardSet::worker_main(std::size_t shard) {
-  Worker& w = *workers_[shard];
+void ShardSet::helper_main(std::size_t runner) {
+  Helper& h = *helpers_[runner - 1];
   std::uint64_t last = 0;
   for (;;) {
     SimTime target;
     {
-      std::unique_lock<std::mutex> lock(w.mu);
-      w.cv.wait(lock, [&] { return w.stop || w.job_id != last; });
-      if (w.stop) return;
-      last = w.job_id;
-      target = w.target;
+      std::unique_lock<std::mutex> lock(h.mu);
+      h.cv.wait(lock, [&] { return h.stop || h.job_id != last; });
+      if (h.stop) return;
+      last = h.job_id;
+      target = h.target;
     }
-    loops_[shard]->run_until(target);
+    std::exception_ptr error = run_shards(runner, target);
     {
-      std::lock_guard<std::mutex> lock(w.mu);
-      w.done_id = last;
+      std::lock_guard<std::mutex> lock(h.mu);
+      h.error = std::move(error);
+      h.done_id = last;
     }
-    w.cv.notify_all();
+    h.cv.notify_all();
   }
 }
 
-void ShardSet::run_window(SimTime window_end) {
-  // Hand loop ownership to the workers for the duration of the window, and
-  // take it back (as the coordinator) once they are all parked again, so
-  // barrier actions may operate on any shard's state.
-  for (std::size_t i = 0; i < loops_.size(); ++i) {
-    loops_[i]->bind_owner_thread(workers_[i]->thread.get_id());
-  }
-  for (auto& w : workers_) {
-    {
-      std::lock_guard<std::mutex> lock(w->mu);
-      w->target = window_end;
-      ++w->job_id;
+std::exception_ptr ShardSet::run_shards(std::size_t runner,
+                                        SimTime window_end) {
+  try {
+    for (std::size_t s = runner; s < loops_.size(); s += runners()) {
+      const EventLoop::ActingAs shard(*loops_[s]);
+      loops_[s]->run_until(window_end);
     }
-    w->cv.notify_all();
+  } catch (...) {
+    return std::current_exception();
   }
-  for (auto& w : workers_) {
-    std::unique_lock<std::mutex> lock(w->mu);
-    w->cv.wait(lock, [&] { return w->done_id == w->job_id; });
+  return nullptr;
+}
+
+void ShardSet::run_window(SimTime window_end) {
+  // For the window each loop belongs to its own shard, whichever runner
+  // executes it; afterwards the coordinator alone touches them again.
+  for (EventLoop* loop : loops_) loop->set_exclusive(true);
+  for (auto& h : helpers_) {
+    {
+      std::lock_guard<std::mutex> lock(h->mu);
+      h->target = window_end;
+      ++h->job_id;
+    }
+    h->cv.notify_all();
   }
-  const std::thread::id coordinator = std::this_thread::get_id();
-  for (EventLoop* loop : loops_) loop->bind_owner_thread(coordinator);
+  std::exception_ptr error = run_shards(0, window_end);
+  for (auto& h : helpers_) {
+    std::unique_lock<std::mutex> lock(h->mu);
+    h->cv.wait(lock, [&] { return h->done_id == h->job_id; });
+    if (!error) error = h->error;
+    h->error = nullptr;
+  }
+  for (EventLoop* loop : loops_) loop->set_exclusive(false);
+  if (error) std::rethrow_exception(error);
 }
 
 void ShardSet::post(std::size_t from, std::size_t to, SimTime at,

@@ -1,8 +1,9 @@
 // Bounded lock-free single-producer/single-consumer ring.
 //
 // The cross-shard mailbox fabric (sim/shard_set.h) gives every ordered pair
-// of shards one of these: the sending worker is the unique producer, the
-// coordinator (draining at the time barrier, while workers are parked) is
+// of shards one of these: the runner executing the sending shard is the
+// unique producer (the shard-to-runner assignment never changes), the
+// coordinator (draining at the time barrier, while helpers are parked) is
 // the unique consumer.  That pairing is what makes SPSC sufficient — no
 // two threads ever push to, or pop from, the same ring concurrently.
 //

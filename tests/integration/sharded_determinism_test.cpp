@@ -2,11 +2,14 @@
 //   1. with_shards(1) is byte-identical to unsharded execution — the exact
 //      golden transcript the single-threaded determinism digest pins.
 //   2. A multi-shard run is reproducible: same seed + shard count => same
-//      transcript, independent of OS thread scheduling.
+//      transcript, independent of OS thread scheduling and of how many
+//      runner threads the CPUs allow.
 //   3. EventHandle misuse across shards (cancelling another shard's timer
-//      from the wrong thread) is rejected and counted, never racy.
+//      from that shard's code) is rejected and counted, never racy, even
+//      when both shards run on one thread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -14,6 +17,7 @@
 #include <vector>
 
 #include "api/sharded_runtime.h"
+#include "testing/cpu_confinement.h"
 #include "testing/test_components.h"
 #include "util/rng.h"
 
@@ -130,8 +134,8 @@ TEST(ShardedDeterminismTest, SingleShardMatchesGoldenDigestByteForByte) {
 }
 
 // A 4-shard world with cross-shard RPC fan-out from shard 0. Completion
-// callbacks all land on shard 0's worker, so the transcript has a single
-// writer; two runs with the same seed must agree exactly.
+// callbacks all land on shard 0, so the transcript has a single writer;
+// two runs with the same seed must agree exactly.
 std::string run_four_shard_scenario(std::uint64_t seed) {
   sim::LinkSpec fabric;
   fabric.latency = util::milliseconds(1);
@@ -151,7 +155,7 @@ std::string run_four_shard_scenario(std::uint64_t seed) {
   }
   auto srt = builder.build().value();
 
-  std::vector<std::string> done;  // written only by shard 0's worker
+  std::vector<std::string> done;  // written only by shard 0
   ShardedRuntime& world = *srt;
   sim::EventLoop& origin = srt->shard(0).loop();
 
@@ -191,15 +195,19 @@ TEST(ShardedDeterminismTest, FourShardSeededRunsAreRepeatable) {
       << first;
   EXPECT_NE(first.find("done n=0 ok=1"), std::string::npos);
   EXPECT_EQ(first, second);
+  const testing::ConfineToCpus one_cpu(1);
+  ASSERT_TRUE(one_cpu.confined());
+  EXPECT_EQ(run_four_shard_scenario(7), first);
 }
 
-TEST(ShardedDeterminismTest, CrossShardHandleCancelRejectedSafely) {
+void expect_cross_shard_cancel_rejected(std::size_t runners) {
   auto srt = ShardedRuntime::builder()
                  .with_shards(2)
                  .host("a", 1000, 0)
                  .host("b", 1000, 1)
                  .build()
                  .value();
+  ASSERT_EQ(srt->shards().runners(), runners);
   int fired = 0;
   // A timer owned by shard 0, attacked from shard 1 mid-window: the cancel
   // is rejected and counted; the timer still fires on its own shard.
@@ -213,6 +221,15 @@ TEST(ShardedDeterminismTest, CrossShardHandleCancelRejectedSafely) {
   srt->run();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(srt->shards().foreign_cancels_rejected(), 1u);
+}
+
+TEST(ShardedDeterminismTest, CrossShardHandleCancelRejectedSafely) {
+  expect_cross_shard_cancel_rejected(
+      std::min<std::size_t>(2, sim::usable_cpus()));
+  // One CPU: both shards share the calling thread.
+  const testing::ConfineToCpus one_cpu(1);
+  ASSERT_TRUE(one_cpu.confined());
+  expect_cross_shard_cancel_rejected(1);
 }
 
 }  // namespace

@@ -366,13 +366,14 @@ TEST(EventLoopTest, WrappedSlotStaysReusable) {
   EXPECT_TRUE(loop.empty());
 }
 
-// Thread-ownership guard: once a loop is bound to an owner thread, handle
-// operations from any other thread are rejected and counted, never raced.
+// Ownership guard: once a loop is exclusive, handle operations from a
+// thread not acting for it are rejected and counted, never raced.
 TEST(EventLoopTest, ForeignThreadCancelRejected) {
   EventLoop loop;
   int fired = 0;
   EventHandle handle = loop.schedule_at(10, [&] { ++fired; });
-  loop.bind_owner_thread(std::this_thread::get_id());
+  loop.set_exclusive(true);
+  const EventLoop::ActingAs owner(loop);
   std::thread foreign([&] {
     EXPECT_FALSE(handle.active());
     EXPECT_FALSE(handle.cancel());

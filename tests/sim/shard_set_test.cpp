@@ -2,22 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "testing/cpu_confinement.h"
 #include "util/errors.h"
 #include "util/time.h"
 
 namespace aars::sim {
 namespace {
 
+using testing::ConfineToCpus;
 using util::InvariantViolation;
 
 /// N loops + a ShardSet over them, with a per-shard transcript vector so
-/// worker threads never share a log line buffer.
+/// runner threads never share a log line buffer.
 struct Harness {
   explicit Harness(std::size_t n, ShardSet::Options options = {}) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -124,11 +129,12 @@ TEST(ShardSetTest, IdleBarrierActionsStillAdvanceTime) {
   EXPECT_GT(h.set->now(), 0);
 }
 
-TEST(ShardSetTest, ForeignHandleCancelRejectedNotRaced) {
+/// An event far in the future on shard 0, attacked mid-window from shard
+/// 1: the cancel must be rejected (counted), not executed.
+void expect_foreign_cancel_rejected(std::size_t runners) {
   Harness h(2);
+  ASSERT_EQ(h.set->runners(), runners);
   int fired = 0;
-  // An event far in the future on shard 0, attacked mid-window from
-  // shard 1's worker: the cancel must be rejected (counted), not executed.
   EventHandle handle =
       h.loops[0]->schedule_at(util::milliseconds(50), [&] { ++fired; });
   h.set->post(1, 1, 10, [&] { EXPECT_FALSE(handle.cancel()); });
@@ -137,9 +143,69 @@ TEST(ShardSetTest, ForeignHandleCancelRejectedNotRaced) {
   EXPECT_EQ(h.set->foreign_cancels_rejected(), 1u);
 }
 
+TEST(ShardSetTest, ForeignHandleCancelRejectedNotRaced) {
+  expect_foreign_cancel_rejected(std::min<std::size_t>(2, usable_cpus()));
+  // One CPU: both shards run on the calling thread, and ownership must
+  // still tell them apart.
+  const ConfineToCpus one_cpu(1);
+  ASSERT_TRUE(one_cpu.confined());
+  expect_foreign_cancel_rejected(1);
+}
+
+/// Shard 1's event throws mid-window; run() must rethrow it once every
+/// runner is done with the window, and leave a set that destroys cleanly.
+void expect_event_exception_propagates(std::size_t runners) {
+  Harness h(2);
+  ASSERT_EQ(h.set->runners(), runners);
+  int ran = 0;
+  h.set->post(0, 0, 10, [&] { ++ran; });
+  h.set->post(1, 1, 10, [] { throw std::runtime_error("shard 1 failed"); });
+  EXPECT_THROW(h.set->run(), std::runtime_error);
+  EXPECT_EQ(ran, 1);  // shard 0 ran its window before (or while) 1 threw
+}
+
+TEST(ShardSetTest, EventExceptionPropagatesFromRun) {
+  // Shard 1 on a helper thread where CPUs allow, else on the caller.
+  expect_event_exception_propagates(std::min<std::size_t>(2, usable_cpus()));
+  const ConfineToCpus one_cpu(1);
+  ASSERT_TRUE(one_cpu.confined());
+  expect_event_exception_propagates(1);
+}
+
+std::size_t threads_in_process() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(ShardSetTest, RunnerCountFollowsTheAffinityMask) {
+  {
+    const ConfineToCpus one_cpu(1);
+    ASSERT_TRUE(one_cpu.confined());
+    EXPECT_EQ(usable_cpus(), 1u);
+    const std::size_t before = threads_in_process();
+    Harness h(4);
+    EXPECT_EQ(h.set->runners(), 1u);
+    std::atomic<int> received{0};
+    for (std::size_t s = 0; s < 4; ++s) {
+      h.set->post(s, (s + 1) % 4, h.set->lookahead(),
+                  [&] { received.fetch_add(1); });
+    }
+    h.set->run();
+    EXPECT_EQ(received.load(), 4);
+    EXPECT_GE(h.set->windows(), 1u);
+    EXPECT_EQ(threads_in_process(), before);
+  }
+  Harness h(4);
+  EXPECT_EQ(h.set->runners(), std::min<std::size_t>(4, usable_cpus()));
+}
+
 // The determinism contract: a fixed workload over 4 shards with cross-shard
 // traffic produces an identical transcript on every run, regardless of how
-// the OS schedules the worker threads.
+// the OS schedules the runner threads and of how many runners there are.
 std::string run_deterministic_workload() {
   Harness h(4);
   ShardSet& set = *h.set;
@@ -179,6 +245,15 @@ TEST(ShardSetTest, FourShardRunsAreReproducible) {
   EXPECT_FALSE(first.empty());
   EXPECT_NE(first.find("cross from="), std::string::npos);
   EXPECT_EQ(first, second);
+  if (usable_cpus() >= 2) {
+    // Two runners, each driving two shards per window.
+    const ConfineToCpus two_cpus(2);
+    ASSERT_TRUE(two_cpus.confined());
+    EXPECT_EQ(run_deterministic_workload(), first);
+  }
+  const ConfineToCpus one_cpu(1);
+  ASSERT_TRUE(one_cpu.confined());
+  EXPECT_EQ(run_deterministic_workload(), first);
 }
 
 }  // namespace
