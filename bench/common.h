@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -79,8 +80,9 @@ inline void banner(const char* experiment, const char* claim) {
 }
 
 /// Wall-clock anchor for the perf section of BENCH_*.json. Set when
-/// enable_metrics() runs (every bench calls it from main() before the
-/// measured work), read when write_metrics_json() renders the report.
+/// enable_metrics() runs, or directly at the top of main() by the benches
+/// that keep the registry off; read when write_metrics_json() renders the
+/// report.
 inline std::chrono::steady_clock::time_point& perf_clock_start() {
   static std::chrono::steady_clock::time_point start =
       std::chrono::steady_clock::now();
@@ -100,16 +102,14 @@ inline void enable_metrics() {
 inline long peak_rss_kb() { return util::peak_rss_kb(); }
 
 /// Renders the cross-experiment perf section: wall-clock duration since
-/// enable_metrics(), simulated events executed (and the events/sec rate
+/// perf_clock_start(), simulated events executed (and the events/sec rate
 /// they translate to) and peak RSS.  Every bench gets this in its
 /// BENCH_*.json so the perf trajectory across PRs stays visible.
-inline std::string perf_section_json() {
+inline std::string perf_section_json(std::uint64_t events) {
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     perf_clock_start())
           .count();
-  const std::uint64_t events =
-      obs::Registry::global().counter("sim.events_executed").value();
   const double events_per_sec =
       wall_seconds > 0 ? static_cast<double>(events) / wall_seconds : 0.0;
   char buffer[256];
@@ -143,11 +143,16 @@ inline std::string sanitize_filename(const std::string& name) {
 /// (wall-clock, events/sec, peak RSS), any experiment-specific
 /// `extra_members` JSON fragment, and a "metrics" section rendering every
 /// counter/gauge/histogram and the trace ring (see EXPERIMENTS.md "Metrics
-/// & trace schema"). Call after the benchmarks ran.
-inline void write_metrics_json(const std::string& experiment,
-                               const std::string& extra_members = "") {
+/// & trace schema"). Call after the benchmarks ran.  The obs counter
+/// sim.events_executed counts only while the registry is on, so a bench
+/// that keeps it off passes `events_executed`: the sum of
+/// EventLoop::executed() over the loops it ran.
+inline void write_metrics_json(
+    const std::string& experiment, const std::string& extra_members = "",
+    std::optional<std::uint64_t> events_executed = std::nullopt) {
   const std::string path = "BENCH_" + sanitize_filename(experiment) + ".json";
-  std::string members = perf_section_json();
+  std::string members = perf_section_json(events_executed.value_or(
+      obs::Registry::global().counter("sim.events_executed").value()));
   if (!extra_members.empty()) members += ", " + extra_members;
   if (obs::write_json_file(obs::Registry::global(), path, experiment,
                            members)) {

@@ -7,75 +7,25 @@
 // allocations per relayed message measured by a counting global allocator.
 //
 // The steady-state sync relay path must add ZERO heap allocations over a
-// direct handler call (exit code asserts it): the slab-pooled event loop,
-// copy-on-write Value trees, interned operation names and the pooled
-// message path exist precisely so that interposing a connector costs no
-// allocation.  The "pre_overhaul" block records the measurement taken on
-// the tree immediately before the overhaul (same harness, same host class)
-// so BENCH_e14_throughput.json always carries both numbers; CI separately
+// direct handler call, and the queued relay whose origin is one link from
+// the server must make none per message (exit code asserts both): the
+// slab-pooled event loop, copy-on-write Value trees, interned operation
+// names, the pooled message path and the network's route table exist
+// precisely so that interposing a connector costs no allocation.  The
+// "pre_overhaul" block records the measurement taken on the tree
+// immediately before the overhaul (same harness, same host class) so
+// BENCH_e14_throughput.json always carries both numbers; CI separately
 // defends the committed bench/baselines/e14.json against >20% regressions.
-#include <execinfo.h>
-
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "adapt/filters.h"
+#include "alloc_counter.h"
 #include "common.h"
 #include "testing_components.h"
-
-// --- counting allocator hook --------------------------------------------------
-// Counts every global operator new; delete is uncounted (frees don't matter
-// for the steady-state claim). The counter is plain (single-threaded
-// benches), read via alloc_count() deltas around measured regions.
-//
-// With AARS_E14_TRACE_ALLOCS=1 the first few allocations inside the probe
-// region dump a backtrace to stderr — the tool for pinpointing which relay
-// step still allocates when the zero-alloc assertion fails.
-namespace {
-std::uint64_t g_alloc_count = 0;
-int g_trace_alloc_budget = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_alloc_count;
-  if (g_trace_alloc_budget > 0) {
-    --g_trace_alloc_budget;
-    void* frames[32];
-    const int depth = backtrace(frames, 32);
-    std::fprintf(stderr, "--- allocation (%zu bytes) from: ---\n", size);
-    backtrace_symbols_fd(frames, depth, 2);
-  }
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  ++g_alloc_count;
-  void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                               (size + static_cast<std::size_t>(align) - 1) &
-                                   ~(static_cast<std::size_t>(align) - 1));
-  if (p != nullptr) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace aars::bench {
 namespace {
@@ -87,8 +37,6 @@ using util::Value;
 // intern-table lookup per call.
 const util::Symbol kPing{"ping"};
 
-std::uint64_t alloc_count() { return g_alloc_count; }
-
 double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -96,24 +44,29 @@ double now_seconds() {
 }
 
 // The e1 connector-overhead configuration: one host, one EchoServer, one
-// direct sync connector, N TagFilter interceptors.
+// direct sync connector, N TagFilter interceptors.  A second host, `edge`,
+// sits one link from the server: the origin of the cross-link probe.
 struct Setup {
   std::unique_ptr<Runtime> rt;
   util::ComponentId server;
   util::ConnectorId connector;
   util::NodeId node;
+  util::NodeId edge;
 
   explicit Setup(std::size_t interceptors) {
     connector::ConnectorSpec spec;
     spec.name = "c";
     rt = Runtime::builder()
              .host("n", 1e9)
+             .host("edge", 1e9)
+             .link("edge", "n", sim::LinkSpec{})
              .component_class<EchoServer>("EchoServer")
              .deploy("EchoServer", "e", "n")
              .connect(spec, {"e"})
              .build()
              .value();
     node = rt->host("n");
+    edge = rt->host("edge");
     server = rt->component("e");
     connector = rt->connector("c");
     connector::Connector* conn = rt->app().find_connector(connector);
@@ -131,6 +84,7 @@ struct Measurement {
   double ops_per_sec = 0;
   double allocs_per_op = 0;
   double events_per_sec = 0;  // queued / event-loop runs only
+  std::uint64_t events = 0;   // executed by the run's loop, warm-up included
 };
 
 /// Sync relay: invoke_sync("ping") in a tight loop. `ops` measured after a
@@ -155,19 +109,22 @@ Measurement measure_sync(std::size_t interceptors, std::uint64_t ops) {
 }
 
 /// Queued relay: batches of invoke_async drained by the event loop.  The
-/// measured region covers relay + all simulated deliveries.
+/// measured region covers relay + all simulated deliveries.  With
+/// `cross_link` the calls originate on `edge`, so each one routes out and
+/// back across the link.
 Measurement measure_queued(std::size_t interceptors, std::uint64_t msgs,
-                           std::uint64_t batch) {
+                           std::uint64_t batch, bool cross_link = false) {
   Setup setup(interceptors);
   auto& app = setup.rt->app();
   auto& loop = setup.rt->loop();
+  const util::NodeId origin = cross_link ? setup.edge : setup.node;
   std::uint64_t completed = 0;
   const auto on_done = [&completed](util::Result<Value>, util::Duration) {
     ++completed;
   };
   // Warmup batch.
   for (std::uint64_t i = 0; i < batch; ++i) {
-    app.invoke_async(setup.connector, kPing, Value{}, setup.node, on_done);
+    app.invoke_async(setup.connector, kPing, Value{}, origin, on_done);
   }
   setup.rt->run();
   completed = 0;
@@ -178,7 +135,7 @@ Measurement measure_queued(std::size_t interceptors, std::uint64_t msgs,
   while (sent < msgs) {
     const std::uint64_t n = std::min(batch, msgs - sent);
     for (std::uint64_t i = 0; i < n; ++i) {
-      app.invoke_async(setup.connector, kPing, Value{}, setup.node, on_done);
+      app.invoke_async(setup.connector, kPing, Value{}, origin, on_done);
     }
     setup.rt->run();
     sent += n;
@@ -191,6 +148,7 @@ Measurement measure_queued(std::size_t interceptors, std::uint64_t msgs,
   m.allocs_per_op =
       static_cast<double>(allocs) / static_cast<double>(msgs);
   m.events_per_sec = wall > 0 ? static_cast<double>(events) / wall : 0;
+  m.events = loop.executed();
   return m;
 }
 
@@ -224,6 +182,7 @@ Measurement measure_event_loop(std::uint64_t events) {
   m.ops_per_sec = wall > 0 ? static_cast<double>(ran) / wall : 0;
   m.events_per_sec = m.ops_per_sec;
   m.allocs_per_op = static_cast<double>(allocs) / static_cast<double>(ran);
+  m.events = loop.executed();
   return m;
 }
 
@@ -250,9 +209,10 @@ AllocProbe measure_alloc_probe(std::uint64_t ops) {
   const std::uint64_t direct_before = alloc_count();
   for (std::uint64_t i = 0; i < ops; ++i) (void)comp->handle(probe);
   const std::uint64_t direct = alloc_count() - direct_before;
-  if (std::getenv("AARS_E14_TRACE_ALLOCS") != nullptr) {
-    g_trace_alloc_budget = 8;  // dump backtraces for the first few
-  }
+  // With AARS_E14_TRACE_ALLOCS=1 the first few allocations of the relay
+  // loop dump a backtrace to stderr: the tool for finding the relay step
+  // that still allocates when the zero-alloc gate fails.
+  if (std::getenv("AARS_E14_TRACE_ALLOCS") != nullptr) trace_next_allocs(8);
   const std::uint64_t conn_before = alloc_count();
   for (std::uint64_t i = 0; i < ops; ++i) {
     (void)app.invoke_sync(setup.connector, kPing, Value{}, setup.node);
@@ -296,6 +256,7 @@ std::string fmt_json(double v) {
 int main() {
   using namespace aars;
   using namespace aars::bench;
+  perf_clock_start() = std::chrono::steady_clock::now();
   banner("E14: hot-path throughput baseline",
          "Paper claim (S3): connectors are light-weight glue inducing low "
          "overload. Wall-clock relayed msgs/sec + events/sec, sync and "
@@ -331,10 +292,12 @@ int main() {
   }
   sync_json += "]";
 
+  std::uint64_t events = 0;
   const double pre_queued[] = {kPre.queued0, kPre.queued8};
   const std::size_t queued_icpts[] = {0, 8};
   for (int i = 0; i < 2; ++i) {
     const Measurement m = measure_queued(queued_icpts[i], kQueuedMsgs, 2000);
+    events += m.events;
     table.add_row({"queued", std::to_string(queued_icpts[i]),
                    fmt(m.ops_per_sec, 0), fmt(m.events_per_sec, 0),
                    fmt(m.allocs_per_op, 3), fmt(pre_queued[i], 0),
@@ -347,7 +310,16 @@ int main() {
   }
   queued_json += "]";
 
+  // The relay with its origin one link from the server: the route lookup
+  // and the response trip must not allocate either.
+  const Measurement cross = measure_queued(0, kQueuedMsgs, 2000, true);
+  events += cross.events;
+  table.add_row({"queued cross-link", "0", fmt(cross.ops_per_sec, 0),
+                 fmt(cross.events_per_sec, 0), fmt(cross.allocs_per_op, 3),
+                 "-", "-"});
+
   const Measurement loop_m = measure_event_loop(kLoopEvents);
+  events += loop_m.events;
   table.add_row({"event_loop", "-", fmt(loop_m.events_per_sec, 0),
                  fmt(loop_m.events_per_sec, 0), fmt(loop_m.allocs_per_op, 3),
                  fmt(kPre.event_loop, 0),
@@ -367,6 +339,10 @@ int main() {
   const std::string extra =
       std::string("\"throughput\": {") + "\"sync\": " + sync_json +
       ", \"queued\": " + queued_json +
+      ", \"queued_cross_link\": {\"msgs_per_sec\": " +
+      fmt_json(cross.ops_per_sec) +
+      ", \"events_per_sec\": " + fmt_json(cross.events_per_sec) +
+      ", \"allocs_per_msg\": " + fmt(cross.allocs_per_op, 4) + "}" +
       ", \"event_loop\": {\"events_per_sec\": " +
       fmt_json(loop_m.events_per_sec) +
       ", \"allocs_per_event\": " + fmt(loop_m.allocs_per_op, 4) + "}" +
@@ -386,14 +362,20 @@ int main() {
       ", \"speedup_sync0_vs_pre\": " + fmt(speedup_sync0, 3) + "}";
 
   obs::Registry::global().set_enabled(true);
-  write_metrics_json("e14_throughput", extra);
+  write_metrics_json("e14_throughput", extra, events);
 
   // Exit-code assertions: the relay path adds no allocations at steady
-  // state, and the overhaul's throughput target holds.
+  // state, co-located or across a link, and the overhaul's throughput
+  // target holds.
   bool ok = true;
   if (probe.relay_added_per_op > 0.01) {
     std::printf("FAIL: relay adds %.4f allocs/op on the sync path "
                 "(want 0)\n", probe.relay_added_per_op);
+    ok = false;
+  }
+  if (cross.allocs_per_op > 0.01) {
+    std::printf("FAIL: cross-link queued relay makes %.4f allocs/msg "
+                "(want 0)\n", cross.allocs_per_op);
     ok = false;
   }
   if (speedup_sync0 < 2.5) {

@@ -254,13 +254,15 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
+  std::uint64_t events = 0;
+  for (const Rung& r : rungs) events += r.executed;
   const std::string extra =
       "\"sharded\": {\"usable_cpus\": " + std::to_string(cpus) +
       ", \"ladder\": " + ladder_json +
       ", \"speedup_8v1\": " + fmt(speedup, 3) +
       ", \"required_speedup\": " + fmt(required, 3) + "}";
   aars::obs::Registry::global().set_enabled(true);
-  aars::bench::write_metrics_json("e15_sharded", extra);
+  aars::bench::write_metrics_json("e15_sharded", extra, events);
 
   std::printf("\nE15 %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;

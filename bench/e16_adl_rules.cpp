@@ -15,49 +15,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "analysis/adl_screen.h"
 #include "common.h"
 #include "reconfig/rules.h"
 #include "testing_components.h"
 #include "util/time.h"
-
-// --- counting allocator hook ------------------------------------------------
-// Counts every global operator new (same pattern as e14); deltas around the
-// probe region prove the steady-state claim.
-namespace {
-std::uint64_t g_alloc_count = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  ++g_alloc_count;
-  void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                               (size + static_cast<std::size_t>(align) - 1) &
-                                   ~(static_cast<std::size_t>(align) - 1));
-  if (p != nullptr) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace aars::bench {
 namespace {
@@ -177,13 +143,13 @@ int main() {
   constexpr std::uint64_t kEvals = 1000000;
   // Warm up once (first sample may touch lazily-built state), then probe.
   rules->evaluate(0);
-  const std::uint64_t allocs_before = g_alloc_count;
+  const std::uint64_t allocs_before = alloc_count();
   const auto eval_start = std::chrono::steady_clock::now();
   for (std::uint64_t i = 1; i <= kEvals; ++i) {
     rules->evaluate(static_cast<util::SimTime>(i));
   }
   const double eval_ms = ms_since(eval_start);
-  const std::uint64_t eval_allocs = g_alloc_count - allocs_before;
+  const std::uint64_t eval_allocs = alloc_count() - allocs_before;
   const double ns_per_eval = eval_ms * 1e6 / static_cast<double>(kEvals);
   std::printf("\nsteady-state evaluate(): %.1f ns per evaluation over %llu "
               "iterations (2 metric rules), %llu allocations (want 0)\n",

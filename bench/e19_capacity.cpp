@@ -26,7 +26,9 @@
 //     the budget is HALF the pre-overhaul footprint recorded below, so the
 //     memory overhaul can never silently regress away;
 //   * every tier reports a non-zero sustainable population;
-//   * 1-shard vs N-shard determinism holds.
+//   * 1-shard vs N-shard determinism holds;
+//   * the 1-shard determinism campaign makes at most kMaxAllocsPerFrame
+//     heap allocations per settled frame after its arrival ramp.
 //
 // Metrics note: the global obs registry stays DISABLED during the measured
 // rungs (e15 precedent) and per-shard trace rings are sized down — at 1e6
@@ -39,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "api/sharded_runtime.h"
 #include "common.h"
 #include "scenario/driver.h"
@@ -71,6 +74,13 @@ constexpr double kBudgetBytesPerUser = kPreOverhaulBytesPerUser / 2.0;
 
 constexpr std::uint64_t kSeed = 42;
 
+// Steady-state frame path budget: the args map (3 allocations), the
+// MediaServer reply map (5) and the response callback (1) remain per frame.
+constexpr double kMaxAllocsPerFrame = 10.0;
+
+// Events executed by every rung's loops, for the perf section.
+std::uint64_t g_events_executed = 0;
+
 struct TierOutcome {
   std::uint64_t admitted = 0;
   std::uint64_t frames_ok = 0;
@@ -85,7 +95,20 @@ struct RunResult {
   std::array<TierOutcome, kTierCount> tiers;
   double wall_seconds = 0.0;
   long rss_kb = 0;
+  double allocs_per_frame = 0.0;  // 1-shard rungs only
 };
+
+std::uint64_t frames_settled(
+    const std::vector<std::unique_ptr<CampaignDriver>>& drivers) {
+  std::uint64_t frames = 0;
+  for (const auto& driver : drivers) {
+    for (std::size_t k = 0; k < kTierCount; ++k) {
+      const auto& stats = driver->tier_stats(static_cast<Tier>(k));
+      frames += stats.frames_ok + stats.frames_failed;
+    }
+  }
+  return frames;
+}
 
 /// Runs one campaign rung: `target` concurrent users of a single tier (or
 /// the canned mix when tier < 0), split across `shards` drivers.
@@ -166,12 +189,29 @@ RunResult run_rung(std::size_t shards, int tier, std::uint64_t target,
     drivers.back()->start();
   }
 
-  const auto start = std::chrono::steady_clock::now();
-  world.run();
   RunResult result;
+  const auto start = std::chrono::steady_clock::now();
+  if (shards == 1) {
+    // The calling thread runs the only shard, so its allocation count is
+    // the shard's.  Count from the second half of the rung, after the
+    // 200 ms arrival ramp has filled the pools and the route table.
+    world.run_until(duration / 2);
+    const std::uint64_t allocs_before = aars::bench::alloc_count();
+    const std::uint64_t frames_before = frames_settled(drivers);
+    world.run();
+    const std::uint64_t frames = frames_settled(drivers) - frames_before;
+    result.allocs_per_frame =
+        frames == 0 ? 0.0
+                    : static_cast<double>(aars::bench::alloc_count() -
+                                          allocs_before) /
+                          static_cast<double>(frames);
+  } else {
+    world.run();
+  }
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
+  g_events_executed += world.shards().executed();
 
   const auto& tiers = standard_tiers();
   for (auto& driver : drivers) {
@@ -285,6 +325,7 @@ int main(int argc, char** argv) {
   bool ok = true;
 
   // --- 1. determinism: 1 shard vs N shards admit the same population ------
+  double allocs_per_frame = 0.0;
   {
     const std::uint64_t n = smoke ? 400 : 2000;
     const RunResult one = run_rung(1, -1, n, aars::util::milliseconds(500));
@@ -293,6 +334,15 @@ int main(int argc, char** argv) {
     std::printf("determinism: 1-shard admitted=%llu, %zu-shard admitted=%llu\n",
                 static_cast<unsigned long long>(one.admitted), shards,
                 static_cast<unsigned long long>(many.admitted));
+    allocs_per_frame = one.allocs_per_frame;
+    std::printf("1-shard steady state: %.2f allocations per frame "
+                "(budget %.1f)\n",
+                allocs_per_frame, kMaxAllocsPerFrame);
+    if (allocs_per_frame == 0.0 || allocs_per_frame > kMaxAllocsPerFrame) {
+      std::printf("FAIL: %.2f allocations per frame (want (0, %.1f])\n",
+                  allocs_per_frame, kMaxAllocsPerFrame);
+      ok = false;
+    }
     if (one.admitted != many.admitted) {
       std::printf("FAIL: admitted population differs across shard counts\n");
       ok = false;
@@ -459,9 +509,11 @@ int main(int argc, char** argv) {
       ", \"bytes_per_user\": " + fmt(bytes_per_user, 1) +
       ", \"budget_bytes_per_user\": " + fmt(kBudgetBytesPerUser, 1) +
       ", \"pre_overhaul_bytes_per_user\": " + fmt(kPreOverhaulBytesPerUser, 1) +
+      ", \"allocs_per_frame\": " + fmt(allocs_per_frame, 2) +
+      ", \"max_allocs_per_frame\": " + fmt(kMaxAllocsPerFrame, 1) +
       ", \"tiers\": " + tiers_json + ", \"rss_ladder\": " + ladder_json + "}";
   aars::obs::Registry::global().set_enabled(true);
-  aars::bench::write_metrics_json("e19_capacity", extra);
+  aars::bench::write_metrics_json("e19_capacity", extra, g_events_executed);
 
   std::printf("\nE19 %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;

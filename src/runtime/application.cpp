@@ -517,9 +517,9 @@ void Application::relay_event_driven(Connector& conn, Message message,
   const SimTime departed = loop_.now();
   // Routing. Interceptors (injectors) may force a target via the
   // "__route_to" header, bypassing the connector's policy.
-  if (message.headers.contains("__route_to")) {
-    const ComponentId forced{static_cast<std::uint64_t>(
-        message.headers.at("__route_to").as_int())};
+  if (const Value& route_to = message.headers.at("__route_to");
+      !route_to.is_null()) {
+    const ComponentId forced{static_cast<std::uint64_t>(route_to.as_int())};
     if (find_component(forced) == nullptr) {
       finish_call(conn, message,
                   Error{ErrorCode::kNotFound, "injected route target missing"},
@@ -653,10 +653,8 @@ void Application::relay_arrive(RelayContext* context) {
   // work).
   const NodeId node_id = placement(context->message.target);
   sim::Node& node = network_.node(node_id);
-  double scale = 1.0;
-  if (context->message.headers.contains("__work_scale")) {
-    scale = context->message.headers.at("__work_scale").as_double();
-  }
+  const Value& work_scale = context->message.headers.at("__work_scale");
+  const double scale = work_scale.is_null() ? 1.0 : work_scale.as_double();
   const double work = interceptor_work(*context->conn) +
                       provider->work_cost(context->message.operation) * scale;
   const SimTime completion = node.execute(loop_.now(), work);
@@ -730,9 +728,10 @@ Application::CallOutcome Application::invoke_sync(ConnectorId connector,
     return CallOutcome{std::move(outcome), 0};
   }
 
-  if (message.headers.contains("__route_to")) {
-    message.target = ComponentId{static_cast<std::uint64_t>(
-        message.headers.at("__route_to").as_int())};
+  if (const Value& route_to = message.headers.at("__route_to");
+      !route_to.is_null()) {
+    message.target =
+        ComponentId{static_cast<std::uint64_t>(route_to.as_int())};
     if (find_component(message.target) == nullptr) {
       Result<Value> outcome{
           Error{ErrorCode::kNotFound, "injected route target missing"}};
@@ -775,10 +774,8 @@ Application::CallOutcome Application::invoke_sync(ConnectorId connector,
   }
   latency += out_trip.delay;
   sim::Node& node = network_.node(target_node);
-  double scale = 1.0;
-  if (message.headers.contains("__work_scale")) {
-    scale = message.headers.at("__work_scale").as_double();
-  }
+  const Value& work_scale = message.headers.at("__work_scale");
+  const double scale = work_scale.is_null() ? 1.0 : work_scale.as_double();
   const double work = interceptor_work(*conn) +
                       provider->work_cost(message.operation) * scale;
   const SimTime completion = node.execute(loop_.now() + out_trip.delay, work);

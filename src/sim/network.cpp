@@ -1,31 +1,27 @@
 #include "sim/network.h"
 
 #include <algorithm>
-#include <deque>
 
 namespace aars::sim {
 
 Node& Network::add_node(const std::string& name, double capacity) {
   util::require(by_name_.find(name) == by_name_.end(),
                 "duplicate node name");
-  const NodeId id = ids_.next();
-  auto node = std::make_unique<Node>(id, name, capacity);
-  Node& ref = *node;
-  nodes_.emplace(id, std::move(node));
+  const NodeId id{nodes_.size() + 1};
+  nodes_.push_back(std::make_unique<Node>(id, name, capacity));
+  routes_.emplace_back();
   by_name_.emplace(name, id);
-  return ref;
+  return *nodes_.back();
 }
 
 Node& Network::node(NodeId id) {
-  auto it = nodes_.find(id);
-  util::require(it != nodes_.end(), "unknown node id");
-  return *it->second;
+  util::require(known(id), "unknown node id");
+  return *nodes_[id.raw() - 1];
 }
 
 const Node& Network::node(NodeId id) const {
-  auto it = nodes_.find(id);
-  util::require(it != nodes_.end(), "unknown node id");
-  return *it->second;
+  util::require(known(id), "unknown node id");
+  return *nodes_[id.raw() - 1];
 }
 
 Node* Network::find_node(const std::string& name) {
@@ -41,17 +37,17 @@ NodeId Network::node_id(const std::string& name) const {
 std::vector<NodeId> Network::node_ids() const {
   std::vector<NodeId> out;
   out.reserve(nodes_.size());
-  for (const auto& [id, node] : nodes_) out.push_back(id);
+  for (const auto& node : nodes_) out.push_back(node->id());
   return out;
 }
 
 void Network::add_link(NodeId from, NodeId to, LinkSpec spec) {
-  util::require(nodes_.count(from) > 0 && nodes_.count(to) > 0,
-                "link endpoints must exist");
+  util::require(known(from) && known(to), "link endpoints must exist");
   util::require(from != to, "self links are not allowed");
   util::require(spec.bandwidth_bytes_per_sec > 0.0,
                 "bandwidth must be positive");
-  links_[{from, to}] = spec;
+  // Re-adding an existing link rewrites its spec in place: the routes stay.
+  if (links_.insert_or_assign({from, to}, spec).second) drop_routes();
 }
 
 void Network::add_duplex_link(NodeId a, NodeId b, LinkSpec spec) {
@@ -73,6 +69,7 @@ std::optional<LinkSpec> Network::remove_link(NodeId from, NodeId to) {
   if (it == links_.end()) return std::nullopt;
   LinkSpec spec = it->second;
   links_.erase(it);
+  drop_routes();
   return spec;
 }
 
@@ -85,60 +82,84 @@ std::vector<std::pair<NodeId, NodeId>> Network::links_of(NodeId node) const {
   return out;
 }
 
-std::vector<NodeId> Network::route(NodeId from, NodeId to) const {
-  if (from == to) return {from};
-  // BFS over the directed link graph.
-  std::map<NodeId, NodeId> parent;
-  std::deque<NodeId> frontier{from};
-  parent[from] = from;
-  while (!frontier.empty()) {
-    const NodeId current = frontier.front();
-    frontier.pop_front();
-    for (const auto& [key, spec] : links_) {
-      if (key.first != current) continue;
-      const NodeId next = key.second;
-      if (parent.count(next)) continue;
-      parent[next] = current;
-      if (next == to) {
-        std::vector<NodeId> path{to};
-        for (NodeId at = to; at != from;) {
-          at = parent[at];
-          path.push_back(at);
-        }
-        std::reverse(path.begin(), path.end());
-        return path;
-      }
+void Network::drop_routes() {
+  for (std::vector<Path>& row : routes_) row.clear();
+}
+
+void Network::fill_routes(std::size_t source) const {
+  // BFS over the directed link graph.  A node's out-links are visited in
+  // links_'s (from, to) order and the first parent found wins, so every
+  // path is the one a per-pair search in that order finds.
+  const std::size_t n = nodes_.size();
+  std::vector<const Link*> parent(n, nullptr);
+  std::vector<std::size_t> frontier{source};
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const NodeId current{frontier[head] + 1};
+    for (auto it = links_.lower_bound({current, NodeId::invalid()});
+         it != links_.end() && it->first.first == current; ++it) {
+      const std::size_t next = it->first.second.raw() - 1;
+      if (next == source || parent[next] != nullptr) continue;
+      parent[next] = &*it;
       frontier.push_back(next);
     }
   }
-  return {};
+  std::vector<Path>& row = routes_[source];
+  row.resize(n);
+  for (std::size_t dest = 0; dest < n; ++dest) {
+    for (const Link* hop = parent[dest]; hop != nullptr;) {
+      row[dest].push_back(hop);
+      const std::size_t prev = hop->first.first.raw() - 1;
+      hop = prev == source ? nullptr : parent[prev];
+    }
+    std::reverse(row[dest].begin(), row[dest].end());
+  }
+}
+
+std::span<const Network::Link* const> Network::hops(NodeId from,
+                                                    NodeId to) const {
+  if (!known(from) || !known(to)) return {};
+  const std::size_t source = from.raw() - 1;
+  const std::size_t dest = to.raw() - 1;
+  if (routes_[source].empty()) fill_routes(source);
+  // A node added after the fill has no links yet (adding one drops the
+  // table), so it is unreachable.
+  const std::vector<Path>& row = routes_[source];
+  return dest < row.size() ? std::span(row[dest])
+                           : std::span<const Link* const>{};
+}
+
+std::vector<NodeId> Network::route(NodeId from, NodeId to) const {
+  if (from == to) return {from};
+  const auto path = hops(from, to);
+  if (path.empty()) return {};
+  std::vector<NodeId> out{from};
+  for (const Link* hop : path) out.push_back(hop->first.second);
+  return out;
 }
 
 TransferOutcome Network::transfer(NodeId from, NodeId to, std::size_t bytes,
                                   util::Rng& rng) const {
   TransferOutcome out;
   if (from == to) return out;  // co-located, free
-  const std::vector<NodeId> path = route(from, to);
+  const auto path = hops(from, to);
   if (path.empty()) {
     out.delivered = false;
     return out;
   }
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    auto it = links_.find({path[i], path[i + 1]});
-    util::require(it != links_.end(), "route produced a missing link");
-    const LinkSpec& link = it->second;
+  for (const Link* hop : path) {
+    const LinkSpec& link = hop->second;
     if (link.loss_probability > 0.0 && rng.chance(link.loss_probability)) {
       out.delivered = false;
       return out;
     }
-    Duration hop = link.latency;
-    hop += static_cast<Duration>(static_cast<double>(bytes) /
-                                 link.bandwidth_bytes_per_sec *
-                                 util::kSecond);
+    Duration hop_delay = link.latency;
+    hop_delay += static_cast<Duration>(static_cast<double>(bytes) /
+                                       link.bandwidth_bytes_per_sec *
+                                       util::kSecond);
     if (link.jitter > 0) {
-      hop += rng.uniform_int(-link.jitter, link.jitter);
+      hop_delay += rng.uniform_int(-link.jitter, link.jitter);
     }
-    out.delay += std::max<Duration>(hop, 0);
+    out.delay += std::max<Duration>(hop_delay, 0);
     ++out.hops;
   }
   return out;

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -34,8 +35,18 @@ struct TransferOutcome {
 };
 
 /// Topology of Nodes and directed links. Owns the nodes.
+///
+/// Routes come from a table filled lazily, one BFS per source node, and
+/// dropped only when a link is added or removed; `find_link` edits specs in
+/// place, which the table points to, so degradations apply without a
+/// rebuild.  The table points into the link map, so a Network is neither
+/// copyable nor movable.
 class Network {
  public:
+  Network() = default;
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
+
   /// Creates a node; name must be unique.
   Node& add_node(const std::string& name, double capacity);
 
@@ -69,10 +80,24 @@ class Network {
   std::vector<NodeId> route(NodeId from, NodeId to) const;
 
  private:
-  util::IdGenerator<NodeId> ids_;
-  std::map<NodeId, std::unique_ptr<Node>> nodes_;
+  using Links = std::map<std::pair<NodeId, NodeId>, LinkSpec>;
+  using Link = Links::value_type;
+  using Path = std::vector<const Link*>;
+
+  bool known(NodeId id) const {
+    return id.valid() && id.raw() <= nodes_.size();
+  }
+  /// The links from `from` to `to` in path order; empty when unreachable.
+  std::span<const Link* const> hops(NodeId from, NodeId to) const;
+  void fill_routes(std::size_t source) const;
+  void drop_routes();
+
+  std::vector<std::unique_ptr<Node>> nodes_;  // index = id - 1
   std::unordered_map<std::string, NodeId> by_name_;
-  std::map<std::pair<NodeId, NodeId>, LinkSpec> links_;
+  Links links_;
+  /// routes_[s][d]: the links of the fewest-hop path from node index s to
+  /// node index d, empty when unreachable.  An empty row is unfilled.
+  mutable std::vector<std::vector<Path>> routes_;
 };
 
 }  // namespace aars::sim

@@ -230,7 +230,13 @@ void SessionManager::fire_frame(std::uint32_t slot) {
   const Value args = Value::object(
       {{"session", static_cast<std::int64_t>(id.raw())},
        {"quality", static_cast<std::int64_t>(quality)}});
-  const Value headers = Value::object({{"__work_scale", q.work_units}});
+  // Built on the first frame at this level; later frames share it
+  // copy-on-write, so an interceptor that stamps a header detaches its own
+  // copy.
+  Value& headers = frame_headers_[static_cast<std::size_t>(quality)];
+  if (headers.is_null()) {
+    headers = Value::object({{"__work_scale", q.work_units}});
+  }
   app_.invoke_async(
       options_.service, "frame", args, s.origin,
       [this, id, quality](Result<Value> result, Duration latency) {

@@ -16,6 +16,7 @@
 // dominate the per-user footprint.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <vector>
 
@@ -132,6 +133,9 @@ class SessionManager {
   /// absolute bucket never collides with a pending one.
   std::vector<std::uint32_t> wheel_;
   int global_quality_ = QualityLadder::kMax;
+  /// Frame headers ({"__work_scale": work units}) per quality level; null
+  /// until the first frame at that level.
+  std::array<util::Value, QualityLadder::kMax + 1> frame_headers_;
   std::uint64_t frames_attempted_ = 0;
   std::uint64_t frames_ok_ = 0;
   std::uint64_t frames_failed_ = 0;

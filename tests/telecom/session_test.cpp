@@ -109,6 +109,60 @@ TEST_F(SessionTest, FrameListenersObserveLatencyAndQuality) {
   EXPECT_GT(latencies.front(), 0);
 }
 
+// Frames at one quality carry one shared headers node: the manager builds
+// it on the first frame at that level and reuses it copy-on-write.
+TEST_F(SessionTest, FramesAtOneQualityShareOneHeadersNode) {
+  std::vector<Value> seen;
+  app_.find_component(app_.component_id("srv"))
+      ->observe([&](const component::Message& message,
+                    const util::Result<Value>&) {
+        seen.push_back(message.headers);
+      });
+  (void)sessions_->start_session(3, node_b_, util::milliseconds(500));
+  loop_.run();
+  ASSERT_GE(seen.size(), 2u);
+  EXPECT_TRUE(seen[0].shares_storage_with(seen[1]));
+  EXPECT_EQ(seen[0], Value::object({{"__work_scale",
+                                     QualityLadder::at(3).work_units}}));
+}
+
+// An interceptor that stamps a header on one frame writes to that frame's
+// own copy: the next frame still carries the unstamped shared headers.
+TEST_F(SessionTest, StampedHeadersDetachFromTheSharedNode) {
+  class StampFirst final : public connector::Interceptor {
+   public:
+    Verdict before(component::Message& request,
+                   util::Result<Value>*) override {
+      if (!stamped_) request.headers["stamp"] = true;
+      stamped_ = true;
+      return Verdict::kPass;
+    }
+    void after(const component::Message&, util::Result<Value>&) override {}
+    std::string name() const override { return "stamp_first"; }
+
+   private:
+    bool stamped_ = false;
+  };
+  ASSERT_TRUE(app_.find_connector(service_)
+                  ->attach_interceptor(std::make_shared<StampFirst>(), 0)
+                  .ok());
+  std::vector<Value> seen;
+  app_.find_component(app_.component_id("srv"))
+      ->observe([&](const component::Message& message,
+                    const util::Result<Value>&) {
+        seen.push_back(message.headers);
+      });
+  (void)sessions_->start_session(3, node_b_, util::milliseconds(500));
+  loop_.run();
+  ASSERT_GE(seen.size(), 3u);
+  const Value unstamped =
+      Value::object({{"__work_scale", QualityLadder::at(3).work_units}});
+  EXPECT_TRUE(seen[0].contains("stamp"));
+  EXPECT_EQ(seen[1], unstamped);
+  EXPECT_FALSE(seen[0].shares_storage_with(seen[1]));
+  EXPECT_TRUE(seen[1].shares_storage_with(seen[2]));
+}
+
 TEST_F(SessionTest, FailedFramesCounted) {
   // Passivate the server: all frames fail.
   ASSERT_TRUE(app_.passivate_component(app_.component_id("srv")).ok());
