@@ -45,17 +45,17 @@ RuleProgram emit_program(const Configuration& ast) {
     for (const AstRuleAction& action : rule.actions) {
       CompiledAction lowered;
       switch (action.kind) {
-        case AstRuleAction::Kind::kAdd: lowered.op = RuleOp::kAdd; break;
-        case AstRuleAction::Kind::kRemove: lowered.op = RuleOp::kRemove; break;
+        case AstRuleAction::Kind::kAdd: lowered.op = PlanOp::kAdd; break;
+        case AstRuleAction::Kind::kRemove: lowered.op = PlanOp::kRemove; break;
         case AstRuleAction::Kind::kReplace:
-          lowered.op = RuleOp::kReplace;
+          lowered.op = PlanOp::kReplace;
           break;
         case AstRuleAction::Kind::kMigrate:
-          lowered.op = RuleOp::kMigrate;
+          lowered.op = PlanOp::kMigrate;
           break;
-        case AstRuleAction::Kind::kRebind: lowered.op = RuleOp::kRebind; break;
+        case AstRuleAction::Kind::kRebind: lowered.op = PlanOp::kRebind; break;
         case AstRuleAction::Kind::kReroute:
-          lowered.op = RuleOp::kReroute;
+          lowered.op = PlanOp::kReroute;
           break;
       }
       lowered.instance = util::Symbol(action.instance);

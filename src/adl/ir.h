@@ -50,25 +50,34 @@ struct CompiledCondition {
   int sustain_ticks = 1;
 };
 
-/// Reconfiguration verbs, mirroring reconfig::Engine's change classes. The
-/// adl layer defines its own op enum (rather than reusing the analysis
-/// plan's) so the compiler stays free of upward dependencies.
-enum class RuleOp { kAdd, kRemove, kReplace, kMigrate, kRebind, kReroute };
+/// One architecture mutation, mirroring the engine's change classes.  The
+/// rule compiler emits every verb but kRedeploy (a repair-only step); the
+/// analysis plan model and reconfig::Txn share this enum.
+enum class PlanOp {
+  kAdd,       // new instance `instance` of `type` on `node`
+  kRemove,    // remove `instance` (quiesce -> drain -> delete)
+  kRebind,    // re-point `instance`.`port` to `connector`
+  kReplace,   // swap `instance` to implementation `type` in place
+  kMigrate,   // move `instance` to `node`
+  kRedeploy,  // re-create failed `instance` on `node`
+  kReroute,   // fail `instance` over to running `replica`
+};
 
-constexpr const char* to_string(RuleOp op) {
+constexpr const char* to_string(PlanOp op) {
   switch (op) {
-    case RuleOp::kAdd: return "add";
-    case RuleOp::kRemove: return "remove";
-    case RuleOp::kReplace: return "replace";
-    case RuleOp::kMigrate: return "migrate";
-    case RuleOp::kRebind: return "rebind";
-    case RuleOp::kReroute: return "reroute";
+    case PlanOp::kAdd: return "add";
+    case PlanOp::kRemove: return "remove";
+    case PlanOp::kRebind: return "rebind";
+    case PlanOp::kReplace: return "replace";
+    case PlanOp::kMigrate: return "migrate";
+    case PlanOp::kRedeploy: return "redeploy";
+    case PlanOp::kReroute: return "reroute";
   }
   return "?";
 }
 
 struct CompiledAction {
-  RuleOp op = RuleOp::kRemove;
+  PlanOp op = PlanOp::kRemove;
   util::Symbol instance;   // target of every op except kAdd
   util::Symbol type;       // kAdd / kReplace
   util::Symbol name;       // kAdd: new instance; kReplace: optional rename

@@ -8,18 +8,6 @@ namespace aars::analysis {
 
 namespace {
 
-PlanOp plan_op(adl::RuleOp op) {
-  switch (op) {
-    case adl::RuleOp::kAdd: return PlanOp::kAdd;
-    case adl::RuleOp::kRemove: return PlanOp::kRemove;
-    case adl::RuleOp::kReplace: return PlanOp::kReplace;
-    case adl::RuleOp::kMigrate: return PlanOp::kMigrate;
-    case adl::RuleOp::kRebind: return PlanOp::kRebind;
-    case adl::RuleOp::kReroute: return PlanOp::kReroute;
-  }
-  return PlanOp::kAdd;
-}
-
 /// Re-reports analyser findings at `loc`, prefixed with the construct they
 /// came from. Info findings are dropped.
 void forward(const adl::Diagnostics& report, const adl::SourceLoc& loc,
@@ -47,7 +35,7 @@ void screen_rules(const ArchitectureModel& model,
     // restore it.  A final remove is fine — nothing after it can fail.
     if (rule.deadline_us > 0) {
       for (std::size_t a = 0; a + 1 < rule.actions.size(); ++a) {
-        if (rule.actions[a].op != adl::RuleOp::kRemove) continue;
+        if (rule.actions[a].op != PlanOp::kRemove) continue;
         result.diagnostics.error(
             loc, "uninvertible-plan",
             "rule '" + rule.name.str() + "': 'remove " +
@@ -111,11 +99,11 @@ Plan plan_from(const adl::CompiledRule& rule) {
   plan.reserve(rule.actions.size());
   for (const adl::CompiledAction& action : rule.actions) {
     PlanStep step;
-    step.op = plan_op(action.op);
+    step.op = action.op;
     // kAdd names the new instance via `name`; every other op targets an
     // existing `instance`.
-    step.instance = action.op == adl::RuleOp::kAdd ? action.name.str()
-                                                   : action.instance.str();
+    step.instance = action.op == PlanOp::kAdd ? action.name.str()
+                                              : action.instance.str();
     step.type = action.type.str();
     step.node = action.node.str();
     step.port = action.port.str();

@@ -23,8 +23,8 @@
 
 namespace aars::analysis {
 
-/// Lowers a compiled rule's actions into an analysis plan (RuleOp -> PlanOp,
-/// one step per action).
+/// Lowers a compiled rule's actions into an analysis plan, one step per
+/// action.
 Plan plan_from(const adl::CompiledRule& rule);
 
 /// Builds the Screen hook `adl::CompileOptions` accepts.

@@ -14,29 +14,7 @@
 
 namespace aars::analysis {
 
-/// One architecture mutation, mirroring the engine's change classes.
-enum class PlanOp {
-  kAdd,       // new instance `instance` of `type` on `node`
-  kRemove,    // remove `instance` (quiesce -> drain -> delete)
-  kRebind,    // re-point `instance`.`port` to `connector`
-  kReplace,   // swap `instance` to implementation `type` in place
-  kMigrate,   // move `instance` to `node`
-  kRedeploy,  // re-create failed `instance` on `node`
-  kReroute,   // fail `instance` over to running `replica`
-};
-
-constexpr const char* to_string(PlanOp op) {
-  switch (op) {
-    case PlanOp::kAdd: return "add";
-    case PlanOp::kRemove: return "remove";
-    case PlanOp::kRebind: return "rebind";
-    case PlanOp::kReplace: return "replace";
-    case PlanOp::kMigrate: return "migrate";
-    case PlanOp::kRedeploy: return "redeploy";
-    case PlanOp::kReroute: return "reroute";
-  }
-  return "?";
-}
+using adl::PlanOp;
 
 struct PlanStep {
   PlanOp op = PlanOp::kAdd;

@@ -3,6 +3,7 @@
 #include "analysis/adl_screen.h"
 #include "reconfig/rules.h"
 #include "runtime/deployer.h"
+#include "runtime/shard_router.h"
 
 namespace aars {
 
@@ -48,122 +49,110 @@ std::shared_ptr<overload::CircuitBreakerInterceptor> Runtime::breaker(
 
 Runtime::Builder& Runtime::Builder::host(const std::string& name,
                                          double capacity) {
-  hosts_.push_back(HostDecl{name, capacity});
-  return *this;
-}
-
-Runtime::Builder& Runtime::Builder::link(const std::string& a,
-                                         const std::string& b,
-                                         sim::LinkSpec spec) {
-  links_.push_back(LinkDecl{a, b, spec});
-  return *this;
-}
-
-Runtime::Builder& Runtime::Builder::link_all(sim::LinkSpec spec) {
-  mesh_ = spec;
-  return *this;
-}
-
-Runtime::Builder& Runtime::Builder::component_type(
-    const std::string& name, component::ComponentRegistry::Factory factory) {
-  installers_.push_back(
-      [name, factory = std::move(factory)](
-          component::ComponentRegistry& registry) mutable {
-        registry.register_type(name, std::move(factory));
-      });
-  return *this;
-}
-
-Runtime::Builder& Runtime::Builder::install_types(
-    std::function<void(component::ComponentRegistry&)> installer) {
-  installers_.push_back(std::move(installer));
-  return *this;
-}
-
-Runtime::Builder& Runtime::Builder::deploy(const std::string& type,
-                                           const std::string& instance,
-                                           const std::string& host,
-                                           util::Value attributes) {
-  deploys_.push_back(
-      DeployDecl{type, instance, host, std::move(attributes)});
-  return *this;
-}
-
-Runtime::Builder& Runtime::Builder::connect(
-    connector::ConnectorSpec spec, std::vector<std::string> providers,
-    std::vector<std::string> aspects) {
-  connects_.push_back(
-      ConnectDecl{std::move(spec), std::move(providers), std::move(aspects)});
+  world_.hosts.push_back(api::World::HostDecl{name, capacity});
   return *this;
 }
 
 Runtime::Builder& Runtime::Builder::bind(const std::string& caller_instance,
                                          const std::string& port,
                                          const std::string& connector_name) {
-  binds_.push_back(BindDecl{caller_instance, port, connector_name});
+  world_.binds.push_back(
+      api::World::BindDecl{caller_instance, port, connector_name});
   return *this;
 }
 
 Runtime::Builder& Runtime::Builder::with_retry(
     const std::string& connector_name, fault::RetryPolicy policy) {
-  retries_.push_back(RetryDecl{connector_name, policy});
+  world_.retries.push_back(api::World::RetryDecl{connector_name, policy});
   return *this;
 }
 
 Runtime::Builder& Runtime::Builder::with_admission(
     const std::string& connector_name, overload::AdmissionPolicy policy) {
-  admissions_.push_back(AdmissionDecl{connector_name, policy});
+  world_.admissions.push_back(
+      api::World::AdmissionDecl{connector_name, policy});
   return *this;
 }
 
 Runtime::Builder& Runtime::Builder::with_breaker(
     const std::string& connector_name, overload::BreakerPolicy policy) {
-  breakers_.push_back(BreakerDecl{connector_name, policy});
+  world_.breakers.push_back(api::World::BreakerDecl{connector_name, policy});
   return *this;
 }
 
 Runtime::Builder& Runtime::Builder::with_degraded_mode(
     const std::string& connector_name, overload::OverloadTrigger trigger,
     overload::DegradedMode mode) {
-  degraded_modes_.push_back(
-      DegradedDecl{connector_name, std::move(trigger), std::move(mode)});
+  world_.degraded_modes.push_back(api::World::DegradedDecl{
+      connector_name, std::move(trigger), std::move(mode)});
   return *this;
 }
 
 Runtime::Builder& Runtime::Builder::with_self_repair() {
-  self_repair_ = true;
+  world_.self_repair = true;
   return *this;
 }
 
 Runtime::Builder& Runtime::Builder::with_faults(
     fault::FaultScenario scenario) {
-  scenarios_.push_back(std::move(scenario));
+  world_.scenarios.push_back(std::move(scenario));
   return *this;
 }
 
 Runtime::Builder& Runtime::Builder::with_fault_text(
     std::string scenario_text) {
-  scenario_texts_.push_back(std::move(scenario_text));
+  world_.scenario_texts.push_back(std::move(scenario_text));
   return *this;
 }
 
 Result<std::unique_ptr<Runtime>> Runtime::Builder::build() {
-  if (options_.metrics) obs::Registry::global().set_enabled(true);
-  if (options_.trace_capacity) {
-    obs::Registry::global().set_trace_capacity(*options_.trace_capacity);
+  auto compiled = compile_adl(world_);
+  if (!compiled.ok()) return compiled.error();
+  return materialise(world_, 0, world_.config.seed, nullptr,
+                     compiled.value());
+}
+
+// --- the one build path ------------------------------------------------------
+
+Result<std::vector<adl::CompilationResult>> Runtime::compile_adl(
+    const api::World& world) {
+  // ADL sources run the full five-stage compiler (parse -> sema -> emit ->
+  // analysis screen), so an unverifiable rule or infeasible goal fails the
+  // build here, not mid-simulation.
+  analysis::VerifierOptions screen_options;
+  screen_options.max_states = world.verify_max_states;
+  std::vector<adl::CompilationResult> compiled;
+  compiled.reserve(world.adl_sources.size());
+  for (const std::string& source : world.adl_sources) {
+    compiled.push_back(analysis::compile_adl(source, screen_options));
+    if (!compiled.back().ok()) return compiled.back().diagnostics.to_error();
+  }
+  return compiled;
+}
+
+Result<std::unique_ptr<Runtime>> Runtime::materialise(
+    const api::World& world, std::size_t shard, std::uint64_t seed,
+    const runtime::ShardRouter* router,
+    const std::vector<adl::CompilationResult>& compiled) {
+  const bool adl_shard = shard == api::kAdlShard;
+  if (adl_shard && world.metrics) obs::Registry::global().set_enabled(true);
+  if (adl_shard && world.trace_capacity) {
+    obs::Registry::global().set_trace_capacity(*world.trace_capacity);
   }
 
   auto rt = std::unique_ptr<Runtime>(new Runtime());
-  for (auto& installer : installers_) installer(rt->types_);
+  for (const auto& installer : world.installers) installer(rt->types_);
 
-  for (const HostDecl& decl : hosts_) {
+  for (const api::World::HostDecl& decl : world.hosts) {
+    if (decl.shard != shard) continue;
     if (rt->network_.node_id(decl.name).valid()) {
       return Error{ErrorCode::kAlreadyExists,
                    "duplicate host '" + decl.name + "'"};
     }
     rt->network_.add_node(decl.name, decl.capacity);
   }
-  for (const LinkDecl& decl : links_) {
+  for (const api::World::LinkDecl& decl : world.links) {
+    if (router != nullptr && router->host_shard(decl.a) != shard) continue;
     const util::NodeId a = rt->network_.node_id(decl.a);
     const util::NodeId b = rt->network_.node_id(decl.b);
     if (!a.valid() || !b.valid()) {
@@ -173,47 +162,43 @@ Result<std::unique_ptr<Runtime>> Runtime::Builder::build() {
     }
     rt->network_.add_duplex_link(a, b, decl.spec);
   }
-  if (mesh_.has_value()) {
+  if (world.mesh.has_value()) {
     const std::vector<util::NodeId> nodes = rt->network_.node_ids();
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       for (std::size_t j = i + 1; j < nodes.size(); ++j) {
         if (!rt->network_.has_link(nodes[i], nodes[j])) {
-          rt->network_.add_duplex_link(nodes[i], nodes[j], *mesh_);
+          rt->network_.add_duplex_link(nodes[i], nodes[j], *world.mesh);
         }
       }
     }
   }
 
+  runtime::Application::Config config = world.config;
+  config.seed = seed;
   rt->app_ = std::make_unique<runtime::Application>(rt->loop_, rt->network_,
-                                                    rt->types_, options_.config);
+                                                    rt->types_, config);
   fault::register_fault_aspects(rt->app_->connector_factory());
 
-  // ADL sources run the full five-stage compiler (parse -> sema -> emit ->
-  // analysis screen), so an unverifiable rule or infeasible goal fails the
-  // build here, not mid-simulation.  Rule programs from every source merge
-  // into one set, installed into RAML after the world is complete.
-  analysis::VerifierOptions screen_options;
-  screen_options.max_states = options_.verify_max_states;
+  // Rule programs from every source merge into one set, installed into RAML
+  // after the world is complete.
   adl::RuleProgram rule_program;
-  auto take_program = [&rule_program](adl::CompilationResult& result) {
-    std::move(result.program.rules.begin(), result.program.rules.end(),
-              std::back_inserter(rule_program.rules));
-    std::move(result.program.goals.begin(), result.program.goals.end(),
-              std::back_inserter(rule_program.goals));
-    std::move(result.program.scenarios.begin(),
-              result.program.scenarios.end(),
-              std::back_inserter(rule_program.scenarios));
-  };
-  for (const std::string& source : options_.adl_sources) {
-    adl::CompilationResult result =
-        analysis::compile_adl(source, screen_options);
-    if (!result.ok()) return result.diagnostics.to_error();
-    auto deployment = runtime::deploy(result.config, *rt->app_);
-    if (!deployment.ok()) return deployment.error();
-    take_program(result);
+  if (adl_shard) {
+    for (const adl::CompilationResult& result : compiled) {
+      auto deployment = runtime::deploy(result.config, *rt->app_);
+      if (!deployment.ok()) return deployment.error();
+      const adl::RuleProgram& program = result.program;
+      rule_program.rules.insert(rule_program.rules.end(),
+                                program.rules.begin(), program.rules.end());
+      rule_program.goals.insert(rule_program.goals.end(),
+                                program.goals.begin(), program.goals.end());
+      rule_program.scenarios.insert(rule_program.scenarios.end(),
+                                    program.scenarios.begin(),
+                                    program.scenarios.end());
+    }
   }
 
-  for (const DeployDecl& decl : deploys_) {
+  for (const api::World::DeployDecl& decl : world.deploys) {
+    if (router != nullptr && router->host_shard(decl.host) != shard) continue;
     const util::NodeId node = rt->network_.node_id(decl.host);
     if (!node.valid()) {
       return Error{ErrorCode::kNotFound, "deploy '" + decl.instance +
@@ -225,7 +210,11 @@ Result<std::unique_ptr<Runtime>> Runtime::Builder::build() {
     if (!created.ok()) return created.error();
   }
 
-  for (const ConnectDecl& decl : connects_) {
+  for (const api::World::ConnectDecl& decl : world.connects) {
+    if (router != nullptr &&
+        router->connector_shard(decl.spec.name) != shard) {
+      continue;
+    }
     auto conn = rt->app_->create_connector(decl.spec, decl.aspects);
     if (!conn.ok()) return conn.error();
     for (const std::string& provider : decl.providers) {
@@ -240,8 +229,13 @@ Result<std::unique_ptr<Runtime>> Runtime::Builder::build() {
       }
     }
   }
+  if (router != nullptr) {
+    for (const util::ConnectorId id : rt->app_->connector_ids()) {
+      rt->app_->find_connector(id)->set_home_shard(shard);
+    }
+  }
 
-  for (const BindDecl& decl : binds_) {
+  for (const api::World::BindDecl& decl : world.binds) {
     const util::ComponentId caller = rt->app_->component_id(decl.caller);
     const util::ConnectorId conn = rt->app_->connector_id(decl.connector);
     if (!caller.valid()) {
@@ -257,7 +251,7 @@ Result<std::unique_ptr<Runtime>> Runtime::Builder::build() {
     }
   }
 
-  for (const RetryDecl& decl : retries_) {
+  for (const api::World::RetryDecl& decl : world.retries) {
     const util::ConnectorId id = rt->app_->connector_id(decl.connector);
     connector::Connector* conn =
         id.valid() ? rt->app_->find_connector(id) : nullptr;
@@ -276,7 +270,7 @@ Result<std::unique_ptr<Runtime>> Runtime::Builder::build() {
   // breaker (-10) second, retry (0, with_retry's default) last — so shed
   // traffic never pollutes breaker statistics and an open breaker
   // short-circuits before any retry header is stamped.
-  for (const AdmissionDecl& decl : admissions_) {
+  for (const api::World::AdmissionDecl& decl : world.admissions) {
     const util::ConnectorId id = rt->app_->connector_id(decl.connector);
     connector::Connector* conn =
         id.valid() ? rt->app_->find_connector(id) : nullptr;
@@ -294,7 +288,7 @@ Result<std::unique_ptr<Runtime>> Runtime::Builder::build() {
     }
     rt->admissions_[decl.connector] = std::move(gate);
   }
-  for (const BreakerDecl& decl : breakers_) {
+  for (const api::World::BreakerDecl& decl : world.breakers) {
     const util::ConnectorId id = rt->app_->connector_id(decl.connector);
     connector::Connector* conn =
         id.valid() ? rt->app_->find_connector(id) : nullptr;
@@ -311,12 +305,10 @@ Result<std::unique_ptr<Runtime>> Runtime::Builder::build() {
     rt->breakers_[decl.connector] = std::move(breaker);
   }
 
-  reconfig::ReconfigurationEngine::Options engine_options =
-      options_.engine_options.value_or(
-          reconfig::ReconfigurationEngine::Options{});
-  if (options_.verify_mode.has_value()) {
-    engine_options.verify_mode = *options_.verify_mode;
-    engine_options.verify_max_states = options_.verify_max_states;
+  reconfig::ReconfigurationEngine::Options engine_options;
+  if (world.verify_mode.has_value()) {
+    engine_options.verify_mode = *world.verify_mode;
+    engine_options.verify_max_states = world.verify_max_states;
   }
   rt->engine_ = std::make_unique<reconfig::ReconfigurationEngine>(
       *rt->app_, engine_options);
@@ -326,18 +318,19 @@ Result<std::unique_ptr<Runtime>> Runtime::Builder::build() {
   // world that declares rules gets RAML even without an explicit
   // with_raml() (default period: 10ms).
   const bool needs_raml =
-      options_.raml_period.has_value() || !rule_program.rules.empty();
+      adl_shard &&
+      (world.raml_period.has_value() || !rule_program.rules.empty());
   if (needs_raml) {
     rt->raml_ = std::make_unique<meta::Raml>(
         *rt->app_, *rt->engine_,
-        options_.raml_period.value_or(util::milliseconds(10)));
-    if (self_repair_) rt->raml_->enable_self_repair(*rt->injector_);
-  } else if (self_repair_) {
+        world.raml_period.value_or(util::milliseconds(10)));
+    if (world.self_repair) rt->raml_->enable_self_repair(*rt->injector_);
+  } else if (world.self_repair) {
     return Error{ErrorCode::kInvalidArgument,
                  "with_self_repair() requires with_raml()"};
   }
 
-  for (DegradedDecl& decl : degraded_modes_) {
+  for (const api::World::DegradedDecl& decl : world.degraded_modes) {
     if (rt->raml_ == nullptr) {
       return Error{ErrorCode::kInvalidArgument,
                    "with_degraded_mode() requires with_raml()"};
@@ -348,17 +341,19 @@ Result<std::unique_ptr<Runtime>> Runtime::Builder::build() {
                    "with_degraded_mode: unknown connector '" + decl.connector +
                        "'"};
     }
-    if (!decl.trigger.pressure) {
+    overload::OverloadTrigger trigger = decl.trigger;
+    if (!trigger.pressure) {
       runtime::Application* app = rt->app_.get();
-      decl.trigger.pressure = [app, id] {
+      trigger.pressure = [app, id] {
         return static_cast<double>(app->queue_depth(id));
       };
     }
-    if (decl.mode.admission == nullptr) {
+    overload::DegradedMode mode = decl.mode;
+    if (mode.admission == nullptr) {
       auto it = rt->admissions_.find(decl.connector);
-      if (it != rt->admissions_.end()) decl.mode.admission = it->second;
+      if (it != rt->admissions_.end()) mode.admission = it->second;
     }
-    rt->raml_->watch_overload(std::move(decl.trigger), std::move(decl.mode));
+    rt->raml_->watch_overload(std::move(trigger), std::move(mode));
   }
 
   if (!rule_program.rules.empty()) {
@@ -368,18 +363,21 @@ Result<std::unique_ptr<Runtime>> Runtime::Builder::build() {
     rt->raml_->watch_faults(*rt->injector_);
     auto rules = reconfig::RuleSet::install(
         rule_program, *rt->app_, *rt->engine_, rt->injector_.get(), {},
-        options_.explore_gate);
+        world.explore_gate);
     if (!rules.ok()) return rules.error();
     rt->raml_->install_rule_set(std::move(rules).value());
   }
 
-  for (const std::string& text : scenario_texts_) {
+  std::vector<fault::FaultScenario> parsed;
+  for (const std::string& text : world.scenario_texts) {
     auto scenario = fault::FaultScenario::parse(text);
     if (!scenario.ok()) return scenario.error();
-    scenarios_.push_back(std::move(scenario).value());
+    parsed.push_back(std::move(scenario).value());
   }
-  scenario_texts_.clear();
-  for (const fault::FaultScenario& scenario : scenarios_) {
+  for (const fault::FaultScenario& scenario : world.scenarios) {
+    if (Status s = rt->injector_->arm(scenario); !s.ok()) return s.error();
+  }
+  for (const fault::FaultScenario& scenario : parsed) {
     if (Status s = rt->injector_->arm(scenario); !s.ok()) return s.error();
   }
 

@@ -25,14 +25,13 @@
 // error instead of half-constructing.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "adl/ir.h"
 #include "api/options.h"
 #include "component/registry.h"
 #include "fault/injector.h"
@@ -44,12 +43,17 @@
 #include "overload/degraded.h"
 #include "reconfig/engine.h"
 #include "runtime/application.h"
-#include "runtime/deployer.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
 #include "util/errors.h"
 
+namespace aars::runtime {
+class ShardRouter;
+}  // namespace aars::runtime
+
 namespace aars {
+
+class ShardedRuntime;
 
 class Runtime {
  public:
@@ -93,7 +97,22 @@ class Runtime {
 
  private:
   friend class Builder;
+  friend class ShardedRuntime;
   Runtime();
+
+  /// Compiles each ADL source of `world` once, through the full pipeline
+  /// (analysis screen included).
+  static util::Result<std::vector<adl::CompilationResult>> compile_adl(
+      const api::World& world);
+  /// The one build path: creates shard `shard`'s stack from `world`,
+  /// seeded with `seed`.  Under a router, declarations homed on another
+  /// shard are skipped and every connector is stamped with `shard`; the
+  /// ADL world, RAML and the rules live on shard 0.  `compiled` is
+  /// compile_adl(world).
+  static util::Result<std::unique_ptr<Runtime>> materialise(
+      const api::World& world, std::size_t shard, std::uint64_t seed,
+      const runtime::ShardRouter* router,
+      const std::vector<adl::CompilationResult>& compiled);
 
   sim::EventLoop loop_;
   sim::Network network_;
@@ -108,40 +127,15 @@ class Runtime {
       breakers_;
 };
 
-class Runtime::Builder : public api::OptionsBuilder<Runtime::Builder> {
+class Runtime::Builder : public api::WorldBuilder<Runtime::Builder> {
  public:
-  // World configuration (seed/config/metrics), ADL sources (adl),
-  // managers (with_reconfig/with_verification/with_raml) come from the
-  // shared api::OptionsBuilder mixin.
+  // World options (seed/metrics/verification/explore gate/RAML period),
+  // ADL sources, links, component types, deployments and connectors come
+  // from the shared api::WorldBuilder mixin.
 
-  // --- topology ----------------------------------------------------------------
   Builder& host(const std::string& name, double capacity);
-  /// Duplex link between two declared hosts.
-  Builder& link(const std::string& a, const std::string& b,
-                sim::LinkSpec spec);
-  /// Full mesh between every declared host (applied at build time).
-  Builder& link_all(sim::LinkSpec spec);
 
-  // --- component types ---------------------------------------------------------
-  Builder& component_type(const std::string& name,
-                          component::ComponentRegistry::Factory factory);
-  template <typename T>
-  Builder& component_class(const std::string& name) {
-    return component_type(name, [](const std::string& instance) {
-      return std::make_unique<T>(instance);
-    });
-  }
-  /// Escape hatch for domain helpers that register whole families
-  /// (e.g. telecom::register_media_components).
-  Builder& install_types(
-      std::function<void(component::ComponentRegistry&)> installer);
-
-  // --- instances, connectors, bindings ------------------------------------------
-  Builder& deploy(const std::string& type, const std::string& instance,
-                  const std::string& host, util::Value attributes = {});
-  Builder& connect(connector::ConnectorSpec spec,
-                   std::vector<std::string> providers,
-                   std::vector<std::string> aspects = {});
+  // --- bindings and connector decorations ----------------------------------------
   Builder& bind(const std::string& caller_instance, const std::string& port,
                 const std::string& connector_name);
   /// Attaches a fault::RetryInterceptor to a declared connector.
@@ -175,66 +169,6 @@ class Runtime::Builder : public api::OptionsBuilder<Runtime::Builder> {
 
   /// Materialises the declared world.
   util::Result<std::unique_ptr<Runtime>> build();
-
- private:
-  struct HostDecl {
-    std::string name;
-    double capacity;
-  };
-  struct LinkDecl {
-    std::string a;
-    std::string b;
-    sim::LinkSpec spec;
-  };
-  struct DeployDecl {
-    std::string type;
-    std::string instance;
-    std::string host;
-    util::Value attributes;
-  };
-  struct ConnectDecl {
-    connector::ConnectorSpec spec;
-    std::vector<std::string> providers;
-    std::vector<std::string> aspects;
-  };
-  struct BindDecl {
-    std::string caller;
-    std::string port;
-    std::string connector;
-  };
-  struct RetryDecl {
-    std::string connector;
-    fault::RetryPolicy policy;
-  };
-  struct AdmissionDecl {
-    std::string connector;
-    overload::AdmissionPolicy policy;
-  };
-  struct BreakerDecl {
-    std::string connector;
-    overload::BreakerPolicy policy;
-  };
-  struct DegradedDecl {
-    std::string connector;
-    overload::OverloadTrigger trigger;
-    overload::DegradedMode mode;
-  };
-
-  std::vector<HostDecl> hosts_;
-  std::vector<LinkDecl> links_;
-  std::optional<sim::LinkSpec> mesh_;
-  std::vector<std::function<void(component::ComponentRegistry&)>>
-      installers_;
-  std::vector<DeployDecl> deploys_;
-  std::vector<ConnectDecl> connects_;
-  std::vector<BindDecl> binds_;
-  std::vector<RetryDecl> retries_;
-  std::vector<AdmissionDecl> admissions_;
-  std::vector<BreakerDecl> breakers_;
-  std::vector<DegradedDecl> degraded_modes_;
-  bool self_repair_ = false;
-  std::vector<fault::FaultScenario> scenarios_;
-  std::vector<std::string> scenario_texts_;
 };
 
 }  // namespace aars

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "analysis/adl_screen.h"
-
 namespace aars {
 
 using util::Error;
@@ -176,38 +174,7 @@ ShardedRuntime::Builder& ShardedRuntime::Builder::mailbox_capacity(
 ShardedRuntime::Builder& ShardedRuntime::Builder::host(const std::string& name,
                                                        double capacity,
                                                        std::size_t shard) {
-  hosts_.push_back(HostDecl{name, capacity, shard});
-  return *this;
-}
-
-ShardedRuntime::Builder& ShardedRuntime::Builder::link(const std::string& a,
-                                                       const std::string& b,
-                                                       sim::LinkSpec spec) {
-  links_.push_back(LinkDecl{a, b, spec});
-  return *this;
-}
-
-ShardedRuntime::Builder& ShardedRuntime::Builder::link_all(sim::LinkSpec spec) {
-  mesh_ = spec;
-  return *this;
-}
-
-ShardedRuntime::Builder& ShardedRuntime::Builder::component_type(
-    const std::string& name, component::ComponentRegistry::Factory factory) {
-  types_.emplace_back(name, std::move(factory));
-  return *this;
-}
-
-ShardedRuntime::Builder& ShardedRuntime::Builder::deploy(
-    const std::string& type, const std::string& instance,
-    const std::string& host, Value attributes) {
-  deploys_.push_back(DeployDecl{type, instance, host, std::move(attributes)});
-  return *this;
-}
-
-ShardedRuntime::Builder& ShardedRuntime::Builder::connect(
-    connector::ConnectorSpec spec, std::vector<std::string> providers) {
-  connects_.push_back(ConnectDecl{std::move(spec), std::move(providers)});
+  world_.hosts.push_back(api::World::HostDecl{name, capacity, shard});
   return *this;
 }
 
@@ -222,8 +189,9 @@ Result<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Builder::build() {
   }
   auto router = std::make_unique<runtime::ShardRouter>(shards_);
 
-  // Resolve every name to its home shard up front (and catch conflicts).
-  for (const HostDecl& h : hosts_) {
+  // Resolve every name to its home shard up front (and catch conflicts):
+  // hosts, then the ADL world's names, then deployments, then connectors.
+  for (const api::World::HostDecl& h : world_.hosts) {
     if (h.shard >= shards_) {
       return Error{ErrorCode::kInvalidArgument,
                    "host '" + h.name + "' assigned to unknown shard"};
@@ -234,7 +202,36 @@ Result<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Builder::build() {
     }
     router->assign_host(h.name, h.shard);
   }
-  for (const DeployDecl& d : deploys_) {
+
+  // The router learns the ADL world's names so cross-shard calls may
+  // target them.
+  auto compiled = Runtime::compile_adl(world_);
+  if (!compiled.ok()) return compiled.error();
+  for (const adl::CompilationResult& result : compiled.value()) {
+    for (const adl::AstNode& node : result.config.ast.nodes) {
+      if (router->host_shard(node.name).has_value()) {
+        return Error{ErrorCode::kAlreadyExists,
+                     "host declared twice: " + node.name};
+      }
+      router->assign_host(node.name, api::kAdlShard);
+    }
+    for (const adl::AstInstance& inst : result.config.ast.instances) {
+      if (router->component_shard(inst.name).has_value()) {
+        return Error{ErrorCode::kAlreadyExists,
+                     "instance declared twice: " + inst.name};
+      }
+      router->assign_component(inst.name, api::kAdlShard);
+    }
+    for (const adl::AstConnector& conn : result.config.ast.connectors) {
+      if (router->connector_shard(conn.name).has_value()) {
+        return Error{ErrorCode::kAlreadyExists,
+                     "connector declared twice: " + conn.name};
+      }
+      router->assign_connector(conn.name, api::kAdlShard);
+    }
+  }
+
+  for (const api::World::DeployDecl& d : world_.deploys) {
     const auto shard = router->host_shard(d.host);
     if (!shard.has_value()) {
       return Error{ErrorCode::kNotFound,
@@ -246,7 +243,7 @@ Result<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Builder::build() {
     }
     router->assign_component(d.instance, *shard);
   }
-  for (const ConnectDecl& c : connects_) {
+  for (const api::World::ConnectDecl& c : world_.connects) {
     if (c.providers.empty()) {
       return Error{ErrorCode::kInvalidArgument,
                    "connector '" + c.spec.name + "' needs providers"};
@@ -273,118 +270,30 @@ Result<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Builder::build() {
     }
     router->assign_connector(c.spec.name, *home);
   }
-
-  // ADL worlds are homed on shard 0.  Compile each source up front so the
-  // router learns every declared name (cross-shard calls may target ADL
-  // connectors); shard 0's own builder recompiles and deploys them.
-  constexpr std::size_t kAdlShard = 0;
-  std::vector<adl::CompilationResult> adl_compiled;
-  if (!options_.adl_sources.empty()) {
-    analysis::VerifierOptions screen_options;
-    screen_options.max_states = options_.verify_max_states;
-    for (const std::string& source : options_.adl_sources) {
-      adl_compiled.push_back(analysis::compile_adl(source, screen_options));
+  for (const api::World::LinkDecl& l : world_.links) {
+    const auto sa = router->host_shard(l.a);
+    const auto sb = router->host_shard(l.b);
+    if (!sa.has_value() || !sb.has_value()) {
+      return Error{ErrorCode::kNotFound, "link references unknown host"};
     }
-    for (adl::CompilationResult& result : adl_compiled) {
-      if (!result.ok()) return result.diagnostics.to_error();
-      for (const adl::AstNode& node : result.config.ast.nodes) {
-        if (router->host_shard(node.name).has_value()) {
-          return Error{ErrorCode::kAlreadyExists,
-                       "host declared twice: " + node.name};
-        }
-        router->assign_host(node.name, kAdlShard);
-      }
-      for (const adl::AstInstance& inst : result.config.ast.instances) {
-        if (router->component_shard(inst.name).has_value()) {
-          return Error{ErrorCode::kAlreadyExists,
-                       "instance declared twice: " + inst.name};
-        }
-        router->assign_component(inst.name, kAdlShard);
-      }
-      for (const adl::AstConnector& conn : result.config.ast.connectors) {
-        if (router->connector_shard(conn.name).has_value()) {
-          return Error{ErrorCode::kAlreadyExists,
-                       "connector declared twice: " + conn.name};
-        }
-        router->assign_connector(conn.name, kAdlShard);
-      }
+    if (*sa != *sb) {
+      return Error{ErrorCode::kInvalidArgument,
+                   "link '" + l.a + "' <-> '" + l.b +
+                       "' spans shards; cross-shard reachability comes "
+                       "from the fabric (cross_shard_link)"};
     }
   }
 
-  // Declare each shard's world through the ordinary Runtime builder, in
-  // declaration order, so a 1-shard world is built exactly like the
-  // equivalent unsharded Runtime (byte-identical execution).
+  // Every shard's stack comes from the one build path, so a 1-shard world
+  // is built exactly like the equivalent unsharded Runtime (byte-identical
+  // execution).
   auto sharded = std::unique_ptr<ShardedRuntime>(new ShardedRuntime());
   sharded->link_latency_ = fabric_.latency;
   for (std::size_t s = 0; s < shards_; ++s) {
-    Runtime::Builder rb = Runtime::builder();
-    // Config first, seed after: config() replaces the whole struct and
-    // would clobber the per-shard seed offset.
-    rb.config(options_.config);
-    rb.seed(options_.config.seed + s);
-    if (options_.metrics && s == 0) rb.metrics();
-    if (options_.trace_capacity && s == 0) {
-      rb.trace_ring(*options_.trace_capacity);
-    }
-    if (s == kAdlShard) {
-      for (const std::string& source : options_.adl_sources) rb.adl(source);
-      if (options_.raml_period.has_value()) {
-        rb.with_raml(*options_.raml_period);
-      }
-    }
-    for (const HostDecl& h : hosts_) {
-      if (h.shard == s) rb.host(h.name, h.capacity);
-    }
-    for (const LinkDecl& l : links_) {
-      const auto sa = router->host_shard(l.a);
-      const auto sb = router->host_shard(l.b);
-      if (!sa.has_value() || !sb.has_value()) {
-        return Error{ErrorCode::kNotFound, "link references unknown host"};
-      }
-      if (*sa != *sb) {
-        return Error{ErrorCode::kInvalidArgument,
-                     "link '" + l.a + "' <-> '" + l.b +
-                         "' spans shards; cross-shard reachability comes "
-                         "from the fabric (cross_shard_link)"};
-      }
-      if (*sa == s) rb.link(l.a, l.b, l.spec);
-    }
-    if (mesh_.has_value()) rb.link_all(*mesh_);
-    for (const auto& [name, factory] : types_) rb.component_type(name, factory);
-    for (const DeployDecl& d : deploys_) {
-      if (*router->host_shard(d.host) == s) {
-        rb.deploy(d.type, d.instance, d.host, d.attributes);
-      }
-    }
-    for (const ConnectDecl& c : connects_) {
-      if (*router->connector_shard(c.spec.name) == s) {
-        rb.connect(c.spec, c.providers);
-      }
-    }
-    if (options_.engine_options.has_value()) {
-      rb.with_reconfig(*options_.engine_options);
-    }
-    if (options_.verify_mode.has_value()) {
-      rb.with_verification(*options_.verify_mode, options_.verify_max_states);
-    }
-    auto built = rb.build();
+    auto built = Runtime::materialise(world_, s, world_.config.seed + s,
+                                      router.get(), compiled.value());
     if (!built.ok()) return built.error();
     sharded->runtimes_.push_back(std::move(built).value());
-  }
-
-  // Stamp connector home shards now that the connectors exist.
-  for (const ConnectDecl& c : connects_) {
-    const std::size_t home = *router->connector_shard(c.spec.name);
-    Runtime& rt = *sharded->runtimes_[home];
-    rt.app().find_connector(rt.connector(c.spec.name))->set_home_shard(home);
-  }
-  for (const adl::CompilationResult& result : adl_compiled) {
-    Runtime& rt = *sharded->runtimes_[kAdlShard];
-    for (const adl::AstConnector& conn : result.config.ast.connectors) {
-      rt.app()
-          .find_connector(rt.connector(conn.name))
-          ->set_home_shard(kAdlShard);
-    }
   }
 
   std::vector<sim::EventLoop*> loops;

@@ -100,18 +100,18 @@ class ShardedRuntime {
 };
 
 class ShardedRuntime::Builder
-    : public api::OptionsBuilder<ShardedRuntime::Builder> {
+    : public api::WorldBuilder<ShardedRuntime::Builder> {
  public:
-  // Shared verbs (seed/config/metrics, adl, with_reconfig,
-  // with_verification, with_raml) come from the api::OptionsBuilder mixin.
-  // Shard semantics: seed is the base RNG seed — shard i's stack seeds with
-  // (seed + i), so shard 0 of a 1-shard world matches an unsharded Runtime
-  // with the same seed.  ADL worlds are homed on shard 0: sources compile
-  // up front (full five-stage pipeline, analysis screen included) so the
-  // router learns every declared host/instance/connector, then shard 0's
-  // builder deploys them and installs any `when … reconfigure` rules into
-  // its RAML.  with_raml() applies to shard 0.  Engine/verification options
-  // apply to every shard.
+  // World options, ADL sources, links, component types, deployments and
+  // connectors come from the shared api::WorldBuilder mixin; build() hands
+  // the one api::World to Runtime's one build path, once per shard.
+  // Placement: a host lives on its declared shard, a deployment on its
+  // host's shard, a connector on its providers' shard.  The ADL world (its
+  // hosts, instances and connectors), with_raml(), the `when … reconfigure`
+  // rules and their explore_rules() gate live on shard 0; each ADL source
+  // compiles once per build().  Verification applies to every shard.  seed
+  // is the base RNG seed: shard i's stack seeds with (seed + i), so shard 0
+  // of a 1-shard world matches an unsharded Runtime with the same seed.
 
   /// Number of shards: a deterministic partition of the world, run on
   /// min(n, usable CPUs) threads.  1 = single-threaded fast path.
@@ -122,71 +122,17 @@ class ShardedRuntime::Builder
   /// Per shard-pair SPSC mailbox capacity (overflow degrades gracefully).
   Builder& mailbox_capacity(std::size_t capacity);
 
-  // --- topology ----------------------------------------------------------------
-  /// Declares a host on a shard.
+  /// Declares a host on a shard.  Links join hosts of one shard;
+  /// cross-shard reachability comes from the fabric, not explicit links.
   Builder& host(const std::string& name, double capacity, std::size_t shard);
-  /// Intra-shard link (both hosts must live on the same shard; cross-shard
-  /// reachability comes from the fabric, not explicit links).
-  Builder& link(const std::string& a, const std::string& b,
-                sim::LinkSpec spec);
-  /// Full mesh between the hosts of each shard.
-  Builder& link_all(sim::LinkSpec spec);
-
-  // --- component types (registered on every shard) ----------------------------
-  Builder& component_type(const std::string& name,
-                          component::ComponentRegistry::Factory factory);
-  template <typename T>
-  Builder& component_class(const std::string& name) {
-    return component_type(name, [](const std::string& instance) {
-      return std::make_unique<T>(instance);
-    });
-  }
-
-  // --- instances & connectors --------------------------------------------------
-  /// Deploys onto a declared host; the instance's home shard is the
-  /// host's.
-  Builder& deploy(const std::string& type, const std::string& instance,
-                  const std::string& host, util::Value attributes = {});
-  /// Declares a connector homed where its providers live (all providers
-  /// must share one shard).
-  Builder& connect(connector::ConnectorSpec spec,
-                   std::vector<std::string> providers);
 
   /// Materialises the sharded world.
   util::Result<std::unique_ptr<ShardedRuntime>> build();
 
  private:
-  struct HostDecl {
-    std::string name;
-    double capacity;
-    std::size_t shard;
-  };
-  struct LinkDecl {
-    std::string a;
-    std::string b;
-    sim::LinkSpec spec;
-  };
-  struct DeployDecl {
-    std::string type;
-    std::string instance;
-    std::string host;
-    util::Value attributes;
-  };
-  struct ConnectDecl {
-    connector::ConnectorSpec spec;
-    std::vector<std::string> providers;
-  };
-
   std::size_t shards_ = 1;
   sim::LinkSpec fabric_;
   std::size_t mailbox_capacity_ = 4096;
-  std::vector<HostDecl> hosts_;
-  std::vector<LinkDecl> links_;
-  std::optional<sim::LinkSpec> mesh_;
-  std::vector<std::pair<std::string, component::ComponentRegistry::Factory>>
-      types_;
-  std::vector<DeployDecl> deploys_;
-  std::vector<ConnectDecl> connects_;
 };
 
 }  // namespace aars

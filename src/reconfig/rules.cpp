@@ -24,18 +24,6 @@ bool compare(adl::AstCompare op, double value, double threshold) {
   return false;
 }
 
-analysis::PlanOp to_plan_op(adl::RuleOp op) {
-  switch (op) {
-    case adl::RuleOp::kAdd: return analysis::PlanOp::kAdd;
-    case adl::RuleOp::kRemove: return analysis::PlanOp::kRemove;
-    case adl::RuleOp::kReplace: return analysis::PlanOp::kReplace;
-    case adl::RuleOp::kMigrate: return analysis::PlanOp::kMigrate;
-    case adl::RuleOp::kRebind: return analysis::PlanOp::kRebind;
-    case adl::RuleOp::kReroute: return analysis::PlanOp::kReroute;
-  }
-  return analysis::PlanOp::kRemove;
-}
-
 }  // namespace
 
 Result<std::shared_ptr<RuleSet>> RuleSet::install(
@@ -114,13 +102,13 @@ Result<std::shared_ptr<RuleSet>> RuleSet::install(
 
     rule.actions.reserve(compiled.actions.size());
     for (const adl::CompiledAction& action : compiled.actions) {
-      BoundAction bound;
+      TxnAction bound;
       bound.op = action.op;
       bound.instance_name = action.instance;
       bound.type = action.type;
       bound.port = action.port;
       switch (action.op) {
-        case adl::RuleOp::kAdd:
+        case adl::PlanOp::kAdd:
           bound.name = action.name;
           bound.node = app.network().node_id(action.node.str());
           if (!bound.node.valid()) {
@@ -129,14 +117,14 @@ Result<std::shared_ptr<RuleSet>> RuleSet::install(
                              action.node.str() + "' is not deployed"};
           }
           break;
-        case adl::RuleOp::kReplace:
+        case adl::PlanOp::kReplace:
           // A replacement needs a fresh instance name; precompute one here
           // so firing never builds a string.
           bound.name = action.name.empty()
                            ? util::Symbol(action.instance.str() + "_new")
                            : action.name;
           break;
-        case adl::RuleOp::kMigrate:
+        case adl::PlanOp::kMigrate:
           bound.node = app.network().node_id(action.node.str());
           if (!bound.node.valid()) {
             return Error{ErrorCode::kNotFound,
@@ -144,7 +132,7 @@ Result<std::shared_ptr<RuleSet>> RuleSet::install(
                              action.node.str() + "' is not deployed"};
           }
           break;
-        case adl::RuleOp::kRebind:
+        case adl::PlanOp::kRebind:
           bound.connector = app.connector_id(action.connector.str());
           if (!bound.connector.valid()) {
             return Error{ErrorCode::kNotFound,
@@ -152,17 +140,18 @@ Result<std::shared_ptr<RuleSet>> RuleSet::install(
                              action.connector.str() + "' is not deployed"};
           }
           break;
-        case adl::RuleOp::kReroute:
+        case adl::PlanOp::kReroute:
           // The replica may be created by an earlier action of this rule
           // (scale-out: add w2; reroute w to w2) — leave it symbolic then
           // and resolve through the txn's scratch table at fire time.
           bound.replica_name = action.replica;
           bound.replica = app.component_id(action.replica.str());
           break;
-        case adl::RuleOp::kRemove:
+        case adl::PlanOp::kRemove:
+        case adl::PlanOp::kRedeploy:  // not a rule verb
           break;
       }
-      if (action.op != adl::RuleOp::kAdd) {
+      if (action.op != adl::PlanOp::kAdd) {
         // Bind the target now when it is part of the declared deployment;
         // targets created by earlier actions of the same rule stay symbolic
         // and resolve through the txn's firing-local scratch table.
@@ -234,7 +223,7 @@ void RuleSet::fire_event_rule(std::size_t index, SimTime now) {
 void RuleSet::rebind_instance(ComponentId from, ComponentId to) {
   if (!from.valid() || !to.valid() || from == to) return;
   for (BoundRule& rule : rules_) {
-    for (BoundAction& action : rule.actions) {
+    for (TxnAction& action : rule.actions) {
       if (action.instance == from) action.instance = to;
       if (action.replica == from) action.replica = to;
     }
@@ -254,20 +243,7 @@ void RuleSet::fire(std::size_t rule_index, SimTime now) {
   options.deadline = rule.deadline;
   options.injector = injector_;
   auto txn = Txn::create(app_, engine_, rule.name.str(), options);
-  for (const BoundAction& action : rule.actions) {
-    TxnAction step;
-    step.op = to_plan_op(action.op);
-    step.instance = action.instance;
-    step.instance_name = action.instance_name;
-    step.replica = action.replica;
-    step.replica_name = action.replica_name;
-    step.node = action.node;
-    step.connector = action.connector;
-    step.type = action.type;
-    step.name = action.name;
-    step.port = action.port;
-    txn->enqueue(step);
-  }
+  for (const TxnAction& action : rule.actions) txn->enqueue(action);
 
   // The txn outlives anything: its protocol callbacks keep it alive on the
   // event loop, and the RuleSet may be torn down (or rules_ reallocated)

@@ -100,20 +100,6 @@ class RuleSet : public std::enable_shared_from_this<RuleSet> {
   const Stats& stats() const { return stats_; }
 
  private:
-  struct BoundAction {
-    adl::RuleOp op = adl::RuleOp::kRemove;
-    ComponentId instance;    // target (all ops but kAdd)
-    ComponentId replica;     // kReroute
-    NodeId node;             // kAdd / kMigrate
-    ConnectorId connector;   // kRebind
-    // Names the engine still needs (Symbol -> const std::string& is free).
-    util::Symbol instance_name;
-    util::Symbol replica_name;  // kReroute
-    util::Symbol type;
-    util::Symbol name;  // kAdd: new instance; kReplace: replacement name
-    util::Symbol port;  // kRebind
-  };
-
   struct BoundRule {
     util::Symbol name;
     // Condition (metric rules only; event rules dispatch via Raml).
@@ -128,7 +114,9 @@ class RuleSet : public std::enable_shared_from_this<RuleSet> {
     /// Whole-firing txn deadline (rule `deadline` property, else the
     /// policy default). 0 = unbounded.
     Duration deadline = 0;
-    std::vector<BoundAction> actions;
+    /// Bound at install: every declared name resolved to a live id, so a
+    /// firing enqueues these into its Txn unchanged.
+    std::vector<TxnAction> actions;
     // Hysteresis state.
     int streak = 0;
     SimTime last_fired = -1;

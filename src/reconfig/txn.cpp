@@ -586,11 +586,13 @@ void Txn::finish() {
   const char* verdict = to_string(report_.verdict);
   reg.histogram("txn.duration_us", {{"verdict", verdict}})
       .observe(static_cast<double>(report_.duration()));
+  // commit() and abort() are the only ways in: every txn ends committed
+  // or rolled back.
   if (report_.verdict == TxnVerdict::kCommitted) {
     reg.counter("txn.committed").inc();
     reg.trace(report_.finished_at, obs::TraceKind::kTxn, label_,
               "committed steps=" + std::to_string(actions_.size()));
-  } else if (report_.verdict == TxnVerdict::kRolledBack) {
+  } else {
     reg.counter("txn.rolled_back").inc();
     if (report_.rollback_steps > 0) {
       reg.counter("txn.rollback_steps").inc(report_.rollback_steps);
@@ -602,9 +604,6 @@ void Txn::finish() {
               "rolled_back undo=" + std::to_string(report_.rollback_steps) +
                   " failures=" + std::to_string(report_.rollback_failures) +
                   ": " + report_.error_message());
-  } else {
-    reg.trace(report_.finished_at, obs::TraceKind::kTxn, label_,
-              report_.ok() ? "sequenced" : "sequenced with failures");
   }
   if (done_) {
     // Move out first: the callback may drop the last owning reference.

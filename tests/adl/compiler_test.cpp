@@ -72,11 +72,11 @@ TEST(CompilerTest, RuleLoweredToPreResolvedProgram) {
   EXPECT_EQ(rule.cooldown_us, 500000);
 
   ASSERT_EQ(rule.actions.size(), 2u);
-  EXPECT_EQ(rule.actions[0].op, RuleOp::kAdd);
+  EXPECT_EQ(rule.actions[0].op, PlanOp::kAdd);
   EXPECT_EQ(rule.actions[0].name, util::Symbol("w2"));
   EXPECT_EQ(rule.actions[0].type, util::Symbol("Worker"));
   EXPECT_EQ(rule.actions[0].node, util::Symbol("standby"));
-  EXPECT_EQ(rule.actions[1].op, RuleOp::kReroute);
+  EXPECT_EQ(rule.actions[1].op, PlanOp::kReroute);
   EXPECT_EQ(rule.actions[1].instance, util::Symbol("worker"));
   EXPECT_EQ(rule.actions[1].replica, util::Symbol("w2"));
 }
@@ -112,7 +112,7 @@ TEST(CompilerTest, EventConditionIsInterned) {
   EXPECT_TRUE(rule.condition.is_event);
   EXPECT_EQ(rule.condition.event, util::Symbol("fault.host_down"));
   ASSERT_EQ(rule.actions.size(), 1u);
-  EXPECT_EQ(rule.actions[0].op, RuleOp::kReplace);
+  EXPECT_EQ(rule.actions[0].op, PlanOp::kReplace);
   EXPECT_EQ(rule.actions[0].name, util::Symbol("worker_spare"));
 }
 

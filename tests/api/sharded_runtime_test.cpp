@@ -11,6 +11,7 @@ namespace aars {
 namespace {
 
 using testing::CounterServer;
+using testing::EchoClient;
 using testing::EchoServer;
 using util::ErrorCode;
 using util::Value;
@@ -216,6 +217,135 @@ TEST(ShardedRuntimeTest, SameShardMigrateUsesTheShardEngine) {
   EXPECT_EQ(srt->shard(0).app().placement(
                 srt->shard(0).app().component_id("ctr")),
             srt->shard(0).host("a2"));
+}
+
+// --- ADL worlds ----------------------------------------------------------------
+
+// Echo world matching the registered test implementations: `main` has two
+// providers on `core`.
+constexpr const char* kEchoWorld = R"(interface Echo {
+  service echo(text: string) -> string;
+  service ping() -> int;
+}
+interface Trigger {
+  service go(text: string) -> string;
+}
+component EchoServer provides Echo;
+component EchoClient provides Trigger {
+  requires out: Echo;
+}
+node edge { capacity 10000; }
+node core { capacity 10000; }
+link edge <-> core { latency 1ms; bandwidth 100mbps; }
+instance server: EchoServer on core;
+instance spare: EchoServer on core;
+instance client: EchoClient on edge;
+connector main { routing round_robin; delivery sync; }
+bind client.out -> server, spare via main;
+)";
+
+ShardedRuntime::Builder sharded_echo(std::size_t shards) {
+  return ShardedRuntime::builder()
+      .with_shards(shards)
+      .cross_shard_link(fabric_1ms())
+      .component_class<EchoServer>("EchoServer")
+      .component_class<EchoClient>("EchoClient");
+}
+
+// Each rule alone leaves `main` a provider, so the compile-time screen
+// passes; the sequence shed_spare -> consolidate strands client.out (the
+// d18 defect).  The explore gate must reject it on every builder alike.
+TEST(ShardedRuntimeAdlTest, ExploreGateRejectsAnUnsafeProgramOnEveryBuilder) {
+  const std::string source = std::string(kEchoWorld) + R"(
+when queue_depth(main) >= 0 reconfigure shed_spare {
+  remove spare;
+}
+when queue_depth(main) >= 0 reconfigure consolidate {
+  remove server;
+}
+)";
+  auto plain = Runtime::builder()
+                   .component_class<EchoServer>("EchoServer")
+                   .component_class<EchoClient>("EchoClient")
+                   .adl(source)
+                   .explore_rules(analysis::VerifyMode::kEnforce)
+                   .build();
+  ASSERT_FALSE(plain.ok());
+  EXPECT_EQ(plain.error().code(), ErrorCode::kVerificationFailed);
+  EXPECT_NE(plain.error().message().find("[unsafe-config]"),
+            std::string::npos)
+      << plain.error().message();
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    auto sharded = sharded_echo(shards)
+                       .adl(source)
+                       .explore_rules(analysis::VerifyMode::kEnforce)
+                       .build();
+    ASSERT_FALSE(sharded.ok()) << shards << " shard(s)";
+    EXPECT_EQ(sharded.error().code(), ErrorCode::kVerificationFailed);
+    EXPECT_EQ(sharded.error().message(), plain.error().message());
+  }
+}
+
+TEST(ShardedRuntimeAdlTest, BuilderDeploysOntoAnAdlHost) {
+  auto plain = Runtime::builder()
+                   .component_class<EchoServer>("EchoServer")
+                   .component_class<EchoClient>("EchoClient")
+                   .adl(kEchoWorld)
+                   .deploy("EchoServer", "extra", "core")
+                   .build();
+  ASSERT_TRUE(plain.ok()) << plain.error().message();
+
+  auto sharded = sharded_echo(2)
+                     .adl(kEchoWorld)
+                     .deploy("EchoServer", "extra", "core")
+                     .build();
+  ASSERT_TRUE(sharded.ok()) << sharded.error().message();
+  ShardedRuntime& srt = *sharded.value();
+  EXPECT_EQ(srt.router().component_shard("extra"),
+            std::optional<std::size_t>(0));
+  Runtime& shard0 = srt.shard(0);
+  EXPECT_EQ(shard0.app().placement(shard0.component("extra")),
+            shard0.host("core"));
+}
+
+TEST(ShardedRuntimeAdlTest, AdlWorldIsHomedOnShardZero) {
+  const std::string source = std::string(kEchoWorld) + R"(
+when queue_depth(main) > 1000 reconfigure shed_spare {
+  remove spare;
+}
+when queue_depth(main) > 2000 reconfigure grow {
+  add server2: EchoServer on core;
+}
+)";
+  auto srt = sharded_echo(2).host("far", 2000, 1).adl(source).build().value();
+
+  const runtime::ShardRouter& router = srt->router();
+  const std::optional<std::size_t> zero(0);
+  for (const char* node : {"edge", "core"}) {
+    EXPECT_EQ(router.host_shard(node), zero) << node;
+  }
+  EXPECT_EQ(router.host_shard("far"), std::optional<std::size_t>(1));
+  for (const char* instance : {"server", "spare", "client"}) {
+    EXPECT_EQ(router.component_shard(instance), zero) << instance;
+  }
+  EXPECT_EQ(router.connector_shard("main"), zero);
+
+  Runtime& shard0 = srt->shard(0);
+  ASSERT_NE(shard0.adl_rules(), nullptr);
+  EXPECT_EQ(shard0.adl_rules()->rule_count(), 2u);
+  EXPECT_FALSE(srt->shard(1).has_raml());
+  EXPECT_EQ(shard0.app().find_connector(shard0.connector("main"))->home_shard(),
+            0u);
+
+  std::optional<std::string> text;
+  srt->call(1, "main", "echo", Value::object({{"text", "from afar"}}),
+            [&](util::Result<Value> result, util::Duration) {
+              ASSERT_TRUE(result.ok()) << result.error().message();
+              text = result.value().as_string();
+            });
+  srt->run();
+  EXPECT_EQ(text, std::optional<std::string>("from afar"));
+  EXPECT_GE(srt->shards().cross_shard_delivered(), 2u);
 }
 
 }  // namespace
