@@ -175,7 +175,7 @@ RunResult run_storm(std::uint64_t seed, util::Duration horizon) {
   const util::ConnectorId conn = rt->connector("main");
   const util::NodeId origin = rt->host("edge");
   auto pump = std::make_shared<std::function<void()>>();
-  *pump = [&out, &app, &loop, pump, conn, origin, horizon] {
+  *pump = [&out, &app, &loop, &pump, conn, origin, horizon] {
     if (loop.now() >= horizon) return;
     ++out.requests;
     app.invoke_async(conn, "ping", util::Value{}, origin,

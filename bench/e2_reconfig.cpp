@@ -9,7 +9,13 @@
 // stateful counter; one component replacement fires at t = 1 s.
 // Reported per lambda: swap protocol duration, messages held & replayed,
 // lost, duplicated, max extra delay, final-state correctness.
+//
+// Exit code: non-zero unless every dynamic(quiescence) row shows lost=0,
+// dup=0 and state_ok=yes, and every stop_restart row ends with
+// final < sent.
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "common.h"
 #include "reconfig/baseline.h"
@@ -120,9 +126,18 @@ int main() {
   Table table({"mechanism", "lambda(msg/s)", "protocol(us)", "held",
                "replayed", "lost", "dup", "max_delay(us)", "events_sent",
                "final_state", "state_ok"});
+  std::vector<std::string> failures;
   for (double lambda : {100.0, 500.0, 1000.0, 2000.0}) {
     for (bool dynamic : {true, false}) {
       const Outcome o = run(lambda, dynamic, 42);
+      const bool as_claimed =
+          dynamic ? o.dropped == 0 && o.duplicated == 0 && o.state_preserved
+                  : o.final_total < o.sent;
+      if (!as_claimed) {
+        failures.push_back(std::string(dynamic ? "dynamic(quiescence)"
+                                               : "stop_restart") +
+                           " at lambda=" + fmt(lambda, 0));
+      }
       table.add_row({dynamic ? "dynamic(quiescence)" : "stop_restart",
                      fmt(lambda, 0), fmt_us(o.protocol_us),
                      std::to_string(o.held), std::to_string(o.replayed),
@@ -138,5 +153,9 @@ int main() {
       "every rate; stop_restart rows lose the pre-swap state (final < "
       "sent).\n");
   aars::bench::write_metrics_json("e2_reconfig");
-  return 0;
+  for (const std::string& row : failures) {
+    std::printf("FAIL: %s does not show the expected shape\n", row.c_str());
+  }
+  std::printf("\nE2 %s\n", failures.empty() ? "PASS" : "FAIL");
+  return failures.empty() ? 0 : 1;
 }

@@ -194,6 +194,9 @@ Result<std::unique_ptr<Runtime>> Runtime::materialise(
       rule_program.scenarios.insert(rule_program.scenarios.end(),
                                     program.scenarios.begin(),
                                     program.scenarios.end());
+      rule_program.properties.insert(rule_program.properties.end(),
+                                     program.properties.begin(),
+                                     program.properties.end());
     }
   }
 

@@ -71,7 +71,7 @@ struct MigrationState {
     analysis::PlanStep remove;
     remove.op = analysis::PlanOp::kRemove;
     remove.instance = request.instance;
-    if (auto s = source.engine->screen_step(remove, "migrate_across");
+    if (auto s = source.engine->verify_step(remove, "migrate_across");
         !s.ok()) {
       return fail(now, s.error());
     }
@@ -80,7 +80,7 @@ struct MigrationState {
     add.instance = request.instance;
     add.type = source.app->find_component(component)->type_name();
     add.node = request.target_host;
-    if (auto s = target.engine->screen_step(add, "migrate_across"); !s.ok()) {
+    if (auto s = target.engine->verify_step(add, "migrate_across"); !s.ok()) {
       return fail(now, s.error());
     }
     if (auto s = source.app->block_channels_to(component); !s.ok()) {

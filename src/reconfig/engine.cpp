@@ -34,10 +34,17 @@ ReconfigurationEngine::ReconfigurationEngine(Application& app, Options options)
     : app_(app), options_(options) {}
 
 std::string ReconfigurationEngine::node_name(NodeId node) {
-  for (NodeId id : app_.network().node_ids()) {
-    if (id == node) return app_.network().node(id).name();
-  }
-  return {};
+  // Node ids are dense from 1 and nodes are never removed.
+  const sim::Network& network = app_.network();
+  if (!node.valid() || node.raw() > network.node_count()) return {};
+  return network.node(node).name();
+}
+
+analysis::PlanReview ReconfigurationEngine::review_step(
+    const analysis::PlanStep& step) {
+  analysis::VerifierOptions vopts;
+  vopts.max_states = options_.verify_max_states;
+  return analysis::verify_plan(analysis::model_from(app_), {step}, vopts);
 }
 
 Status ReconfigurationEngine::verify_step(const analysis::PlanStep& step,
@@ -45,10 +52,7 @@ Status ReconfigurationEngine::verify_step(const analysis::PlanStep& step,
   if (options_.verify_mode == analysis::VerifyMode::kOff) {
     return Status::success();
   }
-  analysis::VerifierOptions vopts;
-  vopts.max_states = options_.verify_max_states;
-  const analysis::ArchitectureModel model = analysis::model_from(app_);
-  const analysis::PlanReview review = analysis::verify_plan(model, {step}, vopts);
+  const analysis::PlanReview review = review_step(step);
   if (review.ok()) return Status::success();
   obs::Registry& reg = obs::Registry::global();
   const std::string verdict = review.report.first_error();
@@ -77,9 +81,7 @@ bool ReconfigurationEngine::redeploy_would_verify(ComponentId component,
   step.op = analysis::PlanOp::kRedeploy;
   step.instance = comp->instance_name();
   step.node = node_name(destination);
-  analysis::VerifierOptions vopts;
-  vopts.max_states = options_.verify_max_states;
-  return analysis::verify_plan(analysis::model_from(app_), {step}, vopts).ok();
+  return review_step(step).ok();
 }
 
 Result<ComponentId> ReconfigurationEngine::add_component(
@@ -143,7 +145,130 @@ void ReconfigurationEngine::record_phase(const std::string& op,
   reg.trace(now, obs::TraceKind::kReconfig, op, phase);
 }
 
-void ReconfigurationEngine::finish(ReconfigReport report, const Done& done) {
+// --- phases ----------------------------------------------------------------
+
+ReconfigReport ReconfigurationEngine::start(const char* op) {
+  ++started_;
+  ReconfigReport report;
+  report.op = op;
+  report.started_at = app_.loop().now();
+  return report;
+}
+
+bool ReconfigurationEngine::admit(ReconfigReport& report,
+                                  const analysis::PlanStep& step,
+                                  const Done& done) {
+  if (Status s = verify_step(step, report.op); !s.ok()) {
+    finish(std::move(report), std::move(s), done);
+    return false;
+  }
+  obs::Registry::global().trace(report.started_at, obs::TraceKind::kReconfig,
+                                report.op, "start");
+  return true;
+}
+
+void ReconfigurationEngine::drain(ComponentId component, ReconfigReport report,
+                                  Done done, Next next) {
+  // New traffic is held from here on; messages in transit still arrive.
+  app_.block_channels_to(component);
+  app_.when_drained(component, [this, report = std::move(report),
+                                done = std::move(done),
+                                next = std::move(next)]() mutable {
+    record_phase(report.op, "drain", report.started_at);
+    next(std::move(report), std::move(done));
+  });
+}
+
+void ReconfigurationEngine::quiesce(ComponentId component,
+                                    ReconfigReport report, Done done,
+                                    Next next) {
+  drain(component, std::move(report), std::move(done),
+        [this, component, next = std::move(next)](ReconfigReport report,
+                                                  Done done) mutable {
+          const SimTime drained_at = app_.loop().now();
+          wait_quiescent(
+              component, drained_at + options_.quiescence_timeout,
+              [this, component, drained_at, report = std::move(report),
+               done = std::move(done),
+               next = std::move(next)](bool quiescent) mutable {
+                record_phase(report.op, "quiesce", drained_at);
+                if (!quiescent) {
+                  resume(component);
+                  finish(std::move(report),
+                         Error{ErrorCode::kNotQuiescent,
+                               "component did not reach a reconfiguration "
+                               "point"},
+                         done);
+                  return;
+                }
+                next(std::move(report), std::move(done));
+              });
+        });
+}
+
+bool ReconfigurationEngine::passivate(ComponentId component,
+                                      std::uint64_t overflows_before,
+                                      ReconfigReport& report,
+                                      const Done& done) {
+  // A hold buffer that overflowed while we were quiescing already shed
+  // traffic: abort cleanly rather than stretch the outage.
+  Status s = app_.hold_overflows_to(component) > overflows_before
+                 ? Error{ErrorCode::kOverloaded,
+                         "hold buffer overflowed during quiescence"}
+                 : app_.find_component(component)->passivate();
+  if (s.ok()) return true;
+  resume(component);
+  finish(std::move(report), std::move(s), done);
+  return false;
+}
+
+void ReconfigurationEngine::swap(ComponentId old, const std::string& type,
+                                 const std::string& name, NodeId node,
+                                 const Snapshot& snapshot, const char* phase,
+                                 SimTime since, ReconfigReport report,
+                                 const Done& done) {
+  // Create the new module, transfer the state strongly, then redirect
+  // bindings and channels (sequence state carries over).
+  Result<ComponentId> created =
+      app_.instantiate(type, name, node, snapshot.attributes);
+  Status s = created.ok() ? app_.restore_component(created.value(), snapshot)
+                          : Status(created.error());
+  if (s.ok()) {
+    report.held_messages = app_.held_to(old);
+    s = app_.redirect(old, created.value());
+  }
+  if (!s.ok()) {
+    if (created.ok()) (void)app_.destroy(created.value());
+    (void)app_.activate_component(old);
+    resume(old);
+    finish(std::move(report), std::move(s), done);
+    return;
+  }
+  hand_over(old, created.value(), phase, since, std::move(report), done);
+}
+
+void ReconfigurationEngine::hand_over(ComponentId old, ComponentId successor,
+                                      const char* phase, SimTime since,
+                                      ReconfigReport report,
+                                      const Done& done) {
+  report.replayed_messages = resume(successor);
+  record_phase(report.op, phase, since);
+  if (Status s = app_.destroy(old); !s.ok()) {
+    AARS_WARN << report.op << ": retired component not removed: "
+              << s.error().message();
+  }
+  report.new_component = successor;
+  finish(std::move(report), Status::success(), done);
+}
+
+std::size_t ReconfigurationEngine::resume(ComponentId component) {
+  app_.unblock_channels_to(component);
+  return app_.replay_held(component);
+}
+
+void ReconfigurationEngine::finish(ReconfigReport report, Status status,
+                                   const Done& done) {
+  report.status = std::move(status);
   report.finished_at = app_.loop().now();
   if (report.ok()) ++succeeded_;
   obs::Registry& reg = obs::Registry::global();
@@ -154,443 +279,213 @@ void ReconfigurationEngine::finish(ReconfigReport report, const Done& done) {
   if (done) done(report);
 }
 
+// --- protocols -------------------------------------------------------------
+
 void ReconfigurationEngine::remove_component(ComponentId component,
                                              Done done) {
-  ++started_;
-  ReconfigReport report;
-  report.op = "remove";
-  report.started_at = app_.loop().now();
-  if (app_.find_component(component) == nullptr) {
-    report.status = Error{ErrorCode::kNotFound, "no such component"};
-    finish(std::move(report), done);
+  ReconfigReport report = start("remove");
+  const component::Component* comp = app_.find_component(component);
+  if (comp == nullptr) {
+    finish(std::move(report), Error{ErrorCode::kNotFound, "no such component"},
+           done);
     return;
   }
-  {
-    analysis::PlanStep step;
-    step.op = analysis::PlanOp::kRemove;
-    step.instance = app_.find_component(component)->instance_name();
-    if (Status s = verify_step(step, report.op); !s.ok()) {
-      report.status = s;
-      finish(std::move(report), done);
-      return;
-    }
-  }
-  obs::Registry::global().trace(report.started_at, obs::TraceKind::kReconfig,
-                                report.op, "start");
-  app_.block_channels_to(component);
-  app_.when_drained(component, [this, component, report, done]() mutable {
-    record_phase(report.op, "drain", report.started_at);
-    const SimTime drained_at = app_.loop().now();
-    const SimTime deadline = app_.loop().now() + options_.quiescence_timeout;
-    wait_quiescent(component, deadline, [this, component, report, drained_at,
-                                         done](bool quiescent) mutable {
-      record_phase(report.op, "quiesce", drained_at);
-      if (!quiescent) {
-        app_.unblock_channels_to(component);
-        app_.replay_held(component);
-        report.status = Error{ErrorCode::kNotQuiescent,
-                            "component did not reach a reconfiguration point"};
-        finish(std::move(report), done);
-        return;
-      }
-      // Held messages towards a removed component are rejected explicitly.
-      for (runtime::Channel* chan : app_.channels_to(component)) {
-        while (auto held = chan->take_held()) {
-          chan->record_drop();
-          ++report.held_messages;
-        }
-      }
-      if (Status s = app_.destroy(component); !s.ok()) {
-        report.status = s;
-        finish(std::move(report), done);
-        return;
-      }
-      report.status = Status::success();
-      finish(std::move(report), done);
-    });
-  });
+  analysis::PlanStep step;
+  step.op = analysis::PlanOp::kRemove;
+  step.instance = comp->instance_name();
+  if (!admit(report, step, done)) return;
+  // No hold-overflow guard: the held traffic is dropped anyway.
+  quiesce(component, std::move(report), std::move(done),
+          [this, component](ReconfigReport report, Done done) {
+            // Held messages towards a removed component are rejected
+            // explicitly.
+            for (runtime::Channel* chan : app_.channels_to(component)) {
+              while (auto held = chan->take_held()) {
+                chan->record_drop();
+                ++report.held_messages;
+              }
+            }
+            finish(std::move(report), app_.destroy(component), done);
+          });
 }
 
 void ReconfigurationEngine::replace_component(ComponentId old_component,
                                               const std::string& new_type,
                                               const std::string& new_name,
                                               Done done) {
-  ++started_;
-  ReconfigReport report;
-  report.op = "replace";
-  report.started_at = app_.loop().now();
-  component::Component* old_comp = app_.find_component(old_component);
+  ReconfigReport report = start("replace");
+  const component::Component* old_comp = app_.find_component(old_component);
   if (old_comp == nullptr) {
-    report.status = Error{ErrorCode::kNotFound, "no such component"};
-    finish(std::move(report), done);
+    finish(std::move(report), Error{ErrorCode::kNotFound, "no such component"},
+           done);
     return;
   }
-  {
-    analysis::PlanStep step;
-    step.op = analysis::PlanOp::kReplace;
-    step.instance = old_comp->instance_name();
-    step.type = new_type;
-    if (Status s = verify_step(step, report.op); !s.ok()) {
-      report.status = s;
-      finish(std::move(report), done);
-      return;
-    }
-  }
-  obs::Registry::global().trace(report.started_at, obs::TraceKind::kReconfig,
-                                report.op, "start");
+  analysis::PlanStep step;
+  step.op = analysis::PlanOp::kReplace;
+  step.instance = old_comp->instance_name();
+  step.type = new_type;
+  if (!admit(report, step, done)) return;
   const std::uint64_t overflows_before =
       app_.hold_overflows_to(old_component);
-
-  // Step 1: block channels — new traffic is held, in-transit continues.
-  app_.block_channels_to(old_component);
-
-  // Step 2: drain in-transit messages.
-  app_.when_drained(old_component, [this, old_component, new_type, new_name,
-                                    overflows_before, report,
-                                    done]() mutable {
-    record_phase(report.op, "drain", report.started_at);
-    const SimTime drained_at = app_.loop().now();
-    const SimTime deadline = app_.loop().now() + options_.quiescence_timeout;
-    // Step 3: wait for the reconfiguration point.
-    wait_quiescent(old_component, deadline, [this, old_component, new_type,
-                                             new_name, overflows_before,
-                                             report, drained_at,
-                                             done](bool quiescent) mutable {
-      record_phase(report.op, "quiesce", drained_at);
-      const SimTime quiescent_at = app_.loop().now();
-      auto rollback = [this, old_component, &report, &done]() {
-        app_.unblock_channels_to(old_component);
-        app_.replay_held(old_component);
-        finish(std::move(report), done);
-      };
-      if (!quiescent) {
-        report.status = Error{ErrorCode::kNotQuiescent,
-                            "component did not reach a reconfiguration point"};
-        rollback();
-        return;
-      }
-      if (app_.hold_overflows_to(old_component) > overflows_before) {
-        // The hold buffer overflowed while we were quiescing: traffic was
-        // already shed, so abort cleanly rather than stretch the outage.
-        report.status = Error{ErrorCode::kOverloaded,
-                              "hold buffer overflowed during quiescence"};
-        rollback();
-        return;
-      }
-      component::Component* old_comp = app_.find_component(old_component);
-      if (Status s = old_comp->passivate(); !s.ok()) {
-        report.status = s;
-        rollback();
-        return;
-      }
-      // Step 4: encode the module context.
-      const Snapshot snapshot = old_comp->snapshot();
-      // Step 5: create the new module on the same node.
-      Result<ComponentId> created =
-          app_.instantiate(new_type, new_name, app_.placement(old_component),
-                           snapshot.attributes);
-      if (!created.ok()) {
-        report.status = created.error();
-        (void)app_.activate_component(old_component);
-        rollback();
-        return;
-      }
-      const ComponentId new_component = created.value();
-      // Step 6: strong state transfer.
-      if (Status s = app_.restore_component(new_component, snapshot);
-          !s.ok()) {
-        report.status = s;
-        (void)app_.destroy(new_component);
-        (void)app_.activate_component(old_component);
-        rollback();
-        return;
-      }
-      report.held_messages = app_.held_to(old_component);
-      // Step 7: redirect bindings and channels (sequence state carries).
-      if (Status s = app_.redirect(old_component, new_component); !s.ok()) {
-        report.status = s;
-        (void)app_.destroy(new_component);
-        (void)app_.activate_component(old_component);
-        rollback();
-        return;
-      }
-      // Step 8: reopen and replay held traffic.
-      app_.unblock_channels_to(new_component);
-      report.replayed_messages = app_.replay_held(new_component);
-      record_phase(report.op, "swap_replay", quiescent_at);
-      // Step 9: retire the old module.
-      if (Status s = app_.destroy(old_component); !s.ok()) {
-        AARS_WARN << "replace: old component not removed: "
-                  << s.error().message();
-      }
-      report.new_component = new_component;
-      report.status = Status::success();
-      finish(std::move(report), done);
-    });
-  });
+  quiesce(old_component, std::move(report), std::move(done),
+          [this, old_component, new_type, new_name, overflows_before](
+              ReconfigReport report, Done done) {
+            const SimTime quiescent_at = app_.loop().now();
+            if (!passivate(old_component, overflows_before, report, done)) {
+              return;
+            }
+            // Encode the module context; the new module lives on the same
+            // node.
+            swap(old_component, new_type, new_name,
+                 app_.placement(old_component),
+                 app_.find_component(old_component)->snapshot(),
+                 "swap_replay", quiescent_at, std::move(report), done);
+          });
 }
 
 void ReconfigurationEngine::migrate_component(ComponentId component,
                                               NodeId destination, Done done) {
-  ++started_;
-  ReconfigReport report;
-  report.op = "migrate";
-  report.started_at = app_.loop().now();
-  component::Component* comp = app_.find_component(component);
+  ReconfigReport report = start("migrate");
+  const component::Component* comp = app_.find_component(component);
   if (comp == nullptr) {
-    report.status = Error{ErrorCode::kNotFound, "no such component"};
-    finish(std::move(report), done);
+    finish(std::move(report), Error{ErrorCode::kNotFound, "no such component"},
+           done);
     return;
   }
   const NodeId source = app_.placement(component);
   if (source == destination) {
-    report.status = Status::success();
-    finish(std::move(report), done);
+    // Already there: succeeds before screening.
+    finish(std::move(report), Status::success(), done);
     return;
   }
-  {
-    analysis::PlanStep step;
-    step.op = analysis::PlanOp::kMigrate;
-    step.instance = comp->instance_name();
-    step.node = node_name(destination);
-    if (Status s = verify_step(step, report.op); !s.ok()) {
-      report.status = s;
-      finish(std::move(report), done);
-      return;
-    }
-  }
-  obs::Registry::global().trace(report.started_at, obs::TraceKind::kReconfig,
-                                report.op, "start");
+  analysis::PlanStep step;
+  step.op = analysis::PlanOp::kMigrate;
+  step.instance = comp->instance_name();
+  step.node = node_name(destination);
+  if (!admit(report, step, done)) return;
   const std::uint64_t overflows_before = app_.hold_overflows_to(component);
-
-  app_.block_channels_to(component);
-  app_.when_drained(component, [this, component, source, destination,
-                                overflows_before, report, done]() mutable {
-    record_phase(report.op, "drain", report.started_at);
-    const SimTime drained_at = app_.loop().now();
-    const SimTime deadline = app_.loop().now() + options_.quiescence_timeout;
-    wait_quiescent(component, deadline, [this, component, source, destination,
-                                         overflows_before, report, drained_at,
-                                         done](bool quiescent) mutable {
-      record_phase(report.op, "quiesce", drained_at);
-      if (!quiescent) {
-        app_.unblock_channels_to(component);
-        app_.replay_held(component);
-        report.status = Error{ErrorCode::kNotQuiescent,
-                            "component did not reach a reconfiguration point"};
-        finish(std::move(report), done);
-        return;
-      }
-      if (app_.hold_overflows_to(component) > overflows_before) {
-        app_.unblock_channels_to(component);
-        app_.replay_held(component);
-        report.status = Error{ErrorCode::kOverloaded,
-                              "hold buffer overflowed during quiescence"};
-        finish(std::move(report), done);
-        return;
-      }
-      component::Component* comp = app_.find_component(component);
-      if (Status s = comp->passivate(); !s.ok()) {
-        app_.unblock_channels_to(component);
-        app_.replay_held(component);
-        report.status = s;
-        finish(std::move(report), done);
-        return;
-      }
-      // Charge the state transfer to the network.
-      const Snapshot snapshot = comp->snapshot();
-      const std::size_t bytes = 256 + snapshot.state.byte_size() +
-                                snapshot.attributes.byte_size();
-      if (app_.network().route(source, destination).empty()) {
-        // Unreachable destination: abort, reactivate in place.
-        (void)app_.activate_component(component);
-        app_.unblock_channels_to(component);
-        app_.replay_held(component);
-        report.status = Error{ErrorCode::kUnavailable, "destination unreachable"};
-        finish(std::move(report), done);
-        return;
-      }
-      sim::TransferOutcome transfer =
-          app_.network().transfer(source, destination, bytes, app_.rng());
-      if (!transfer.delivered) {
-        // Reliable state transfer: a lost transfer is retransmitted, which
-        // shows up as extra delay rather than failure.
-        transfer.delay *= 2;
-      }
-      report.held_messages = app_.held_to(component);
-      app_.loop().schedule_after(
-          transfer.delay, [this, component, destination, report,
-                           done]() mutable {
-            if (Status s = app_.migrate(component, destination); !s.ok()) {
-              report.status = s;
-            } else {
+  quiesce(component, std::move(report), std::move(done),
+          [this, component, source, destination, overflows_before](
+              ReconfigReport report, Done done) {
+            if (!passivate(component, overflows_before, report, done)) return;
+            // Charge the state transfer to the network.
+            const Snapshot snapshot =
+                app_.find_component(component)->snapshot();
+            const std::size_t bytes = 256 + snapshot.state.byte_size() +
+                                      snapshot.attributes.byte_size();
+            if (app_.network().route(source, destination).empty()) {
+              // Unreachable destination: abort, reactivate in place.
               (void)app_.activate_component(component);
-              app_.unblock_channels_to(component);
-              report.replayed_messages = app_.replay_held(component);
-              report.status = Status::success();
+              resume(component);
+              finish(std::move(report),
+                     Error{ErrorCode::kUnavailable, "destination unreachable"},
+                     done);
+              return;
             }
-            finish(std::move(report), done);
+            sim::TransferOutcome transfer = app_.network().transfer(
+                source, destination, bytes, app_.rng());
+            if (!transfer.delivered) {
+              // Reliable state transfer: a lost transfer is retransmitted,
+              // which shows up as extra delay rather than failure.
+              transfer.delay *= 2;
+            }
+            report.held_messages = app_.held_to(component);
+            app_.loop().schedule_after(
+                transfer.delay, [this, component, destination,
+                                 report = std::move(report),
+                                 done = std::move(done)]() mutable {
+                  Status s = app_.migrate(component, destination);
+                  if (s.ok()) {
+                    (void)app_.activate_component(component);
+                    report.replayed_messages = resume(component);
+                  }
+                  finish(std::move(report), std::move(s), done);
+                });
           });
-    });
-  });
 }
 
 void ReconfigurationEngine::redeploy_component(ComponentId failed,
                                                NodeId destination, Done done) {
-  ++started_;
-  ReconfigReport report;
-  report.op = "redeploy";
-  report.started_at = app_.loop().now();
-  component::Component* comp = app_.find_component(failed);
+  ReconfigReport report = start("redeploy");
+  const component::Component* comp = app_.find_component(failed);
   if (comp == nullptr) {
-    report.status = Error{ErrorCode::kNotFound, "no such component"};
-    finish(std::move(report), done);
+    finish(std::move(report), Error{ErrorCode::kNotFound, "no such component"},
+           done);
     return;
   }
   if (app_.placement(failed) == destination) {
     // Nothing to repair: the component already lives on the target host.
-    report.status = Status::success();
     report.new_component = failed;
-    finish(std::move(report), done);
+    finish(std::move(report), Status::success(), done);
     return;
   }
-  {
-    analysis::PlanStep step;
-    step.op = analysis::PlanOp::kRedeploy;
-    step.instance = comp->instance_name();
-    step.node = node_name(destination);
-    if (Status s = verify_step(step, report.op); !s.ok()) {
-      report.status = s;
-      finish(std::move(report), done);
-      return;
-    }
-  }
-  obs::Registry::global().trace(report.started_at, obs::TraceKind::kReconfig,
-                                report.op, "start");
-  const std::string new_name =
-      base_instance_name(comp->instance_name()) + "_r" +
-      std::to_string(++redeploys_);
-  const std::string type = comp->type_name();
-
-  // Block new traffic; in-flight messages towards the dead host fail on
-  // their own (no route), so the drain completes without the host.
-  app_.block_channels_to(failed);
-  app_.when_drained(failed, [this, failed, destination, type, new_name,
-                             report, done]() mutable {
-    record_phase(report.op, "drain", report.started_at);
-    const SimTime drained_at = app_.loop().now();
-    auto rollback = [this, failed, &report, &done]() {
-      app_.unblock_channels_to(failed);
-      app_.replay_held(failed);
-      finish(std::move(report), done);
-    };
-    component::Component* comp = app_.find_component(failed);
-    if (comp == nullptr) {
-      report.status = Error{ErrorCode::kNotFound, "component vanished"};
-      finish(std::move(report), done);
-      return;
-    }
-    // The failed instance is not consulted again: passivate if possible so
-    // the snapshot is clean, but a wedged component cannot veto its own
-    // repair — the host it lived on is gone.
-    (void)comp->passivate();
-    const Snapshot snapshot = comp->snapshot();
-    Result<ComponentId> created =
-        app_.instantiate(type, new_name, destination, snapshot.attributes);
-    if (!created.ok()) {
-      report.status = created.error();
-      (void)app_.activate_component(failed);
-      rollback();
-      return;
-    }
-    const ComponentId replacement = created.value();
-    if (Status s = app_.restore_component(replacement, snapshot); !s.ok()) {
-      report.status = s;
-      (void)app_.destroy(replacement);
-      (void)app_.activate_component(failed);
-      rollback();
-      return;
-    }
-    report.held_messages = app_.held_to(failed);
-    if (Status s = app_.redirect(failed, replacement); !s.ok()) {
-      report.status = s;
-      (void)app_.destroy(replacement);
-      (void)app_.activate_component(failed);
-      rollback();
-      return;
-    }
-    app_.unblock_channels_to(replacement);
-    report.replayed_messages = app_.replay_held(replacement);
-    record_phase(report.op, "redeploy_replay", drained_at);
-    if (Status s = app_.destroy(failed); !s.ok()) {
-      AARS_WARN << "redeploy: failed component not removed: "
-                << s.error().message();
-    }
-    report.new_component = replacement;
-    report.status = Status::success();
-    finish(std::move(report), done);
-  });
+  analysis::PlanStep step;
+  step.op = analysis::PlanOp::kRedeploy;
+  step.instance = comp->instance_name();
+  step.node = node_name(destination);
+  if (!admit(report, step, done)) return;
+  const std::string new_name = base_instance_name(comp->instance_name()) +
+                               "_r" + std::to_string(++redeploys_);
+  // In-flight messages towards the dead host fail on their own (no route),
+  // so the drain completes without the host.  No quiescence wait: the host
+  // is gone.
+  drain(failed, std::move(report), std::move(done),
+        [this, failed, destination, new_name](ReconfigReport report,
+                                              Done done) {
+          const SimTime drained_at = app_.loop().now();
+          component::Component* comp = app_.find_component(failed);
+          if (comp == nullptr) {
+            finish(std::move(report),
+                   Error{ErrorCode::kNotFound, "component vanished"}, done);
+            return;
+          }
+          // The failed instance is not consulted again: passivate if
+          // possible so the snapshot is clean, but a wedged component
+          // cannot veto its own repair.
+          (void)comp->passivate();
+          swap(failed, comp->type_name(), new_name, destination,
+               comp->snapshot(), "redeploy_replay", drained_at,
+               std::move(report), done);
+        });
 }
 
 void ReconfigurationEngine::reroute_to_replica(ComponentId dead,
                                                ComponentId replica,
                                                Done done) {
-  ++started_;
-  ReconfigReport report;
-  report.op = "reroute";
-  report.started_at = app_.loop().now();
-  if (app_.find_component(dead) == nullptr) {
-    report.status = Error{ErrorCode::kNotFound, "no such component"};
-    finish(std::move(report), done);
-    return;
-  }
-  if (app_.find_component(replica) == nullptr) {
-    report.status = Error{ErrorCode::kNotFound, "no such replica"};
-    finish(std::move(report), done);
-    return;
-  }
-  if (dead == replica) {
-    report.status =
+  ReconfigReport report = start("reroute");
+  const component::Component* dead_comp = app_.find_component(dead);
+  const component::Component* replica_comp = app_.find_component(replica);
+  Status invalid = Status::success();
+  if (dead_comp == nullptr) {
+    invalid = Error{ErrorCode::kNotFound, "no such component"};
+  } else if (replica_comp == nullptr) {
+    invalid = Error{ErrorCode::kNotFound, "no such replica"};
+  } else if (dead == replica) {
+    invalid =
         Error{ErrorCode::kInvalidArgument, "replica is the dead component"};
-    finish(std::move(report), done);
+  }
+  if (!invalid.ok()) {
+    finish(std::move(report), std::move(invalid), done);
     return;
   }
-  {
-    analysis::PlanStep step;
-    step.op = analysis::PlanOp::kReroute;
-    step.instance = app_.find_component(dead)->instance_name();
-    step.replica = app_.find_component(replica)->instance_name();
-    if (Status s = verify_step(step, report.op); !s.ok()) {
-      report.status = s;
-      finish(std::move(report), done);
-      return;
-    }
-  }
-  obs::Registry::global().trace(report.started_at, obs::TraceKind::kReconfig,
-                                report.op, "start");
-  app_.block_channels_to(dead);
-  app_.when_drained(dead, [this, dead, replica, report, done]() mutable {
-    record_phase(report.op, "drain", report.started_at);
-    const SimTime drained_at = app_.loop().now();
-    report.held_messages = app_.held_to(dead);
-    if (Status s = app_.redirect(dead, replica); !s.ok()) {
-      report.status = s;
-      app_.unblock_channels_to(dead);
-      app_.replay_held(dead);
-      finish(std::move(report), done);
-      return;
-    }
-    app_.unblock_channels_to(replica);
-    report.replayed_messages = app_.replay_held(replica);
-    record_phase(report.op, "reroute_replay", drained_at);
-    if (Status s = app_.destroy(dead); !s.ok()) {
-      AARS_WARN << "reroute: dead component not removed: "
-                << s.error().message();
-    }
-    report.new_component = replica;
-    report.status = Status::success();
-    finish(std::move(report), done);
-  });
+  analysis::PlanStep step;
+  step.op = analysis::PlanOp::kReroute;
+  step.instance = dead_comp->instance_name();
+  step.replica = replica_comp->instance_name();
+  if (!admit(report, step, done)) return;
+  // The replica already runs: no quiescence wait, nothing to passivate.
+  drain(dead, std::move(report), std::move(done),
+        [this, dead, replica](ReconfigReport report, Done done) {
+          const SimTime drained_at = app_.loop().now();
+          report.held_messages = app_.held_to(dead);
+          if (Status s = app_.redirect(dead, replica); !s.ok()) {
+            resume(dead);
+            finish(std::move(report), std::move(s), done);
+            return;
+          }
+          hand_over(dead, replica, "reroute_replay", drained_at,
+                    std::move(report), done);
+        });
 }
 
 }  // namespace aars::reconfig

@@ -166,15 +166,14 @@ class ReconfigurationEngine {
   /// pre-screen candidate hosts before committing to one.
   bool redeploy_would_verify(ComponentId component, NodeId destination);
 
-  /// Screens an externally-driven plan step through the configured
-  /// verifier under this engine's policy (off/warn/enforce), against a
-  /// snapshot of the live architecture.  Cross-shard migration
-  /// (reconfig::CrossShardMigrator) runs its protocol outside this engine
-  /// but submits its steps here so one verification policy governs every
-  /// mutation of the shard's world.
-  Status screen_step(const analysis::PlanStep& step, const std::string& op) {
-    return verify_step(step, op);
-  }
+  /// Verifies a single-step plan against a snapshot of the live
+  /// architecture under this engine's policy (off/warn/enforce).  Success
+  /// means "proceed"; failure carries kVerificationFailed (enforce mode
+  /// only).  Every protocol screens its step here, and cross-shard
+  /// migration (reconfig::CrossShardMigrator), which runs its protocol
+  /// outside this engine, submits its steps here too, so one verification
+  /// policy governs every mutation of the shard's world.
+  Status verify_step(const analysis::PlanStep& step, const std::string& op);
 
   const Options& options() const { return options_; }
 
@@ -185,16 +184,57 @@ class ReconfigurationEngine {
   std::uint64_t verify_rejected() const { return verify_rejected_; }
 
  private:
-  /// Verifies a single-step plan against a snapshot of the live
-  /// architecture, honouring Options::verify_mode.  Success means
-  /// "proceed"; failure carries kVerificationFailed (enforce mode only).
-  Status verify_step(const analysis::PlanStep& step, const std::string& op);
+  /// Continuation of a protocol once a phase completed.
+  using Next = std::function<void(ReconfigReport, Done)>;
+
+  // The phases every protocol is composed of (DESIGN.md §4, "One
+  // reconfiguration sequence").  A phase that fails finishes the report
+  // itself; the protocol body only sees its continuation run.
+
+  /// Counts a protocol run and opens its report.
+  ReconfigReport start(const char* op);
+  /// Screens `step` through verify_step and traces "start"; on rejection
+  /// finishes the report and returns false.
+  bool admit(ReconfigReport& report, const analysis::PlanStep& step,
+             const Done& done);
+  /// Blocks the channels to `component`, waits until no message is in
+  /// transit towards it and records the "drain" phase.
+  void drain(ComponentId component, ReconfigReport report, Done done,
+             Next next);
+  /// drain, then waits for the reconfiguration point and records the
+  /// "quiesce" phase.  At the quiescence timeout it resumes the component
+  /// and finishes with kNotQuiescent.
+  void quiesce(ComponentId component, ReconfigReport report, Done done,
+               Next next);
+  /// Aborts with kOverloaded if the hold buffer overflowed since
+  /// `overflows_before`, else passivates `component`.  On refusal resumes
+  /// it, finishes the report and returns false.
+  bool passivate(ComponentId component, std::uint64_t overflows_before,
+                 ReconfigReport& report, const Done& done);
+  /// Creates `name` of `type` on `node`, restores `snapshot` into it and
+  /// redirects `old`'s traffic to it, then hands over.  A failed step
+  /// destroys what it created, reactivates and resumes `old`.
+  void swap(ComponentId old, const std::string& type, const std::string& name,
+            NodeId node, const component::Snapshot& snapshot,
+            const char* phase, SimTime since, ReconfigReport report,
+            const Done& done);
+  /// Resumes `successor` (already redirected to), records `phase`, retires
+  /// `old` and finishes the report successfully.
+  void hand_over(ComponentId old, ComponentId successor, const char* phase,
+                 SimTime since, ReconfigReport report, const Done& done);
+  /// Unblocks the channels to `component` and replays what they held;
+  /// returns the number of messages replayed.
+  std::size_t resume(ComponentId component);
+  void finish(ReconfigReport report, Status status, const Done& done);
+
+  /// Runs the plan verifier over `step` against a snapshot of the live
+  /// architecture, whatever the verify mode.
+  analysis::PlanReview review_step(const analysis::PlanStep& step);
   /// Node name for plan steps; empty when the id is unknown.
   std::string node_name(NodeId node);
   /// Polls until `component` is quiescent, then calls `next(ok)`.
   void wait_quiescent(ComponentId component, SimTime deadline,
                       std::function<void(bool)> next);
-  void finish(ReconfigReport report, const Done& done);
   /// Records the end of a protocol phase that started at `since`: a trace
   /// event plus a "reconfig.phase_us"{op,phase} duration sample.
   void record_phase(const std::string& op, const char* phase, SimTime since);

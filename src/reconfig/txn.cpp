@@ -150,9 +150,8 @@ ComponentId Txn::live(ComponentId id) const {
   return id;
 }
 
-std::vector<std::pair<std::string, ConnectorId>> Txn::capture_bindings(
-    ComponentId id) const {
-  std::vector<std::pair<std::string, ConnectorId>> out;
+Txn::Bindings Txn::capture_bindings(ComponentId id) const {
+  Bindings out;
   const component::Component* comp = app_.find_component(id);
   if (comp == nullptr) return out;
   out.reserve(comp->required().size());
@@ -166,7 +165,6 @@ Txn::Resurrect Txn::capture_resurrect(ComponentId id) const {
   Resurrect r;
   const component::Component* comp = app_.find_component(id);
   if (comp == nullptr) return r;
-  r.type = comp->type_name();
   r.name = comp->instance_name();
   r.node = app_.placement(id);
   // The state snapshot is taken at the step boundary; messages the
@@ -205,20 +203,26 @@ void Txn::step(std::size_t index) {
     return;
   }
 
-  TxnAction& action = actions_[index];
+  const TxnAction& action = actions_[index];
   auto self = shared_from_this();
   const Done done = [this, self, index](const ReconfigReport& sub) {
     on_step_done(index, sub);
   };
+  const auto unknown = [&](const std::string& what) {
+    fail_step(index, Error{ErrorCode::kNotFound,
+                           std::string(to_string(action.op)) + ": unknown " +
+                               what});
+  };
+  const ComponentId target = resolve(action.instance, action.instance_name);
+  const NodeId node = resolve_node(action.node, action.node_name);
+  UndoRecord undo;
+  undo.op = action.op;
+  undo.target = target;
 
   switch (action.op) {
     case analysis::PlanOp::kAdd: {
-      const NodeId node = resolve_node(action.node, action.node_name);
       if (!node.valid()) {
-        fail_step(index, Error{ErrorCode::kNotFound,
-                               "add: unknown node '" +
-                                   action.node_name.str() + "'"});
-        return;
+        return unknown("node '" + action.node_name.str() + "'");
       }
       ReconfigReport sub;
       sub.op = "add";
@@ -234,78 +238,35 @@ void Txn::step(std::size_t index) {
       on_step_done(index, sub);
       return;
     }
-    case analysis::PlanOp::kRemove: {
-      const ComponentId target = resolve(action.instance, action.instance_name);
-      if (!target.valid()) {
-        fail_step(index, Error{ErrorCode::kNotFound, "remove: unknown instance"});
-        return;
-      }
-      UndoRecord undo;
-      undo.op = action.op;
-      undo.target = target;
+    case analysis::PlanOp::kRemove:
+      if (!target.valid()) return unknown("instance");
       undo.resurrect = capture_resurrect(target);
       pending_undo_ = std::move(undo);
       engine_.remove_component(target, done);
       return;
-    }
-    case analysis::PlanOp::kReplace: {
-      const ComponentId target = resolve(action.instance, action.instance_name);
-      if (!target.valid()) {
-        fail_step(index,
-                  Error{ErrorCode::kNotFound, "replace: unknown instance"});
-        return;
-      }
-      UndoRecord undo;
-      undo.op = action.op;
-      undo.target = target;
+    case analysis::PlanOp::kReplace:
+      if (!target.valid()) return unknown("instance");
       undo.resurrect = capture_resurrect(target);
       pending_undo_ = std::move(undo);
       engine_.replace_component(target, action.type.str(), action.name.str(),
                                 done);
       return;
-    }
-    case analysis::PlanOp::kMigrate: {
-      const ComponentId target = resolve(action.instance, action.instance_name);
-      const NodeId node = resolve_node(action.node, action.node_name);
-      if (!target.valid() || !node.valid()) {
-        fail_step(index, Error{ErrorCode::kNotFound,
-                               "migrate: unknown instance or node"});
-        return;
-      }
-      UndoRecord undo;
-      undo.op = action.op;
-      undo.target = target;
+    case analysis::PlanOp::kMigrate:
+      if (!target.valid() || !node.valid()) return unknown("instance or node");
       undo.prev_node = app_.placement(target);
       pending_undo_ = std::move(undo);
       engine_.migrate_component(target, node, done);
       return;
-    }
-    case analysis::PlanOp::kRedeploy: {
-      const ComponentId target = resolve(action.instance, action.instance_name);
-      const NodeId node = resolve_node(action.node, action.node_name);
-      if (!target.valid() || !node.valid()) {
-        fail_step(index, Error{ErrorCode::kNotFound,
-                               "redeploy: unknown instance or node"});
-        return;
-      }
-      UndoRecord undo;
-      undo.op = action.op;
-      undo.target = target;
+    case analysis::PlanOp::kRedeploy:
+      if (!target.valid() || !node.valid()) return unknown("instance or node");
       undo.resurrect = capture_resurrect(target);
       pending_undo_ = std::move(undo);
       engine_.redeploy_component(target, node, done);
       return;
-    }
     case analysis::PlanOp::kRebind: {
-      const ComponentId target = resolve(action.instance, action.instance_name);
       if (!target.valid() || !action.connector.valid()) {
-        fail_step(index, Error{ErrorCode::kNotFound,
-                               "rebind: unknown instance or connector"});
-        return;
+        return unknown("instance or connector");
       }
-      UndoRecord undo;
-      undo.op = action.op;
-      undo.target = target;
       undo.port = action.port.str();
       undo.prev_connector = app_.binding(target, undo.port);
       ReconfigReport sub;
@@ -317,16 +278,10 @@ void Txn::step(std::size_t index) {
       return;
     }
     case analysis::PlanOp::kReroute: {
-      const ComponentId target = resolve(action.instance, action.instance_name);
       const ComponentId replica = resolve(action.replica, action.replica_name);
       if (!target.valid() || !replica.valid()) {
-        fail_step(index, Error{ErrorCode::kNotFound,
-                               "reroute: unknown instance or replica"});
-        return;
+        return unknown("instance or replica");
       }
-      UndoRecord undo;
-      undo.op = action.op;
-      undo.target = target;
       undo.replica = replica;
       undo.resurrect = capture_resurrect(target);
       for (ConnectorId conn : undo.resurrect->provided) {
@@ -463,25 +418,10 @@ void Txn::apply_undo(const UndoRecord& record, std::function<void()> next) {
     case analysis::PlanOp::kRemove: {
       // Inverse of remove: resurrect from the boundary snapshot and
       // re-attach. Traffic the forward protocol dropped stays dropped.
-      const Resurrect& r = *record.resurrect;
-      Result<ComponentId> created =
-          app_.instantiate(r.type, r.name, r.node, r.snapshot.attributes);
-      if (!created.ok()) {
-        ++report_.rollback_failures;
-        next();
-        return;
+      if (const ComponentId id = resurrect(record); id.valid()) {
+        provide(id, record.resurrect->provided);
+        restore_bindings(id, record.resurrect->bindings);
       }
-      const ComponentId id = created.value();
-      if (!app_.restore_component(id, r.snapshot).ok()) {
-        ++report_.rollback_failures;
-      }
-      for (ConnectorId conn : r.provided) {
-        if (!app_.add_provider(conn, id).ok()) ++report_.rollback_failures;
-      }
-      for (const auto& [port, conn] : r.bindings) {
-        if (!app_.bind(id, port, conn).ok()) ++report_.rollback_failures;
-      }
-      remap_.emplace_back(record.target, id);
       next();
       return;
     }
@@ -490,25 +430,17 @@ void Txn::apply_undo(const UndoRecord& record, std::function<void()> next) {
       // Inverse of replace: resurrect the old implementation, point the
       // world back at it, retire the replacement.
       const ComponentId new_id = live(record.created);
-      const Resurrect& r = *record.resurrect;
-      Result<ComponentId> created =
-          app_.instantiate(r.type, r.name, r.node, r.snapshot.attributes);
-      if (!created.ok()) {
-        ++report_.rollback_failures;
+      const ComponentId old_id = resurrect(record);
+      if (!old_id.valid()) {
         next();
         return;
       }
-      const ComponentId old2 = created.value();
-      if (!app_.restore_component(old2, r.snapshot).ok()) {
-        ++report_.rollback_failures;
-      }
-      remap_.emplace_back(record.target, old2);
       if (app_.find_component(new_id) == nullptr) {
         ++report_.rollback_failures;
         next();
         return;
       }
-      if (!app_.redirect(new_id, old2).ok()) ++report_.rollback_failures;
+      if (!app_.redirect(new_id, old_id).ok()) ++report_.rollback_failures;
       destroy_when_drained(new_id, std::move(next));
       return;
     }
@@ -520,36 +452,22 @@ void Txn::apply_undo(const UndoRecord& record, std::function<void()> next) {
       next();
       return;
     }
-    case analysis::PlanOp::kRebind: {
-      const ComponentId id = live(record.target);
-      const Status s =
-          record.prev_connector.valid()
-              ? app_.bind(id, record.port, record.prev_connector)
-              : app_.unbind(id, record.port);
-      if (!s.ok()) ++report_.rollback_failures;
+    case analysis::PlanOp::kRebind:
+      restore_bindings(live(record.target),
+                       {{record.port, record.prev_connector}});
       next();
       return;
-    }
     case analysis::PlanOp::kReroute: {
-      // Inverse of reroute: resurrect the retired instance, re-register it
-      // on its connectors, and withdraw the replica from connectors it only
-      // joined through the reroute.
-      const Resurrect& r = *record.resurrect;
-      Result<ComponentId> created =
-          app_.instantiate(r.type, r.name, r.node, r.snapshot.attributes);
-      if (!created.ok()) {
-        ++report_.rollback_failures;
+      // Inverse of reroute: resurrect the retired instance, withdraw the
+      // replica from connectors it only joined through the reroute, then
+      // re-register the resurrected instance there.  The withdrawal comes
+      // first: a direct connector admits a single provider.
+      const ComponentId id = resurrect(record);
+      if (!id.valid()) {
         next();
         return;
       }
-      const ComponentId id = created.value();
-      if (!app_.restore_component(id, r.snapshot).ok()) {
-        ++report_.rollback_failures;
-      }
-      remap_.emplace_back(record.target, id);
-      for (ConnectorId conn : r.provided) {
-        if (!app_.add_provider(conn, id).ok()) ++report_.rollback_failures;
-      }
+      const Resurrect& r = *record.resurrect;
       const ComponentId rep = live(record.replica);
       for (ConnectorId conn : r.provided) {
         const bool was_member =
@@ -562,21 +480,46 @@ void Txn::apply_undo(const UndoRecord& record, std::function<void()> next) {
           (void)app_.remove_provider(conn, rep);
         }
       }
-      for (const auto& [port, conn] : r.bindings) {
-        if (!app_.bind(id, port, conn).ok()) ++report_.rollback_failures;
-      }
+      provide(id, r.provided);
+      restore_bindings(id, r.bindings);
       // The forward redirect moved the dead instance's bindings onto the
       // replica; restore the replica's own pre-step binding state.
-      for (const auto& [port, conn] : record.replica_bindings) {
-        const Status s = conn.valid() ? app_.bind(rep, port, conn)
-                                      : app_.unbind(rep, port);
-        if (!s.ok()) ++report_.rollback_failures;
-      }
+      restore_bindings(rep, record.replica_bindings);
       next();
       return;
     }
   }
   next();
+}
+
+ComponentId Txn::resurrect(const UndoRecord& record) {
+  const Resurrect& r = *record.resurrect;
+  Result<ComponentId> created = app_.instantiate(
+      r.snapshot.type_name, r.name, r.node, r.snapshot.attributes);
+  if (!created.ok()) {
+    ++report_.rollback_failures;
+    return ComponentId::invalid();
+  }
+  const ComponentId id = created.value();
+  if (!app_.restore_component(id, r.snapshot).ok()) {
+    ++report_.rollback_failures;
+  }
+  remap_.emplace_back(record.target, id);
+  return id;
+}
+
+void Txn::provide(ComponentId id, const std::vector<ConnectorId>& connectors) {
+  for (ConnectorId conn : connectors) {
+    if (!app_.add_provider(conn, id).ok()) ++report_.rollback_failures;
+  }
+}
+
+void Txn::restore_bindings(ComponentId id, const Bindings& bindings) {
+  for (const auto& [port, conn] : bindings) {
+    const Status s =
+        conn.valid() ? app_.bind(id, port, conn) : app_.unbind(id, port);
+    if (!s.ok()) ++report_.rollback_failures;
+  }
 }
 
 void Txn::finish() {

@@ -112,16 +112,18 @@ class Txn : public std::enable_shared_from_this<Txn> {
   const ReconfigReport& report() const { return report_; }
 
  private:
+  using Bindings = std::vector<std::pair<std::string, ConnectorId>>;
+
   /// Everything needed to re-create a destroyed instance: identity,
-  /// placement, the state snapshot taken at the step boundary, the
-  /// connectors it served and its caller-side port bindings.
+  /// placement, the state snapshot taken at the step boundary (which
+  /// carries the type), the connectors it served and its caller-side port
+  /// bindings.
   struct Resurrect {
-    std::string type;
     std::string name;
     NodeId node;
     component::Snapshot snapshot;
     std::vector<ConnectorId> provided;
-    std::vector<std::pair<std::string, ConnectorId>> bindings;
+    Bindings bindings;
   };
 
   /// Inverse of one applied step, captured before the step ran.
@@ -137,7 +139,7 @@ class Txn : public std::enable_shared_from_this<Txn> {
     /// kReroute: connectors the replica already served before the step (it
     /// must stay a provider there on undo) and its own prior bindings.
     std::vector<ConnectorId> replica_already_in;
-    std::vector<std::pair<std::string, ConnectorId>> replica_bindings;
+    Bindings replica_bindings;
   };
 
   Txn(Application& app, ReconfigurationEngine& engine, std::string label,
@@ -151,6 +153,14 @@ class Txn : public std::enable_shared_from_this<Txn> {
   void abort(std::size_t failed_index, Status why);
   void rollback_next();
   void apply_undo(const UndoRecord& record, std::function<void()> next);
+  /// Re-creates the instance `record` retired from its boundary snapshot
+  /// and remaps its id; invalid, counted as one rollback failure, when the
+  /// instance cannot be created.
+  ComponentId resurrect(const UndoRecord& record);
+  /// Attaches `id` as a provider of `connectors`.
+  void provide(ComponentId id, const std::vector<ConnectorId>& connectors);
+  /// Binds (or, for an invalid connector, unbinds) each of `id`'s ports.
+  void restore_bindings(ComponentId id, const Bindings& bindings);
   /// Destroys `id` once traffic towards it drained (bounded by the engine's
   /// quiescence timeout), then continues the rollback walk.
   void destroy_when_drained(ComponentId id, std::function<void()> next);
@@ -163,8 +173,7 @@ class Txn : public std::enable_shared_from_this<Txn> {
   ComponentId live(ComponentId id) const;
   /// Captures the Resurrect record for `id` (it still exists here).
   Resurrect capture_resurrect(ComponentId id) const;
-  std::vector<std::pair<std::string, ConnectorId>> capture_bindings(
-      ComponentId id) const;
+  Bindings capture_bindings(ComponentId id) const;
 
   Application& app_;
   ReconfigurationEngine& engine_;

@@ -286,6 +286,39 @@ when queue_depth(main) >= 0 reconfigure consolidate {
   }
 }
 
+// Removing the spare never strands a binding, so only the declared path
+// property can reject the program: the explore gate must check it on every
+// builder alike.
+TEST(ShardedRuntimeAdlTest, ExploreGateChecksDeclaredProperties) {
+  const std::string source = std::string(kEchoWorld) + R"(
+when queue_depth(main) >= 0 reconfigure shed_spare {
+  remove spare;
+}
+property two_servers {
+  always replicas(EchoServer) >= 2;
+}
+)";
+  auto plain = Runtime::builder()
+                   .component_class<EchoServer>("EchoServer")
+                   .component_class<EchoClient>("EchoClient")
+                   .adl(source)
+                   .explore_rules(analysis::VerifyMode::kEnforce)
+                   .build();
+  ASSERT_FALSE(plain.ok());
+  EXPECT_EQ(plain.error().code(), ErrorCode::kVerificationFailed);
+  EXPECT_NE(plain.error().message().find("two_servers"), std::string::npos)
+      << plain.error().message();
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    auto sharded = sharded_echo(shards)
+                       .adl(source)
+                       .explore_rules(analysis::VerifyMode::kEnforce)
+                       .build();
+    ASSERT_FALSE(sharded.ok()) << shards << " shard(s)";
+    EXPECT_EQ(sharded.error().code(), ErrorCode::kVerificationFailed);
+    EXPECT_EQ(sharded.error().message(), plain.error().message());
+  }
+}
+
 TEST(ShardedRuntimeAdlTest, BuilderDeploysOntoAnAdlHost) {
   auto plain = Runtime::builder()
                    .component_class<EchoServer>("EchoServer")

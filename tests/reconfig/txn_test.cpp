@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/path_props.h"
 #include "analysis/verifier.h"
 #include "fault/injector.h"
 #include "fault/scenario.h"
@@ -203,6 +204,86 @@ TEST_F(TxnTest, ReportReadsUnfinishedUntilTheTxnSettles) {
   EXPECT_TRUE(txn->report().ok());
   EXPECT_EQ(txn->report().verdict, TxnVerdict::kCommitted);
 }
+
+// Every undo kind restores the pre-firing configuration, as the explorer
+// models a rollback.  `server` serves two direct connectors and `server2`
+// is an idle replica; step 1 applies the op, step 2 targets a node that
+// does not exist, so the rollback runs step 1's undo.
+class TxnRoundTripTest
+    : public TxnTest,
+      public ::testing::WithParamInterface<analysis::PlanOp> {
+ protected:
+  TxnRoundTripTest() {
+    connector::ConnectorSpec spec;
+    spec.name = "alt";
+    alt_ = app_.create_connector(spec).value();
+    EXPECT_TRUE(app_.add_provider(alt_, server_).ok());
+    EXPECT_TRUE(
+        app_.instantiate("EchoServer", "server2", node_b_, Value{}).ok());
+  }
+
+  void apply(Txn& txn) {
+    switch (GetParam()) {
+      case analysis::PlanOp::kAdd:
+        txn.add_component("EchoServer", "extra", "node_a");
+        return;
+      case analysis::PlanOp::kRemove:
+        txn.remove_component("server");
+        return;
+      case analysis::PlanOp::kRebind:
+        txn.rebind("client", "out", "alt");
+        return;
+      case analysis::PlanOp::kReplace:
+        txn.replace_component("server", "EchoServer", "server_v2");
+        return;
+      case analysis::PlanOp::kMigrate:
+        txn.migrate_component("server", "node_b");
+        return;
+      case analysis::PlanOp::kRedeploy: {
+        TxnAction action;
+        action.op = analysis::PlanOp::kRedeploy;
+        action.instance_name = util::Symbol("server");
+        action.node_name = util::Symbol("node_b");
+        txn.enqueue(std::move(action));
+        return;
+      }
+      case analysis::PlanOp::kReroute:
+        txn.reroute("server", "server2");
+        return;
+    }
+  }
+
+  util::ConnectorId alt_;
+};
+
+TEST_P(TxnRoundTripTest, RollbackRestoresThePreFiringConfiguration) {
+  const std::string before =
+      analysis::canonical_config_key(analysis::model_from(app_));
+  const std::size_t baseline = verifier_errors();
+
+  auto txn = Txn::create(app_, engine_, "round_trip");
+  apply(*txn);
+  txn->add_component("EchoServer", "doomed", "nowhere");
+  const ReconfigReport report = run(txn);
+
+  EXPECT_EQ(report.verdict, TxnVerdict::kRolledBack);
+  ASSERT_TRUE(report.steps[0].status.ok()) << report.error_message();
+  EXPECT_EQ(report.rollback_steps, 1u);
+  EXPECT_EQ(report.rollback_failures, 0u);
+  EXPECT_EQ(analysis::canonical_config_key(analysis::model_from(app_)),
+            before);
+  EXPECT_EQ(verifier_errors(), baseline);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryPlanOp, TxnRoundTripTest,
+    ::testing::Values(analysis::PlanOp::kAdd, analysis::PlanOp::kRemove,
+                      analysis::PlanOp::kRebind, analysis::PlanOp::kReplace,
+                      analysis::PlanOp::kMigrate, analysis::PlanOp::kRedeploy,
+                      analysis::PlanOp::kReroute),
+    [](const ::testing::TestParamInfo<analysis::PlanOp>& info) {
+      return std::string(adl::to_string(info.param));
+    });
 
 }  // namespace
 }  // namespace aars::reconfig
