@@ -15,6 +15,10 @@ SessionManager::SessionManager(runtime::Application& app, Options options)
   util::require(options_.service.valid(), "service connector required");
   util::require(options_.fps > 0.0, "fps must be positive");
   util::require(options_.frame_quantum >= 0, "frame quantum must be >= 0");
+  for (std::size_t q = 0; q < levels_.size(); ++q) {
+    levels_[q].manager = this;
+    levels_[q].quality = static_cast<int>(q);
+  }
   if (options_.frame_quantum > 0) {
     // The ring spans two frame gaps plus slack: a rechain lands at most one
     // gap (+ one rounding bucket) ahead, and a phase-staggered first frame
@@ -230,28 +234,32 @@ void SessionManager::fire_frame(std::uint32_t slot) {
   const Value args = Value::object(
       {{"session", static_cast<std::int64_t>(id.raw())},
        {"quality", static_cast<std::int64_t>(quality)}});
-  // Built on the first frame at this level; later frames share it
-  // copy-on-write, so an interceptor that stamps a header detaches its own
-  // copy.
-  Value& headers = frame_headers_[static_cast<std::size_t>(quality)];
-  if (headers.is_null()) {
-    headers = Value::object({{"__work_scale", q.work_units}});
+  // Headers are built on the first frame at this level; later frames share
+  // them copy-on-write, so an interceptor that stamps a header detaches its
+  // own copy.
+  FrameLevel& level = levels_[static_cast<std::size_t>(quality)];
+  if (level.headers.is_null()) {
+    level.headers = Value::object({{"__work_scale", q.work_units}});
   }
   app_.invoke_async(
       options_.service, "frame", args, s.origin,
-      [this, id, quality](Result<Value> result, Duration latency) {
-        const bool ok = result.ok();
-        if (ok) {
-          ++frames_ok_;
-          delivered_utility_ += QualityLadder::at(quality).utility;
-        } else {
-          ++frames_failed_;
-        }
-        for (const FrameListener& listener : listeners_) {
-          listener(id, latency, ok, quality);
-        }
+      [level = &level, id](Result<Value> result, Duration latency) {
+        level->manager->frame_settled(*level, id, result.ok(), latency);
       },
-      headers);
+      level.headers);
+}
+
+void SessionManager::frame_settled(const FrameLevel& level, SessionId id,
+                                   bool ok, Duration latency) {
+  if (ok) {
+    ++frames_ok_;
+    delivered_utility_ += QualityLadder::at(level.quality).utility;
+  } else {
+    ++frames_failed_;
+  }
+  for (const FrameListener& listener : listeners_) {
+    listener(id, latency, ok, level.quality);
+  }
 }
 
 }  // namespace aars::telecom

@@ -45,6 +45,9 @@ class SessionManager {
   };
 
   SessionManager(runtime::Application& app, Options options);
+  // Scheduled frames and the per-level records point back at the manager.
+  SessionManager(const SessionManager&) = delete;
+  SessionManager& operator=(const SessionManager&) = delete;
 
   /// Starts a session streaming until `until` (absolute sim time).
   SessionId start_session(int quality, NodeId origin, SimTime until);
@@ -121,6 +124,19 @@ class SessionManager {
   void fire_bucket(std::uint64_t bucket);
   void fire_frame(std::uint32_t slot);
 
+  /// One record per quality level.  A frame's reply callback captures a
+  /// pointer to its level's record and the SessionId, 16 bytes, which fits
+  /// std::function's local buffer, so a frame allocates no callback.
+  struct FrameLevel {
+    SessionManager* manager = nullptr;
+    int quality = 0;
+    /// {"__work_scale": work units}; null until the first frame at this
+    /// level.
+    util::Value headers;
+  };
+  void frame_settled(const FrameLevel& level, SessionId id, bool ok,
+                     Duration latency);
+
   runtime::Application& app_;
   Options options_;
   std::vector<Slot> slots_;
@@ -133,9 +149,7 @@ class SessionManager {
   /// absolute bucket never collides with a pending one.
   std::vector<std::uint32_t> wheel_;
   int global_quality_ = QualityLadder::kMax;
-  /// Frame headers ({"__work_scale": work units}) per quality level; null
-  /// until the first frame at that level.
-  std::array<util::Value, QualityLadder::kMax + 1> frame_headers_;
+  std::array<FrameLevel, QualityLadder::kMax + 1> levels_;
   std::uint64_t frames_attempted_ = 0;
   std::uint64_t frames_ok_ = 0;
   std::uint64_t frames_failed_ = 0;

@@ -1,11 +1,73 @@
 #include "util/value.h"
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 
 namespace aars::util {
 
+// --- ValueMap ----------------------------------------------------------------
+
+ValueMap::ValueMap(std::vector<Entry> entries) : entries_(std::move(entries)) {
+  std::stable_sort(entries_.begin(), entries_.end(),
+                   [](const Entry& a, const Entry& b) {
+                     return a.first < b.first;
+                   });
+  // Of each run of equal keys keep the last (stable order = write order).
+  auto out = entries_.begin();
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+    const auto next = std::next(it);
+    if (next != entries_.end() && next->first == it->first) continue;
+    if (out != it) *out = std::move(*it);
+    ++out;
+  }
+  entries_.erase(out, entries_.end());
+}
+
+std::size_t ValueMap::lower_bound(std::string_view key) const {
+  const auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), key,
+      [](const Entry& e, std::string_view k) { return e.first < k; });
+  return static_cast<std::size_t>(it - entries_.begin());
+}
+
+ValueMap::const_iterator ValueMap::find(std::string_view key) const {
+  const std::size_t i = lower_bound(key);
+  if (i == entries_.size() || entries_[i].first != key) return end();
+  return entries_.begin() + static_cast<std::ptrdiff_t>(i);
+}
+
+Value& ValueMap::operator[](const std::string& key) {
+  const auto at =
+      entries_.begin() + static_cast<std::ptrdiff_t>(lower_bound(key));
+  if (at != entries_.end() && at->first == key) return at->second;
+  return entries_.emplace(at, key, Value{})->second;
+}
+
+std::pair<ValueMap::iterator, bool> ValueMap::emplace(std::string key,
+                                                      Value value) {
+  const auto at =
+      entries_.begin() + static_cast<std::ptrdiff_t>(lower_bound(key));
+  if (at != entries_.end() && at->first == key) return {at, false};
+  return {entries_.emplace(at, std::move(key), std::move(value)), true};
+}
+
+std::size_t ValueMap::erase(std::string_view key) {
+  const std::size_t i = lower_bound(key);
+  if (i == entries_.size() || entries_[i].first != key) return 0;
+  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
+  return 1;
+}
+
+bool operator==(const ValueMap& a, const ValueMap& b) {
+  return a.entries_ == b.entries_;
+}
+
+// --- Value -------------------------------------------------------------------
+
 Value Value::object(std::initializer_list<std::pair<std::string, Value>> kv) {
   ValueMap m;
+  m.entries_.reserve(kv.size());
   for (const auto& [k, v] : kv) m.emplace(k, v);
   return Value{std::move(m)};
 }

@@ -12,14 +12,20 @@
 // other copies, and a copy that is never written never allocates.  Detach
 // is per-node and shallow — a cloned map's entries still share their own
 // children until those are written in turn.
+//
+// A map node is a sorted flat array of (key, value) entries, not a tree:
+// a map of n entries costs two allocations (the node and its array)
+// instead of 1 + n.  The price is reference lifetime: a reference into a
+// map, such as the one `operator[]` returns, lasts only until the next
+// insertion into that same map.
 #pragma once
 
 #include <cstdint>
 #include <initializer_list>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -30,9 +36,49 @@ namespace aars::util {
 class Value;
 
 using ValueList = std::vector<Value>;
-/// Transparent comparator: string_view keys probe without materialising a
-/// temporary std::string (header lookups run per relayed message).
-using ValueMap = std::map<std::string, Value, std::less<>>;
+
+/// The map node of a Value: entries sorted by key, keys unique.  Keys probe
+/// as string_view, so a lookup materialises no temporary std::string
+/// (header lookups run per relayed message).  Members are defined after
+/// Value, which the entries need complete.
+class ValueMap {
+ public:
+  using Entry = std::pair<std::string, Value>;
+  using iterator = std::vector<Entry>::iterator;
+  using const_iterator = std::vector<Entry>::const_iterator;
+
+  ValueMap() = default;
+  /// Bulk build from unsorted entries: sorts once and, of equal keys, keeps
+  /// the last, as repeated `operator[]` assignment would.
+  explicit ValueMap(std::vector<Entry> entries);
+
+  iterator begin();
+  iterator end();
+  const_iterator begin() const;
+  const_iterator end() const;
+  std::size_t size() const;
+  bool empty() const;
+
+  const_iterator find(std::string_view key) const;
+  /// Inserts a null value at the key's sorted position when absent.  The
+  /// reference lasts until the next insertion into this map.
+  Value& operator[](const std::string& key);
+  /// Inserts when absent; an existing value is kept, as std::map::emplace
+  /// keeps it.
+  std::pair<iterator, bool> emplace(std::string key, Value value);
+  /// Returns the number of entries erased (0 or 1).
+  std::size_t erase(std::string_view key);
+
+  friend bool operator==(const ValueMap& a, const ValueMap& b);
+
+ private:
+  friend class Value;  // Value::object reserves the exact entry count
+
+  /// Index of the first entry whose key is not less than `key`.
+  std::size_t lower_bound(std::string_view key) const;
+
+  std::vector<Entry> entries_;
+};
 
 /// Discriminator for the runtime type of a Value.
 enum class ValueType { kNull, kBool, kInt, kDouble, kString, kList, kMap };
@@ -172,5 +218,16 @@ static_assert(static_cast<int>(ValueType::kNull) == 0 &&
 
 /// The canonical null value (used for absent map fields).
 const Value& null_value();
+
+inline ValueMap::iterator ValueMap::begin() { return entries_.begin(); }
+inline ValueMap::iterator ValueMap::end() { return entries_.end(); }
+inline ValueMap::const_iterator ValueMap::begin() const {
+  return entries_.begin();
+}
+inline ValueMap::const_iterator ValueMap::end() const {
+  return entries_.end();
+}
+inline std::size_t ValueMap::size() const { return entries_.size(); }
+inline bool ValueMap::empty() const { return entries_.empty(); }
 
 }  // namespace aars::util

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "testing/test_components.h"
 
 namespace aars::telecom {
@@ -101,6 +104,51 @@ TEST_F(MediaTest, MediaServerStateSurvivesSnapshotRestore) {
   auto outcome = app_.invoke_sync(conn2.value(), "frame",
                                   Value::object({{"session", 1}}), node_b_);
   EXPECT_EQ(outcome.result.value().at("frame_no").as_int(), 3);
+}
+
+TEST_F(MediaTest, FullSessionTableSurvivesSnapshotRestore) {
+  // A default 4,096-slot server streaming for twice as many sessions: the
+  // snapshot carries every occupied slot, and the clone's counters continue
+  // the original's session by session.
+  const auto conn = direct_to("MediaServer", "srv", node_a_);
+  const std::int64_t sessions = 8192;
+  for (std::int64_t s = 0; s < sessions; ++s) {
+    for (std::int64_t f = 0; f <= s % 3; ++f) {
+      (void)app_.invoke_sync(conn, "frame",
+                             Value::object({{"session", s * 7919}}), node_b_);
+    }
+  }
+  auto snap = app_.snapshot_component(app_.component_id("srv"));
+  ASSERT_TRUE(snap.ok());
+  const Value& per_session = snap.value().state.at("per_session");
+  ASSERT_TRUE(per_session.is_map());
+  EXPECT_GT(per_session.size(), 2048u);
+  EXPECT_LE(per_session.size(), 4096u);
+  const std::string* prev = nullptr;
+  for (const auto& [key, count] : per_session.as_map()) {
+    if (prev != nullptr) {
+      EXPECT_LT(*prev, key);
+    }
+    prev = &key;
+  }
+
+  auto clone = app_.instantiate("MediaServer", "clone", node_b_, Value{});
+  ASSERT_TRUE(clone.ok());
+  ASSERT_TRUE(app_.restore_component(clone.value(), snap.value()).ok());
+  connector::ConnectorSpec spec;
+  spec.name = "to_clone";
+  auto conn2 = app_.create_connector(spec);
+  ASSERT_TRUE(app_.add_provider(conn2.value(), clone.value()).ok());
+  for (std::int64_t s = 0; s < sessions; ++s) {
+    const Value args = Value::object({{"session", s * 7919}});
+    auto original = app_.invoke_sync(conn, "frame", args, node_b_);
+    auto restored = app_.invoke_sync(conn2.value(), "frame", args, node_b_);
+    ASSERT_TRUE(original.result.ok());
+    ASSERT_TRUE(restored.result.ok());
+    ASSERT_EQ(restored.result.value().at("frame_no"),
+              original.result.value().at("frame_no"))
+        << "session " << s * 7919;
+  }
 }
 
 TEST_F(MediaTest, MediaServerSessionTableIsBoundedWithEviction) {

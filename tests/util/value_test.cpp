@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace aars::util {
 namespace {
 
@@ -189,6 +197,144 @@ TEST(ValueTest, DeepDetachOnScalarsAndSoleOwnersIsANoOp) {
   sole.deep_detach();  // nothing shared: must not disturb contents
   EXPECT_EQ(sole.size(), 3u);
   EXPECT_EQ(sole.item(2).as_int(), 3);
+}
+
+// --- the flat map against std::map -------------------------------------------
+
+using ReferenceMap = std::map<std::string, Value, std::less<>>;
+
+std::string render_reference(const ReferenceMap& ref) {
+  std::string out = "{";
+  for (const auto& [k, v] : ref) {
+    if (out.size() > 1) out += ',';
+    out += '"' + k + "\":" + v.to_string();
+  }
+  return out + "}";
+}
+
+std::size_t reference_byte_size(const ReferenceMap& ref) {
+  std::size_t total = 8;
+  for (const auto& [k, v] : ref) total += k.size() + v.byte_size();
+  return total;
+}
+
+// Random writes, emplaces, erases and lookups run on a map Value and on a
+// std::map; after every step the two must agree on everything a caller can
+// observe.
+TEST(ValueMapTest, FlatMapMatchesStdMapUnderRandomEdits) {
+  // Shared prefixes, the empty key and keys past the 15-byte inline string
+  // buffer; the last three are never written, so they probe absent keys.
+  const std::vector<std::string> keys = {
+      "", "a", "ab", "abc", "abd", "b", "ba", "session", "sessions",
+      "a_key_longer_than_fifteen", "a_key_longer_than_fifteen_too",
+      "absent", "ab\x7f", "zzzzzzzzzzzzzzzzzzzz"};
+  const std::size_t writable = keys.size() - 3;
+  std::mt19937 rng(20260419);
+  auto pick = [&](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  auto random_value = [&]() -> Value {
+    switch (pick(4)) {
+      case 0: return Value{static_cast<std::int64_t>(pick(100))};
+      case 1: return Value{std::string(pick(20), 'v')};
+      case 2: return Value::object({{"n", static_cast<std::int64_t>(pick(3))}});
+      default: return Value{};
+    }
+  };
+
+  Value flat{ValueMap{}};
+  ReferenceMap ref;
+  Value prev_flat = flat;
+  ReferenceMap prev_ref;
+  for (int step = 0; step < 4000; ++step) {
+    const std::size_t k = pick(keys.size());
+    const std::string& key = keys[k];
+    const bool writable_key = k < writable;
+    switch (pick(5)) {
+      case 0: {  // operator[] write
+        if (!writable_key) break;
+        const Value v = random_value();
+        flat[key] = v;
+        ref[key] = v;
+        break;
+      }
+      case 1: {  // emplace keeps the first value
+        if (!writable_key) break;
+        const Value v = random_value();
+        const bool inserted = flat.as_map().emplace(key, v).second;
+        EXPECT_EQ(inserted, ref.emplace(key, v).second) << key;
+        break;
+      }
+      case 2:  // erase, present or not
+        EXPECT_EQ(flat.as_map().erase(key), ref.erase(key)) << key;
+        break;
+      default: {  // lookups, which must not insert
+        const ValueMap& m = std::as_const(flat).as_map();
+        const auto it = m.find(key);
+        ASSERT_EQ(it != m.end(), ref.count(key) == 1) << key;
+        if (it != m.end()) {
+          EXPECT_EQ(it->second, ref.at(key));
+        }
+        break;
+      }
+    }
+
+    const ValueMap& m = std::as_const(flat).as_map();
+    ASSERT_EQ(m.size(), ref.size()) << "step " << step;
+    ASSERT_EQ(flat.size(), ref.size());
+    auto r = ref.begin();
+    for (const auto& [entry_key, entry_value] : m) {
+      ASSERT_EQ(entry_key, r->first) << "step " << step;
+      ASSERT_EQ(entry_value, r->second) << "step " << step;
+      ++r;
+    }
+    for (const std::string& probe : keys) {
+      const auto found = ref.find(probe);
+      ASSERT_EQ(flat.contains(probe), found != ref.end()) << probe;
+      ASSERT_EQ(flat.at(probe),
+                found == ref.end() ? null_value() : found->second);
+    }
+    ASSERT_EQ(flat.to_string(), render_reference(ref)) << "step " << step;
+    ASSERT_EQ(flat.byte_size(), reference_byte_size(ref));
+    // Equality against a storage-disjoint copy of the previous step's map.
+    ASSERT_EQ(flat == prev_flat, ref == prev_ref) << "step " << step;
+    prev_flat = flat;
+    prev_flat.deep_detach();
+    prev_ref = ref;
+  }
+}
+
+TEST(ValueMapTest, InsertingIntoACopyLeavesTheOriginal) {
+  const Value original = Value::object({{"b", 2}, {"d", 4}});
+  Value copy = original;
+  ASSERT_TRUE(copy.shares_storage_with(original));
+  copy["c"] = 3;
+  EXPECT_FALSE(copy.shares_storage_with(original));
+  EXPECT_EQ(original.to_string(), "{\"b\":2,\"d\":4}");
+  EXPECT_EQ(copy.to_string(), "{\"b\":2,\"c\":3,\"d\":4}");
+}
+
+TEST(ValueMapTest, BulkBuildSortsAndKeepsTheLastOfEqualKeys) {
+  const ValueMap m({{"zeta", 1},
+                    {"alpha", 2},
+                    {"mid", 3},
+                    {"alpha", 4},
+                    {"zeta", 5},
+                    {"alpha", 6},
+                    {"", 7}});
+  std::vector<std::string> order;
+  for (const auto& [k, v] : m) order.push_back(k);
+  EXPECT_EQ(order, (std::vector<std::string>{"", "alpha", "mid", "zeta"}));
+  EXPECT_EQ(m.find("alpha")->second.as_int(), 6);
+  EXPECT_EQ(m.find("zeta")->second.as_int(), 5);
+  EXPECT_EQ(m.find("")->second.as_int(), 7);
+  EXPECT_EQ(m.find("absent"), m.end());
+}
+
+TEST(ValueMapTest, ObjectKeepsTheFirstOfEqualKeys) {
+  const Value v = Value::object({{"k", 1}, {"j", 2}, {"k", 3}});
+  EXPECT_EQ(v.size(), 2u);
+  EXPECT_EQ(v.at("k").as_int(), 1);
 }
 
 }  // namespace
