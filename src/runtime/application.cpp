@@ -925,6 +925,14 @@ Status Application::redirect(ComponentId from, ComponentId to) {
   if (target == nullptr) {
     return Error{ErrorCode::kNotFound, "redirect target missing"};
   }
+  // Refuse before changing anything: a connector that `to` already serves
+  // would refuse it a second time half-way through the swap.
+  for (const auto& [cid, conn] : connectors_) {
+    if (to != from && conn->has_provider(from) && conn->has_provider(to)) {
+      return Error{ErrorCode::kAlreadyExists,
+                   conn->name() + ": provider already attached"};
+    }
+  }
   // Serving side: swap provider registration in every connector.
   for (auto& [cid, conn] : connectors_) {
     if (conn->has_provider(from)) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "testing/test_components.h"
 
 namespace aars::runtime {
@@ -228,6 +230,50 @@ TEST_F(ApplicationTest, RedirectMovesProvidersChannelsAndBindings) {
   // Channel sequence numbering carried over (no restart at 1).
   Channel& chan = app_.channel(conn, new_id.value());
   EXPECT_EQ(chan.sent(), 2u);
+}
+
+TEST_F(ApplicationTest, RefusedRedirectChangesNothing) {
+  // `server` and `standby` both serve the round-robin `pool`, so moving
+  // `server` onto `standby` would attach `standby` to `pool` twice.  The
+  // redirect must refuse before it touches any connector, channel or
+  // binding.
+  const auto echo = direct_to("EchoServer", "echo", node_a_);
+  const auto trigger = direct_to("EchoClient", "server", node_a_);
+  const auto server = app_.component_id("server");
+  auto standby = app_.instantiate("EchoClient", "standby", node_b_, Value{});
+  ASSERT_TRUE(standby.ok());
+  ASSERT_TRUE(app_.bind(server, "out", echo).ok());
+  ASSERT_TRUE(app_.bind(standby.value(), "out", echo).ok());
+  connector::ConnectorSpec spec;
+  spec.name = "pool";
+  spec.routing = connector::RoutingPolicy::kRoundRobin;
+  const auto pool = app_.create_connector(spec).value();
+  ASSERT_TRUE(app_.add_provider(pool, server).ok());
+  ASSERT_TRUE(app_.add_provider(pool, standby.value()).ok());
+  const Value args = Value::object({{"text", "hi"}});
+  ASSERT_TRUE(app_.invoke_sync(trigger, "go", args, node_c_).result.ok());
+  const std::size_t server_channels = app_.channels_to(server).size();
+
+  const Status refused = app_.redirect(server, standby.value());
+  EXPECT_EQ(refused.code(), ErrorCode::kAlreadyExists);
+  EXPECT_EQ(refused.error().message(), "pool: provider already attached");
+  EXPECT_EQ(app_.find_connector(pool)->providers(),
+            (std::vector<ComponentId>{server, standby.value()}));
+  EXPECT_EQ(app_.find_connector(trigger)->providers(),
+            std::vector<ComponentId>{server});
+  EXPECT_EQ(app_.channels_to(server).size(), server_channels);
+  EXPECT_EQ(app_.channel(trigger, server).sent(), 1u);
+  EXPECT_EQ(app_.binding(server, "out"), echo);
+
+  std::vector<ComponentId> served;
+  app_.add_call_listener([&](const CallRecord& r) {
+    if (r.connector == pool) served.push_back(r.provider);
+  });
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(app_.invoke_sync(pool, "go", args, node_c_).result.ok());
+  }
+  EXPECT_EQ(served, (std::vector<ComponentId>{server, standby.value(), server,
+                                              standby.value()}));
 }
 
 TEST_F(ApplicationTest, DestroyRequiresDrainedChannels) {
