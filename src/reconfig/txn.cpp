@@ -377,9 +377,13 @@ void Txn::rollback_next() {
 void Txn::destroy_when_drained(ComponentId id, std::function<void()> next) {
   auto self = shared_from_this();
   auto fired = std::make_shared<bool>(false);
-  auto attempt = [this, self, id, next = std::move(next), fired] {
+  auto timeout = std::make_shared<sim::EventHandle>();
+  auto attempt = [this, self, id, next = std::move(next), fired, timeout] {
     if (*fired) return;
     *fired = true;
+    // The first of the two wins; the other is cancelled (the timeout) or
+    // finds `fired` set (the drain, which cannot be withdrawn).
+    timeout->cancel();
     if (app_.find_component(id) != nullptr) {
       if (Status s = app_.destroy(id); !s.ok()) {
         ++report_.rollback_failures;
@@ -390,9 +394,11 @@ void Txn::destroy_when_drained(ComponentId id, std::function<void()> next) {
     next();
   };
   // Whichever comes first: the drain, or the quiescence budget — a wedged
-  // in-flight message must not wedge the rollback walk.
-  app_.when_drained(id, attempt);
-  app_.loop().schedule_after(engine_.options().quiescence_timeout, attempt);
+  // in-flight message must not wedge the rollback walk.  The timeout is
+  // armed first because a component without channels drains at once.
+  *timeout = app_.loop().schedule_after(engine_.options().quiescence_timeout,
+                                        attempt);
+  app_.when_drained(id, std::move(attempt));
 }
 
 void Txn::apply_undo(const UndoRecord& record, std::function<void()> next) {

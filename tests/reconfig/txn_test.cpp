@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+
 #include "analysis/path_props.h"
 #include "analysis/verifier.h"
 #include "fault/injector.h"
@@ -176,6 +179,27 @@ TEST_F(TxnTest, RemoveRollbackResurrectsStateFromTheSnapshot) {
   EXPECT_EQ(restored->total(), 42);
   EXPECT_TRUE(app_.find_connector(jobs)->has_provider(resurrected));
   EXPECT_EQ(verifier_errors(), baseline);
+}
+
+TEST_F(TxnTest, AddUndoLeavesNoTimeoutBehind) {
+  // The undo destroys `x` as soon as it drains, at once since it has no
+  // channels.  The quiescence timeout armed beside the drain must go with
+  // it instead of holding the Txn and the loop for another 10 s.
+  auto txn = Txn::create(app_, engine_, "add_then_fail");
+  txn->add_component("EchoServer", "x", "node_a")
+      .add_component("EchoServer", "y", "nowhere");
+  const std::weak_ptr<Txn> weak = txn;
+  std::optional<ReconfigReport> report;
+  txn->run([&](const ReconfigReport& r) { report = r; });
+  txn.reset();
+  loop_.run_until(0);
+
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->verdict, TxnVerdict::kRolledBack);
+  EXPECT_EQ(report->rollback_failures, 0u);
+  EXPECT_FALSE(app_.component_id("x").valid());
+  EXPECT_EQ(loop_.pending(), 0u);
+  EXPECT_TRUE(weak.expired());
 }
 
 TEST_F(TxnTest, ReportReadsUnfinishedUntilTheTxnSettles) {
