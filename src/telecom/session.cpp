@@ -244,21 +244,22 @@ void SessionManager::fire_frame(std::uint32_t slot) {
   app_.invoke_async(
       options_.service, "frame", args, s.origin,
       [level = &level, id](Result<Value> result, Duration latency) {
-        level->manager->frame_settled(*level, id, result.ok(), latency);
+        level->manager->frame_settled(level->quality, id, result.ok(),
+                                      latency);
       },
       level.headers);
 }
 
-void SessionManager::frame_settled(const FrameLevel& level, SessionId id,
-                                   bool ok, Duration latency) {
+void SessionManager::frame_settled(int quality, SessionId id, bool ok,
+                                   Duration latency) {
   if (ok) {
     ++frames_ok_;
-    delivered_utility_ += QualityLadder::at(level.quality).utility;
+    delivered_utility_ += QualityLadder::at(quality).utility;
   } else {
     ++frames_failed_;
   }
   for (const FrameListener& listener : listeners_) {
-    listener(id, latency, ok, level.quality);
+    listener(id, latency, ok, quality);
   }
 }
 

@@ -134,8 +134,7 @@ class SessionManager {
     /// level.
     util::Value headers;
   };
-  void frame_settled(const FrameLevel& level, SessionId id, bool ok,
-                     Duration latency);
+  void frame_settled(int quality, SessionId id, bool ok, Duration latency);
 
   runtime::Application& app_;
   Options options_;

@@ -1,7 +1,6 @@
 #include "util/value.h"
 
 #include <algorithm>
-#include <iterator>
 #include <sstream>
 
 namespace aars::util {
@@ -13,15 +12,13 @@ ValueMap::ValueMap(std::vector<Entry> entries) : entries_(std::move(entries)) {
                    [](const Entry& a, const Entry& b) {
                      return a.first < b.first;
                    });
-  // Of each run of equal keys keep the last (stable order = write order).
-  auto out = entries_.begin();
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    const auto next = std::next(it);
-    if (next != entries_.end() && next->first == it->first) continue;
-    if (out != it) *out = std::move(*it);
-    ++out;
-  }
-  entries_.erase(out, entries_.end());
+  // Of each run of equal keys keep the last written: unique over the
+  // reversed range keeps each run's last entry and packs the survivors at
+  // the back.
+  const auto kept = std::unique(
+      entries_.rbegin(), entries_.rend(),
+      [](const Entry& a, const Entry& b) { return a.first == b.first; });
+  entries_.erase(entries_.begin(), kept.base());
 }
 
 std::size_t ValueMap::lower_bound(std::string_view key) const {
@@ -38,10 +35,11 @@ ValueMap::const_iterator ValueMap::find(std::string_view key) const {
 }
 
 Value& ValueMap::operator[](const std::string& key) {
-  const auto at =
-      entries_.begin() + static_cast<std::ptrdiff_t>(lower_bound(key));
-  if (at != entries_.end() && at->first == key) return at->second;
-  return entries_.emplace(at, key, Value{})->second;
+  auto at = entries_.begin() + static_cast<std::ptrdiff_t>(lower_bound(key));
+  if (at == entries_.end() || at->first != key) {
+    at = entries_.emplace(at, key, Value{});
+  }
+  return at->second;
 }
 
 std::pair<ValueMap::iterator, bool> ValueMap::emplace(std::string key,
@@ -53,9 +51,9 @@ std::pair<ValueMap::iterator, bool> ValueMap::emplace(std::string key,
 }
 
 std::size_t ValueMap::erase(std::string_view key) {
-  const std::size_t i = lower_bound(key);
-  if (i == entries_.size() || entries_[i].first != key) return 0;
-  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
+  const auto it = find(key);
+  if (it == end()) return 0;
+  entries_.erase(it);
   return 1;
 }
 
