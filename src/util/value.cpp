@@ -1,6 +1,7 @@
 #include "util/value.h"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
 
 namespace aars::util {
@@ -29,6 +30,12 @@ std::size_t ValueMap::lower_bound(std::string_view key) const {
 }
 
 ValueMap::const_iterator ValueMap::find(std::string_view key) const {
+  // Message maps hold a few entries; there an equality scan, which rejects
+  // on length before comparing bytes, halves the cost of a lookup.
+  if (entries_.size() <= kScanMax) {
+    return std::find_if(entries_.begin(), entries_.end(),
+                        [key](const Entry& e) { return e.first == key; });
+  }
   const std::size_t i = lower_bound(key);
   if (i == entries_.size() || entries_[i].first != key) return end();
   return entries_.begin() + static_cast<std::ptrdiff_t>(i);
@@ -64,9 +71,31 @@ bool operator==(const ValueMap& a, const ValueMap& b) {
 // --- Value -------------------------------------------------------------------
 
 Value Value::object(std::initializer_list<std::pair<std::string, Value>> kv) {
+  // Sort pointers to the entries, not the entries, so each entry is copied
+  // once, straight into its slot (frame maps are built per message).  The
+  // insertion sort is stable: of equal keys the first listed wins, as
+  // std::map::emplace keeps it.  The lists are literals of a few entries.
+  std::array<const ValueMap::Entry*, 16> small;
+  std::vector<const ValueMap::Entry*> large;
+  const ValueMap::Entry** order = small.data();
+  if (kv.size() > small.size()) {
+    large.resize(kv.size());
+    order = large.data();
+  }
+  std::size_t n = 0;
+  for (const ValueMap::Entry& entry : kv) {
+    std::size_t j = n++;
+    for (; j > 0 && entry.first < order[j - 1]->first; --j) {
+      order[j] = order[j - 1];
+    }
+    order[j] = &entry;
+  }
   ValueMap m;
-  m.entries_.reserve(kv.size());
-  for (const auto& [k, v] : kv) m.emplace(k, v);
+  m.entries_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0 && order[i]->first == order[i - 1]->first) continue;
+    m.entries_.push_back(*order[i]);
+  }
   return Value{std::move(m)};
 }
 

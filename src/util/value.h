@@ -74,6 +74,9 @@ class ValueMap {
  private:
   friend class Value;  // Value::object reserves the exact entry count
 
+  /// find() scans maps up to this size instead of searching them.
+  static constexpr std::size_t kScanMax = 8;
+
   /// Index of the first entry whose key is not less than `key`.
   std::size_t lower_bound(std::string_view key) const;
 
