@@ -13,11 +13,12 @@
 // is per-node and shallow — a cloned map's entries still share their own
 // children until those are written in turn.
 //
-// A map node is a sorted flat array of (key, value) entries, not a tree:
-// a map of n entries costs two allocations (the node and its array)
-// instead of 1 + n.  The price is reference lifetime: a reference into a
-// map, such as the one `operator[]` returns, lasts only until the next
-// insertion into that same map.
+// A map node is a flat array of (key, value) entries sorted by key, held
+// through the same copy-on-write shared_ptr, not a tree: a map of n
+// entries costs two allocations (the node and its array) instead of
+// 1 + n.  The price is reference lifetime: a reference into a map, such as
+// the one `operator[]` returns, lasts only until the next insertion into
+// that same map.
 #pragma once
 
 #include <cstdint>

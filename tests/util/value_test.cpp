@@ -237,7 +237,8 @@ TEST(ValueMapTest, FlatMapMatchesStdMapUnderRandomEdits) {
     switch (pick(4)) {
       case 0: return Value{static_cast<std::int64_t>(pick(100))};
       case 1: return Value{std::string(pick(20), 'v')};
-      case 2: return Value::object({{"n", static_cast<std::int64_t>(pick(3))}});
+      case 2:
+        return Value::object({{"n", static_cast<std::int64_t>(pick(3))}});
       default: return Value{};
     }
   };
@@ -331,10 +332,20 @@ TEST(ValueMapTest, BulkBuildSortsAndKeepsTheLastOfEqualKeys) {
   EXPECT_EQ(m.find("absent"), m.end());
 }
 
-TEST(ValueMapTest, ObjectKeepsTheFirstOfEqualKeys) {
+TEST(ValueMapTest, ObjectSortsAndKeepsTheFirstOfEqualKeys) {
   const Value v = Value::object({{"k", 1}, {"j", 2}, {"k", 3}});
-  EXPECT_EQ(v.size(), 2u);
-  EXPECT_EQ(v.at("k").as_int(), 1);
+  EXPECT_EQ(v.to_string(), "{\"j\":2,\"k\":1}");
+  // A list longer than the builder sorts on the stack.
+  const Value long_list = Value::object(
+      {{"r", 1},  {"q", 2},  {"p", 3},  {"o", 4},  {"n", 5},
+       {"m", 6},  {"l", 7},  {"k", 8},  {"j", 9},  {"i", 10},
+       {"h", 11}, {"g", 12}, {"f", 13}, {"e", 14}, {"d", 15},
+       {"c", 16}, {"b", 17}, {"a", 18}, {"k", 19}});
+  std::string keys;
+  for (const auto& [k, value] : long_list.as_map()) keys += k;
+  EXPECT_EQ(keys, "abcdefghijklmnopqr");
+  EXPECT_EQ(long_list.at("k").as_int(), 8);
+  EXPECT_EQ(long_list.at("a").as_int(), 18);
 }
 
 }  // namespace
