@@ -75,7 +75,7 @@ Value Value::object(std::initializer_list<std::pair<std::string, Value>> kv) {
   // once, straight into its slot (frame maps are built per message).  The
   // insertion sort is stable: of equal keys the first listed wins, as
   // std::map::emplace keeps it.  The lists are literals of a few entries.
-  std::array<const ValueMap::Entry*, 16> small;
+  std::array<const ValueMap::Entry*, 16> small{};
   std::vector<const ValueMap::Entry*> large;
   const ValueMap::Entry** order = small.data();
   if (kv.size() > small.size()) {
