@@ -30,12 +30,6 @@ std::size_t ValueMap::lower_bound(std::string_view key) const {
 }
 
 ValueMap::const_iterator ValueMap::find(std::string_view key) const {
-  // Message maps hold a few entries; there an equality scan, which rejects
-  // on length before comparing bytes, halves the cost of a lookup.
-  if (entries_.size() <= kScanMax) {
-    return std::find_if(entries_.begin(), entries_.end(),
-                        [key](const Entry& e) { return e.first == key; });
-  }
   const std::size_t i = lower_bound(key);
   if (i == entries_.size() || entries_[i].first != key) return end();
   return entries_.begin() + static_cast<std::ptrdiff_t>(i);
@@ -47,14 +41,6 @@ Value& ValueMap::operator[](const std::string& key) {
     at = entries_.emplace(at, key, Value{});
   }
   return at->second;
-}
-
-std::pair<ValueMap::iterator, bool> ValueMap::emplace(std::string key,
-                                                      Value value) {
-  const auto at =
-      entries_.begin() + static_cast<std::ptrdiff_t>(lower_bound(key));
-  if (at != entries_.end() && at->first == key) return {at, false};
-  return {entries_.emplace(at, std::move(key), std::move(value)), true};
 }
 
 std::size_t ValueMap::erase(std::string_view key) {
@@ -223,7 +209,7 @@ void Value::deep_detach() {
     // unconditionally — a uniquely-held node may still hold shared children.
     for (Value& v : mutable_list()) v.deep_detach();
   } else if (is_map()) {
-    for (auto& [k, v] : mutable_map()) v.deep_detach();
+    for (auto& [k, v] : mutable_map().entries_) v.deep_detach();
   }
 }
 

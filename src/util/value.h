@@ -45,7 +45,8 @@ using ValueList = std::vector<Value>;
 class ValueMap {
  public:
   using Entry = std::pair<std::string, Value>;
-  using iterator = std::vector<Entry>::iterator;
+  /// Iteration is read-only: a key written in place would break the order
+  /// that find, operator[] and erase rely on.
   using const_iterator = std::vector<Entry>::const_iterator;
 
   ValueMap() = default;
@@ -53,8 +54,6 @@ class ValueMap {
   /// the last, as repeated `operator[]` assignment would.
   explicit ValueMap(std::vector<Entry> entries);
 
-  iterator begin();
-  iterator end();
   const_iterator begin() const;
   const_iterator end() const;
   std::size_t size() const;
@@ -64,19 +63,15 @@ class ValueMap {
   /// Inserts a null value at the key's sorted position when absent.  The
   /// reference lasts until the next insertion into this map.
   Value& operator[](const std::string& key);
-  /// Inserts when absent; an existing value is kept, as std::map::emplace
-  /// keeps it.
-  std::pair<iterator, bool> emplace(std::string key, Value value);
   /// Returns the number of entries erased (0 or 1).
   std::size_t erase(std::string_view key);
 
   friend bool operator==(const ValueMap& a, const ValueMap& b);
 
  private:
-  friend class Value;  // Value::object reserves the exact entry count
-
-  /// find() scans maps up to this size instead of searching them.
-  static constexpr std::size_t kScanMax = 8;
+  // Value::object fills the entries directly; Value::deep_detach writes
+  // their values in place.
+  friend class Value;
 
   /// Index of the first entry whose key is not less than `key`.
   std::size_t lower_bound(std::string_view key) const;
@@ -223,8 +218,6 @@ static_assert(static_cast<int>(ValueType::kNull) == 0 &&
 /// The canonical null value (used for absent map fields).
 const Value& null_value();
 
-inline ValueMap::iterator ValueMap::begin() { return entries_.begin(); }
-inline ValueMap::iterator ValueMap::end() { return entries_.end(); }
 inline ValueMap::const_iterator ValueMap::begin() const {
   return entries_.begin();
 }
