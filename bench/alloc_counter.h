@@ -1,9 +1,9 @@
 // Counting global allocator for the benches that gate on allocations
-// (e14, e16, e19).  Linking bench/alloc_counter.cpp into a bench replaces
-// every global operator new and delete with malloc/free wrappers, so the
-// pairs stay matched under ASan.  The count is per thread: a bench reads
-// deltas of alloc_count() around a region that one thread runs, and shard
-// runner threads count into their own cells.
+// (e14, e16, e17, e19).  Linking bench/alloc_counter.cpp into a bench
+// replaces every global operator new and delete with malloc/free wrappers,
+// so the pairs stay matched under ASan.  The count is per thread: a bench
+// reads deltas of alloc_count() around a region that one thread runs, and
+// shard runner threads count into their own cells.
 #pragma once
 
 #include <cstdint>

@@ -16,12 +16,15 @@
 //   * final world (faults cleared, loop drained): verifier fully clean,
 //     zero held messages across all components
 //   * same seed twice -> byte-identical firing fingerprint
+//   * a migrate protocol on the storm world, plan verification enforced,
+//     makes at most kMaxAllocsPerMigrate heap allocations
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "analysis/verifier.h"
 #include "common.h"
 #include "fault/scenario.h"
@@ -69,6 +72,16 @@ when event fault.host_down reconfigure failover {
   reroute server to standby;
 }
 )";
+
+// Heap allocations of one migrate protocol on the storm world with plan
+// verification enforced, after warm-up: the live snapshot its review
+// builds (15), the review over it (21, or 25 when the server lands on the
+// other host from its client and the route search runs) and the
+// protocol's own closures, events and state transfer (8), 46.0 on
+// average.  The gate is 50, under 10% above that, so a second snapshot
+// per review (+15) or per-phase registry lookups (+16) fail it.
+constexpr double kMaxAllocsPerMigrate = 50.0;
+constexpr int kMigrateRoundTrips = 500;
 
 /// Verifier codes a live fault legitimately produces: a crashed host severs
 /// routes, so reachability errors while a window is open are the *network's*
@@ -205,6 +218,46 @@ RunResult run_storm(std::uint64_t seed, util::Duration horizon) {
   return out;
 }
 
+/// Heap allocations per migrate protocol: `server` core -> edge -> core
+/// through the engine, kMigrateRoundTrips times after a warm-up, on a fresh
+/// storm world with plan verification enforced, no traffic and RAML not
+/// started.  The registry is off meanwhile, so these runs add no samples
+/// to the storms' series; every instrument lookup runs either way.
+/// Returns 0 when a migration fails.
+double allocs_per_migrate() {
+  auto built = Runtime::builder()
+                   .component_class<bench_testing::EchoServer>("EchoServer")
+                   .component_class<bench_testing::EchoClient>("EchoClient")
+                   .with_verification(analysis::VerifyMode::kEnforce)
+                   .adl(kStormWorld)
+                   .build();
+  util::require(built.ok(), "storm world must build");
+  auto rt = std::move(built).value();
+  const util::ComponentId server = rt->component("server");
+  const util::NodeId edge = rt->host("edge");
+  const util::NodeId core = rt->host("core");
+  bool all_ok = true;
+  const auto round_trip = [&] {
+    for (const util::NodeId to : {edge, core}) {
+      rt->engine().migrate_component(
+          server, to,
+          [&all_ok](const reconfig::ReconfigReport& r) { all_ok &= r.ok(); });
+      rt->loop().run();
+    }
+  };
+
+  obs::Registry& registry = obs::Registry::global();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(false);
+  for (int i = 0; i < 10; ++i) round_trip();
+  const std::uint64_t before = alloc_count();
+  for (int i = 0; i < kMigrateRoundTrips; ++i) round_trip();
+  const std::uint64_t allocs = alloc_count() - before;
+  registry.set_enabled(was_enabled);
+  if (!all_ok) return 0.0;
+  return static_cast<double>(allocs) / (2.0 * kMigrateRoundTrips);
+}
+
 }  // namespace
 }  // namespace aars::bench
 
@@ -302,6 +355,17 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
+  const double migrate_allocs = allocs_per_migrate();
+  std::printf("migrate protocol, plan verification enforced: %.2f heap "
+              "allocations per run (gate %.1f)\n",
+              migrate_allocs, kMaxAllocsPerMigrate);
+  if (migrate_allocs == 0.0 || migrate_allocs > kMaxAllocsPerMigrate) {
+    std::printf("FAIL: %.2f allocations per migrate protocol (want (0, "
+                "%.1f])\n",
+                migrate_allocs, kMaxAllocsPerMigrate);
+    ok = false;
+  }
+
   const std::string extra =
       std::string("\"txn_storm\": {") + "\"seeds\": " +
       std::to_string(seeds.size()) +
@@ -309,6 +373,8 @@ int main(int argc, char** argv) {
       ", \"rolled_back\": " + std::to_string(total_rolled_back) +
       ", \"undo_steps\": " + std::to_string(total_undone) +
       ", \"deterministic\": " + (deterministic ? "true" : "false") +
+      ", \"allocs_per_migrate\": " + fmt(migrate_allocs, 2) +
+      ", \"max_allocs_per_migrate\": " + fmt(kMaxAllocsPerMigrate, 1) +
       ", \"per_seed\": " + per_seed_json + "}";
   write_metrics_json("e17_txn_storm", extra);
 

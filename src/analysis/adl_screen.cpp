@@ -52,6 +52,7 @@ void screen_goals(const ArchitectureModel& model,
   // A goal's latency upper bound is infeasible when it undercuts the
   // topology's round-trip floor for any binding through that connector —
   // no amount of runtime adaptation can beat the speed of the links.
+  RouteSearch routes(model);
   for (const adl::AstGoal& goal : result.config.ast.goals) {
     for (const adl::AstQosBound& bound : goal.qos) {
       if (!bound.upper || bound.latency_us <= 0) continue;
@@ -62,8 +63,10 @@ void screen_goals(const ArchitectureModel& model,
         for (const std::string& provider_name : bind.providers) {
           const ModelInstance* provider = model.find_instance(provider_name);
           if (provider == nullptr) continue;
-          const auto there = model.min_latency_us(caller->node, provider->node);
-          const auto back = model.min_latency_us(provider->node, caller->node);
+          const auto there =
+              routes.min_latency_us(caller->node, provider->node);
+          const auto back =
+              routes.min_latency_us(provider->node, caller->node);
           if (!there.has_value() || !back.has_value()) continue;
           const std::int64_t floor_us = *there + *back;
           if (floor_us > bound.latency_us) {

@@ -1,9 +1,7 @@
 #include "analysis/architecture.h"
 
 #include <algorithm>
-#include <limits>
-#include <queue>
-#include <set>
+#include <functional>
 
 #include "runtime/application.h"
 
@@ -37,28 +35,77 @@ bool ArchitectureModel::has_node(const std::string& name) const {
   return std::find(nodes.begin(), nodes.end(), name) != nodes.end();
 }
 
-std::optional<std::int64_t> ArchitectureModel::min_latency_us(
-    const std::string& from, const std::string& to) const {
+void RouteSearch::index() {
+  nodes_.reserve(model_.nodes.size() + 2 * model_.links.size());
+  const auto add = [this](std::string_view name) {
+    nodes_.push_back(Node{name, std::nullopt});
+  };
+  for (const std::string& name : model_.nodes) add(name);
+  for (const ModelLink& link : model_.links) {
+    add(link.from);
+    add(link.to);
+  }
+  std::sort(nodes_.begin(), nodes_.end(),
+            [](const Node& a, const Node& b) { return a.name < b.name; });
+  nodes_.erase(std::unique(nodes_.begin(), nodes_.end(),
+                           [](const Node& a, const Node& b) {
+                             return a.name == b.name;
+                           }),
+               nodes_.end());
+  hops_.reserve(model_.links.size());
+  for (const ModelLink& link : model_.links) {
+    hops_.push_back(Hop{rank(link.from), rank(link.to), link.latency_us});
+  }
+  heap_.reserve(nodes_.size());
+  indexed_ = true;
+}
+
+int RouteSearch::rank(std::string_view name) const {
+  const auto it = std::lower_bound(
+      nodes_.begin(), nodes_.end(), name,
+      [](const Node& node, std::string_view key) { return node.name < key; });
+  return it != nodes_.end() && it->name == name
+             ? static_cast<int>(it - nodes_.begin())
+             : -1;
+}
+
+std::optional<std::int64_t> RouteSearch::min_latency_us(std::string_view from,
+                                                        std::string_view to) {
   if (from == to) return 0;
-  // Dijkstra over the directed link graph by latency.
-  std::map<std::string, std::int64_t> dist;
-  using Entry = std::pair<std::int64_t, std::string>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-  dist[from] = 0;
-  heap.push({0, from});
-  while (!heap.empty()) {
-    const auto [d, node] = heap.top();
-    heap.pop();
+  if (!indexed_) index();
+  const int source = rank(from);
+  const int target = rank(to);
+  if (source < 0 || target < 0) return std::nullopt;
+  for (const Answer& answer : memo_) {
+    if (answer.from == source && answer.to == target) return answer.latency_us;
+  }
+  const std::optional<std::int64_t> latency = search(source, target);
+  memo_.push_back(Answer{source, target, latency});
+  return latency;
+}
+
+std::optional<std::int64_t> RouteSearch::search(int from, int to) {
+  // Dijkstra by latency; a node may sit in the heap more than once, and
+  // the stale entries are skipped when popped.
+  for (Node& node : nodes_) node.dist.reset();
+  heap_.clear();
+  const std::greater<Entry> later;
+  nodes_[from].dist = 0;
+  heap_.push_back({0, from});
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const auto [d, node] = heap_.back();
+    heap_.pop_back();
     if (node == to) return d;
-    auto it = dist.find(node);
-    if (it != dist.end() && it->second < d) continue;
-    for (const ModelLink& link : links) {
-      if (link.from != node) continue;
-      const std::int64_t next = d + link.latency_us;
-      auto found = dist.find(link.to);
-      if (found == dist.end() || next < found->second) {
-        dist[link.to] = next;
-        heap.push({next, link.to});
+    if (*nodes_[node].dist < d) continue;
+    for (const Hop& hop : hops_) {
+      if (hop.from != node) continue;
+      const std::int64_t next = d + hop.latency_us;
+      std::optional<std::int64_t>& dist = nodes_[hop.to].dist;
+      if (!dist.has_value() || next < *dist) {
+        dist = next;
+        heap_.push_back({next, hop.to});
+        std::push_heap(heap_.begin(), heap_.end(), later);
       }
     }
   }
@@ -141,70 +188,71 @@ ArchitectureModel model_from(const adl::CompiledConfiguration& config) {
 ArchitectureModel model_from(runtime::Application& app) {
   ArchitectureModel model;
   sim::Network& network = app.network();
-
-  std::map<util::NodeId, std::string> node_names;
-  for (util::NodeId id : network.node_ids()) {
-    const std::string& name = network.node(id).name();
-    node_names.emplace(id, name);
-    model.nodes.push_back(name);
+  // Node ids are dense from 1 and nodes are never removed.
+  const std::size_t node_count = network.node_count();
+  model.nodes.reserve(node_count);
+  for (std::uint64_t raw = 1; raw <= node_count; ++raw) {
+    model.nodes.push_back(network.node(util::NodeId{raw}).name());
   }
-  std::set<std::pair<util::NodeId, util::NodeId>> seen_links;
-  for (util::NodeId id : network.node_ids()) {
+  const auto node_name = [&model](util::NodeId id) -> std::string {
+    if (!id.valid() || id.raw() > model.nodes.size()) return {};
+    return model.nodes[id.raw() - 1];
+  };
+  for (std::uint64_t raw = 1; raw <= node_count; ++raw) {
+    const util::NodeId id{raw};
     for (const auto& [from, to] : network.links_of(id)) {
-      if (!seen_links.insert({from, to}).second) continue;
-      const sim::LinkSpec* spec = network.find_link(from, to);
-      if (spec == nullptr) continue;
-      model.links.push_back(ModelLink{node_names.at(from), node_names.at(to),
-                                      spec->latency});
+      if (std::min(from, to) != id) continue;
+      model.links.push_back(ModelLink{node_name(from), node_name(to),
+                                      network.find_link(from, to)->latency});
     }
   }
 
-  std::map<util::ComponentId, std::string> instance_names;
-  for (util::ComponentId id : app.component_ids()) {
+  const std::vector<util::ComponentId> component_ids = app.component_ids();
+  model.instances.reserve(component_ids.size());
+  std::size_t ports = 0;
+  for (util::ComponentId id : component_ids) {
     const component::Component* comp = app.find_component(id);
-    if (comp == nullptr) continue;
-    instance_names.emplace(id, comp->instance_name());
-    ModelInstance m;
+    ModelInstance& m = model.instances.emplace_back();
     m.name = comp->instance_name();
     m.type = comp->type_name();
-    m.node = node_names.count(app.placement(id))
-                 ? node_names.at(app.placement(id))
-                 : std::string{};
+    m.node = node_name(app.placement(id));
+    m.required.reserve(comp->required().size());
     for (const component::RequiredPort& port : comp->required()) {
       m.required.push_back(ModelPort{port.name, port.interface.name()});
     }
-    model.instances.push_back(std::move(m));
+    ports += comp->required().size();
   }
 
-  std::map<util::ConnectorId, std::string> connector_names;
-  for (util::ConnectorId id : app.connector_ids()) {
+  const std::vector<util::ConnectorId> connector_ids = app.connector_ids();
+  model.connectors.reserve(connector_ids.size());
+  for (util::ConnectorId id : connector_ids) {
     const connector::Connector* conn = app.find_connector(id);
-    if (conn == nullptr) continue;
-    connector_names.emplace(id, conn->name());
-    ModelConnector m;
+    ModelConnector& m = model.connectors.emplace_back();
     m.name = conn->name();
-    m.sync_delivery =
-        conn->delivery() == connector::DeliveryMode::kSync;
+    m.sync_delivery = conn->delivery() == connector::DeliveryMode::kSync;
+    m.providers.reserve(conn->providers().size());
     for (util::ComponentId provider : conn->providers()) {
-      if (instance_names.count(provider)) {
-        m.providers.push_back(instance_names.at(provider));
+      if (const component::Component* comp = app.find_component(provider)) {
+        m.providers.push_back(comp->instance_name());
       }
     }
-    model.connectors.push_back(std::move(m));
   }
 
-  for (util::ComponentId id : app.component_ids()) {
-    const component::Component* comp = app.find_component(id);
-    if (comp == nullptr) continue;
-    for (const component::RequiredPort& port : comp->required()) {
-      const util::ConnectorId bound = app.binding(id, port.name);
-      if (!bound.valid() || !connector_names.count(bound)) continue;
-      ModelBinding m;
-      m.caller = comp->instance_name();
-      m.port = port.name;
-      m.connector = connector_names.at(bound);
-      m.providers = model.find_connector(m.connector)->providers;
-      model.bindings.push_back(std::move(m));
+  model.bindings.reserve(ports);
+  for (std::size_t i = 0; i < component_ids.size(); ++i) {
+    for (const ModelPort& port : model.instances[i].required) {
+      const util::ConnectorId bound = app.binding(component_ids[i], port.port);
+      const auto conn = std::lower_bound(connector_ids.begin(),
+                                         connector_ids.end(), bound);
+      if (conn == connector_ids.end() || *conn != bound) continue;
+      const ModelConnector& via =
+          model.connectors[static_cast<std::size_t>(conn -
+                                                    connector_ids.begin())];
+      ModelBinding& m = model.bindings.emplace_back();
+      m.caller = model.instances[i].name;
+      m.port = port.port;
+      m.connector = via.name;
+      m.providers = via.providers;
     }
   }
   return model;

@@ -9,6 +9,8 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "adl/ir.h"
@@ -75,11 +77,53 @@ class ArchitectureModel {
   ModelConnector* find_connector(const std::string& name);
   const ModelConnector* find_connector(const std::string& name) const;
   bool has_node(const std::string& name) const;
+};
 
-  /// Minimum-latency path cost between two nodes over the directed link
-  /// graph; nullopt when unreachable. Same node => 0.
-  std::optional<std::int64_t> min_latency_us(const std::string& from,
-                                             const std::string& to) const;
+/// Minimum-latency route search over one model's directed link graph.
+/// At the first query between two distinct nodes, every name the graph
+/// mentions (the model's nodes and each link endpoint: links may name nodes
+/// the model does not list) is ranked in name order and each link is
+/// restated over ranks.  A query runs Dijkstra over ranks; ranks order as
+/// the names do, so ties pop exactly as a search keyed by name would.
+/// Answers are memoised per (from, to) pair.  The model must outlive the
+/// search and stay unchanged.
+class RouteSearch {
+ public:
+  explicit RouteSearch(const ArchitectureModel& model) : model_(model) {}
+
+  /// Minimum-latency path cost from `from` to `to`; nullopt when
+  /// unreachable. Same node => 0.
+  std::optional<std::int64_t> min_latency_us(std::string_view from,
+                                             std::string_view to);
+
+ private:
+  struct Node {
+    std::string_view name;
+    std::optional<std::int64_t> dist;  // per query
+  };
+  struct Hop {
+    int from = 0;
+    int to = 0;
+    std::int64_t latency_us = 0;
+  };
+  struct Answer {
+    int from = 0;
+    int to = 0;
+    std::optional<std::int64_t> latency_us;
+  };
+  using Entry = std::pair<std::int64_t, int>;  // (distance, rank)
+
+  void index();
+  /// Rank of `name`, or -1 when no node or link mentions it.
+  int rank(std::string_view name) const;
+  std::optional<std::int64_t> search(int from, int to);
+
+  const ArchitectureModel& model_;
+  bool indexed_ = false;
+  std::vector<Node> nodes_;  // sorted by name
+  std::vector<Hop> hops_;    // in link order
+  std::vector<Entry> heap_;
+  std::vector<Answer> memo_;
 };
 
 /// Builds the model from a validated configuration. Implicit direct
@@ -89,7 +133,9 @@ ArchitectureModel model_from(const adl::CompiledConfiguration& config);
 
 /// Snapshots the live application + its network into a model. Lines are 0
 /// (there is no source text); protocols are absent unless supplied by the
-/// caller.
+/// caller. Nodes follow their ids; each link is taken once, at its
+/// lower-numbered endpoint, in (from, to) order; instances, connectors and
+/// bindings follow instance and connector ids, ports their declaration.
 ArchitectureModel model_from(runtime::Application& app);
 
 }  // namespace aars::analysis

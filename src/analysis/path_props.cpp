@@ -222,6 +222,7 @@ bool eval_predicate(const adl::CompiledPredicate& pred,
       // one is set). Vacuously true when nothing is bound through it.
       const ModelConnector* conn = model.find_connector(pred.subject.str());
       const std::int64_t budget = conn != nullptr ? conn->budget_us : 0;
+      RouteSearch routes(model);
       value = true;
       for (const ModelBinding& bind : model.bindings) {
         if (bind.connector != pred.subject.str()) continue;
@@ -232,9 +233,9 @@ bool eval_predicate(const adl::CompiledPredicate& pred,
           const ModelInstance* provider = model.find_instance(provider_name);
           if (provider == nullptr) continue;
           const auto there =
-              model.min_latency_us(caller->node, provider->node);
+              routes.min_latency_us(caller->node, provider->node);
           const auto back =
-              model.min_latency_us(provider->node, caller->node);
+              routes.min_latency_us(provider->node, caller->node);
           if (!there.has_value() || !back.has_value()) continue;
           if (budget > 0 && *there + *back > budget) continue;
           any_route = true;

@@ -1,6 +1,7 @@
 #include "analysis/plan.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/strings.h"
 
@@ -193,10 +194,10 @@ bool plan_step_applicable(const ArchitectureModel& model, const PlanStep& step,
   return ok;
 }
 
-PlanReview verify_plan(const ArchitectureModel& current, const Plan& plan,
+PlanReview verify_plan(ArchitectureModel current, const Plan& plan,
                        const VerifierOptions& options) {
   PlanReview review;
-  review.post_state = current;
+  review.post_state = std::move(current);
   ArchitectureModel& model = review.post_state;
 
   for (std::size_t i = 0; i < plan.size(); ++i) {

@@ -62,10 +62,12 @@ bool plan_step_applicable(const ArchitectureModel& model, const PlanStep& step,
 /// `plan_step_applicable`). Mutates `model` in place.
 void apply_plan_step(ArchitectureModel& model, const PlanStep& step);
 
-/// Applies `plan` to a copy of `current` step by step, checking each step's
+/// Applies `plan` to `current` step by step, checking each step's
 /// preconditions (targets exist, destinations exist, quiescing targets can
-/// actually quiesce), then verifies the post-state architecture.
-PlanReview verify_plan(const ArchitectureModel& current, const Plan& plan,
+/// actually quiesce), then verifies the post-state architecture.  Takes the
+/// model by value: a caller done with its snapshot moves it in, and one
+/// that keeps it passes a copy.
+PlanReview verify_plan(ArchitectureModel current, const Plan& plan,
                        const VerifierOptions& options = {});
 
 /// Outcome of screening a cross-shard migration: the instance leaves the

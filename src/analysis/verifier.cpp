@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
+#include <span>
 #include <string_view>
 
 #include "util/strings.h"
@@ -15,17 +17,21 @@ namespace {
 
 /// The call graph of one model, built once per verification pass.  Nodes
 /// are the instances plus any binding caller that is not an instance, in
-/// name order; each node's edges follow binding order, then provider order.
-/// An edge to a provider that is no node (a dangling provider) has `to` -1.
+/// name order; each node's edges follow binding order, then provider order,
+/// and sit in one edge array at the node's offset.  An edge to a provider
+/// that is no node (a dangling provider) has `to` -1.
 struct CallGraph {
   struct Edge {
     int to = -1;
     bool sync = true;
   };
   std::vector<std::string_view> names;
-  std::vector<std::vector<Edge>> out;
+  /// Node n's edges are edges[first[n] .. first[n + 1]).
+  std::vector<std::uint32_t> first;
+  std::vector<Edge> edges;
 
   explicit CallGraph(const ArchitectureModel& model) {
+    names.reserve(model.instances.size() + model.bindings.size());
     for (const ModelInstance& inst : model.instances) {
       names.push_back(inst.name);
     }
@@ -34,15 +40,30 @@ struct CallGraph {
     }
     std::sort(names.begin(), names.end());
     names.erase(std::unique(names.begin(), names.end()), names.end());
-    out.resize(names.size());
+    // Count each caller's edges, turn the counts into end offsets, then
+    // place the bindings back to front so each node keeps binding, then
+    // provider, order; each offset ends at its node's start.
+    first.assign(names.size() + 1, 0);
     for (const ModelBinding& bind : model.bindings) {
-      const ModelConnector* conn = model.find_connector(bind.connector);
+      first[index_of(bind.caller)] +=
+          static_cast<std::uint32_t>(bind.providers.size());
+    }
+    std::partial_sum(first.begin(), first.end(), first.begin());
+    edges.resize(first.back());
+    for (auto bind = model.bindings.rbegin(); bind != model.bindings.rend();
+         ++bind) {
+      const ModelConnector* conn = model.find_connector(bind->connector);
       const bool sync = conn == nullptr || conn->sync_delivery;
-      std::vector<Edge>& edges = out[index_of(bind.caller)];
-      for (const std::string& provider : bind.providers) {
-        edges.push_back(Edge{index_of(provider), sync});
+      std::uint32_t& slot = first[index_of(bind->caller)];
+      for (auto provider = bind->providers.rbegin();
+           provider != bind->providers.rend(); ++provider) {
+        edges[--slot] = Edge{index_of(*provider), sync};
       }
     }
+  }
+
+  std::span<const Edge> out(int node) const {
+    return {edges.data() + first[node], edges.data() + first[node + 1]};
   }
 
   /// Node index of `name`, or -1 when it names no node.
@@ -63,10 +84,14 @@ std::vector<std::vector<int>> call_cycles(const CallGraph& graph,
     return edge.to >= 0 && (edge.sync || !sync_only);
   };
   const std::size_t n = graph.names.size();
-  std::vector<int> index(n, -1);
-  std::vector<int> lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
+  struct Visit {
+    int index = -1;
+    int lowlink = 0;
+    bool on_stack = false;
+  };
+  std::vector<Visit> visits(n);
   std::vector<int> stack;
+  stack.reserve(n);
   std::vector<std::vector<int>> cycles;
   int next_index = 0;
 
@@ -76,29 +101,31 @@ std::vector<std::vector<int>> call_cycles(const CallGraph& graph,
     std::size_t edge = 0;
   };
   std::vector<Frame> frames;
+  frames.reserve(n);
   const auto visit = [&](int node) {
-    index[node] = lowlink[node] = next_index++;
-    on_stack[node] = true;
+    visits[node] = Visit{next_index, next_index, true};
+    ++next_index;
     stack.push_back(node);
     frames.push_back(Frame{node});
   };
   for (int root = 0; root < static_cast<int>(n); ++root) {
-    if (index[root] >= 0) continue;
+    if (visits[root].index >= 0) continue;
     visit(root);
     while (!frames.empty()) {
       Frame& frame = frames.back();
-      const std::vector<CallGraph::Edge>& edges = graph.out[frame.node];
+      const std::span<const CallGraph::Edge> edges = graph.out(frame.node);
+      Visit& at = visits[frame.node];
       bool descended = false;
       while (frame.edge < edges.size()) {
         const CallGraph::Edge& edge = edges[frame.edge++];
         if (!followed(edge)) continue;
-        if (index[edge.to] < 0) {
+        if (visits[edge.to].index < 0) {
           visit(edge.to);
           descended = true;
           break;
         }
-        if (on_stack[edge.to]) {
-          lowlink[frame.node] = std::min(lowlink[frame.node], index[edge.to]);
+        if (visits[edge.to].on_stack) {
+          at.lowlink = std::min(at.lowlink, visits[edge.to].index);
         }
       }
       if (descended) continue;
@@ -106,22 +133,22 @@ std::vector<std::vector<int>> call_cycles(const CallGraph& graph,
       const int node = frame.node;
       frames.pop_back();
       if (!frames.empty()) {
-        lowlink[frames.back().node] =
-            std::min(lowlink[frames.back().node], lowlink[node]);
+        int& parent = visits[frames.back().node].lowlink;
+        parent = std::min(parent, at.lowlink);
       }
-      if (lowlink[node] != index[node]) continue;
+      if (at.lowlink != at.index) continue;
       // `node` roots an SCC: its members sit on the stack from `node` up.
       auto first = stack.end();
       do {
         --first;
-        on_stack[*first] = false;
+        visits[*first].on_stack = false;
       } while (*first != node);
+      const std::span<const CallGraph::Edge> out = graph.out(node);
       const bool cyclic =
           stack.end() - first > 1 ||
-          std::any_of(graph.out[node].begin(), graph.out[node].end(),
-                      [&](const CallGraph::Edge& e) {
-                        return e.to == node && followed(e);
-                      });
+          std::any_of(out.begin(), out.end(), [&](const CallGraph::Edge& e) {
+            return e.to == node && followed(e);
+          });
       if (cyclic) {
         std::vector<int> cycle(first, stack.end());
         std::sort(cycle.begin(), cycle.end());
@@ -142,25 +169,6 @@ std::string cycle_subject(const CallGraph& graph,
   }
   return subject;
 }
-
-/// min_latency_us answers for one pass, computed once per (from, to) pair.
-class RouteMemo {
- public:
-  explicit RouteMemo(const ArchitectureModel& model) : model_(model) {}
-
-  std::optional<std::int64_t> latency_us(const std::string& from,
-                                         const std::string& to) {
-    const auto [it, inserted] = memo_.try_emplace({from, to});
-    if (inserted) it->second = model_.min_latency_us(from, to);
-    return it->second;
-  }
-
- private:
-  const ArchitectureModel& model_;
-  std::map<std::pair<std::string_view, std::string_view>,
-           std::optional<std::int64_t>>
-      memo_;
-};
 
 void check_bindings(const ArchitectureModel& model, adl::Diagnostics& report) {
   std::set<std::pair<std::string, std::string>> seen_ports;
@@ -236,6 +244,7 @@ void check_reachability(const ArchitectureModel& model,
   // are external ingress; instances that call out but are never providers
   // are workload drivers.
   std::vector<std::string_view> called_connectors;
+  called_connectors.reserve(model.bindings.size());
   std::vector<bool> provider(graph.names.size(), false);
   for (const ModelBinding& bind : model.bindings) {
     called_connectors.push_back(bind.connector);
@@ -248,6 +257,7 @@ void check_reachability(const ArchitectureModel& model,
 
   std::vector<bool> reachable(graph.names.size(), false);
   std::vector<int> frontier;
+  frontier.reserve(graph.names.size());
   const auto reach = [&](int node) {
     if (node < 0 || reachable[node]) return;
     reachable[node] = true;
@@ -267,7 +277,7 @@ void check_reachability(const ArchitectureModel& model,
   while (!frontier.empty()) {
     const int at = frontier.back();
     frontier.pop_back();
-    for (const CallGraph::Edge& edge : graph.out[at]) reach(edge.to);
+    for (const CallGraph::Edge& edge : graph.out(at)) reach(edge.to);
   }
   for (const ModelInstance& inst : model.instances) {
     if (!reachable[graph.index_of(inst.name)]) {
@@ -284,20 +294,24 @@ void check_cycles(const ArchitectureModel& model, const CallGraph& graph,
         model.find_instance(std::string(graph.names[cycle.front()]));
     return first != nullptr ? first->line : 0;
   };
-  std::vector<bool> in_sync_cycle(graph.names.size(), false);
+  std::vector<int> in_sync_cycle;  // SCCs are disjoint: no repeats
   for (const std::vector<int>& cycle : call_cycles(graph, /*sync_only=*/true)) {
-    for (const int member : cycle) in_sync_cycle[member] = true;
+    in_sync_cycle.insert(in_sync_cycle.end(), cycle.begin(), cycle.end());
     report.add(adl::Severity::kError, "sync-call-cycle",
                cycle_subject(graph, cycle),
                "synchronous call cycle: deadlocks under load and makes "
                "quiescence unreachable",
                line_of(cycle));
   }
+  std::sort(in_sync_cycle.begin(), in_sync_cycle.end());
   for (const std::vector<int>& cycle :
        call_cycles(graph, /*sync_only=*/false)) {
     // Already reported as the harder sync variant?
-    const bool subsumed = std::all_of(cycle.begin(), cycle.end(),
-                                      [&](int n) { return in_sync_cycle[n]; });
+    const bool subsumed =
+        std::all_of(cycle.begin(), cycle.end(), [&](int n) {
+          return std::binary_search(in_sync_cycle.begin(),
+                                    in_sync_cycle.end(), n);
+        });
     if (subsumed) continue;
     report.add(adl::Severity::kWarning, "connector-cycle",
                cycle_subject(graph, cycle),
@@ -307,7 +321,7 @@ void check_cycles(const ArchitectureModel& model, const CallGraph& graph,
   }
 }
 
-void check_routes(const ArchitectureModel& model, RouteMemo& routes,
+void check_routes(const ArchitectureModel& model, RouteSearch& routes,
                   adl::Diagnostics& report) {
   for (const ModelBinding& bind : model.bindings) {
     const ModelInstance* caller = model.find_instance(bind.caller);
@@ -315,7 +329,7 @@ void check_routes(const ArchitectureModel& model, RouteMemo& routes,
     for (const std::string& provider_name : bind.providers) {
       const ModelInstance* provider = model.find_instance(provider_name);
       if (provider == nullptr || !model.has_node(provider->node)) continue;
-      if (!routes.latency_us(caller->node, provider->node).has_value()) {
+      if (!routes.min_latency_us(caller->node, provider->node).has_value()) {
         report.add(adl::Severity::kError, "no-route",
                    bind.caller + "." + bind.port + " -> " + provider_name,
                    "no route from node '" + caller->node + "' to node '" +
@@ -326,7 +340,7 @@ void check_routes(const ArchitectureModel& model, RouteMemo& routes,
   }
 }
 
-void check_qos(const ArchitectureModel& model, RouteMemo& routes,
+void check_qos(const ArchitectureModel& model, RouteSearch& routes,
                adl::Diagnostics& report) {
   for (const ModelBinding& bind : model.bindings) {
     const ModelConnector* conn = model.find_connector(bind.connector);
@@ -336,8 +350,8 @@ void check_qos(const ArchitectureModel& model, RouteMemo& routes,
     for (const std::string& provider_name : bind.providers) {
       const ModelInstance* provider = model.find_instance(provider_name);
       if (provider == nullptr) continue;
-      const auto there = routes.latency_us(caller->node, provider->node);
-      const auto back = routes.latency_us(provider->node, caller->node);
+      const auto there = routes.min_latency_us(caller->node, provider->node);
+      const auto back = routes.min_latency_us(provider->node, caller->node);
       if (!there.has_value() || !back.has_value()) continue;  // no-route owns it
       const std::int64_t floor_us = *there + *back;
       if (floor_us > conn->budget_us) {
@@ -436,7 +450,7 @@ adl::Diagnostics verify_architecture(const ArchitectureModel& model,
                                      const VerifierOptions& options) {
   adl::Diagnostics report;
   const CallGraph graph(model);
-  RouteMemo routes(model);
+  RouteSearch routes(model);
   check_bindings(model, report);
   check_reachability(model, graph, report);
   check_cycles(model, graph, report);
@@ -449,14 +463,14 @@ adl::Diagnostics verify_architecture(const ArchitectureModel& model,
 std::vector<std::string> quiescence_unreachable(
     const ArchitectureModel& model) {
   const CallGraph graph(model);
-  std::vector<bool> stuck(graph.names.size(), false);
+  std::vector<int> stuck;  // SCCs are disjoint: no repeats
   for (const std::vector<int>& cycle : call_cycles(graph, /*sync_only=*/true)) {
-    for (const int member : cycle) stuck[member] = true;
+    stuck.insert(stuck.end(), cycle.begin(), cycle.end());
   }
+  std::sort(stuck.begin(), stuck.end());
   std::vector<std::string> members;
-  for (std::size_t n = 0; n < stuck.size(); ++n) {
-    if (stuck[n]) members.emplace_back(graph.names[n]);
-  }
+  members.reserve(stuck.size());
+  for (const int n : stuck) members.emplace_back(graph.names[n]);
   return members;
 }
 

@@ -8,14 +8,23 @@
 // reconfiguration phases, RAML decisions, QoS violations).
 //
 // Design constraints:
-//   * Zero overhead when disabled.  The registry starts disabled; every
-//     record operation is a single predictable branch on a cached flag, so
-//     instrumented hot paths (connector relay, event dispatch) cost nothing
-//     measurable until a bench or experiment opts in.
+//   * Near-zero overhead when disabled.  The registry starts disabled; a
+//     record into a kept handle is a single predictable branch on a cached
+//     flag, so instrumented hot paths (connector relay, event dispatch)
+//     cost nothing measurable until a bench or experiment opts in.  A
+//     lookup by name is not gated: it takes the mutex, canonicalises the
+//     labels, allocates and creates the series even while the registry is
+//     off.  The sites that still look up at record time are the fault
+//     injector (fault.injected, fault.active, fault.dropped_during_fault),
+//     the retry policy (fault.retries, fault.retry_exhausted), RAML's
+//     fault.mttr_us, the engine's verify.warned / verify.rejected, Txn's
+//     txn.step_faults, txn.rollback_steps and txn.rollback_failures, and
+//     the install-time rules.explore_findings.
 //   * Stable handles.  Instrumented classes resolve their instruments once
-//     (typically at construction) and keep pointers; instruments are never
-//     deallocated while the registry lives, so recording is lock-free and
-//     allocation-free.
+//     (at construction, or at first use where a series must exist only once
+//     recorded, as the reconfiguration engine's phase and txn instruments)
+//     and keep pointers; instruments are never deallocated while the
+//     registry lives, so recording is lock-free and allocation-free.
 //   * Mirror, not source of truth.  Subsystems keep their own counters for
 //     control decisions (tests and protocols rely on them regardless of
 //     whether observability is on); the registry mirrors those signals for

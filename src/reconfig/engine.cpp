@@ -138,11 +138,38 @@ void ReconfigurationEngine::wait_quiescent(ComponentId component,
 
 void ReconfigurationEngine::record_phase(const std::string& op,
                                          const char* phase, SimTime since) {
-  obs::Registry& reg = obs::Registry::global();
   const SimTime now = app_.loop().now();
-  reg.histogram("reconfig.phase_us", {{"op", op}, {"phase", phase}})
-      .observe(static_cast<double>(now - since));
-  reg.trace(now, obs::TraceKind::kReconfig, op, phase);
+  histogram(op, phase).observe(static_cast<double>(now - since));
+  obs::Registry::global().trace(now, obs::TraceKind::kReconfig, op, phase);
+}
+
+obs::HistogramMetric& ReconfigurationEngine::histogram(
+    const std::string& op, std::string_view phase) {
+  for (const PhaseHistogram& known : histograms_) {
+    if (known.phase == phase && known.op == op) return *known.metric;
+  }
+  obs::Registry& reg = obs::Registry::global();
+  obs::HistogramMetric& metric =
+      phase.empty()
+          ? reg.histogram("reconfig.duration_us", {{"op", op}})
+          : reg.histogram("reconfig.phase_us",
+                          {{"op", op}, {"phase", std::string(phase)}});
+  histograms_.push_back(PhaseHistogram{op, std::string(phase), &metric});
+  return metric;
+}
+
+void ReconfigurationEngine::record_txn(const ReconfigReport& report) {
+  TxnMetrics& metrics = txn_metrics_[static_cast<std::size_t>(report.verdict)];
+  if (metrics.duration_us == nullptr) {
+    obs::Registry& reg = obs::Registry::global();
+    metrics.duration_us = &reg.histogram(
+        "txn.duration_us", {{"verdict", to_string(report.verdict)}});
+    metrics.settled = &reg.counter(report.verdict == TxnVerdict::kCommitted
+                                       ? "txn.committed"
+                                       : "txn.rolled_back");
+  }
+  metrics.duration_us->observe(static_cast<double>(report.duration()));
+  metrics.settled->inc();
 }
 
 // --- phases ----------------------------------------------------------------
@@ -271,11 +298,10 @@ void ReconfigurationEngine::finish(ReconfigReport report, Status status,
   report.status = std::move(status);
   report.finished_at = app_.loop().now();
   if (report.ok()) ++succeeded_;
-  obs::Registry& reg = obs::Registry::global();
-  reg.histogram("reconfig.duration_us", {{"op", report.op}})
-      .observe(static_cast<double>(report.duration()));
-  reg.trace(report.finished_at, obs::TraceKind::kReconfig, report.op,
-            report.ok() ? "done" : "failed: " + report.error_message());
+  histogram(report.op, {}).observe(static_cast<double>(report.duration()));
+  obs::Registry::global().trace(
+      report.finished_at, obs::TraceKind::kReconfig, report.op,
+      report.ok() ? "done" : "failed: " + report.error_message());
   if (done) done(report);
 }
 

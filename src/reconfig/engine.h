@@ -17,8 +17,10 @@
 // the previous configuration (global-consistency requirement, §1).
 #pragma once
 
+#include <array>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/plan.h"
@@ -175,6 +177,11 @@ class ReconfigurationEngine {
   /// policy governs every mutation of the shard's world.
   Status verify_step(const analysis::PlanStep& step, const std::string& op);
 
+  /// Records a settled transaction (reconfig::Txn): a
+  /// "txn.duration_us"{verdict} sample and a "txn.committed" or
+  /// "txn.rolled_back" count, into instruments resolved at first use.
+  void record_txn(const ReconfigReport& report);
+
   const Options& options() const { return options_; }
 
   /// Number of protocol runs started / completed successfully.
@@ -238,9 +245,29 @@ class ReconfigurationEngine {
   /// Records the end of a protocol phase that started at `since`: a trace
   /// event plus a "reconfig.phase_us"{op,phase} duration sample.
   void record_phase(const std::string& op, const char* phase, SimTime since);
+  /// "reconfig.phase_us"{op,phase}, or "reconfig.duration_us"{op} for an
+  /// empty phase: resolved at its first sample and kept.
+  obs::HistogramMetric& histogram(const std::string& op,
+                                  std::string_view phase);
+
+  /// Instruments resolved at first use, so the registry exports the same
+  /// series as when every sample looked its instrument up, and an engine
+  /// that never records resolves none.  Kept per engine, not in a static:
+  /// a sharded runtime runs one engine per shard, each on its own thread.
+  struct PhaseHistogram {
+    std::string op;
+    std::string phase;  // empty for the protocol duration
+    obs::HistogramMetric* metric = nullptr;
+  };
+  struct TxnMetrics {
+    obs::HistogramMetric* duration_us = nullptr;
+    obs::Counter* settled = nullptr;
+  };
 
   Application& app_;
   Options options_;
+  std::vector<PhaseHistogram> histograms_;
+  std::array<TxnMetrics, 3> txn_metrics_{};  // by TxnVerdict
   std::uint64_t started_ = 0;
   std::uint64_t succeeded_ = 0;
   std::uint64_t verify_rejected_ = 0;

@@ -531,18 +531,14 @@ void Txn::restore_bindings(ComponentId id, const Bindings& bindings) {
 void Txn::finish() {
   finished_ = true;
   report_.finished_at = app_.loop().now();
+  engine_.record_txn(report_);
   obs::Registry& reg = obs::Registry::global();
-  const char* verdict = to_string(report_.verdict);
-  reg.histogram("txn.duration_us", {{"verdict", verdict}})
-      .observe(static_cast<double>(report_.duration()));
   // commit() and abort() are the only ways in: every txn ends committed
   // or rolled back.
   if (report_.verdict == TxnVerdict::kCommitted) {
-    reg.counter("txn.committed").inc();
     reg.trace(report_.finished_at, obs::TraceKind::kTxn, label_,
               "committed steps=" + std::to_string(actions_.size()));
   } else {
-    reg.counter("txn.rolled_back").inc();
     if (report_.rollback_steps > 0) {
       reg.counter("txn.rollback_steps").inc(report_.rollback_steps);
     }

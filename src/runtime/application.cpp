@@ -174,22 +174,27 @@ Status Application::add_provider(ConnectorId connector, ComponentId provider) {
   if (conn == nullptr) return Error{ErrorCode::kNotFound, "no such connector"};
   Component* comp = find_component(provider);
   if (comp == nullptr) return Error{ErrorCode::kNotFound, "no such component"};
-  // Check against required interfaces of already-bound callers.
+  if (Status s = fits_bound_ports(*conn, *comp); !s.ok()) return s;
+  return conn->add_provider(provider);
+}
+
+Status Application::fits_bound_ports(const Connector& conn,
+                                     const Component& provider) const {
   for (const auto& [key, bound_conn] : bindings_) {
-    if (bound_conn != connector) continue;
+    if (bound_conn != conn.id()) continue;
     const Component* caller = find_component(key.caller);
     if (caller == nullptr) continue;
     for (const component::RequiredPort& port : caller->required()) {
       if (port.name != key.port) continue;
-      if (Status s = comp->provided().satisfies(port.interface); !s.ok()) {
+      if (Status s = provider.provided().satisfies(port.interface); !s.ok()) {
         return Error{ErrorCode::kIncompatible,
-                     conn->name() + ": provider " + comp->instance_name() +
+                     conn.name() + ": provider " + provider.instance_name() +
                          " incompatible with bound port " + key.port + ": " +
                          s.error().message()};
       }
     }
   }
-  return conn->add_provider(provider);
+  return Status::success();
 }
 
 Status Application::remove_provider(ConnectorId connector,
@@ -926,12 +931,16 @@ Status Application::redirect(ComponentId from, ComponentId to) {
     return Error{ErrorCode::kNotFound, "redirect target missing"};
   }
   // Refuse before changing anything: a connector that `to` already serves
-  // would refuse it a second time half-way through the swap.
+  // would refuse it a second time half-way through the swap, and `to` must
+  // satisfy every port bound to a connector it takes over, as
+  // add_provider requires.
   for (const auto& [cid, conn] : connectors_) {
-    if (to != from && conn->has_provider(from) && conn->has_provider(to)) {
+    if (to == from || !conn->has_provider(from)) continue;
+    if (conn->has_provider(to)) {
       return Error{ErrorCode::kAlreadyExists,
                    conn->name() + ": provider already attached"};
     }
+    if (Status s = fits_bound_ports(*conn, *target); !s.ok()) return s;
   }
   // Serving side: swap provider registration in every connector.
   for (auto& [cid, conn] : connectors_) {

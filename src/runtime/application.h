@@ -248,6 +248,10 @@ class Application {
   /// "__timeout_us" header; the loser of the race (completion vs. deadline)
   /// is suppressed.
   ResponseCallback arm_timeout(Message& message, ResponseCallback callback);
+  /// Refuses `provider` for `conn` (kIncompatible) unless it satisfies the
+  /// required interface of every port already bound to `conn`.
+  Status fits_bound_ports(const Connector& conn,
+                          const Component& provider) const;
   const connector::LoadProbe& load_probe() const { return load_probe_; }
   component::Component::Sender make_sender(ComponentId caller);
   double interceptor_work(const Connector& conn) const;

@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
+#include <queue>
 
 #include "adl/compiler.h"
 #include "analysis/architecture.h"
 #include "testing/test_components.h"
+#include "util/rng.h"
+#include "util/strings.h"
 
 namespace aars::analysis {
 namespace {
@@ -512,6 +517,188 @@ TEST_F(LiveModelTest, LiveSyncCycleCaught) {
   EXPECT_TRUE(report.has("sync-call-cycle"));
   const auto stuck = quiescence_unreachable(model_from(app_));
   EXPECT_EQ(stuck, (std::vector<std::string>{"a", "b"}));
+}
+
+// RouteSearch against a name-keyed Dijkstra (a map of distances and a heap
+// of names, scanning every link per pop): the same answer for every model,
+// including links whose endpoints the model does not list as nodes.
+std::optional<std::int64_t> name_keyed_latency(const ArchitectureModel& model,
+                                               const std::string& from,
+                                               const std::string& to) {
+  if (from == to) return 0;
+  std::map<std::string, std::int64_t> dist;
+  using Entry = std::pair<std::int64_t, std::string>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
+  dist[from] = 0;
+  heap.push({0, from});
+  while (!heap.empty()) {
+    const auto [d, node] = heap.top();
+    heap.pop();
+    if (node == to) return d;
+    if (dist.at(node) < d) continue;
+    for (const ModelLink& link : model.links) {
+      if (link.from != node) continue;
+      const std::int64_t next = d + link.latency_us;
+      const auto found = dist.find(link.to);
+      if (found == dist.end() || next < found->second) {
+        dist[link.to] = next;
+        heap.push({next, link.to});
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(RouteSearchTest, MatchesANameKeyedSearchOnRandomModels) {
+  const std::vector<std::string> names = {"a", "b", "c", "d", "e", "f", "zz"};
+  util::Rng rng(17);
+  const auto pick = [&] {
+    return names[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(names.size()) - 2))];
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    ArchitectureModel model;
+    for (const std::string& name : names) {
+      if (rng.uniform() < 0.5) model.nodes.push_back(name);
+    }
+    const std::int64_t links = rng.uniform_int(0, 14);
+    for (std::int64_t l = 0; l < links; ++l) {
+      model.links.push_back({pick(), pick(), rng.uniform_int(0, 4)});
+    }
+    RouteSearch search(model);
+    for (int pass = 0; pass < 2; ++pass) {  // the second pass hits the memo
+      for (const std::string& from : names) {
+        for (const std::string& to : names) {
+          EXPECT_EQ(search.min_latency_us(from, to),
+                    name_keyed_latency(model, from, to))
+              << "trial " << trial << ": " << from << " -> " << to;
+        }
+      }
+    }
+  }
+}
+
+// The snapshot's element order is part of its contract: diagnostics,
+// first_error(), canonical keys and the goldens all follow it.
+std::string render(const ModelLink& link) {
+  return link.from + "->" + link.to + " " + std::to_string(link.latency_us);
+}
+std::string render(const ModelInstance& inst) {
+  std::string out = inst.name + ":" + inst.type + "@" + inst.node +
+                    " line " + std::to_string(inst.line) + " [";
+  for (const ModelPort& port : inst.required) {
+    out += port.port + ":" + port.interface + ";";
+  }
+  return out + "]";
+}
+std::string render(const ModelConnector& conn) {
+  return conn.name + (conn.sync_delivery ? " sync" : " queued") +
+         " budget " + std::to_string(conn.budget_us) + " line " +
+         std::to_string(conn.line) + " [" + util::join(conn.providers, ",") +
+         "]";
+}
+std::string render(const ModelBinding& bind) {
+  return bind.caller + "." + bind.port + " via " + bind.connector + " line " +
+         std::to_string(bind.line) + " [" + util::join(bind.providers, ",") +
+         "]";
+}
+template <typename T>
+std::vector<std::string> rendered(const std::vector<T>& items) {
+  std::vector<std::string> out;
+  for (const T& item : items) out.push_back(render(item));
+  return out;
+}
+
+TEST(LiveModelOrderTest, SnapshotFollowsIdsAndLowerLinkEndpoints) {
+  sim::EventLoop loop;
+  sim::Network network;
+  component::ComponentRegistry types;
+  runtime::Application app(loop, network, types);
+  types.register_type("EchoServer", [](const std::string& name) {
+    return std::make_unique<aars::testing::EchoServer>(name);
+  });
+  types.register_type("EchoClient", [](const std::string& name) {
+    return std::make_unique<aars::testing::EchoClient>(name);
+  });
+  const util::NodeId n1 = network.add_node("n1", 1000).id();
+  const util::NodeId n2 = network.add_node("n2", 1000).id();
+  const util::NodeId n3 = network.add_node("n3", 1000).id();
+  // Added 2->3, 3->1, 1->2.  In (from, to) order that is 1->2, 2->3, 3->1;
+  // taken once each at the lower endpoint it is 1->2, 3->1, 2->3.
+  const auto link = [](std::int64_t latency_us) {
+    sim::LinkSpec spec;
+    spec.latency = util::microseconds(latency_us);
+    return spec;
+  };
+  network.add_link(n2, n3, link(23));
+  network.add_link(n3, n1, link(31));
+  network.add_link(n1, n2, link(12));
+
+  const auto instantiate = [&](const std::string& type,
+                               const std::string& name, util::NodeId node) {
+    auto id = app.instantiate(type, name, node, util::Value{});
+    EXPECT_TRUE(id.ok()) << name;
+    return id.ok() ? id.value() : util::ComponentId::invalid();
+  };
+  const util::ComponentId server = instantiate("EchoServer", "server", n3);
+  const util::ComponentId gone = instantiate("EchoServer", "gone", n1);
+  const util::ComponentId client = instantiate("EchoClient", "client", n1);
+  instantiate("EchoClient", "idle", n2);  // its port stays unbound
+  const util::ComponentId backup = instantiate("EchoServer", "backup", n2);
+  const util::ComponentId watcher = instantiate("EchoClient", "watcher", n3);
+
+  const auto create = [&](const std::string& name,
+                          connector::RoutingPolicy routing,
+                          connector::DeliveryMode delivery) {
+    connector::ConnectorSpec spec;
+    spec.name = name;
+    spec.routing = routing;
+    spec.delivery = delivery;
+    auto id = app.create_connector(spec);
+    EXPECT_TRUE(id.ok()) << name;
+    return id.ok() ? id.value() : util::ConnectorId::invalid();
+  };
+  const util::ConnectorId main =
+      create("main", connector::RoutingPolicy::kDirect,
+             connector::DeliveryMode::kSync);
+  create("spare", connector::RoutingPolicy::kDirect,
+         connector::DeliveryMode::kQueued);  // no provider
+  const util::ConnectorId pool =
+      create("pool", connector::RoutingPolicy::kRoundRobin,
+             connector::DeliveryMode::kSync);
+  ASSERT_TRUE(app.add_provider(main, server).ok());
+  ASSERT_TRUE(app.add_provider(pool, backup).ok());
+  ASSERT_TRUE(app.add_provider(pool, gone).ok());
+  ASSERT_TRUE(app.add_provider(pool, server).ok());
+  // Bound in the reverse of id order.
+  ASSERT_TRUE(app.bind(watcher, "out", pool).ok());
+  ASSERT_TRUE(app.bind(client, "out", main).ok());
+  ASSERT_TRUE(app.destroy(gone).ok());
+
+  const ArchitectureModel model = model_from(app);
+  EXPECT_EQ(model.nodes, (std::vector<std::string>{"n1", "n2", "n3"}));
+  EXPECT_EQ(rendered(model.links),
+            (std::vector<std::string>{"n1->n2 12", "n3->n1 31", "n2->n3 23"}));
+  EXPECT_EQ(rendered(model.instances),
+            (std::vector<std::string>{
+                "server:EchoServer@n3 line 0 []",
+                "client:EchoClient@n1 line 0 [out:Echo;]",
+                "idle:EchoClient@n2 line 0 [out:Echo;]",
+                "backup:EchoServer@n2 line 0 []",
+                "watcher:EchoClient@n3 line 0 [out:Echo;]",
+            }));
+  EXPECT_EQ(rendered(model.connectors),
+            (std::vector<std::string>{
+                "main sync budget 0 line 0 [server]",
+                "spare queued budget 0 line 0 []",
+                "pool sync budget 0 line 0 [backup,server]",
+            }));
+  EXPECT_EQ(rendered(model.bindings),
+            (std::vector<std::string>{
+                "client.out via main line 0 [server]",
+                "watcher.out via pool line 0 [backup,server]",
+            }));
+  EXPECT_TRUE(model.protocols.empty());
 }
 
 }  // namespace

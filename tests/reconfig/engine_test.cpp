@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "fault/injector.h"
 #include "fault/scenario.h"
+#include "obs/metrics.h"
+#include "reconfig/txn.h"
 #include "testing/test_components.h"
 
 namespace aars::reconfig {
@@ -493,6 +497,163 @@ TEST_F(EngineTest, ReportStartsUnfinishedUntilTheProtocolCompletes) {
   loop_.run();
   ASSERT_TRUE(done);
   EXPECT_TRUE(report.ok()) << report.error_message();
+}
+
+TEST_F(EngineTest, ReplaceWithAnIncompatibleTypeIsRefusedAndChangesNothing) {
+  // client.out requires Echo through `main`; a CounterServer provides only
+  // Counter.  The plan model carries no provided interfaces, so enforced
+  // verification passes the step and the redirect must refuse it.
+  ReconfigurationEngine::Options options;
+  options.verify_mode = analysis::VerifyMode::kEnforce;
+  ReconfigurationEngine engine(app_, options);
+  const auto server =
+      app_.instantiate("EchoServer", "server", node_a_, Value{}).value();
+  const auto client =
+      app_.instantiate("EchoClient", "client", node_b_, Value{}).value();
+  connector::ConnectorSpec spec;
+  spec.name = "main";
+  const auto main = app_.create_connector(spec).value();
+  ASSERT_TRUE(app_.add_provider(main, server).ok());
+  ASSERT_TRUE(app_.bind(client, "out", main).ok());
+
+  ReconfigReport report;
+  engine.replace_component(server, "CounterServer", "counter",
+                           [&](const ReconfigReport& r) { report = r; });
+  loop_.run();
+  EXPECT_EQ(report.status.code(), ErrorCode::kIncompatible)
+      << report.error_message();
+  EXPECT_EQ(app_.find_connector(main)->providers(),
+            (std::vector<util::ComponentId>{server}));
+  EXPECT_FALSE(app_.component_id("counter").valid());
+  // Calls are still answered: straight in, and through the client's port.
+  auto echoed = app_.invoke_sync(main, "echo",
+                                 Value::object({{"text", "hi"}}), node_b_);
+  ASSERT_TRUE(echoed.result.ok()) << echoed.result.error().message();
+  EXPECT_EQ(echoed.result.value().as_string(), "hi");
+  auto relayed = app_.invoke_component(
+      client, "go", Value::object({{"text", "via"}}), node_b_);
+  ASSERT_TRUE(relayed.result.ok()) << relayed.result.error().message();
+  EXPECT_EQ(relayed.result.value().as_string(), "via");
+}
+
+// ---------------------------------------------------------------------------
+// Metric handles: the engine resolves each instrument at its first sample
+// and keeps it, across registry resets and per engine.
+
+class EngineMetricsTest : public AppFixture {
+ protected:
+  void SetUp() override {
+    was_enabled_ = registry().enabled();
+    registry().set_enabled(true);
+    registry().reset_values();
+  }
+  void TearDown() override { registry().set_enabled(was_enabled_); }
+
+  static obs::Registry& registry() { return obs::Registry::global(); }
+
+  /// Series whose name starts with "reconfig." or "txn.".
+  static std::size_t engine_series() {
+    std::size_t n = 0;
+    const auto count = [&n](const auto& family) {
+      for (const auto& [key, instrument] : family) {
+        const std::string_view name = key.first;
+        if (name.starts_with("reconfig.") || name.starts_with("txn.")) ++n;
+      }
+    };
+    count(registry().counters());
+    count(registry().gauges());
+    count(registry().histograms());
+    return n;
+  }
+
+  static std::size_t drain_samples() {
+    return registry()
+        .histogram("reconfig.phase_us", {{"op", "migrate"}, {"phase", "drain"}})
+        .count();
+  }
+  static std::size_t migrate_durations() {
+    return registry()
+        .histogram("reconfig.duration_us", {{"op", "migrate"}})
+        .count();
+  }
+
+  /// Runs one migrate protocol to completion and returns its report.
+  static ReconfigReport migrate(ReconfigurationEngine& engine,
+                                sim::EventLoop& loop, util::ComponentId id,
+                                util::NodeId to) {
+    ReconfigReport report;
+    engine.migrate_component(id, to,
+                             [&](const ReconfigReport& r) { report = r; });
+    loop.run();
+    return report;
+  }
+
+  bool was_enabled_ = false;
+};
+
+TEST_F(EngineMetricsTest, ConstructingAnEngineCreatesNoSeries) {
+  const std::size_t before = engine_series();
+  ReconfigurationEngine engine(app_);
+  auto txn = Txn::create(app_, engine, "idle");
+  EXPECT_EQ(engine_series(), before);
+}
+
+TEST_F(EngineMetricsTest, KeptHandlesRecordAfterAReset) {
+  ReconfigurationEngine engine(app_);
+  const auto id = app_.instantiate("EchoServer", "mover", node_a_, Value{});
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(migrate(engine, loop_, id.value(), node_b_).ok());
+  registry().reset_values();
+  ASSERT_TRUE(migrate(engine, loop_, id.value(), node_a_).ok());
+  EXPECT_EQ(drain_samples(), 1u);
+  EXPECT_EQ(migrate_durations(), 1u);
+}
+
+TEST_F(EngineMetricsTest, TxnOutcomeRecordsAfterAReset) {
+  ReconfigurationEngine engine(app_);
+  ASSERT_TRUE(
+      app_.instantiate("EchoServer", "mover", node_a_, Value{}).ok());
+  const auto commit = [&](const char* node) {
+    auto txn = Txn::create(app_, engine, "move");
+    txn->migrate_component("mover", node);
+    ReconfigReport report;
+    txn->run([&](const ReconfigReport& r) { report = r; });
+    loop_.run();
+    return report.verdict;
+  };
+  ASSERT_EQ(commit("node_b"), TxnVerdict::kCommitted);
+  registry().reset_values();
+  ASSERT_EQ(commit("node_a"), TxnVerdict::kCommitted);
+  EXPECT_EQ(registry().counter("txn.committed").value(), 1u);
+  EXPECT_EQ(registry()
+                .histogram("txn.duration_us", {{"verdict", "committed"}})
+                .count(),
+            1u);
+}
+
+TEST_F(EngineMetricsTest, TwoEnginesOverTwoAppsShareTheSeries) {
+  // A second world with its own loop, network and application.
+  sim::EventLoop loop;
+  sim::Network network;
+  component::ComponentRegistry types;
+  runtime::Application app(loop, network, types);
+  const util::NodeId a = network.add_node("a", 10000).id();
+  const util::NodeId b = network.add_node("b", 10000).id();
+  network.add_duplex_link(a, b, sim::LinkSpec{});
+  types.register_type("EchoServer", [](const std::string& name) {
+    return std::make_unique<aars::testing::EchoServer>(name);
+  });
+
+  ReconfigurationEngine first(app_);
+  ReconfigurationEngine second(app);
+  const auto here = app_.instantiate("EchoServer", "mover", node_a_, Value{});
+  const auto there = app.instantiate("EchoServer", "mover", a, Value{});
+  ASSERT_TRUE(here.ok());
+  ASSERT_TRUE(there.ok());
+  ASSERT_TRUE(migrate(first, loop_, here.value(), node_b_).ok());
+  ASSERT_TRUE(migrate(second, loop, there.value(), b).ok());
+  EXPECT_EQ(drain_samples(), 2u);
+  EXPECT_EQ(migrate_durations(), 2u);
 }
 
 }  // namespace
