@@ -250,10 +250,10 @@ class ReconfigurationEngine {
   obs::HistogramMetric& histogram(const std::string& op,
                                   std::string_view phase);
 
-  /// Instruments resolved at first use, so the registry exports the same
-  /// series as when every sample looked its instrument up, and an engine
-  /// that never records resolves none.  Kept per engine, not in a static:
-  /// a sharded runtime runs one engine per shard, each on its own thread.
+  /// Instruments resolved at first use, so the registry exports a series
+  /// only once something records into it, and an engine that never records
+  /// resolves none.  Kept per engine, not in a static: a sharded runtime
+  /// runs one engine per shard, each on its own thread.
   struct PhaseHistogram {
     std::string op;
     std::string phase;  // empty for the protocol duration
