@@ -4,9 +4,10 @@
 // their environment" — not just load, but failure. A replicated service is
 // subjected to a deterministic fault storm (host crashes, a link partition,
 // a latency-degrade window, a correlated loss burst). The managed run
-// repairs itself: RAML consumes fault events and redeploys components off
-// dead hosts while the connector retries with exponential backoff and fails
-// over to live replicas. The baseline run has no repair path at all.
+// repairs itself: an ADL rule on `fault.host_down` redeploys the components
+// stranded on the dead host, as one transaction RAML fires, while the
+// connector retries with exponential backoff and fails over to live
+// replicas. The baseline run has no repair path at all.
 // Reported per policy: calls offered/ok/failed, QoS-compliant fraction
 // (latency bound), MTTR per crash, retries, messages dropped during faults.
 #include <functional>
@@ -49,7 +50,7 @@ struct Outcome {
   int qos_ok = 0;  // ok calls within kQosBound
   std::uint64_t retries = 0;
   std::uint64_t timeouts = 0;
-  std::uint64_t repairs = 0;
+  std::uint64_t repairs = 0;  // redeploy steps of committed repairs
   std::uint64_t dropped_during_faults = 0;
   util::RunningStats mttr_ms;  // one sample per host crash
 
@@ -87,21 +88,28 @@ Outcome run(bool repair, std::uint64_t seed) {
     policy.timeout = util::milliseconds(20);
     builder.with_retry("svc", policy)
         .with_raml(util::milliseconds(20))
-        .with_self_repair();
+        .adl("when event fault.host_down reconfigure self_repair {\n"
+             "  redeploy stranded;\n"
+             "}\n");
   }
   auto rt = builder.build().value();
   auto& app = rt->app();
   auto& loop = rt->loop();
   const auto client = rt->host("client");
   const auto conn = rt->connector("svc");
+  Outcome outcome;
   if (repair) {
+    rt->adl_rules()->set_firing_observer(
+        [&outcome](util::Symbol, const reconfig::ReconfigReport& report) {
+          if (report.verdict == reconfig::TxnVerdict::kCommitted) {
+            outcome.repairs += report.steps.size();
+          }
+        });
     rt->raml().start();
     // The periodic MAPE tick would keep the loop alive forever; end the
     // management session at the horizon.
     loop.schedule_at(kHorizon, [&rt] { rt->raml().stop(); });
   }
-
-  Outcome outcome;
 
   // --- MTTR: from crash begin until every component again sits on an up
   // host AND a probe call through the connector succeeds.
@@ -160,7 +168,6 @@ Outcome run(bool repair, std::uint64_t seed) {
 
   outcome.retries = app.retries_scheduled();
   outcome.timeouts = app.calls_timed_out();
-  outcome.repairs = repair ? rt->raml().repairs_succeeded() : 0;
   outcome.dropped_during_faults = rt->faults().dropped_during_faults();
   return outcome;
 }

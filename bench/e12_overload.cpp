@@ -8,16 +8,16 @@
 // for all traffic classes alike. The protected run layers the overload
 // subsystem: a token-bucket admission gate with a priority reserve sheds
 // best-effort/normal traffic at the door, a circuit breaker guards the
-// binding, and a RAML-driven degraded mode swaps the server for a cheaper
-// implementation while pressure lasts. High-priority and control traffic
-// keep their latency bound; control traffic is never shed.
+// binding, and a degraded mode swaps the server for a cheaper
+// implementation while pressure lasts. The degraded mode is a guarded pair
+// of ADL rules that RAML fires as transactions. High-priority and control
+// traffic keep their latency bound; control traffic is never shed.
 #include <functional>
 #include <string>
 
 #include "common.h"
 #include "overload/admission.h"
 #include "overload/breaker.h"
-#include "overload/degraded.h"
 #include "testing_components.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -25,9 +25,48 @@
 namespace aars::bench {
 namespace {
 
+using bench_testing::EchoClient;
 using bench_testing::EchoServer;
 using component::Priority;
 using util::Value;
+
+// One server (2000 work-units/s => 500 us per echo) behind connector `svc`.
+// The idle client exists because the ADL attaches a provider to a
+// connector only through a binding.
+constexpr const char* kWorld = R"(interface Echo {
+  service echo(text: string) -> string;
+  service ping() -> int;
+}
+interface Trigger {
+  service go(text: string) -> string;
+}
+component EchoServer provides Echo;
+component CheapEchoServer provides Echo;
+component EchoClient provides Trigger {
+  requires out: Echo;
+}
+node client { capacity 50000; }
+node server { capacity 2000; }
+link client <-> server { latency 1ms; bandwidth 100mbps; }
+instance svc: EchoServer on server;
+instance idle: EchoClient on client;
+connector svc { routing direct; delivery sync; }
+bind idle.out -> svc via svc;
+)";
+
+// The degraded mode: swap in the cheap implementation while the queue is
+// deep and back once it drains.  Each guard enables its rule only in the
+// configuration it leaves; each cooldown keeps its rule from flapping.
+constexpr const char* kDegradedMode = R"(
+when queue_depth(svc) >= 25 if running(svc, EchoServer) reconfigure rush_hour {
+  cooldown 200ms;
+  replace svc with CheapEchoServer;
+}
+when queue_depth(svc) <= 4 if running(svc, CheapEchoServer) reconfigure nominal {
+  cooldown 200ms;
+  replace svc with EchoServer;
+}
+)";
 
 constexpr util::Duration kWarm = util::seconds(1);       // calm traffic
 constexpr util::Duration kRushEnd = util::seconds(3);    // 2s rush hour
@@ -71,26 +110,19 @@ struct Outcome {
 };
 
 Outcome run(bool protect, std::uint64_t seed) {
-  sim::LinkSpec link;
-  link.latency = util::milliseconds(1);
-  connector::ConnectorSpec spec;
-  spec.name = "svc";
-
   auto builder =
       Runtime::builder()
           .seed(seed)
-          .host("client", 50000)
-          .host("server", 2000)  // 2000 work-units/s => 500 us per echo
-          .link_all(link)
           .component_class<EchoServer>("EchoServer")
           .component_type("CheapEchoServer",
                           [](const std::string& instance) {
                             // Same interface, 40% of the work: the degraded
                             // implementation trades fidelity for headroom.
-                            return std::make_unique<EchoServer>(instance, 0.4);
+                            return std::make_unique<EchoServer>(
+                                instance, "CheapEchoServer", 0.4);
                           })
-          .deploy("EchoServer", "svc", "server")
-          .connect(spec, {"svc"});
+          .component_class<EchoClient>("EchoClient")
+          .adl(protect ? std::string(kWorld) + kDegradedMode : kWorld);
   if (protect) {
     overload::AdmissionPolicy admission;
     admission.rate_per_sec = 1700.0;  // bulk traffic cap, under capacity
@@ -105,32 +137,34 @@ Outcome run(bool protect, std::uint64_t seed) {
     breaker.failure_rate_to_open = 0.5;
     breaker.open_cooldown = util::milliseconds(200);
 
-    overload::OverloadTrigger trigger;  // pressure defaults to queue depth
-    trigger.enter_above = 25.0;
-    trigger.exit_below = 4.0;
-    trigger.min_dwell = util::milliseconds(200);
-
-    overload::DegradedMode mode;
-    mode.name = "rush_hour";
-    mode.swaps = {{"svc", "CheapEchoServer"}};
-    mode.admission_rate_scale = 0.9;  // shed a little harder while degraded
-
     builder.with_admission("svc", admission)
         .with_breaker("svc", breaker)
-        .with_raml(util::milliseconds(20))
-        .with_degraded_mode("svc", trigger, mode);
+        .with_raml(util::milliseconds(20));
   }
   auto rt = builder.build().value();
   auto& app = rt->app();
   auto& loop = rt->loop();
   const auto client = rt->host("client");
   const auto conn = rt->connector("svc");
+
+  Outcome outcome;
   if (protect) {
+    // Entering and leaving the degraded mode are the committed firings of
+    // its two rules.
+    const util::Symbol enter("rush_hour");
+    rt->adl_rules()->set_firing_observer(
+        [&outcome, enter](util::Symbol rule,
+                          const reconfig::ReconfigReport& report) {
+          if (report.verdict != reconfig::TxnVerdict::kCommitted) return;
+          if (rule == enter) {
+            ++outcome.degraded_enters;
+          } else {
+            ++outcome.degraded_exits;
+          }
+        });
     rt->raml().start();
     loop.schedule_at(kHorizon, [&rt] { rt->raml().stop(); });
   }
-
-  Outcome outcome;
 
   // Open-loop load: calm, rush hour, calm again.
   util::Rng rng(seed);
@@ -174,11 +208,6 @@ Outcome run(bool protect, std::uint64_t seed) {
     if (auto breaker = rt->breaker("svc")) {
       outcome.breaker_short_circuits = breaker->short_circuits();
     }
-    const auto& controllers = rt->raml().overload_controllers();
-    if (!controllers.empty()) {
-      outcome.degraded_enters = controllers.front()->enters();
-      outcome.degraded_exits = controllers.front()->exits();
-    }
   }
   return outcome;
 }
@@ -208,7 +237,7 @@ int main() {
          "with the changing requests of mobile users. Same deterministic "
          "rush-hour load; the protected run sheds low-priority traffic at "
          "the door, breaks the binding on sustained failure and swaps in a "
-         "cheaper implementation via RAML while pressure lasts.");
+         "cheaper implementation via RAML rules while pressure lasts.");
   aars::bench::enable_metrics();
 
   const Outcome baseline = run(/*protect=*/false, 42);

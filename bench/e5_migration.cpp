@@ -41,7 +41,8 @@ Outcome run(bool migrate, double lambda_per_service, std::uint64_t seed) {
                      .seed(seed)
                      .link_all(link)
                      .component_type("EchoServer", [](const std::string& name) {
-                       return std::make_unique<EchoServer>(name, /*work=*/2.0);
+                       return std::make_unique<EchoServer>(
+                           name, "EchoServer", /*work=*/2.0);
                      });
   for (int i = 0; i < 4; ++i) builder.host("edge" + std::to_string(i), 4000);
   // Four services, all initially packed onto edge0 (the hot spot).

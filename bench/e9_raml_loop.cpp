@@ -44,7 +44,8 @@ Outcome run(util::Duration period, std::uint64_t seed) {
                 .host("client", 50000)
                 .link_all(link)
                 .component_type("EchoServer", [](const std::string& name) {
-                  return std::make_unique<EchoServer>(name, /*work=*/2.0);
+                  return std::make_unique<EchoServer>(name, "EchoServer",
+                                                      /*work=*/2.0);
                 })
                 .deploy("EchoServer", "svc", "primary")
                 .connect(spec, {"svc"})

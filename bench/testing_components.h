@@ -25,10 +25,14 @@ inline InterfaceDescription echo_interface() {
   return desc;
 }
 
+/// Echo provider; `type_name` lets one class serve as several declared
+/// implementations (e.g. a cheaper variant with less `work` per call).
 class EchoServer : public Component {
  public:
-  explicit EchoServer(const std::string& instance_name, double work = 1.0)
-      : Component("EchoServer", instance_name) {
+  explicit EchoServer(const std::string& instance_name,
+                      const std::string& type_name = "EchoServer",
+                      double work = 1.0)
+      : Component(type_name, instance_name) {
     set_provided(echo_interface());
     register_operation("echo", work, [](const Value& args) -> Result<Value> {
       return Value{args.at("text").as_string()};

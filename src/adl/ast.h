@@ -170,6 +170,13 @@ struct AstBinding {
 //   when event fault.host_down reconfigure {
 //     reroute primary to standby;
 //   }
+//   when queue_depth(jobs) <= 4 if running(worker, CheapWorker)
+//       reconfigure restore {
+//     replace worker with Worker;
+//   }
+//   when event fault.host_down reconfigure self_repair {
+//     redeploy stranded;
+//   }
 
 /// Comparison operator in a metric condition.
 enum class AstCompare { kLt, kLe, kGt, kGe, kEq, kNe };
@@ -200,11 +207,21 @@ struct AstCondition {
 };
 
 /// One reconfiguration action inside a rule block, mirroring the engine's
-/// change classes (add/remove/replace/migrate/rebind/reroute).
+/// change classes (add/remove/replace/migrate/rebind/reroute), plus
+/// `redeploy stranded`: every component on the host a `fault.host_down`
+/// event names, moved at firing time.
 struct AstRuleAction {
-  enum class Kind { kAdd, kRemove, kReplace, kMigrate, kRebind, kReroute };
+  enum class Kind {
+    kAdd,
+    kRemove,
+    kReplace,
+    kMigrate,
+    kRebind,
+    kReroute,
+    kRedeployStranded
+  };
   Kind kind = Kind::kRemove;
-  std::string instance;   // target of every action
+  std::string instance;   // target of every action but kRedeployStranded
   std::string type;       // kAdd / kReplace: component type
   std::string name;       // kAdd: new instance name; kReplace: optional "as"
   std::string node;       // kAdd / kMigrate: destination node
@@ -214,9 +231,33 @@ struct AstRuleAction {
   SourceLoc loc;
 };
 
+/// Atomic predicate over one configuration (a path-property clause, or a
+/// rule's `if` guard):
+///   [not] exists(inst)          — the instance is deployed
+///   [not] routed(conn)          — every binding through the connector keeps
+///                                 a provider with a feasible (budget-
+///                                 respecting) route
+///   [not] running(inst, Type)   — the instance exists and currently runs
+///                                 implementation Type (degraded-mode flag)
+///   replicas(Type) CMP N        — deployed instance count of the type
+struct AstPredicate {
+  enum class Kind { kExists, kRouted, kRunning, kReplicas };
+  Kind kind = Kind::kExists;
+  bool negated = false;  // `not <pred>`
+  /// kExists/kRunning: instance; kRouted: connector; kReplicas: type.
+  std::string subject;
+  std::string type;  // kRunning: expected implementation type
+  AstCompare compare = AstCompare::kGe;  // kReplicas
+  int count = 0;                         // kReplicas
+  SourceLoc loc;
+};
+
 struct AstRule {
   std::string name;  // optional; auto-named "rule_<n>" when empty
   AstCondition condition;
+  /// `if <predicate>` guard (exists/running only): a rule whose guard is
+  /// false is not enabled, so it neither fires nor counts as suppressed.
+  std::optional<AstPredicate> guard;
   std::vector<AstRuleAction> actions;
   std::int64_t cooldown_us = 0;  // `cooldown 2s;` property
   /// `deadline 200ms;` property: whole-firing budget for the transactional
@@ -296,26 +337,6 @@ struct AstScenario {
 //     eventually running(worker, Worker);
 //     reverts degrade;
 //   }
-
-/// Atomic predicate over one configuration:
-///   [not] exists(inst)          — the instance is deployed
-///   [not] routed(conn)          — every binding through the connector keeps
-///                                 a provider with a feasible (budget-
-///                                 respecting) route
-///   [not] running(inst, Type)   — the instance exists and currently runs
-///                                 implementation Type (degraded-mode flag)
-///   replicas(Type) CMP N        — deployed instance count of the type
-struct AstPredicate {
-  enum class Kind { kExists, kRouted, kRunning, kReplicas };
-  Kind kind = Kind::kExists;
-  bool negated = false;  // `not <pred>`
-  /// kExists/kRunning: instance; kRouted: connector; kReplicas: type.
-  std::string subject;
-  std::string type;  // kRunning: expected implementation type
-  AstCompare compare = AstCompare::kGe;  // kReplicas
-  int count = 0;                         // kReplicas
-  SourceLoc loc;
-};
 
 /// One clause of a property block. `always` must hold in every reachable
 /// configuration (including mid-firing intermediate states); `eventually`

@@ -41,6 +41,7 @@ RuleProgram emit_program(const Configuration& ast) {
                                  ? MetricSource::kNodeBacklog
                                  : MetricSource::kFaultActive;
     }
+    if (rule.guard.has_value()) out.guard = lower_predicate(*rule.guard);
     out.actions.reserve(rule.actions.size());
     for (const AstRuleAction& action : rule.actions) {
       CompiledAction lowered;
@@ -56,6 +57,9 @@ RuleProgram emit_program(const Configuration& ast) {
         case AstRuleAction::Kind::kRebind: lowered.op = PlanOp::kRebind; break;
         case AstRuleAction::Kind::kReroute:
           lowered.op = PlanOp::kReroute;
+          break;
+        case AstRuleAction::Kind::kRedeployStranded:
+          lowered.op = PlanOp::kRedeploy;
           break;
       }
       lowered.instance = util::Symbol(action.instance);

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,8 +52,9 @@ struct CompiledCondition {
 };
 
 /// One architecture mutation, mirroring the engine's change classes.  The
-/// rule compiler emits every verb but kRedeploy (a repair-only step); the
-/// analysis plan model and reconfig::Txn share this enum.
+/// rule compiler emits kRedeploy only for `redeploy stranded`, which names
+/// no target: the runtime expands it at firing time.  The analysis plan
+/// model and reconfig::Txn share this enum.
 enum class PlanOp {
   kAdd,       // new instance `instance` of `type` on `node`
   kRemove,    // remove `instance` (quiesce -> drain -> delete)
@@ -78,26 +80,13 @@ constexpr const char* to_string(PlanOp op) {
 
 struct CompiledAction {
   PlanOp op = PlanOp::kRemove;
-  util::Symbol instance;   // target of every op except kAdd
+  util::Symbol instance;   // target of every op except kAdd and kRedeploy
   util::Symbol type;       // kAdd / kReplace
   util::Symbol name;       // kAdd: new instance; kReplace: optional rename
   util::Symbol node;       // kAdd / kMigrate
   util::Symbol port;       // kRebind
   util::Symbol connector;  // kRebind
   util::Symbol replica;    // kReroute
-};
-
-struct CompiledRule {
-  util::Symbol name;
-  CompiledCondition condition;
-  std::vector<CompiledAction> actions;
-  std::int64_t cooldown_us = 0;
-  /// Whole-firing transactional deadline (0 = use the runtime default).
-  std::int64_t deadline_us = 0;
-  /// Source location of the `when` keyword — the explorer anchors
-  /// counterexample diagnostics to the last rule of the firing sequence.
-  int line = 0;
-  int column = 0;
 };
 
 /// Interned predicate-table entry: the explorer evaluates these against
@@ -112,6 +101,22 @@ struct CompiledPredicate {
   util::Symbol type;  // kRunning
   AstCompare compare = AstCompare::kGe;  // kReplicas
   int count = 0;                         // kReplicas
+};
+
+struct CompiledRule {
+  util::Symbol name;
+  CompiledCondition condition;
+  /// `if` guard (kExists/kRunning only): the rule is enabled only while it
+  /// holds.
+  std::optional<CompiledPredicate> guard;
+  std::vector<CompiledAction> actions;
+  std::int64_t cooldown_us = 0;
+  /// Whole-firing transactional deadline (0 = use the runtime default).
+  std::int64_t deadline_us = 0;
+  /// Source location of the `when` keyword — the explorer anchors
+  /// counterexample diagnostics to the last rule of the firing sequence.
+  int line = 0;
+  int column = 0;
 };
 
 enum class PathPropertyKind { kAlways, kEventually, kReverts };

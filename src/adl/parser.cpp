@@ -515,7 +515,7 @@ class Parser {
 
   // --- reconfiguration rules ---------------------------------------------
 
-  // when <condition> [for N ticks] reconfigure [name]
+  // when <condition> [for N ticks] [if <predicate>] reconfigure [name]
   //   { [cooldown D;] [deadline D;] action* }
   void parse_rule(Configuration& config) {
     AstRule rule;
@@ -534,6 +534,9 @@ class Parser {
         fail("expected 'ticks'");
         return;
       }
+    }
+    if (match_keyword("if")) {
+      if (!parse_predicate(rule.guard.emplace())) return;
     }
     if (!match_keyword("reconfigure")) {
       fail("expected 'reconfigure'");
@@ -607,6 +610,7 @@ class Parser {
   //   migrate inst to node;
   //   rebind inst.port -> connector;
   //   reroute inst to replica;
+  //   redeploy stranded;
   bool parse_rule_action(AstRuleAction& action) {
     action.loc = peek().loc;
     if (match_keyword("add")) {
@@ -652,11 +656,14 @@ class Parser {
       if (!expect_identifier("instance name", action.instance)) return false;
       if (!match_keyword("to")) return fail("expected 'to <replica>'");
       if (!expect_identifier("replica instance", action.replica)) return false;
+    } else if (match_keyword("redeploy")) {
+      action.kind = AstRuleAction::Kind::kRedeployStranded;
+      if (!match_keyword("stranded")) return fail("expected 'stranded'");
     } else {
       return fail(
           "expected a reconfiguration action "
-          "(add/remove/replace/migrate/rebind/reroute), 'cooldown' or "
-          "'deadline'");
+          "(add/remove/replace/migrate/rebind/reroute/redeploy), 'cooldown' "
+          "or 'deadline'");
     }
     return expect_punct(";");
   }

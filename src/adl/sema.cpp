@@ -45,7 +45,7 @@ const std::set<std::string>& known_events() {
       "fault.host_down",     "fault.host_up",   "fault.link_down",
       "fault.link_up",       "fault.degrade_start", "fault.degrade_end",
       "fault.loss_start",    "fault.loss_end",  "fault.step_armed",
-      "fault.step_cleared",  "overload.enter",  "overload.exit",
+      "fault.step_cleared",
   };
   return kEvents;
 }
@@ -446,10 +446,35 @@ class Sema {
       if (rule.deadline_us < 0) {
         diags_.error(rule.loc, "invalid-value", "rule deadline must be >= 0");
       }
+      if (rule.guard.has_value()) analyze_guard(rule, *rule.guard);
       RuleScope scope(out_.instance_index);
       for (const AstRuleAction& action : rule.actions) {
         analyze_action(rule, action, scope);
       }
+    }
+  }
+
+  /// A guard reads one instance of the declared deployment, resolved the
+  /// way an action's target is; the runtime binds it to an id at install.
+  void analyze_guard(const AstRule& rule, const AstPredicate& guard) {
+    const std::string label =
+        "rule" + (rule.name.empty() ? "" : " '" + rule.name + "'");
+    if (guard.kind == AstPredicate::Kind::kRouted ||
+        guard.kind == AstPredicate::Kind::kReplicas) {
+      diags_.error(guard.loc, "unsupported-guard",
+                   label + " guard must be exists(...) or running(...)");
+      return;
+    }
+    if (!out_.instance_index.count(guard.subject)) {
+      diags_.error(guard.loc, "unknown-instance",
+                   label + " guard references unknown instance '" +
+                       guard.subject + "'");
+    }
+    if (guard.kind == AstPredicate::Kind::kRunning &&
+        !components_.count(guard.type)) {
+      diags_.error(guard.loc, "unknown-type",
+                   label + " guard uses unknown component type '" +
+                       guard.type + "'");
     }
   }
 
@@ -553,6 +578,16 @@ class Sema {
       case Kind::kReroute:
         require_instance(action.instance);
         require_instance(action.replica);
+        break;
+      case Kind::kRedeployStranded:
+        // The stranded set is the host the event names: only a host crash
+        // names one.
+        if (!rule.condition.is_event ||
+            rule.condition.event != "fault.host_down") {
+          diags_.error(action.loc, "redeploy-needs-host-down",
+                       "'redeploy stranded' needs a rule triggered by "
+                       "'event fault.host_down'");
+        }
         break;
     }
   }
@@ -766,6 +801,24 @@ CompiledConfiguration analyze(Configuration config, Diagnostics& diags) {
   return sema.run();
 }
 
+CompiledPredicate lower_predicate(const AstPredicate& pred) {
+  CompiledPredicate p;
+  switch (pred.kind) {
+    case AstPredicate::Kind::kExists: p.kind = PredicateKind::kExists; break;
+    case AstPredicate::Kind::kRouted: p.kind = PredicateKind::kRouted; break;
+    case AstPredicate::Kind::kRunning: p.kind = PredicateKind::kRunning; break;
+    case AstPredicate::Kind::kReplicas:
+      p.kind = PredicateKind::kReplicas;
+      break;
+  }
+  p.negated = pred.negated;
+  p.subject = util::Symbol(pred.subject);
+  p.type = util::Symbol(pred.type);
+  p.compare = pred.compare;
+  p.count = pred.count;
+  return p;
+}
+
 std::vector<CompiledPathProperty> lower_properties(const Configuration& ast) {
   std::vector<CompiledPathProperty> out;
   for (const AstProperty& prop : ast.properties) {
@@ -787,27 +840,7 @@ std::vector<CompiledPathProperty> lower_properties(const Configuration& ast) {
           break;
       }
       if (clause.kind != AstPropertyClause::Kind::kReverts) {
-        const AstPredicate& pred = clause.pred;
-        CompiledPredicate& p = lowered.pred;
-        switch (pred.kind) {
-          case AstPredicate::Kind::kExists:
-            p.kind = PredicateKind::kExists;
-            break;
-          case AstPredicate::Kind::kRouted:
-            p.kind = PredicateKind::kRouted;
-            break;
-          case AstPredicate::Kind::kRunning:
-            p.kind = PredicateKind::kRunning;
-            break;
-          case AstPredicate::Kind::kReplicas:
-            p.kind = PredicateKind::kReplicas;
-            break;
-        }
-        p.negated = pred.negated;
-        p.subject = util::Symbol(pred.subject);
-        p.type = util::Symbol(pred.type);
-        p.compare = pred.compare;
-        p.count = pred.count;
+        lowered.pred = lower_predicate(clause.pred);
       }
       out.push_back(std::move(lowered));
     }

@@ -24,6 +24,9 @@ util::Result<util::ValueType> value_type_from_name(const std::string& name);
 /// check `diags.ok()` before deploying it.
 CompiledConfiguration analyze(Configuration config, Diagnostics& diags);
 
+/// Interns one predicate (a property clause or a rule guard).
+CompiledPredicate lower_predicate(const AstPredicate& pred);
+
 /// Lowers `property { ... }` blocks into the flat interned-Symbol clause
 /// table the configuration-space explorer consumes. Names must already have
 /// been resolved by `analyze`.

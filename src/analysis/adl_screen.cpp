@@ -101,6 +101,10 @@ Plan plan_from(const adl::CompiledRule& rule) {
   Plan plan;
   plan.reserve(rule.actions.size());
   for (const adl::CompiledAction& action : rule.actions) {
+    // `redeploy stranded` depends on which host fails, which the model
+    // does not know: no structural step (each candidate host is screened
+    // when the rule fires).
+    if (action.op == PlanOp::kRedeploy) continue;
     PlanStep step;
     step.op = action.op;
     // kAdd names the new instance via `name`; every other op targets an

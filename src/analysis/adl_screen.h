@@ -24,7 +24,7 @@
 namespace aars::analysis {
 
 /// Lowers a compiled rule's actions into an analysis plan, one step per
-/// action.
+/// action but `redeploy stranded`, which is no structural step.
 Plan plan_from(const adl::CompiledRule& rule);
 
 /// Builds the Screen hook `adl::CompileOptions` accepts.

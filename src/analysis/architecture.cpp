@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <utility>
 
 #include "runtime/application.h"
 
@@ -198,13 +199,20 @@ ArchitectureModel model_from(runtime::Application& app) {
     if (!id.valid() || id.raw() > model.nodes.size()) return {};
     return model.nodes[id.raw() - 1];
   };
-  for (std::uint64_t raw = 1; raw <= node_count; ++raw) {
-    const util::NodeId id{raw};
-    for (const auto& [from, to] : network.links_of(id)) {
-      if (std::min(from, to) != id) continue;
-      model.links.push_back(ModelLink{node_name(from), node_name(to),
-                                      network.find_link(from, to)->latency});
-    }
+  // Each link once, grouped by its lower endpoint in id order and in
+  // (from, to) order within a group: count the groups, then place.
+  const sim::Network::Links& links = network.links();
+  std::vector<std::size_t> next(node_count, 0);
+  for (const auto& [ends, spec] : links) {
+    ++next[std::min(ends.first, ends.second).raw() - 1];
+  }
+  std::size_t offset = 0;
+  for (std::size_t& slot : next) offset += std::exchange(slot, offset);
+  model.links.resize(links.size());
+  for (const auto& [ends, spec] : links) {
+    const std::uint64_t lower = std::min(ends.first, ends.second).raw();
+    model.links[next[lower - 1]++] =
+        ModelLink{node_name(ends.first), node_name(ends.second), spec.latency};
   }
 
   const std::vector<util::ComponentId> component_ids = app.component_ids();

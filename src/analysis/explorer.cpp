@@ -27,6 +27,11 @@ std::uint64_t fnv1a(std::uint64_t hash, const std::string& data) {
   return hash;
 }
 
+bool guard_holds(const adl::CompiledRule& rule,
+                 const ArchitectureModel& model) {
+  return !rule.guard.has_value() || eval_predicate(*rule.guard, model);
+}
+
 /// True when the rule's whole plan applies from `model` (used only to
 /// decide whether a depth-capped state actually had unexplored firings).
 bool fully_applicable(ArchitectureModel model, const Plan& plan) {
@@ -83,8 +88,9 @@ ExplorationResult explore(const ArchitectureModel& initial,
     if (depth >= options.max_depth) {
       // Only report truncation when a committed firing was actually cut
       // off — a leaf state with no enabled rules loses nothing.
-      for (const Plan& plan : plans) {
-        if (fully_applicable(source, plan)) {
+      for (std::size_t r = 0; r < plans.size(); ++r) {
+        if (guard_holds(program.rules[r], source) &&
+            fully_applicable(source, plans[r])) {
           hit_depth_cap = true;
           break;
         }
@@ -98,9 +104,11 @@ ExplorationResult explore(const ArchitectureModel& initial,
         quiescence_unreachable(source);
     for (std::size_t r = 0; r < plans.size() && !hit_config_cap; ++r) {
       const Plan& plan = plans[r];
-      // Test step 0 on the source before paying for a copy of the model.
-      if (!plan.empty() &&
-          !plan_step_applicable(source, plan[0], 0, nullptr, &source_stuck)) {
+      // A false guard disables the rule, as at runtime.  Then test step 0
+      // on the source before paying for a copy of the model.
+      if (!guard_holds(program.rules[r], source) ||
+          (!plan.empty() && !plan_step_applicable(source, plan[0], 0, nullptr,
+                                                  &source_stuck))) {
         continue;  // rule not enabled in this state
       }
       ArchitectureModel model = source;

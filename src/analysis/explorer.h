@@ -3,9 +3,9 @@
 // The paper's prospective vision asks for correctness checking of *dynamic*
 // architectures (§3). A compiled RuleProgram makes that tractable ahead of
 // time: each rule's plan template is a transition function on the
-// architecture model, so the set of configurations a running system can
-// wander into is the closure of the initial configuration under rule
-// firings.  The explorer breadth-first enumerates that closure (bounded by
+// architecture model, enabled in the states where the rule's guard holds,
+// so the set of configurations a running system can wander into is the
+// closure of the initial configuration under rule firings.  The explorer breadth-first enumerates that closure (bounded by
 // configuration count and firing depth), runs the whole-architecture
 // verifier on every newly reached configuration, checks mid-firing
 // transient states exactly as `reconfig::Txn` would expose them (a partial

@@ -4,10 +4,12 @@
 // api::World — the world options (seed, channel limits, metrics, ADL
 // sources, verification, RAML period, explore gate) and every declaration
 // (hosts, links, type installers, deployments, connectors, and the
-// Runtime-only bindings, interceptors, degraded modes, self-repair and
-// fault scenarios) — through one CRTP verb mixin, WorldBuilder.  Each
-// builder adds only its own `host` (the sharded one takes a shard) and the
-// verbs that belong to its flavour alone.
+// Runtime-only bindings, interceptors and fault scenarios) — through one
+// CRTP verb mixin, WorldBuilder.  Each builder adds only its own `host`
+// (the sharded one takes a shard) and the verbs that belong to its flavour
+// alone.  Adaptation is declared in ADL: self-repair and degraded modes
+// are `when … reconfigure` rules passed through adl(), so they run as
+// transactions, are screened at compile time and can be explored.
 //
 // Runtime::materialise() is the one function that turns a World into a
 // runtime stack.  Runtime::Builder calls it once; ShardedRuntime::Builder
@@ -33,7 +35,6 @@
 #include "fault/scenario.h"
 #include "overload/admission.h"
 #include "overload/breaker.h"
-#include "overload/degraded.h"
 #include "reconfig/rules.h"
 #include "runtime/application.h"
 #include "sim/network.h"
@@ -86,11 +87,6 @@ struct World {
     std::string connector;
     overload::BreakerPolicy policy;
   };
-  struct DegradedDecl {
-    std::string connector;
-    overload::OverloadTrigger trigger;
-    overload::DegradedMode mode;
-  };
 
   // --- options -----------------------------------------------------------------
   runtime::Application::Config config;
@@ -119,8 +115,6 @@ struct World {
   std::vector<RetryDecl> retries;
   std::vector<AdmissionDecl> admissions;
   std::vector<BreakerDecl> breakers;
-  std::vector<DegradedDecl> degraded_modes;
-  bool self_repair = false;
   /// Armed in order: every `scenarios` entry, then every parsed
   /// `scenario_texts` entry.
   std::vector<fault::FaultScenario> scenarios;
@@ -165,9 +159,10 @@ class WorldBuilder {
     world_.adl_sources.push_back(std::move(source));
     return self();
   }
-  /// Gates every engine mutation (and RAML self-repair) behind the static
-  /// plan verifier: off (default), warn (log findings, proceed) or enforce
-  /// (reject with kVerificationFailed + "verify.rejected" metric).
+  /// Gates every engine mutation (and each `redeploy stranded` candidate
+  /// host) behind the static plan verifier: off (default), warn (log
+  /// findings, proceed) or enforce (reject with kVerificationFailed +
+  /// "verify.rejected" metric).
   Derived& with_verification(analysis::VerifyMode mode,
                              std::size_t max_states = 100000) {
     world_.verify_mode = mode;

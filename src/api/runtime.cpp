@@ -80,19 +80,6 @@ Runtime::Builder& Runtime::Builder::with_breaker(
   return *this;
 }
 
-Runtime::Builder& Runtime::Builder::with_degraded_mode(
-    const std::string& connector_name, overload::OverloadTrigger trigger,
-    overload::DegradedMode mode) {
-  world_.degraded_modes.push_back(api::World::DegradedDecl{
-      connector_name, std::move(trigger), std::move(mode)});
-  return *this;
-}
-
-Runtime::Builder& Runtime::Builder::with_self_repair() {
-  world_.self_repair = true;
-  return *this;
-}
-
 Runtime::Builder& Runtime::Builder::with_faults(
     fault::FaultScenario scenario) {
   world_.scenarios.push_back(std::move(scenario));
@@ -327,36 +314,6 @@ Result<std::unique_ptr<Runtime>> Runtime::materialise(
     rt->raml_ = std::make_unique<meta::Raml>(
         *rt->app_, *rt->engine_,
         world.raml_period.value_or(util::milliseconds(10)));
-    if (world.self_repair) rt->raml_->enable_self_repair(*rt->injector_);
-  } else if (world.self_repair) {
-    return Error{ErrorCode::kInvalidArgument,
-                 "with_self_repair() requires with_raml()"};
-  }
-
-  for (const api::World::DegradedDecl& decl : world.degraded_modes) {
-    if (rt->raml_ == nullptr) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "with_degraded_mode() requires with_raml()"};
-    }
-    const util::ConnectorId id = rt->app_->connector_id(decl.connector);
-    if (!id.valid()) {
-      return Error{ErrorCode::kNotFound,
-                   "with_degraded_mode: unknown connector '" + decl.connector +
-                       "'"};
-    }
-    overload::OverloadTrigger trigger = decl.trigger;
-    if (!trigger.pressure) {
-      runtime::Application* app = rt->app_.get();
-      trigger.pressure = [app, id] {
-        return static_cast<double>(app->queue_depth(id));
-      };
-    }
-    overload::DegradedMode mode = decl.mode;
-    if (mode.admission == nullptr) {
-      auto it = rt->admissions_.find(decl.connector);
-      if (it != rt->admissions_.end()) mode.admission = it->second;
-    }
-    rt->raml_->watch_overload(std::move(trigger), std::move(mode));
   }
 
   if (!rule_program.rules.empty()) {

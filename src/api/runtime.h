@@ -40,7 +40,6 @@
 #include "meta/raml.h"
 #include "overload/admission.h"
 #include "overload/breaker.h"
-#include "overload/degraded.h"
 #include "reconfig/engine.h"
 #include "runtime/application.h"
 #include "sim/event_loop.h"
@@ -150,18 +149,10 @@ class Runtime::Builder : public api::WorldBuilder<Runtime::Builder> {
   /// retry, so an open breaker short-circuits before any retry attempt.
   Builder& with_breaker(const std::string& connector_name,
                         overload::BreakerPolicy policy);
-  /// Requires with_raml(): installs a degraded-mode controller for the
-  /// connector. When `trigger.pressure` is empty it defaults to the
-  /// connector's queue depth; when `mode.admission` is unset it defaults to
-  /// the admission gate declared for the same connector (if any).
-  Builder& with_degraded_mode(const std::string& connector_name,
-                              overload::OverloadTrigger trigger,
-                              overload::DegradedMode mode);
 
-  // --- managers ----------------------------------------------------------------
-  /// Requires with_raml(): wires the fault injector into RAML's rule engine
-  /// and enables the built-in host-down repair rule.
-  Builder& with_self_repair();
+  // --- fault scenarios ---------------------------------------------------------
+  // Self-repair and degraded modes are ADL rules (`redeploy stranded`, a
+  // guarded `replace` pair), declared through adl().
   /// Arms a fault scenario on the timeline at build time.
   Builder& with_faults(fault::FaultScenario scenario);
   /// Parses and arms the text scenario format.

@@ -5,7 +5,6 @@
 namespace aars::meta {
 
 using util::Duration;
-using util::SimTime;
 
 Raml::Raml(runtime::Application& app, reconfig::ReconfigurationEngine& engine,
            Duration period)
@@ -84,101 +83,14 @@ void Raml::install_rule_set(std::shared_ptr<reconfig::RuleSet> rules) {
   for (const auto& [event, index] : adl_rules_->event_rules()) {
     const std::size_t idx = index;
     rule_engine_.subscribe(event.str(), [this, idx](const Event& event) {
-      adl_rules_->fire_event_rule(idx, event.at);
+      util::NodeId host;
+      if (event.data.is_map() && event.data.contains("host")) {
+        host = util::NodeId{
+            static_cast<std::uint64_t>(event.data.at("host").as_int())};
+      }
+      adl_rules_->fire_event_rule(idx, event.at, host);
     });
   }
-}
-
-void Raml::enable_self_repair(fault::FaultInjector& injector) {
-  watch_faults(injector);
-  Rule repair;
-  repair.name = "self_repair";
-  repair.trigger_event = "fault.host_down";
-  repair.op = RuleOperator::kImplies;
-  repair.action = [this, &injector](const Event& event) {
-    const util::NodeId down{
-        static_cast<std::uint64_t>(event.data.at("host").as_int())};
-    const SimTime began = event.data.at("began_at").as_int();
-    // Strand assessment: every component placed on the dead host.
-    for (util::ComponentId comp : app_.component_ids()) {
-      if (app_.placement(comp) != down) continue;
-      // Pick the least-loaded surviving host as the repair target.
-      util::NodeId best;
-      util::Duration best_backlog = 0;
-      bool any_up = false;
-      for (util::NodeId candidate : injector.up_hosts()) {
-        if (candidate == down) continue;
-        any_up = true;
-        // Pre-screen against the static plan verifier: a candidate it
-        // rejects would only bounce off the engine in enforce mode (or
-        // ship a known-bad plan in warn mode), so spend the repair on a
-        // destination that actually verifies.
-        if (!engine_.redeploy_would_verify(comp, candidate)) continue;
-        const util::Duration backlog =
-            app_.network().node(candidate).backlog(app_.loop().now());
-        if (!best.valid() || backlog < best_backlog) {
-          best = candidate;
-          best_backlog = backlog;
-        }
-      }
-      if (!best.valid()) {
-        rule_engine_.emit(
-            "repair.failed",
-            util::Value::object(
-                {{"reason",
-                  any_up ? "no host passes verification" : "no host up"}}));
-        continue;
-      }
-      ++repairs_started_;
-      engine_.redeploy_component(
-          comp, best, [this, began](const reconfig::ReconfigReport& report) {
-            if (report.ok()) {
-              ++repairs_succeeded_;
-              const SimTime healthy_at = app_.loop().now();
-              obs::Registry::global()
-                  .histogram("fault.mttr_us")
-                  .observe(static_cast<double>(healthy_at - began));
-              obs::Registry::global().trace(
-                  healthy_at, obs::TraceKind::kFault, report.op,
-                  "repair done");
-              rule_engine_.emit(
-                  "repair.done",
-                  util::Value::object(
-                      {{"component",
-                        static_cast<std::int64_t>(
-                            report.new_component.raw())},
-                       {"mttr_us",
-                        static_cast<std::int64_t>(healthy_at - began)}}));
-            } else {
-              rule_engine_.emit(
-                  "repair.failed",
-                  util::Value::object(
-                      {{"reason", report.error_message()}}));
-            }
-          });
-    }
-  };
-  (void)rule_engine_.add_rule(std::move(repair));
-}
-
-overload::DegradedModeController& Raml::watch_overload(
-    overload::OverloadTrigger trigger, overload::DegradedMode mode) {
-  util::require(static_cast<bool>(trigger.pressure),
-                "overload trigger needs a pressure signal");
-  auto controller = std::make_unique<overload::DegradedModeController>(
-      app_, engine_, std::move(mode), std::move(trigger));
-  overload::DegradedModeController* raw = controller.get();
-  controller->on_transition([this](const char* event, double pressure) {
-    rule_engine_.emit(std::string("overload.") + event,
-                      util::Value::object({{"pressure", pressure}}));
-  });
-  const std::string& name = raw->mode().name;
-  add_sensor("overload." + name + ".pressure",
-             [raw] { return raw->last_pressure(); });
-  add_sensor("overload." + name + ".degraded",
-             [raw] { return raw->degraded() ? 1.0 : 0.0; });
-  overload_controllers_.push_back(std::move(controller));
-  return *raw;
 }
 
 void Raml::tick() {
@@ -190,11 +102,6 @@ void Raml::tick() {
   const bool timed = obs::Registry::global().enabled();
   const auto wall_start = timed ? std::chrono::steady_clock::now()
                                 : std::chrono::steady_clock::time_point{};
-  // Degraded-mode controllers advance first so the overload sensors below
-  // report this tick's pressure, not last tick's.
-  for (const auto& controller : overload_controllers_) {
-    controller->evaluate(app_.loop().now());
-  }
   // Monitor: sample every sensor.
   MetricSample sample;
   sample.at = app_.loop().now();

@@ -28,7 +28,6 @@
 #include "meta/rules.h"
 #include "reconfig/rules.h"
 #include "obs/metrics.h"
-#include "overload/degraded.h"
 #include "qos/monitor.h"
 #include "reconfig/engine.h"
 #include "runtime/application.h"
@@ -82,36 +81,15 @@ class Raml {
   /// "fault.loss_end"; data carries {subject, host, began_at}.  Also adds a
   /// "fault.active" sensor.
   void watch_faults(fault::FaultInjector& injector);
-  /// watch_faults + the built-in repair rule: when a host goes down, every
-  /// component placed on it is redeployed onto the least-loaded up host.
-  /// Each completed repair records the host_down -> healthy interval in the
-  /// "fault.mttr_us" histogram and emits "repair.done" ("repair.failed"
-  /// otherwise).
-  void enable_self_repair(fault::FaultInjector& injector);
-  std::uint64_t repairs_started() const { return repairs_started_; }
-  std::uint64_t repairs_succeeded() const { return repairs_succeeded_; }
-
-  // --- overload awareness -----------------------------------------------------
-  /// Installs a degraded-mode controller evaluated every tick: when the
-  /// trigger's pressure signal crosses `enter_above`, the application is
-  /// switched into the declared degraded configuration (component swaps,
-  /// tighter admission, wider contract) and back when pressure falls below
-  /// `exit_below`.  Adds "overload.<mode>.pressure"/".degraded" sensors and
-  /// emits "overload.enter"/"overload.exit" rule-engine events.  Returns
-  /// the controller for direct inspection.
-  overload::DegradedModeController& watch_overload(
-      overload::OverloadTrigger trigger, overload::DegradedMode mode);
-  const std::vector<std::unique_ptr<overload::DegradedModeController>>&
-  overload_controllers() const {
-    return overload_controllers_;
-  }
 
   // --- ADL-declared rules -----------------------------------------------------
   /// Installs a compiled `when … reconfigure` rule set: metric-conditioned
   /// rules are evaluated every MAPE tick (same hysteresis clock as the
   /// policies); event-conditioned rules subscribe to the FLO/C rule engine
-  /// and fire when their trigger event arrives.  Pair with watch_faults()
-  /// so "fault.*" triggers are actually emitted.
+  /// and fire when their trigger event arrives, with the event's `host`
+  /// (the crashed host of "fault.host_down", for `redeploy stranded`).
+  /// Pair with watch_faults() so "fault.*" triggers are actually emitted.
+  /// Self-repair and degraded modes are rules of this set.
   void install_rule_set(std::shared_ptr<reconfig::RuleSet> rules);
   const std::shared_ptr<reconfig::RuleSet>& rule_set() const {
     return adl_rules_;
@@ -153,10 +131,6 @@ class Raml {
   std::uint64_t actions_taken_ = 0;
   std::shared_ptr<reconfig::RuleSet> adl_rules_;
   fault::FaultInjector* injector_ = nullptr;
-  std::uint64_t repairs_started_ = 0;
-  std::uint64_t repairs_succeeded_ = 0;
-  std::vector<std::unique_ptr<overload::DegradedModeController>>
-      overload_controllers_;
   // Observability mirrors (no-ops while the global registry is disabled).
   obs::Counter* obs_ticks_;
   obs::Counter* obs_actions_;

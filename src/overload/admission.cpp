@@ -45,7 +45,7 @@ void AdmissionInterceptor::refill(util::SimTime now) {
   const double elapsed_s =
       static_cast<double>(now - last_refill_) / kMicrosPerSecond;
   tokens_ = std::min(effective_burst(),
-                     tokens_ + elapsed_s * policy_.rate_per_sec * rate_scale_);
+                     tokens_ + elapsed_s * policy_.rate_per_sec);
   last_refill_ = now;
 }
 

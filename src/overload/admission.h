@@ -65,10 +65,6 @@ class AdmissionInterceptor : public connector::Interceptor {
              util::Result<util::Value>& reply) override;
 
   const AdmissionPolicy& policy() const { return policy_; }
-  /// Degraded modes tighten admission by scaling the effective rate
-  /// (scale < 1 sheds more); restored to 1 when pressure subsides.
-  void set_rate_scale(double scale) { rate_scale_ = scale; }
-  double rate_scale() const { return rate_scale_; }
 
   std::uint64_t admitted() const { return admitted_; }
   std::uint64_t shed(Priority priority) const {
@@ -91,7 +87,6 @@ class AdmissionInterceptor : public connector::Interceptor {
   Clock clock_;
   DepthProbe depth_probe_;
   std::string label_;
-  double rate_scale_ = 1.0;
   double tokens_;
   util::SimTime last_refill_ = 0;
   bool overloaded_ = false;

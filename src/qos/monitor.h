@@ -25,7 +25,6 @@ class QosMonitor {
              util::Duration window);
 
   const QosContract& contract() const { return contract_; }
-  void set_contract(QosContract contract) { contract_ = std::move(contract); }
 
   // --- feeding -------------------------------------------------------------
   void record_call(util::Duration latency, bool ok);

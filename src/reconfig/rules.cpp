@@ -100,9 +100,21 @@ Result<std::shared_ptr<RuleSet>> RuleSet::install(
       }
     }
 
+    if (compiled.guard.has_value()) {
+      rule.guard = compiled.guard;
+      rule.guard_instance = app.component_id(compiled.guard->subject.str());
+      if (!rule.guard_instance.valid()) {
+        return Error{ErrorCode::kNotFound,
+                     "rule '" + rule.name.str() + "': guard instance '" +
+                         compiled.guard->subject.str() +
+                         "' is not deployed"};
+      }
+    }
+
     rule.actions.reserve(compiled.actions.size());
     for (const adl::CompiledAction& action : compiled.actions) {
-      TxnAction bound;
+      BoundAction entry;
+      TxnAction& bound = entry.txn;
       bound.op = action.op;
       bound.instance_name = action.instance;
       bound.type = action.type;
@@ -118,8 +130,11 @@ Result<std::shared_ptr<RuleSet>> RuleSet::install(
           }
           break;
         case adl::PlanOp::kReplace:
-          // A replacement needs a fresh instance name; precompute one here
-          // so firing never builds a string.
+          // A replacement needs a fresh instance name.  Without `as`,
+          // firing picks the declared name or this one, whichever no live
+          // instance holds; precompute it here so firing never builds a
+          // string.
+          entry.alternate_name = action.name.empty();
           bound.name = action.name.empty()
                            ? util::Symbol(action.instance.str() + "_new")
                            : action.name;
@@ -147,17 +162,25 @@ Result<std::shared_ptr<RuleSet>> RuleSet::install(
           bound.replica_name = action.replica;
           bound.replica = app.component_id(action.replica.str());
           break;
+        case adl::PlanOp::kRedeploy:  // `redeploy stranded`
+          if (injector == nullptr) {
+            return Error{ErrorCode::kInvalidArgument,
+                         "rule '" + rule.name.str() +
+                             "' redeploys stranded components but no fault "
+                             "injector was supplied"};
+          }
+          break;
         case adl::PlanOp::kRemove:
-        case adl::PlanOp::kRedeploy:  // not a rule verb
           break;
       }
-      if (action.op != adl::PlanOp::kAdd) {
+      if (action.op != adl::PlanOp::kAdd &&
+          action.op != adl::PlanOp::kRedeploy) {
         // Bind the target now when it is part of the declared deployment;
         // targets created by earlier actions of the same rule stay symbolic
         // and resolve through the txn's firing-local scratch table.
         bound.instance = app.component_id(action.instance.str());
       }
-      rule.actions.push_back(bound);
+      rule.actions.push_back(entry);
     }
     set->rules_.push_back(std::move(rule));
   }
@@ -185,6 +208,16 @@ bool RuleSet::condition_holds(const BoundRule& rule, SimTime now) const {
   return compare(rule.compare, sample(rule, now), rule.threshold);
 }
 
+bool RuleSet::guard_holds(const BoundRule& rule) const {
+  if (!rule.guard.has_value()) return true;
+  const component::Component* comp = app_.find_component(rule.guard_instance);
+  bool value = comp != nullptr;
+  if (value && rule.guard->kind == adl::PredicateKind::kRunning) {
+    value = comp->type_name() == rule.guard->type.str();
+  }
+  return value != rule.guard->negated;
+}
+
 void RuleSet::evaluate(SimTime now) {
   ++stats_.evaluations;
   for (std::size_t i = 0; i < rules_.size(); ++i) {
@@ -196,6 +229,7 @@ void RuleSet::evaluate(SimTime now) {
     }
     if (rule.streak < rule.sustain_ticks) ++rule.streak;
     if (rule.streak < rule.sustain_ticks) continue;
+    if (!guard_holds(rule)) continue;  // not enabled: not suppressed either
     if (rule.inflight ||
         (rule.ever_fired && now - rule.last_fired < rule.cooldown)) {
       ++stats_.suppressed;
@@ -207,43 +241,83 @@ void RuleSet::evaluate(SimTime now) {
   }
 }
 
-void RuleSet::fire_event_rule(std::size_t index, SimTime now) {
+void RuleSet::fire_event_rule(std::size_t index, SimTime now, NodeId host) {
   if (index >= event_rules_.size()) return;
   const std::size_t rule_index = event_rules_[index].second;
   BoundRule& rule = rules_[rule_index];
+  if (!guard_holds(rule)) return;
   if (rule.inflight ||
       (rule.ever_fired && now - rule.last_fired < rule.cooldown)) {
     ++stats_.suppressed;
     obs_suppressed_->inc();
     return;
   }
-  fire(rule_index, now);
+  fire(rule_index, now, host);
 }
 
 void RuleSet::rebind_instance(ComponentId from, ComponentId to) {
   if (!from.valid() || !to.valid() || from == to) return;
   for (BoundRule& rule : rules_) {
-    for (TxnAction& action : rule.actions) {
-      if (action.instance == from) action.instance = to;
-      if (action.replica == from) action.replica = to;
+    if (rule.guard_instance == from) rule.guard_instance = to;
+    for (BoundAction& action : rule.actions) {
+      if (action.txn.instance == from) action.txn.instance = to;
+      if (action.txn.replica == from) action.txn.replica = to;
     }
   }
 }
 
-void RuleSet::fire(std::size_t rule_index, SimTime now) {
+void RuleSet::enqueue_stranded(Txn& txn, NodeId down, SimTime now) const {
+  if (!down.valid()) return;
+  const std::vector<NodeId> up = injector_->up_hosts();
+  for (const ComponentId comp : app_.component_ids()) {
+    if (app_.placement(comp) != down) continue;
+    NodeId best;
+    Duration best_backlog = 0;
+    for (const NodeId candidate : up) {
+      if (candidate == down) continue;
+      if (!engine_.redeploy_would_verify(comp, candidate)) continue;
+      const Duration backlog = app_.network().node(candidate).backlog(now);
+      if (!best.valid() || backlog < best_backlog) {
+        best = candidate;
+        best_backlog = backlog;
+      }
+    }
+    if (!best.valid()) continue;
+    TxnAction step;
+    step.op = adl::PlanOp::kRedeploy;
+    step.instance = comp;
+    step.node = best;
+    txn.enqueue(step);
+  }
+}
+
+void RuleSet::fire(std::size_t rule_index, SimTime now, NodeId host) {
   BoundRule& rule = rules_[rule_index];
-  ++stats_.fired;
-  obs_fired_->inc();
-  rule.ever_fired = true;
-  rule.last_fired = now;
-  rule.inflight = true;
 
   // Firing-time allocation is fine — a reconfiguration is in progress.
   Txn::Options options;
   options.deadline = rule.deadline;
   options.injector = injector_;
   auto txn = Txn::create(app_, engine_, rule.name.str(), options);
-  for (const TxnAction& action : rule.actions) txn->enqueue(action);
+  for (const BoundAction& action : rule.actions) {
+    if (action.txn.op == adl::PlanOp::kRedeploy) {
+      enqueue_stranded(*txn, host, now);
+      continue;
+    }
+    TxnAction step = action.txn;
+    if (action.alternate_name &&
+        !app_.component_id(step.instance_name.str()).valid()) {
+      step.name = step.instance_name;
+    }
+    txn->enqueue(std::move(step));
+  }
+  if (txn->size() == 0) return;  // nothing stranded: not a firing
+
+  ++stats_.fired;
+  obs_fired_->inc();
+  rule.ever_fired = true;
+  rule.last_fired = now;
+  rule.inflight = true;
 
   // The txn outlives anything: its protocol callbacks keep it alive on the
   // event loop, and the RuleSet may be torn down (or rules_ reallocated)

@@ -10,10 +10,16 @@
 //     by NodeId, injector fault count) and advances the sustain/cooldown
 //     hysteresis counters.  It performs no string parsing, no hashing and
 //     no allocation.
+//   * a rule's `if` guard (exists/running on one bound instance) is read
+//     after its sustain window: a rule whose guard is false is not enabled,
+//     so it neither fires nor counts as suppressed.
 //   * firing enacts the rule's pre-bound action table as one reconfig::Txn:
 //     steps run in order, each journals its inverse, and a failed step (or
 //     an expired whole-firing deadline) rolls the applied prefix back in
 //     reverse, so a half-fired rule never leaves a partial topology behind.
+//     `redeploy stranded` expands at firing time into one redeploy step per
+//     component on the crashed host, each to the least-backlogged up host
+//     that passes the engine's verifier.
 //
 // Event-conditioned rules don't poll: meta::Raml subscribes them to its
 // FLO/C rule engine and calls fire_event_rule() when the trigger arrives.
@@ -21,6 +27,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "adl/ir.h"
@@ -83,8 +90,10 @@ class RuleSet : public std::enable_shared_from_this<RuleSet> {
   void evaluate(SimTime now);
 
   /// Fires event rule `index` (an index into event_rules()) unless its
-  /// cooldown or an in-flight firing suppresses it.
-  void fire_event_rule(std::size_t index, SimTime now);
+  /// guard is false or its cooldown or an in-flight firing suppresses it.
+  /// `host` is the host a `fault.host_down` event names: `redeploy
+  /// stranded` moves the components placed on it.
+  void fire_event_rule(std::size_t index, SimTime now, NodeId host = {});
 
   /// (event name, index) pairs for Raml to subscribe.
   const std::vector<std::pair<util::Symbol, std::size_t>>& event_rules()
@@ -100,6 +109,14 @@ class RuleSet : public std::enable_shared_from_this<RuleSet> {
   const Stats& stats() const { return stats_; }
 
  private:
+  struct BoundAction {
+    TxnAction txn;
+    /// kReplace without `as`: the replacement takes the declared name
+    /// (`txn.instance_name`) when no live instance holds it, else
+    /// `txn.name` (`<declared>_new`), so a replace pair alternates.
+    bool alternate_name = false;
+  };
+
   struct BoundRule {
     util::Symbol name;
     // Condition (metric rules only; event rules dispatch via Raml).
@@ -114,9 +131,14 @@ class RuleSet : public std::enable_shared_from_this<RuleSet> {
     /// Whole-firing txn deadline (rule `deadline` property, else the
     /// policy default). 0 = unbounded.
     Duration deadline = 0;
+    /// `if` guard; its subject is bound to `guard_instance` at install and
+    /// follows that role across swaps.
+    std::optional<adl::CompiledPredicate> guard;
+    ComponentId guard_instance;
     /// Bound at install: every declared name resolved to a live id, so a
-    /// firing enqueues these into its Txn unchanged.
-    std::vector<TxnAction> actions;
+    /// firing enqueues these into its Txn unchanged (but for the replace
+    /// name and the kRedeploy of `redeploy stranded`).
+    std::vector<BoundAction> actions;
     // Hysteresis state.
     int streak = 0;
     SimTime last_fired = -1;
@@ -131,10 +153,18 @@ class RuleSet : public std::enable_shared_from_this<RuleSet> {
   /// Current value of a metric condition. Id-indexed lookups only.
   double sample(const BoundRule& rule, SimTime now) const;
   bool condition_holds(const BoundRule& rule, SimTime now) const;
+  bool guard_holds(const BoundRule& rule) const;
   /// Enacts rule `rule_index` as one Txn.  Takes the index, not a
   /// reference: the completion callback must survive rules_ reallocation
-  /// and RuleSet teardown (it holds a weak_ptr + this stable index).
-  void fire(std::size_t rule_index, SimTime now);
+  /// and RuleSet teardown (it holds a weak_ptr + this stable index).  A
+  /// firing whose plan expands to no step (nothing stranded) starts
+  /// nothing and counts nothing.
+  void fire(std::size_t rule_index, SimTime now, NodeId host = {});
+  /// Enqueues one kRedeploy per component placed on `down`, in
+  /// component_ids() order, each to the up host with the least backlog
+  /// that passes redeploy_would_verify (the first such host wins ties).
+  /// A component with no candidate host is skipped.
+  void enqueue_stranded(Txn& txn, NodeId down, SimTime now) const;
   /// Settles a firing: per-step accounting, action-table rebinds for
   /// committed swaps, observer notification.
   void on_firing_done(std::size_t rule_index, const ReconfigReport& report);

@@ -16,6 +16,14 @@ using util::Error;
 using util::ErrorCode;
 using util::SimTime;
 
+namespace {
+
+/// Per-interceptor CPU work charged on the serving node, in work units:
+/// the glue cost of layered interception.
+constexpr double kInterceptorWork = 0.01;
+
+}  // namespace
+
 Application::Application(sim::EventLoop& loop, sim::Network& network,
                          component::ComponentRegistry& registry,
                          Config config)
@@ -312,8 +320,8 @@ Channel& Application::channel(ConnectorId connector, ComponentId provider) {
   }
   auto it = channels_.find(key);
   if (it == channels_.end()) {
-    auto chan = std::make_unique<Channel>(channel_ids_.next(), connector,
-                                          provider, config_.audit_channels);
+    auto chan =
+        std::make_unique<Channel>(channel_ids_.next(), connector, provider);
     chan->set_audit_window(config_.channel_audit_window);
     if (config_.channel_hold_limit != 0) {
       chan->set_hold_limit(config_.channel_hold_limit);
@@ -330,8 +338,7 @@ Channel& Application::channel(ConnectorId connector, ComponentId provider) {
 // --- invocation ----------------------------------------------------------------
 
 double Application::interceptor_work(const Connector& conn) const {
-  return config_.interceptor_work *
-         static_cast<double>(conn.interceptor_count());
+  return kInterceptorWork * static_cast<double>(conn.interceptor_count());
 }
 
 namespace {

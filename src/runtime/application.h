@@ -62,11 +62,6 @@ class Application {
  public:
   struct Config {
     std::uint64_t seed = 42;
-    /// Channels keep a seen-set to detect duplicates (costs memory).
-    bool audit_channels = true;
-    /// Extra per-interceptor CPU work charged on the serving node, in work
-    /// units (models the glue cost of layered interception).
-    double interceptor_work = 0.01;
     /// Quiescence hold-buffer bound applied to every channel; 0 sizes each
     /// channel's buffer by its connector's queue_capacity (the legacy
     /// rule).  At million-session scale the hold buffers are a real memory

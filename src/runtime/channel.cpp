@@ -2,9 +2,8 @@
 
 namespace aars::runtime {
 
-Channel::Channel(ChannelId id, ConnectorId connector, ComponentId provider,
-                 bool audit)
-    : id_(id), connector_(connector), provider_(provider), audit_(audit) {
+Channel::Channel(ChannelId id, ConnectorId connector, ComponentId provider)
+    : id_(id), connector_(connector), provider_(provider) {
   obs::Registry& reg = obs::Registry::global();
   obs_delivered_ = &reg.counter("channel.delivered");
   obs_dropped_ = &reg.counter("channel.dropped");
@@ -83,7 +82,7 @@ bool Channel::audit_seen(std::uint64_t sequence) {
 }
 
 void Channel::record_delivery(std::uint64_t sequence) {
-  if (audit_ && audit_seen(sequence)) {
+  if (audit_seen(sequence)) {
     ++duplicated_;
     obs_duplicated_->inc();
     return;

@@ -42,8 +42,7 @@ struct HeldMessage {
 
 class Channel {
  public:
-  Channel(ChannelId id, ConnectorId connector, ComponentId provider,
-          bool audit);
+  Channel(ChannelId id, ConnectorId connector, ComponentId provider);
 
   ChannelId id() const { return id_; }
   ConnectorId connector() const { return connector_; }
@@ -67,7 +66,7 @@ class Channel {
   std::size_t audit_window() const { return audit_window_; }
 
   std::uint64_t next_sequence() { return next_seq_++; }
-  /// Records a delivery. With auditing on, flags duplicates.
+  /// Records a delivery; flags duplicates.
   void record_delivery(std::uint64_t sequence);
   void record_drop(std::uint64_t count = 1) {
     dropped_ += count;
@@ -137,7 +136,6 @@ class Channel {
   ChannelId id_;
   ConnectorId connector_;
   ComponentId provider_;
-  bool audit_;
   bool blocked_ = false;
   std::uint64_t next_seq_ = 1;
   std::uint64_t delivered_ = 0;

@@ -69,6 +69,9 @@ class Network {
   std::optional<LinkSpec> remove_link(NodeId from, NodeId to);
   /// Directed links touching `node` (either endpoint), as (from, to) pairs.
   std::vector<std::pair<NodeId, NodeId>> links_of(NodeId node) const;
+  using Links = std::map<std::pair<NodeId, NodeId>, LinkSpec>;
+  /// Every directed link, in (from, to) order.
+  const Links& links() const { return links_; }
 
   /// Computes delivery of `bytes` from `from` to `to`. Same node => free.
   /// Routes over the fewest-hop path; each hop adds latency + serialisation
@@ -80,7 +83,6 @@ class Network {
   std::vector<NodeId> route(NodeId from, NodeId to) const;
 
  private:
-  using Links = std::map<std::pair<NodeId, NodeId>, LinkSpec>;
   using Link = Links::value_type;
   using Path = std::vector<const Link*>;
 

@@ -116,6 +116,78 @@ TEST(CompilerTest, EventConditionIsInterned) {
   EXPECT_EQ(rule.actions[0].name, util::Symbol("worker_spare"));
 }
 
+TEST(CompilerTest, RuleGuardAndStrandedRedeployLower) {
+  const std::string source =
+      std::string(kBase) +
+      "when queue_depth(jobs) <= 4 if not running(worker, Worker) "
+      "reconfigure restore {\n"
+      "  replace worker with Worker;\n"
+      "}\n"
+      "when event fault.host_down reconfigure self_repair {\n"
+      "  redeploy stranded;\n"
+      "}\n";
+  CompilationResult result = compile(source);
+  ASSERT_TRUE(result.ok())
+      << render_text(result.diagnostics, "<input>", source);
+
+  const AstRule& parsed = result.config.ast.rules[0];
+  ASSERT_TRUE(parsed.guard.has_value());
+  EXPECT_EQ(parsed.guard->kind, AstPredicate::Kind::kRunning);
+  EXPECT_TRUE(parsed.guard->negated);
+  EXPECT_EQ(parsed.guard->loc.line, 13);
+
+  ASSERT_EQ(result.program.rules.size(), 2u);
+  const CompiledRule& restore = result.program.rules[0];
+  ASSERT_TRUE(restore.guard.has_value());
+  EXPECT_EQ(restore.guard->kind, PredicateKind::kRunning);
+  EXPECT_TRUE(restore.guard->negated);
+  EXPECT_EQ(restore.guard->subject, util::Symbol("worker"));
+  EXPECT_EQ(restore.guard->type, util::Symbol("Worker"));
+
+  const CompiledRule& repair = result.program.rules[1];
+  EXPECT_FALSE(repair.guard.has_value());
+  ASSERT_EQ(repair.actions.size(), 1u);
+  EXPECT_EQ(repair.actions[0].op, PlanOp::kRedeploy);
+  EXPECT_TRUE(repair.actions[0].instance.empty());
+}
+
+TEST(CompilerTest, GuardReadsOneDeclaredInstance) {
+  const auto guarded = [](const std::string& guard) {
+    return compile(std::string(kBase) + "when queue_depth(jobs) > 1 if " +
+                   guard + " reconfigure r {\n  remove worker;\n}\n");
+  };
+  for (const char* guard : {"routed(jobs)", "replicas(Worker) >= 1"}) {
+    SCOPED_TRACE(guard);
+    const CompilationResult result = guarded(guard);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(first_error(result).code, "unsupported-guard");
+    EXPECT_EQ(first_error(result).line, 13);
+  }
+  EXPECT_EQ(first_error(guarded("exists(ghost)")).code, "unknown-instance");
+  EXPECT_EQ(first_error(guarded("running(worker, Ghost)")).code,
+            "unknown-type");
+}
+
+TEST(CompilerTest, RedeployStrandedNeedsAHostDownRule) {
+  for (const char* trigger : {"event fault.host_up", "queue_depth(jobs) > 1"}) {
+    SCOPED_TRACE(trigger);
+    const CompilationResult result =
+        compile(std::string(kBase) + "when " + trigger +
+                " reconfigure r {\n  redeploy stranded;\n}\n");
+    ASSERT_FALSE(result.ok());
+    const Diagnostic& d = first_error(result);
+    EXPECT_EQ(d.code, "redeploy-needs-host-down");
+    EXPECT_EQ(d.line, 14);
+    EXPECT_EQ(d.column, 3);
+  }
+  // `redeploy` names no instance: the stranded set is its only target.
+  const CompilationResult named = compile(
+      std::string(kBase) +
+      "when event fault.host_down reconfigure r {\n  redeploy worker;\n}\n");
+  ASSERT_FALSE(named.ok());
+  EXPECT_NE(first_error(named).message.find("stranded"), std::string::npos);
+}
+
 TEST(CompilerTest, GoalsAndScenariosAreEmitted) {
   const std::string source = std::string(kBase) +
                              R"(goal responsive {

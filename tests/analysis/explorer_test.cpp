@@ -205,6 +205,47 @@ property undo { reverts degrade; }
       << starved.report.summary();
 }
 
+TEST(ExplorerTest, GuardedPairExploresOnlyTheSwapsItsGuardsEnable) {
+  // Unguarded, each rule is enabled in both configurations: 2 states and
+  // 4 edges, two of them self-loops.  Each guard enables its rule only in
+  // the configuration it leaves: 2 states and 2 edges.
+  const std::string world = R"(interface Work {
+  service run(cost: double) -> int;
+}
+component Worker provides Work;
+component CheapWorker provides Work;
+component Driver { requires work: Work; }
+node main { capacity 10000; }
+node client { capacity 10000; }
+link main <-> client { latency 1ms; bandwidth 100mbps; }
+instance worker: Worker on main;
+instance driver: Driver on client;
+connector jobs { routing direct; delivery queued; capacity 64; }
+bind driver.work -> worker via jobs;
+)";
+  const auto pair = [](const char* degrade_guard, const char* restore_guard) {
+    return std::string("when event fault.host_down ") + degrade_guard +
+           "reconfigure degrade { replace worker with CheapWorker; }\n"
+           "when event fault.host_up " +
+           restore_guard +
+           "reconfigure restore { replace worker with Worker; }\n";
+  };
+  const ExplorationResult unguarded = explore_source(world + pair("", ""));
+  EXPECT_EQ(unguarded.graph.states.size(), 2u);
+  EXPECT_EQ(unguarded.graph.edges.size(), 4u);
+
+  const ExplorationResult guarded = explore_source(
+      world + pair("if running(worker, Worker) ",
+                   "if running(worker, CheapWorker) "));
+  EXPECT_TRUE(guarded.report.ok()) << guarded.report.summary();
+  EXPECT_EQ(guarded.graph.states.size(), 2u);
+  ASSERT_EQ(guarded.graph.edges.size(), 2u);
+  EXPECT_EQ(guarded.graph.edges[0].from, 0u);
+  EXPECT_EQ(guarded.graph.edges[0].to, 1u);
+  EXPECT_EQ(guarded.graph.edges[1].from, 1u);
+  EXPECT_EQ(guarded.graph.edges[1].to, 0u);
+}
+
 TEST(ExplorerTest, LivenessClausesAreSkippedWhenTruncated) {
   // d19 shape: `eventually` would starve — but under a configuration cap
   // the graph is partial, so reporting starvation would be unsound.

@@ -100,12 +100,6 @@ TEST(RuntimeBuilderTest, UnknownNamesAreNotFoundWithContext) {
             ErrorCode::kNotFound);
 }
 
-TEST(RuntimeBuilderTest, SelfRepairRequiresRaml) {
-  auto built = Runtime::builder().host("a", 1000).with_self_repair().build();
-  ASSERT_FALSE(built.ok());
-  EXPECT_EQ(built.error().code(), ErrorCode::kInvalidArgument);
-}
-
 TEST(RuntimeBuilderTest, MalformedFaultTextIsAParseError) {
   auto built = Runtime::builder()
                    .host("a", 1000)

@@ -1,6 +1,7 @@
 // Chaos sweep: randomized crash storms across several seeds must always
 // converge back to a healthy configuration — every component on an up host,
-// the service answering, no retry stuck in flight.
+// the service answering, no retry stuck in flight.  The repair is the ADL
+// rule `redeploy stranded` on `fault.host_down`.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -67,7 +68,9 @@ TEST(ChaosTest, RandomCrashStormsConvergeToAHealthyConfiguration) {
                      .connect(spec, {"r0", "r1", "r2"})
                      .with_retry("svc", policy)
                      .with_raml(util::milliseconds(10))
-                     .with_self_repair()
+                     .adl("when event fault.host_down reconfigure repair {\n"
+                          "  redeploy stranded;\n"
+                          "}\n")
                      .with_faults(random_storm(seed))
                      .build();
     ASSERT_TRUE(built.ok()) << built.error().message();
@@ -86,7 +89,7 @@ TEST(ChaosTest, RandomCrashStormsConvergeToAHealthyConfiguration) {
     }
     EXPECT_TRUE(rt->faults().down_hosts().empty());
     EXPECT_EQ(app.pending_retries(), 0u);
-    EXPECT_GE(rt->raml().repairs_started(), 1u);
+    EXPECT_GE(rt->adl_rules()->stats().fired, 1u);
 
     // The service answers again.
     auto out = app.invoke_sync(rt->connector("svc"), "ping", Value{},

@@ -153,28 +153,6 @@ TEST(AdmissionTest, HighPriorityBypassesTheBucket) {
   EXPECT_EQ(h.gate.shed(Priority::kHigh), 0u);
 }
 
-TEST(AdmissionTest, RateScaleTightensTheRefill) {
-  AdmissionPolicy policy;
-  policy.rate_per_sec = 1000.0;
-  policy.burst = 10.0;
-  policy.reserve_fraction = 0.0;
-  AdmissionHarness h(policy);
-
-  while (h.offer(Priority::kNormal) == Interceptor::Verdict::kPass) {
-  }
-
-  // Degraded mode halves the effective rate: 10.2 ms refills ~5.1 tokens.
-  h.gate.set_rate_scale(0.5);
-  h.now += util::microseconds(10200);
-  int admitted = 0;
-  while (h.offer(Priority::kNormal) == Interceptor::Verdict::kPass) {
-    ++admitted;
-    ASSERT_LT(admitted, 100);
-  }
-  EXPECT_EQ(admitted, 5);
-  EXPECT_DOUBLE_EQ(h.gate.rate_scale(), 0.5);
-}
-
 TEST(AdmissionTest, ShedRepliesCarryOverloadedNotRejected) {
   AdmissionPolicy policy;
   policy.rate_per_sec = 100.0;

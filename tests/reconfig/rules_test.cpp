@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "adl/compiler.h"
 #include "api/runtime.h"
@@ -246,6 +247,224 @@ TEST(AdlRulesTest, EnforceGateAcceptsSafeProgram) {
   auto installed = reconfig::RuleSet::install(
       result.program, rt->app(), rt->engine(), nullptr, {}, gate);
   EXPECT_TRUE(installed.ok()) << installed.error().message();
+}
+
+// kEchoWorld plus a cheap implementation of the same interface.
+util::Result<std::unique_ptr<Runtime>> build_swap_world(
+    const std::string& rules) {
+  return Runtime::builder()
+      .component_class<EchoServer>("EchoServer")
+      .component_type("CheapEchoServer",
+                      [](const std::string& name) {
+                        return std::make_unique<EchoServer>(
+                            name, "CheapEchoServer", 0.4);
+                      })
+      .component_class<EchoClient>("EchoClient")
+      .adl(std::string(kEchoWorld) +
+           "component CheapEchoServer provides Echo;\n" + rules)
+      .build();
+}
+
+/// Fires event rule `index` and runs the loop until its txn settled.
+void fire_and_settle(Runtime& rt, std::size_t index) {
+  rt.adl_rules()->fire_event_rule(index, rt.loop().now());
+  rt.loop().run();
+}
+
+std::string type_of(Runtime& rt, const std::string& instance) {
+  const component::Component* comp =
+      rt.app().find_component(rt.component(instance));
+  return comp == nullptr ? "" : comp->type_name();
+}
+
+TEST(AdlRulesTest, UnnamedReplacePairAlternatesNamesAndCommitsEveryFiring) {
+  // Without `as`, a replacement takes the declared name when no live
+  // instance holds it, else `<declared>_new`: a fixed name would be the one
+  // the live target holds on every second swap, and that swap would roll
+  // back.
+  auto built = build_swap_world(
+      "when event fault.host_down reconfigure degrade {\n"
+      "  replace server with CheapEchoServer;\n"
+      "}\n"
+      "when event fault.host_up reconfigure restore {\n"
+      "  replace server with EchoServer;\n"
+      "}\n");
+  ASSERT_TRUE(built.ok()) << built.error().message();
+  auto rt = std::move(built).value();
+  std::vector<std::string> names;
+  rt->adl_rules()->set_firing_observer(
+      [&](util::Symbol, const reconfig::ReconfigReport& report) {
+        ASSERT_EQ(report.steps.size(), 1u);
+        const component::Component* comp =
+            rt->app().find_component(report.steps[0].swapped_to);
+        names.push_back(comp == nullptr ? "?" : comp->instance_name());
+      });
+
+  for (int round = 0; round < 2; ++round) {
+    fire_and_settle(*rt, 0);
+    fire_and_settle(*rt, 1);
+  }
+  const reconfig::RuleSet::Stats& stats = rt->adl_rules()->stats();
+  EXPECT_EQ(stats.fired, 4u);
+  EXPECT_EQ(stats.committed, 4u);
+  EXPECT_EQ(stats.rolled_back, 0u);
+  EXPECT_EQ(names, (std::vector<std::string>{"server_new", "server",
+                                             "server_new", "server"}));
+  EXPECT_EQ(type_of(*rt, "server"), "EchoServer");
+}
+
+TEST(AdlRulesTest, FalseGuardDisablesAnEventRuleWithoutSuppressingIt) {
+  auto built = build_swap_world(
+      "when event fault.host_down if running(server, EchoServer) "
+      "reconfigure degrade {\n"
+      "  replace server with CheapEchoServer;\n"
+      "}\n"
+      "when event fault.host_up if running(server, CheapEchoServer) "
+      "reconfigure restore {\n"
+      "  replace server with EchoServer;\n"
+      "}\n");
+  ASSERT_TRUE(built.ok()) << built.error().message();
+  auto rt = std::move(built).value();
+
+  fire_and_settle(*rt, 0);
+  fire_and_settle(*rt, 0);  // the guard now reads CheapEchoServer
+  const reconfig::RuleSet::Stats& stats = rt->adl_rules()->stats();
+  EXPECT_EQ(stats.fired, 1u);
+  EXPECT_EQ(stats.committed, 1u);
+  EXPECT_EQ(stats.suppressed, 0u);
+  EXPECT_EQ(type_of(*rt, "server_new"), "CheapEchoServer");
+}
+
+TEST(AdlRulesTest, MetricRuleWithAFalseGuardNeverFires) {
+  auto built = build_swap_world(
+      "when queue_depth(main) >= 0 if not exists(server) "
+      "reconfigure never {\n"
+      "  add server2: EchoServer on edge;\n"
+      "}\n");
+  ASSERT_TRUE(built.ok()) << built.error().message();
+  auto rt = std::move(built).value();
+
+  rt->raml().start();
+  rt->loop().run_until(util::milliseconds(100));
+
+  const reconfig::RuleSet::Stats& stats = rt->adl_rules()->stats();
+  EXPECT_GE(stats.evaluations, 5u);
+  EXPECT_EQ(stats.fired, 0u);
+  EXPECT_EQ(stats.suppressed, 0u);
+  EXPECT_FALSE(rt->component("server2").valid());
+}
+
+TEST(AdlRulesTest, GuardFollowsTheReplacedInstance) {
+  auto built = build_swap_world(
+      "when event fault.host_down reconfigure degrade {\n"
+      "  replace server with CheapEchoServer;\n"
+      "}\n"
+      "when event fault.host_up if running(server, CheapEchoServer) "
+      "reconfigure restore {\n"
+      "  replace server with EchoServer;\n"
+      "}\n");
+  ASSERT_TRUE(built.ok()) << built.error().message();
+  auto rt = std::move(built).value();
+
+  fire_and_settle(*rt, 1);  // server still runs EchoServer
+  EXPECT_EQ(rt->adl_rules()->stats().fired, 0u);
+  fire_and_settle(*rt, 0);  // server -> server_new (CheapEchoServer)
+  fire_and_settle(*rt, 1);  // the guard reads server_new
+  const reconfig::RuleSet::Stats& stats = rt->adl_rules()->stats();
+  EXPECT_EQ(stats.fired, 2u);
+  EXPECT_EQ(stats.committed, 2u);
+  EXPECT_EQ(type_of(*rt, "server"), "EchoServer");
+  EXPECT_FALSE(rt->component("server_new").valid());
+}
+
+// Five hosts around edge: `island` has no link, so no call path can reach a
+// server moved there and the enforcing verifier rejects it.
+constexpr const char* kRepairWorld = R"(interface Echo {
+  service echo(text: string) -> string;
+  service ping() -> int;
+}
+interface Trigger {
+  service go(text: string) -> string;
+}
+component EchoServer provides Echo;
+component EchoClient provides Trigger {
+  requires out: Echo;
+}
+node edge { capacity 10000; }
+node core { capacity 10000; }
+node island { capacity 10000; }
+node busy { capacity 10000; }
+node spare { capacity 10000; }
+link edge <-> core { latency 1ms; bandwidth 100mbps; }
+link edge <-> busy { latency 1ms; bandwidth 100mbps; }
+link edge <-> spare { latency 1ms; bandwidth 100mbps; }
+instance server: EchoServer on core;
+instance client: EchoClient on edge;
+connector main { routing direct; delivery sync; }
+bind client.out -> server via main;
+when event fault.host_down reconfigure self_repair {
+  redeploy stranded;
+}
+)";
+
+/// Crashes `host` 1ms in, for 1s.
+util::Result<std::unique_ptr<Runtime>> build_repair_world(
+    const std::string& host) {
+  return Runtime::builder()
+      .component_class<EchoServer>("EchoServer")
+      .component_class<EchoClient>("EchoClient")
+      .with_verification(analysis::VerifyMode::kEnforce)
+      .adl(kRepairWorld)
+      .with_fault_text("at 1ms crash host=" + host + " for 1s\n")
+      .build();
+}
+
+TEST(AdlRulesTest, RedeployStrandedPicksTheLeastBackloggedHostThatVerifies) {
+  auto built = build_repair_world("core");
+  ASSERT_TRUE(built.ok()) << built.error().message();
+  auto rt = std::move(built).value();
+  // 5ms of queued work on edge and busy; island and spare are idle, and
+  // island comes first but fails verification.
+  for (const char* host : {"edge", "busy"}) {
+    rt->network().node(rt->host(host)).execute(rt->loop().now(), 50.0);
+  }
+  util::ComponentId moved;
+  rt->adl_rules()->set_firing_observer(
+      [&](util::Symbol, const reconfig::ReconfigReport& report) {
+        ASSERT_EQ(report.steps.size(), 1u);
+        EXPECT_EQ(report.steps[0].op, analysis::PlanOp::kRedeploy);
+        moved = report.steps[0].swapped_to;
+      });
+
+  rt->loop().run();
+
+  const reconfig::RuleSet::Stats& stats = rt->adl_rules()->stats();
+  EXPECT_EQ(stats.fired, 1u);
+  EXPECT_EQ(stats.committed, 1u);
+  ASSERT_TRUE(moved.valid());
+  EXPECT_EQ(rt->app().placement(moved), rt->host("spare"));
+  EXPECT_FALSE(rt->component("server").valid());
+}
+
+TEST(AdlRulesTest, CrashOfAnEmptyHostFiresNothing) {
+  auto built = build_repair_world("spare");
+  ASSERT_TRUE(built.ok()) << built.error().message();
+  auto rt = std::move(built).value();
+
+  rt->loop().run();
+  const reconfig::RuleSet::Stats& stats = rt->adl_rules()->stats();
+  EXPECT_EQ(stats.fired, 0u);
+  EXPECT_EQ(stats.suppressed, 0u);
+  EXPECT_EQ(stats.actions, 0u);
+  EXPECT_EQ(rt->app().placement(rt->component("server")), rt->host("core"));
+
+  // The stranded set comes from the fault injector: no injector, no rule.
+  adl::CompilationResult result = adl::compile(kRepairWorld);
+  ASSERT_TRUE(result.ok());
+  auto installed =
+      reconfig::RuleSet::install(result.program, rt->app(), rt->engine());
+  ASSERT_FALSE(installed.ok());
+  EXPECT_EQ(installed.error().code(), util::ErrorCode::kInvalidArgument);
 }
 
 TEST(AdlRulesTest, TeardownMidProtocolDoesNotTouchFreedRules) {

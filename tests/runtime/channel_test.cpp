@@ -12,9 +12,7 @@ using util::ChannelId;
 using util::ComponentId;
 using util::ConnectorId;
 
-Channel make(bool audit = true) {
-  return Channel(ChannelId{1}, ConnectorId{1}, ComponentId{1}, audit);
-}
+Channel make() { return Channel(ChannelId{1}, ConnectorId{1}, ComponentId{1}); }
 
 TEST(ChannelTest, SequencesAreMonotonic) {
   Channel chan = make();
@@ -34,21 +32,12 @@ TEST(ChannelTest, DeliveryAccounting) {
 }
 
 TEST(ChannelTest, DuplicateDetectionWithAudit) {
-  Channel chan = make(true);
+  Channel chan = make();
   const auto s1 = chan.next_sequence();
   chan.record_delivery(s1);
   chan.record_delivery(s1);
   EXPECT_EQ(chan.delivered(), 1u);
   EXPECT_EQ(chan.duplicated(), 1u);
-}
-
-TEST(ChannelTest, NoDuplicateDetectionWithoutAudit) {
-  Channel chan = make(false);
-  const auto s1 = chan.next_sequence();
-  chan.record_delivery(s1);
-  chan.record_delivery(s1);
-  EXPECT_EQ(chan.delivered(), 2u);
-  EXPECT_EQ(chan.duplicated(), 0u);
 }
 
 TEST(ChannelTest, MissingCountsUnaccountedMessages) {
@@ -144,7 +133,7 @@ TEST(ChannelTest, DelayTracking) {
 // forever, so long-running channels grew without bound. In-order traffic
 // must collapse into the delivered watermark and track nothing.
 TEST(ChannelTest, AuditMemoryCollapsesForInOrderTraffic) {
-  Channel chan = make(true);
+  Channel chan = make();
   for (int i = 0; i < 10000; ++i) {
     chan.record_delivery(chan.next_sequence());
   }
@@ -157,7 +146,7 @@ TEST(ChannelTest, AuditMemoryCollapsesForInOrderTraffic) {
 // Permanent gaps (dropped messages) must not pin the watermark forever:
 // the tracked set stays bounded by kAuditWindow.
 TEST(ChannelTest, AuditMemoryBoundedDespiteDrops) {
-  Channel chan = make(true);
+  Channel chan = make();
   for (int i = 0; i < 50000; ++i) {
     const auto seq = chan.next_sequence();
     if (seq % 100 == 1) {
@@ -174,7 +163,7 @@ TEST(ChannelTest, AuditMemoryBoundedDespiteDrops) {
 // Duplicate detection still works across the watermark: both a recently
 // re-delivered sequence and one far below the watermark are flagged.
 TEST(ChannelTest, DuplicatesDetectedAboveAndBelowWatermark) {
-  Channel chan = make(true);
+  Channel chan = make();
   for (int i = 0; i < 2000; ++i) {
     chan.record_delivery(chan.next_sequence());
   }
@@ -187,7 +176,7 @@ TEST(ChannelTest, DuplicatesDetectedAboveAndBelowWatermark) {
 // Out-of-order but gap-free delivery: the watermark catches up once the
 // missing sequence arrives, and nothing is misclassified.
 TEST(ChannelTest, OutOfOrderDeliveryAdvancesWatermarkOnGapFill) {
-  Channel chan = make(true);
+  Channel chan = make();
   for (int i = 0; i < 5; ++i) (void)chan.next_sequence();  // seq 1..5
   chan.record_delivery(2);
   chan.record_delivery(3);
