@@ -1,7 +1,9 @@
 // Load balancing through geographic reconfiguration.
 //
-// Three replicas behind a least-backlog connector; RAML watches node
-// backlogs and migrates replicas away from a node that loses capacity.
+// Three replicas behind a round-robin connector; an ADL rule watches the
+// backlog of rack0 and, when the rack loses capacity, migrates its replica
+// to rack1. RAML samples the rule every 100 ms and fires it as one
+// transaction.
 //
 //   $ ./load_balancing
 #include <cstdio>
@@ -10,8 +12,7 @@
 
 #include "api/runtime.h"
 #include "component/component.h"
-#include "meta/raml.h"
-#include "reconfig/engine.h"
+#include "reconfig/rules.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -19,15 +20,19 @@ using namespace aars;
 
 namespace {
 
+component::InterfaceDescription work_interface() {
+  component::InterfaceDescription iface("Work", 1);
+  iface.add_service(component::ServiceSignature{
+      "crunch", {component::ParamSpec{"n", util::ValueType::kInt, false}},
+      util::ValueType::kInt});
+  return iface;
+}
+
 class Worker : public component::Component {
  public:
   explicit Worker(const std::string& instance_name)
       : component::Component("Worker", instance_name) {
-    component::InterfaceDescription iface("Work", 1);
-    iface.add_service(component::ServiceSignature{
-        "crunch", {component::ParamSpec{"n", util::ValueType::kInt, false}},
-        util::ValueType::kInt});
-    set_provided(iface);
+    set_provided(work_interface());
     register_operation("crunch", 3.0,
                        [](const util::Value& args)
                            -> util::Result<util::Value> {
@@ -36,86 +41,71 @@ class Worker : public component::Component {
   }
 };
 
+/// The clients' side of the binding; the load itself is driven from main.
+class LoadSource : public component::Component {
+ public:
+  explicit LoadSource(const std::string& instance_name)
+      : component::Component("LoadSource", instance_name) {
+    add_required(component::RequiredPort{"work", work_interface()});
+  }
+};
+
+// Three replicas, one per rack, behind a round-robin connector. Round
+// robin cannot steer around a slow rack — that is RAML's job here: the
+// *geographic* reconfiguration moves the replica instead.
+constexpr const char* kWorld = R"(interface Work {
+  service crunch(n: int) -> int;
+}
+component Worker provides Work;
+component LoadSource {
+  requires work: Work;
+}
+node rack0 { capacity 6000; }
+node rack1 { capacity 6000; }
+node rack2 { capacity 6000; }
+node clients { capacity 100000; }
+link rack0 <-> rack1 { latency 1ms; bandwidth 100mbps; }
+link rack0 <-> rack2 { latency 1ms; bandwidth 100mbps; }
+link rack0 <-> clients { latency 1ms; bandwidth 100mbps; }
+link rack1 <-> rack2 { latency 1ms; bandwidth 100mbps; }
+link rack1 <-> clients { latency 1ms; bandwidth 100mbps; }
+link rack2 <-> clients { latency 1ms; bandwidth 100mbps; }
+instance w0: Worker on rack0;
+instance w1: Worker on rack1;
+instance w2: Worker on rack2;
+instance source: LoadSource on clients;
+connector lb { routing round_robin; delivery sync; }
+bind source.work -> w0, w1, w2 via lb;
+
+when backlog(rack0) > 50000 reconfigure rebalance {
+  cooldown 500ms;
+  migrate w0 to rack1;
+}
+)";
+
 }  // namespace
 
 int main() {
-  // Three replicas, one per rack, behind a round-robin connector. Round
-  // robin cannot steer around a slow rack — that is RAML's job here: the
-  // *geographic* reconfiguration moves the replica instead.
-  sim::LinkSpec link;
-  link.latency = util::milliseconds(1);
-  connector::ConnectorSpec spec;
-  spec.name = "lb";
-  spec.routing = connector::RoutingPolicy::kRoundRobin;
   auto rt = Runtime::builder()
-                .host("rack0", 6000)
-                .host("rack1", 6000)
-                .host("rack2", 6000)
-                .host("clients", 100000)
-                .link_all(link)
                 .component_class<Worker>("Worker")
-                .deploy("Worker", "w0", "rack0")
-                .deploy("Worker", "w1", "rack1")
-                .deploy("Worker", "w2", "rack2")
-                .connect(spec, {"w0", "w1", "w2"})
+                .component_class<LoadSource>("LoadSource")
+                .adl(kWorld)
                 .with_raml(util::milliseconds(100))
                 .build()
                 .value();
   auto& app = rt->app();
   auto& loop = rt->loop();
   auto& network = rt->network();
-  std::vector<util::NodeId> nodes;
-  std::vector<util::ComponentId> replicas;
-  for (int i = 0; i < 3; ++i) {
-    nodes.push_back(rt->host("rack" + std::to_string(i)));
-    replicas.push_back(rt->component("w" + std::to_string(i)));
-  }
   const auto clients = rt->host("clients");
   const auto lb = rt->connector("lb");
 
-  // RAML policy: if a rack's backlog dwarfs the calmest rack, move its
-  // replica there.
+  rt->adl_rules()->set_firing_observer(
+      [](util::Symbol rule, const reconfig::ReconfigReport& report) {
+        std::printf("[t=%.1fs] RAML rule %s migrates w0 rack0 -> rack1: %s\n",
+                    util::to_seconds(report.started_at), rule.str().c_str(),
+                    reconfig::to_string(report.verdict));
+      });
   meta::Raml& raml = rt->raml();
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    raml.add_sensor("backlog" + std::to_string(i), [&network, &loop,
-                                                    node = nodes[i]] {
-      return static_cast<double>(network.node(node).backlog(loop.now()));
-    });
-  }
-  raml.add_policy(meta::Policy{
-      "rebalance",
-      [](const meta::MetricSample& s) {
-        double max_b = 0;
-        double min_b = 1e18;
-        for (int i = 0; i < 3; ++i) {
-          const double b = s.get("backlog" + std::to_string(i));
-          max_b = std::max(max_b, b);
-          min_b = std::min(min_b, b);
-        }
-        return max_b > 50000 && max_b > 4 * (min_b + 1000);
-      },
-      [&](meta::Raml& r) {
-        // Pick the hottest and calmest rack by backlog.
-        util::NodeId hot = nodes[0];
-        util::NodeId calm = nodes[0];
-        for (util::NodeId node : nodes) {
-          const auto backlog = network.node(node).backlog(loop.now());
-          if (backlog > network.node(hot).backlog(loop.now())) hot = node;
-          if (backlog < network.node(calm).backlog(loop.now())) calm = node;
-        }
-        for (util::ComponentId replica : replicas) {
-          if (app.placement(replica) == hot) {
-            std::printf("[t=%.1fs] RAML migrates a replica %s -> %s\n",
-                        util::to_seconds(loop.now()),
-                        network.node(hot).name().c_str(),
-                        network.node(calm).name().c_str());
-            r.engine().migrate_component(
-                replica, calm, [](const reconfig::ReconfigReport&) {});
-            break;
-          }
-        }
-      },
-      util::milliseconds(500)});
   raml.start();
   // The periodic MAPE tick would keep the event loop alive forever; end
   // the management session with the workload.
@@ -139,16 +129,18 @@ int main() {
   // tenant) — the paper's "fluctuation of available resources".
   loop.schedule_at(util::seconds(3), [&] {
     std::printf("[t=3.0s] rack0 capacity drops 6000 -> 800\n");
-    network.node(nodes[0]).set_capacity(800);
+    network.node(rt->host("rack0")).set_capacity(800);
   });
 
   rt->run();
 
   std::printf("\nserved %zu calls: mean %.0f us, p99 %.0f us\n",
               latencies.count(), latencies.mean(), latencies.p99());
-  for (std::size_t i = 0; i < replicas.size(); ++i) {
-    std::printf("replica w%zu ended on %s\n", i,
-                network.node(app.placement(replicas[i])).name().c_str());
+  for (const char* replica : {"w0", "w1", "w2"}) {
+    std::printf("replica %s ended on %s\n", replica,
+                network.node(app.placement(rt->component(replica)))
+                    .name()
+                    .c_str());
   }
   return 0;
 }

@@ -52,23 +52,17 @@ void erase_instance(ArchitectureModel& model, const std::string& name) {
   }
 }
 
+/// Reroute's substitution; plan_step_applicable has refused a replica that
+/// already serves one of `from`'s connectors, so no provider list gains a
+/// duplicate.
 void substitute_provider(ArchitectureModel& model, const std::string& from,
                          const std::string& to) {
-  const auto swap_in = [&](std::vector<std::string>& providers) {
-    for (std::string& p : providers) {
-      if (p == from) p = to;
-    }
-    // Collapse duplicates the substitution may have produced.
-    std::vector<std::string> unique;
-    for (const std::string& p : providers) {
-      if (std::find(unique.begin(), unique.end(), p) == unique.end()) {
-        unique.push_back(p);
-      }
-    }
-    providers = std::move(unique);
-  };
-  for (ModelConnector& conn : model.connectors) swap_in(conn.providers);
-  for (ModelBinding& bind : model.bindings) swap_in(bind.providers);
+  for (ModelConnector& conn : model.connectors) {
+    std::replace(conn.providers.begin(), conn.providers.end(), from, to);
+  }
+  for (ModelBinding& bind : model.bindings) {
+    std::replace(bind.providers.begin(), bind.providers.end(), from, to);
+  }
 }
 
 }  // namespace
@@ -171,6 +165,22 @@ bool plan_step_applicable(const ArchitectureModel& model, const PlanStep& step,
                  "replica '" + step.replica + "' has type '" + replica->type +
                      "', expected '" + target->type + "'");
       ok = false;
+    } else {
+      // As Application::redirect: a connector keeps one channel per
+      // provider, and two channels cannot be merged.
+      for (const ModelConnector& conn : model.connectors) {
+        const auto serves = [&](const std::string& name) {
+          return std::find(conn.providers.begin(), conn.providers.end(),
+                           name) != conn.providers.end();
+        };
+        if (serves(step.instance) && serves(step.replica)) {
+          step_error(out, index, step,
+                     "replica '" + step.replica +
+                         "' already serves connector '" + conn.name + "'");
+          ok = false;
+          break;
+        }
+      }
     }
   }
 

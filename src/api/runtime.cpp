@@ -312,14 +312,13 @@ Result<std::unique_ptr<Runtime>> Runtime::materialise(
       (world.raml_period.has_value() || !rule_program.rules.empty());
   if (needs_raml) {
     rt->raml_ = std::make_unique<meta::Raml>(
-        *rt->app_, *rt->engine_,
-        world.raml_period.value_or(util::milliseconds(10)));
+        *rt->app_, world.raml_period.value_or(util::milliseconds(10)));
   }
 
   if (!rule_program.rules.empty()) {
-    // Bind after the whole world exists so rules may target builder-declared
-    // instances too.  watch_faults so "fault.*" triggers and the
-    // fault.active metric reach the rules.
+    // Rules name only ADL-declared instances (sema rejects any other name
+    // with `unknown-instance`), so the program binds to its own deployment.
+    // watch_faults so "fault.*" triggers reach the event rules.
     rt->raml_->watch_faults(*rt->injector_);
     auto rules = reconfig::RuleSet::install(
         rule_program, *rt->app_, *rt->engine_, rt->injector_.get(), {},

@@ -81,8 +81,8 @@ Status FaultInjector::arm_text(const std::string& text) {
   return arm(scenario.value());
 }
 
-Status FaultInjector::crash_host(NodeId host) {
-  if (++crash_depth_[host] > 1) return Status::success();
+void FaultInjector::crash_host(NodeId host) {
+  if (++crash_depth_[host] > 1) return;
   crashed_.insert(host);
   for (const auto& [from, to] : app_.network().links_of(host)) {
     auto spec = app_.network().remove_link(from, to);
@@ -90,15 +90,10 @@ Status FaultInjector::crash_host(NodeId host) {
       severed_[{from, to}] = *spec;
     }
   }
-  return Status::success();
 }
 
-Status FaultInjector::restore_host(NodeId host) {
-  auto depth = crash_depth_.find(host);
-  if (depth == crash_depth_.end() || depth->second == 0) {
-    return Error{ErrorCode::kInvalidArgument, "host is not crashed"};
-  }
-  if (--depth->second > 0) return Status::success();
+void FaultInjector::restore_host(NodeId host) {
+  if (--crash_depth_[host] > 0) return;
   crashed_.erase(host);
   // Restore saved links touching this host, but only when the far endpoint
   // is itself up and the link is not held down by an active partition.
@@ -118,11 +113,10 @@ Status FaultInjector::restore_host(NodeId host) {
     app_.network().add_link(from, to, it->second);
     it = severed_.erase(it);
   }
-  return Status::success();
 }
 
-Status FaultInjector::cut_link(NodeId a, NodeId b) {
-  if (++cut_depth_[ordered(a, b)] > 1) return Status::success();
+void FaultInjector::cut_link(NodeId a, NodeId b) {
+  if (++cut_depth_[ordered(a, b)] > 1) return;
   for (const auto& [from, to] :
        {std::make_pair(a, b), std::make_pair(b, a)}) {
     auto spec = app_.network().remove_link(from, to);
@@ -130,15 +124,10 @@ Status FaultInjector::cut_link(NodeId a, NodeId b) {
       severed_[{from, to}] = *spec;
     }
   }
-  return Status::success();
 }
 
-Status FaultInjector::heal_link(NodeId a, NodeId b) {
-  auto depth = cut_depth_.find(ordered(a, b));
-  if (depth == cut_depth_.end() || depth->second == 0) {
-    return Error{ErrorCode::kInvalidArgument, "link is not cut"};
-  }
-  if (--depth->second > 0) return Status::success();
+void FaultInjector::heal_link(NodeId a, NodeId b) {
+  if (--cut_depth_[ordered(a, b)] > 0) return;
   for (const auto& key : {std::make_pair(a, b), std::make_pair(b, a)}) {
     auto it = severed_.find(key);
     if (it == severed_.end()) continue;
@@ -149,11 +138,10 @@ Status FaultInjector::heal_link(NodeId a, NodeId b) {
     app_.network().add_link(key.first, key.second, it->second);
     severed_.erase(it);
   }
-  return Status::success();
 }
 
-Status FaultInjector::degrade_link(NodeId a, NodeId b, Duration extra_latency,
-                                   Duration extra_jitter) {
+void FaultInjector::degrade_link(NodeId a, NodeId b, Duration extra_latency,
+                                 Duration extra_jitter) {
   bool touched = false;
   for (const auto& key : {std::make_pair(a, b), std::make_pair(b, a)}) {
     sim::LinkSpec* spec = app_.network().find_link(key.first, key.second);
@@ -163,19 +151,13 @@ Status FaultInjector::degrade_link(NodeId a, NodeId b, Duration extra_latency,
     spec->jitter = pristine_[key].jitter + extra_jitter;
     touched = true;
   }
-  if (!touched) {
-    return Error{ErrorCode::kNotFound, "no such link to degrade"};
-  }
-  ++degrade_depth_[ordered(a, b)];
-  return Status::success();
+  if (touched) ++degrade_depth_[ordered(a, b)];
 }
 
-Status FaultInjector::restore_link_quality(NodeId a, NodeId b) {
+void FaultInjector::restore_link_quality(NodeId a, NodeId b) {
   auto depth = degrade_depth_.find(ordered(a, b));
-  if (depth == degrade_depth_.end() || depth->second == 0) {
-    return Error{ErrorCode::kInvalidArgument, "link is not degraded"};
-  }
-  if (--depth->second > 0) return Status::success();
+  if (depth == degrade_depth_.end() || depth->second == 0) return;
+  if (--depth->second > 0) return;
   for (const auto& key : {std::make_pair(a, b), std::make_pair(b, a)}) {
     auto saved = pristine_.find(key);
     if (saved == pristine_.end()) continue;
@@ -185,10 +167,9 @@ Status FaultInjector::restore_link_quality(NodeId a, NodeId b) {
       spec->jitter = saved->second.jitter;
     }
   }
-  return Status::success();
 }
 
-Status FaultInjector::set_link_loss(NodeId a, NodeId b, double probability) {
+void FaultInjector::set_link_loss(NodeId a, NodeId b, double probability) {
   bool touched = false;
   for (const auto& key : {std::make_pair(a, b), std::make_pair(b, a)}) {
     sim::LinkSpec* spec = app_.network().find_link(key.first, key.second);
@@ -197,19 +178,13 @@ Status FaultInjector::set_link_loss(NodeId a, NodeId b, double probability) {
     spec->loss_probability = probability;
     touched = true;
   }
-  if (!touched) {
-    return Error{ErrorCode::kNotFound, "no such link for loss burst"};
-  }
-  ++loss_depth_[ordered(a, b)];
-  return Status::success();
+  if (touched) ++loss_depth_[ordered(a, b)];
 }
 
-Status FaultInjector::restore_link_loss(NodeId a, NodeId b) {
+void FaultInjector::restore_link_loss(NodeId a, NodeId b) {
   auto depth = loss_depth_.find(ordered(a, b));
-  if (depth == loss_depth_.end() || depth->second == 0) {
-    return Error{ErrorCode::kInvalidArgument, "link has no loss burst"};
-  }
-  if (--depth->second > 0) return Status::success();
+  if (depth == loss_depth_.end() || depth->second == 0) return;
+  if (--depth->second > 0) return;
   for (const auto& key : {std::make_pair(a, b), std::make_pair(b, a)}) {
     auto saved = pristine_.find(key);
     if (saved == pristine_.end()) continue;
@@ -218,7 +193,6 @@ Status FaultInjector::restore_link_loss(NodeId a, NodeId b) {
       spec->loss_probability = saved->second.loss_probability;
     }
   }
-  return Status::success();
 }
 
 std::vector<NodeId> FaultInjector::up_hosts() const {
@@ -253,13 +227,13 @@ std::uint64_t FaultInjector::dropped_during_faults() const {
 void FaultInjector::begin(const FaultSpec& spec, NodeId host, NodeId a,
                           NodeId b) {
   switch (spec.kind) {
-    case FaultKind::kHostCrash: (void)crash_host(host); break;
-    case FaultKind::kLinkPartition: (void)cut_link(a, b); break;
+    case FaultKind::kHostCrash: crash_host(host); break;
+    case FaultKind::kLinkPartition: cut_link(a, b); break;
     case FaultKind::kLinkDegrade:
-      (void)degrade_link(a, b, spec.extra_latency, spec.extra_jitter);
+      degrade_link(a, b, spec.extra_latency, spec.extra_jitter);
       break;
     case FaultKind::kLinkLoss:
-      (void)set_link_loss(a, b, spec.loss_probability);
+      set_link_loss(a, b, spec.loss_probability);
       break;
     case FaultKind::kStepFault:
       step_faults_.emplace_back(spec.step, spec.of);
@@ -272,10 +246,10 @@ void FaultInjector::begin(const FaultSpec& spec, NodeId host, NodeId a,
 void FaultInjector::end(const FaultSpec& spec, NodeId host, NodeId a,
                         NodeId b) {
   switch (spec.kind) {
-    case FaultKind::kHostCrash: (void)restore_host(host); break;
-    case FaultKind::kLinkPartition: (void)heal_link(a, b); break;
-    case FaultKind::kLinkDegrade: (void)restore_link_quality(a, b); break;
-    case FaultKind::kLinkLoss: (void)restore_link_loss(a, b); break;
+    case FaultKind::kHostCrash: restore_host(host); break;
+    case FaultKind::kLinkPartition: heal_link(a, b); break;
+    case FaultKind::kLinkDegrade: restore_link_quality(a, b); break;
+    case FaultKind::kLinkLoss: restore_link_loss(a, b); break;
     case FaultKind::kStepFault: {
       const auto it = std::find(step_faults_.begin(), step_faults_.end(),
                                 std::make_pair(spec.step, spec.of));

@@ -57,17 +57,6 @@ class FaultInjector {
   /// Parses `text` and arms the result.
   util::Status arm_text(const std::string& text);
 
-  // --- imperative fault control (used by arm and directly by tests) --------
-  util::Status crash_host(NodeId host);
-  util::Status restore_host(NodeId host);
-  util::Status cut_link(NodeId a, NodeId b);
-  util::Status heal_link(NodeId a, NodeId b);
-  util::Status degrade_link(NodeId a, NodeId b, util::Duration extra_latency,
-                            util::Duration extra_jitter);
-  util::Status restore_link_quality(NodeId a, NodeId b);
-  util::Status set_link_loss(NodeId a, NodeId b, double probability);
-  util::Status restore_link_loss(NodeId a, NodeId b);
-
   // --- health view ---------------------------------------------------------
   bool host_up(NodeId host) const { return crashed_.count(host) == 0; }
   std::vector<NodeId> up_hosts() const;
@@ -90,6 +79,20 @@ class FaultInjector {
   runtime::Application& app() { return app_; }
 
  private:
+  // Network mutations behind begin() and end().  Overlapping faults nest:
+  // a fault is applied on its first begin and undone on its last end.  A
+  // degrade or loss window on a link that is down (an endpoint crashed)
+  // changes nothing.
+  void crash_host(NodeId host);
+  void restore_host(NodeId host);
+  void cut_link(NodeId a, NodeId b);
+  void heal_link(NodeId a, NodeId b);
+  void degrade_link(NodeId a, NodeId b, util::Duration extra_latency,
+                    util::Duration extra_jitter);
+  void restore_link_quality(NodeId a, NodeId b);
+  void set_link_loss(NodeId a, NodeId b, double probability);
+  void restore_link_loss(NodeId a, NodeId b);
+
   void begin(const FaultSpec& spec, NodeId host, NodeId a, NodeId b);
   void end(const FaultSpec& spec, NodeId host, NodeId a, NodeId b);
   void publish(const FaultSpec& spec, FaultEvent::Phase phase, NodeId host,

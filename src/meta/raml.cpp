@@ -6,35 +6,17 @@ namespace aars::meta {
 
 using util::Duration;
 
-Raml::Raml(runtime::Application& app, reconfig::ReconfigurationEngine& engine,
-           Duration period)
-    : app_(app),
-      engine_(engine),
-      period_(period),
-      view_(app),
-      rule_engine_(app.loop()) {
+Raml::Raml(runtime::Application& app, Duration period)
+    : loop_(app.loop()), period_(period), rule_engine_(app.loop()) {
   util::require(period > 0, "period must be positive");
   obs::Registry& reg = obs::Registry::global();
   obs_ticks_ = &reg.counter("raml.ticks");
-  obs_actions_ = &reg.counter("raml.actions");
   obs_decision_ns_ = &reg.histogram("raml.decision_latency_ns");
-}
-
-void Raml::add_sensor(const std::string& name,
-                      std::function<double()> sensor) {
-  util::require(static_cast<bool>(sensor), "sensor required");
-  sensors_.emplace_back(name, std::move(sensor));
 }
 
 void Raml::watch(std::shared_ptr<qos::QosMonitor> monitor) {
   util::require(monitor != nullptr, "monitor required");
   monitors_.push_back(std::move(monitor));
-}
-
-void Raml::add_policy(Policy policy) {
-  util::require(static_cast<bool>(policy.condition), "condition required");
-  util::require(static_cast<bool>(policy.action), "action required");
-  policies_.push_back(std::move(policy));
 }
 
 namespace {
@@ -69,9 +51,6 @@ void Raml::watch_faults(fault::FaultInjector& injector) {
              {"host", static_cast<std::int64_t>(event.host.raw())},
              {"began_at", static_cast<std::int64_t>(event.began_at)}}));
   });
-  add_sensor("fault.active", [&injector] {
-    return static_cast<double>(injector.active_faults());
-  });
 }
 
 void Raml::install_rule_set(std::shared_ptr<reconfig::RuleSet> rules) {
@@ -102,46 +81,17 @@ void Raml::tick() {
   const bool timed = obs::Registry::global().enabled();
   const auto wall_start = timed ? std::chrono::steady_clock::now()
                                 : std::chrono::steady_clock::time_point{};
-  // Monitor: sample every sensor.
-  MetricSample sample;
-  sample.at = app_.loop().now();
-  for (const auto& [name, sensor] : sensors_) {
-    sample.values[name] = sensor();
-  }
   // Compliancy checking of watched contracts.
   for (const auto& monitor : monitors_) {
     const qos::Compliance compliance = monitor->evaluate();
-    sample.values["qos." + monitor->contract().name + ".compliant"] =
-        compliance.compliant ? 1.0 : 0.0;
     if (!compliance.compliant) {
       rule_engine_.emit("qos_violation", compliance.describe());
     }
   }
-  last_sample_ = sample;
   // ADL-declared metric rules sample live application state through
   // pre-bound ids — no strings, no allocation on the steady-state path.
   if (adl_rules_ != nullptr) {
-    adl_rules_->evaluate(sample.at);
-  }
-  // Analyze + plan + execute.
-  for (const Policy& policy : policies_) {
-    if (policy.cooldown > 0) {
-      auto it = last_fired_.find(policy.name);
-      if (it != last_fired_.end() &&
-          sample.at - it->second < policy.cooldown) {
-        continue;
-      }
-    }
-    if (policy.condition(sample)) {
-      last_fired_[policy.name] = sample.at;
-      ++actions_taken_;
-      obs_actions_->inc();
-      obs::Registry::global().trace(sample.at, obs::TraceKind::kDecision,
-                                    policy.name, "policy fired");
-      rule_engine_.emit("policy_fired",
-                        util::Value::object({{"policy", policy.name}}));
-      policy.action(*this);
-    }
+    adl_rules_->evaluate(loop_.now());
   }
   // Parked waitUntil events get a periodic chance to proceed.
   rule_engine_.poll_waiting();
@@ -156,13 +106,13 @@ void Raml::tick() {
 void Raml::tick_and_next() {
   if (!running_) return;
   tick();
-  pending_ = app_.loop().schedule_after(period_, [this] { tick_and_next(); });
+  pending_ = loop_.schedule_after(period_, [this] { tick_and_next(); });
 }
 
 void Raml::start() {
   if (running_) return;
   running_ = true;
-  pending_ = app_.loop().schedule_after(period_, [this] { tick_and_next(); });
+  pending_ = loop_.schedule_after(period_, [this] { tick_and_next(); });
 }
 
 void Raml::stop() {

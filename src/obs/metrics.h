@@ -137,7 +137,6 @@ class HistogramMetric {
 enum class TraceKind {
   kRelay,         // a connector relayed (or intercepted) a message
   kReconfig,      // a reconfiguration protocol phase transition
-  kDecision,      // a RAML policy fired
   kQosViolation,  // a QoS contract evaluation failed
   kFault,         // an injected fault began or ended, or a repair completed
   kTxn,           // a transactional enactment committed or rolled back
@@ -148,7 +147,6 @@ constexpr const char* to_string(TraceKind k) {
   switch (k) {
     case TraceKind::kRelay: return "relay";
     case TraceKind::kReconfig: return "reconfig";
-    case TraceKind::kDecision: return "decision";
     case TraceKind::kQosViolation: return "qos_violation";
     case TraceKind::kFault: return "fault";
     case TraceKind::kTxn: return "txn";

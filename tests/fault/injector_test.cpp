@@ -23,105 +23,111 @@ TEST_F(InjectorTest, CrashSeversEveryLinkAndRestoreBringsThemBack) {
   ASSERT_TRUE(network_.has_link(node_a_, node_b_));
   ASSERT_TRUE(network_.has_link(node_b_, node_c_));
 
-  ASSERT_TRUE(injector_.crash_host(node_b_).ok());
+  ASSERT_TRUE(injector_.arm_text("at 1ms crash host=node_b for 1ms").ok());
+  loop_.run_until(util::milliseconds(1));
   EXPECT_FALSE(injector_.host_up(node_b_));
   EXPECT_FALSE(network_.has_link(node_a_, node_b_));
   EXPECT_FALSE(network_.has_link(node_b_, node_a_));
   EXPECT_FALSE(network_.has_link(node_b_, node_c_));
   EXPECT_FALSE(network_.has_link(node_c_, node_b_));
   EXPECT_EQ(injector_.down_hosts().size(), 1u);
+  EXPECT_EQ(injector_.active_faults(), 1u);
 
-  ASSERT_TRUE(injector_.restore_host(node_b_).ok());
+  loop_.run_until(util::milliseconds(2));
   EXPECT_TRUE(injector_.host_up(node_b_));
   EXPECT_TRUE(network_.has_link(node_a_, node_b_));
   EXPECT_TRUE(network_.has_link(node_b_, node_c_));
+  EXPECT_EQ(injector_.active_faults(), 0u);
   // The restored link carries the original spec.
   ASSERT_NE(network_.find_link(node_a_, node_b_), nullptr);
   EXPECT_EQ(network_.find_link(node_a_, node_b_)->latency,
             util::milliseconds(1));
 }
 
-TEST_F(InjectorTest, RestoringAHealthyHostIsAnError) {
-  const auto s = injector_.restore_host(node_a_);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), ErrorCode::kInvalidArgument);
-}
-
 TEST_F(InjectorTest, CutAndHealLink) {
-  ASSERT_TRUE(injector_.cut_link(node_a_, node_b_).ok());
+  ASSERT_TRUE(
+      injector_.arm_text("at 1ms partition link=node_a-node_b for 1ms").ok());
+  loop_.run_until(util::milliseconds(1));
   EXPECT_FALSE(network_.has_link(node_a_, node_b_));
   EXPECT_FALSE(network_.has_link(node_b_, node_a_));
   // The other link is untouched.
   EXPECT_TRUE(network_.has_link(node_b_, node_c_));
 
-  ASSERT_TRUE(injector_.heal_link(node_a_, node_b_).ok());
+  loop_.run_until(util::milliseconds(2));
   EXPECT_TRUE(network_.has_link(node_a_, node_b_));
   EXPECT_TRUE(network_.has_link(node_b_, node_a_));
-
-  EXPECT_EQ(injector_.heal_link(node_a_, node_b_).code(),
-            ErrorCode::kInvalidArgument);
 }
 
 TEST_F(InjectorTest, DegradeWindowRestoresPristineQuality) {
   const util::Duration base =
       network_.find_link(node_a_, node_b_)->latency;
   ASSERT_TRUE(injector_
-                  .degrade_link(node_a_, node_b_, util::milliseconds(5),
-                                util::milliseconds(1))
+                  .arm_text("at 1ms degrade link=node_a-node_b latency=5ms "
+                            "jitter=1ms for 1ms")
                   .ok());
+  loop_.run_until(util::milliseconds(1));
   EXPECT_EQ(network_.find_link(node_a_, node_b_)->latency,
             base + util::milliseconds(5));
   EXPECT_EQ(network_.find_link(node_b_, node_a_)->jitter,
             util::milliseconds(1));
 
-  ASSERT_TRUE(injector_.restore_link_quality(node_a_, node_b_).ok());
+  loop_.run_until(util::milliseconds(2));
   EXPECT_EQ(network_.find_link(node_a_, node_b_)->latency, base);
   EXPECT_EQ(network_.find_link(node_a_, node_b_)->jitter, 0);
-
-  EXPECT_EQ(injector_.restore_link_quality(node_a_, node_b_).code(),
-            ErrorCode::kInvalidArgument);
 }
 
 TEST_F(InjectorTest, LossBurstRestoresPristineProbability) {
-  ASSERT_TRUE(injector_.set_link_loss(node_a_, node_b_, 0.5).ok());
+  ASSERT_TRUE(
+      injector_.arm_text("at 1ms loss link=node_a-node_b p=0.5 for 1ms").ok());
+  loop_.run_until(util::milliseconds(1));
   EXPECT_DOUBLE_EQ(
       network_.find_link(node_a_, node_b_)->loss_probability, 0.5);
   EXPECT_DOUBLE_EQ(
       network_.find_link(node_b_, node_a_)->loss_probability, 0.5);
 
-  ASSERT_TRUE(injector_.restore_link_loss(node_a_, node_b_).ok());
+  loop_.run_until(util::milliseconds(2));
   EXPECT_DOUBLE_EQ(
       network_.find_link(node_a_, node_b_)->loss_probability, 0.0);
 }
 
 TEST_F(InjectorTest, LinkFaultOnMissingLinkIsNotFound) {
   // The fixture has no a<->c link.
-  EXPECT_EQ(injector_.degrade_link(node_a_, node_c_, 1000, 0).code(),
+  EXPECT_EQ(injector_
+                .arm_text("at 1ms degrade link=node_a-node_c latency=1ms "
+                          "for 1ms")
+                .code(),
             ErrorCode::kNotFound);
-  EXPECT_EQ(injector_.set_link_loss(node_a_, node_c_, 0.1).code(),
-            ErrorCode::kNotFound);
+  EXPECT_EQ(
+      injector_.arm_text("at 1ms loss link=node_a-node_c p=0.1 for 1ms")
+          .code(),
+      ErrorCode::kNotFound);
 }
 
 TEST_F(InjectorTest, OverlappingCrashesRestoreOnLastEnd) {
-  ASSERT_TRUE(injector_.crash_host(node_b_).ok());
-  ASSERT_TRUE(injector_.crash_host(node_b_).ok());  // overlap, depth 2
-  ASSERT_TRUE(injector_.restore_host(node_b_).ok());
+  ASSERT_TRUE(injector_
+                  .arm_text("at 1ms crash host=node_b for 4ms\n"
+                            "at 2ms crash host=node_b for 1ms\n")
+                  .ok());
+  loop_.run_until(util::milliseconds(3));  // the inner crash ended
   EXPECT_FALSE(injector_.host_up(node_b_));  // still held down
   EXPECT_FALSE(network_.has_link(node_a_, node_b_));
-  ASSERT_TRUE(injector_.restore_host(node_b_).ok());
+  loop_.run_until(util::milliseconds(5));
   EXPECT_TRUE(injector_.host_up(node_b_));
   EXPECT_TRUE(network_.has_link(node_a_, node_b_));
 }
 
 TEST_F(InjectorTest, RestartDoesNotResurrectAPartitionedLink) {
-  ASSERT_TRUE(injector_.crash_host(node_b_).ok());
-  ASSERT_TRUE(injector_.cut_link(node_a_, node_b_).ok());
+  ASSERT_TRUE(injector_
+                  .arm_text("at 1ms crash host=node_b for 2ms\n"
+                            "at 2ms partition link=node_a-node_b for 3ms\n")
+                  .ok());
   // Host restarts, but the a<->b partition is still active: only b<->c
   // comes back.
-  ASSERT_TRUE(injector_.restore_host(node_b_).ok());
+  loop_.run_until(util::milliseconds(3));
+  EXPECT_TRUE(injector_.host_up(node_b_));
   EXPECT_FALSE(network_.has_link(node_a_, node_b_));
   EXPECT_TRUE(network_.has_link(node_b_, node_c_));
-  ASSERT_TRUE(injector_.heal_link(node_a_, node_b_).ok());
+  loop_.run_until(util::milliseconds(5));
   EXPECT_TRUE(network_.has_link(node_a_, node_b_));
 }
 

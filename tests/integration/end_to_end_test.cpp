@@ -6,6 +6,7 @@
 #include "adl/compiler.h"
 #include "meta/raml.h"
 #include "reconfig/engine.h"
+#include "reconfig/rules.h"
 #include "runtime/deployer.h"
 #include "telecom/media.h"
 #include "testing/test_components.h"
@@ -106,26 +107,24 @@ TEST_F(EndToEndTest, HotSwapUnderDeployedTraffic) {
 }
 
 TEST_F(EndToEndTest, RamlClosesTheLoopOnOverload) {
-  // MAPE loop: monitor node backlog -> migrate the hot component.
+  // MAPE loop: a backlog rule over the slow node migrates the hot
+  // component off it as one transaction.
   const auto conn = direct_to("EchoServer", "hot", node_c_);  // slow node
   const auto hot = app_.component_id("hot");
+  const adl::CompilationResult compiled =
+      adl::compile(std::string(testing::kFixtureAdl) +
+                   R"(instance hot: EchoServer on node_c;
+when backlog(node_c) > 5000 reconfigure offload {
+  cooldown 10s;
+  migrate hot to node_a;
+}
+)");
+  ASSERT_TRUE(compiled.ok());
   reconfig::ReconfigurationEngine engine(app_);
-  meta::Raml raml(app_, engine, util::milliseconds(50));
-  raml.add_sensor("backlog", [this] {
-    return static_cast<double>(
-        network_.node(node_c_).backlog(loop_.now()));
-  });
-  int migrations = 0;
-  raml.add_policy(meta::Policy{
-      "offload",
-      [](const meta::MetricSample& s) { return s.get("backlog") > 5000; },
-      [&](meta::Raml& r) {
-        r.engine().migrate_component(
-            hot, node_a_, [&](const reconfig::ReconfigReport& report) {
-              if (report.ok()) ++migrations;
-            });
-      },
-      util::seconds(10)});
+  auto rules = reconfig::RuleSet::install(compiled.program, app_, engine);
+  ASSERT_TRUE(rules.ok()) << rules.error().message();
+  meta::Raml raml(app_, util::milliseconds(50));
+  raml.install_rule_set(rules.value());
   raml.start();
 
   // Saturating traffic.
@@ -140,7 +139,10 @@ TEST_F(EndToEndTest, RamlClosesTheLoopOnOverload) {
   loop_.schedule_at(util::seconds(3), [&] { raml.stop(); });
   loop_.run();
 
-  EXPECT_EQ(migrations, 1);
+  const reconfig::RuleSet::Stats& stats = rules.value()->stats();
+  EXPECT_EQ(stats.fired, 1u);
+  EXPECT_EQ(stats.committed, 1u);
+  EXPECT_EQ(raml.actions_taken(), 1u);
   EXPECT_EQ(app_.placement(hot), node_a_);
   EXPECT_GE(raml.ticks(), 10u);
 }

@@ -165,8 +165,9 @@ TEST(TraceBufferTest, RegistryReboundsTraceRing) {
 TEST(TraceKindTest, AllKindsStringify) {
   EXPECT_STREQ(to_string(TraceKind::kRelay), "relay");
   EXPECT_STREQ(to_string(TraceKind::kReconfig), "reconfig");
-  EXPECT_STREQ(to_string(TraceKind::kDecision), "decision");
   EXPECT_STREQ(to_string(TraceKind::kQosViolation), "qos_violation");
+  EXPECT_STREQ(to_string(TraceKind::kFault), "fault");
+  EXPECT_STREQ(to_string(TraceKind::kTxn), "txn");
   EXPECT_STREQ(to_string(TraceKind::kCustom), "custom");
 }
 
@@ -184,7 +185,7 @@ TEST(ExportTest, JsonContainsEverySection) {
   reg.counter("sim.events", {{"phase", "run"}}).inc(2);
   reg.gauge("depth").set(4.0);
   reg.histogram("latency").observe(10.0);
-  reg.trace(42, TraceKind::kDecision, "scale_out", "policy fired");
+  reg.trace(42, TraceKind::kTxn, "scale_out", "committed");
 
   const std::string json = to_json(reg);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
@@ -196,7 +197,7 @@ TEST(ExportTest, JsonContainsEverySection) {
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"p95\""), std::string::npos);
   EXPECT_NE(json.find("\"trace\""), std::string::npos);
-  EXPECT_NE(json.find("\"decision\""), std::string::npos);
+  EXPECT_NE(json.find("\"txn\""), std::string::npos);
   EXPECT_NE(json.find("\"scale_out\""), std::string::npos);
 }
 

@@ -9,10 +9,13 @@
 #include <memory>
 #include <optional>
 
+#include "adl/compiler.h"
+#include "analysis/explorer.h"
 #include "analysis/path_props.h"
 #include "analysis/verifier.h"
 #include "fault/injector.h"
 #include "fault/scenario.h"
+#include "reconfig/rules.h"
 #include "testing/test_components.h"
 #include "util/time.h"
 
@@ -227,6 +230,57 @@ TEST_F(TxnTest, ReportReadsUnfinishedUntilTheTxnSettles) {
   EXPECT_TRUE(txn->finished());
   EXPECT_TRUE(txn->report().ok());
   EXPECT_EQ(txn->report().verdict, TxnVerdict::kCommitted);
+}
+
+// A reroute onto a replica that already serves one of the target's
+// connectors: Application::redirect refuses it (`provider already
+// attached`), because each channel keeps its own sequence and audit state
+// and two channels cannot be merged.  The explorer's plan model refuses it
+// too, so the two agree: no edge, and the live firing (verification off)
+// rolls back to the configuration it started from.
+TEST_F(TxnTest, RerouteOntoAnAttachedReplicaIsNoEdgeAndRollsBack) {
+  const auto spare =
+      app_.instantiate("EchoServer", "spare", node_a_, Value{}).value();
+  connector::ConnectorSpec spec;
+  spec.name = "pool";
+  spec.routing = connector::RoutingPolicy::kRoundRobin;
+  const auto pool = app_.create_connector(spec).value();
+  ASSERT_TRUE(app_.add_provider(pool, server_).ok());
+  ASSERT_TRUE(app_.add_provider(pool, spare).ok());
+
+  const adl::CompilationResult compiled =
+      adl::compile(std::string(aars::testing::kFixtureAdl) +
+                   R"(instance server: EchoServer on node_a;
+instance spare: EchoServer on node_a;
+connector pool { routing round_robin; delivery sync; }
+when queue_depth(pool) >= 0 reconfigure fold {
+  reroute server to spare;
+}
+)");
+  ASSERT_TRUE(compiled.ok());
+
+  const analysis::ExplorationResult explored =
+      analysis::explore(analysis::model_from(app_), compiled.program);
+  EXPECT_EQ(explored.graph.edges.size(), 0u);
+  EXPECT_EQ(explored.graph.states.size(), 1u);
+  EXPECT_EQ(explored.aborted_firings, 0u);
+
+  const std::string before =
+      analysis::canonical_config_key(analysis::model_from(app_));
+  auto rules =
+      RuleSet::install(compiled.program, app_, engine_).value();
+  ReconfigReport report;
+  rules->set_firing_observer(
+      [&report](util::Symbol, const ReconfigReport& r) { report = r; });
+  rules->evaluate(loop_.now());
+  loop_.run();
+
+  EXPECT_EQ(rules->stats().fired, 1u);
+  EXPECT_EQ(report.verdict, TxnVerdict::kRolledBack);
+  EXPECT_EQ(report.status.code(), ErrorCode::kAlreadyExists)
+      << report.error_message();
+  EXPECT_EQ(analysis::canonical_config_key(analysis::model_from(app_)),
+            before);
 }
 
 // Every undo kind restores the pre-firing configuration, as the explorer

@@ -111,6 +111,26 @@ class EchoClient : public Component {
   }
 };
 
+/// The fixture's interfaces, component types, nodes and links in ADL. A
+/// test that compiles rules to install on the fixture's application
+/// appends the instances and connectors it deployed, then the rules.
+inline constexpr const char* kFixtureAdl = R"(interface Echo {
+  service echo(text: string) -> string;
+  service ping() -> int;
+}
+interface Counter {
+  service add(amount: int) -> int;
+  service total() -> int;
+}
+component EchoServer provides Echo;
+component CounterServer provides Counter;
+node node_a { capacity 10000; }
+node node_b { capacity 10000; }
+node node_c { capacity 2000; }
+link node_a <-> node_b { latency 1ms; bandwidth 100mbps; }
+link node_b <-> node_c { latency 1ms; bandwidth 100mbps; }
+)";
+
 /// Standard three-node application fixture.
 class AppFixture : public ::testing::Test {
  protected:
