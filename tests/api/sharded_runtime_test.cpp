@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "testing/test_components.h"
 
@@ -194,6 +196,84 @@ TEST(ShardedRuntimeTest, MigrateAcrossShardsCarriesStateAndReroutes) {
             });
   srt->run();
   EXPECT_EQ(after, std::optional<std::int64_t>(7));
+}
+
+// A counter that records the traffic class of every message it handles, so
+// a test sees what metadata a re-delivered event still carried.  Shard
+// runners may be threads, hence the lock.
+std::mutex probe_mutex;
+std::vector<component::Priority> probe_seen;
+
+class PriorityProbe : public CounterServer {
+ public:
+  explicit PriorityProbe(const std::string& instance_name)
+      : CounterServer(instance_name, "PriorityProbe") {
+    observe([](const component::Message& message,
+               const util::Result<Value>&) {
+      std::lock_guard<std::mutex> lock(probe_mutex);
+      probe_seen.push_back(component::message_priority(message));
+    });
+  }
+};
+
+// An event held on a blocked source channel is re-sent on the target shard
+// with its metadata: here, the kHigh traffic class it was sent with.
+TEST(ShardedRuntimeTest, CrossShardReplayKeepsAHeldEventsPriority) {
+  auto srt = ShardedRuntime::builder()
+                 .with_shards(2)
+                 .seed(11)
+                 .cross_shard_link(fabric_1ms())
+                 .host("host-a", 2000, 0)
+                 .host("host-b", 2000, 1)
+                 .component_class<PriorityProbe>("PriorityProbe")
+                 .deploy("PriorityProbe", "probe", "host-a")
+                 .connect(named("counter"), {"probe"})
+                 .build()
+                 .value();
+  Runtime& source = srt->shard(0);
+  const auto conn = source.connector("counter");
+  const auto origin = source.host("host-a");
+  // Channels are created on first use: a first event opens the one the
+  // migration will block.
+  ASSERT_TRUE(source.app()
+                  .send_event(conn, "add", Value::object({{"amount", 1}}),
+                              origin)
+                  .ok());
+  srt->run();
+  probe_seen.clear();
+
+  // The migration blocks the source channel at its first barrier, before
+  // the next window; this event lands in that window and is held.
+  const util::SimTime at = srt->now() + util::microseconds(500);
+  source.loop().schedule_at(at, [&source, conn, origin] {
+    EXPECT_TRUE(source.app()
+                    .send_event(conn, "add", Value::object({{"amount", 4}}),
+                                origin, Value::object({{"__priority", 2}}))
+                    .ok());
+  });
+  std::optional<reconfig::ReconfigReport> report;
+  srt->migrate_across("probe", "host-b",
+                      [&](const reconfig::ReconfigReport& r) { report = r; });
+  srt->run();
+  ASSERT_TRUE(report.has_value());
+  ASSERT_TRUE(report->status.ok()) << report->error_message();
+  EXPECT_EQ(report->held_messages, 1u);
+  EXPECT_EQ(report->replayed_messages, 1u);
+  {
+    std::lock_guard<std::mutex> lock(probe_mutex);
+    EXPECT_EQ(probe_seen,
+              std::vector<component::Priority>{component::Priority::kHigh});
+  }
+
+  // The event was handled by the instance on shard 1.
+  std::optional<std::int64_t> total;
+  srt->call(1, "counter", "total", Value{},
+            [&](util::Result<Value> result, util::Duration) {
+              ASSERT_TRUE(result.ok());
+              total = result.value().as_int();
+            });
+  srt->run();
+  EXPECT_EQ(total, std::optional<std::int64_t>(5));
 }
 
 TEST(ShardedRuntimeTest, SameShardMigrateUsesTheShardEngine) {
