@@ -174,8 +174,6 @@ Outcome run(bool protect, std::uint64_t seed) {
     if (loop.now() > kRun) return;
     const Priority priority = classify(sent++);
     ++outcome.cls(priority).offered;
-    const Value headers = Value::object(
-        {{"__priority", static_cast<std::int64_t>(priority)}});
     app.invoke_async(
         conn, "echo", Value::object({{"text", "x"}}), client,
         [&outcome, priority](util::Result<Value> r, util::Duration latency) {
@@ -192,7 +190,7 @@ Outcome run(bool protect, std::uint64_t seed) {
             ++stats.failed;
           }
         },
-        headers);
+        component::Control{.priority = priority});
     const bool rush = loop.now() >= kWarm && loop.now() < kRushEnd;
     loop.schedule_after(rng.poisson_gap(rush ? kRushRate : kCalmRate), *pump);
   };

@@ -55,8 +55,7 @@ connector::Interceptor::Verdict Injector::before(Message& request,
     acted = true;
   }
   if (redirect_target_.valid()) {
-    request.headers["__route_to"] =
-        Value{static_cast<std::int64_t>(redirect_target_.raw())};
+    request.control.route_to = redirect_target_;
     acted = true;
   }
   if (acted) ++injected_;

@@ -5,8 +5,8 @@
 // messages. Each injection should affect a limited set of specific
 // components" (§2, [Film01]).  An Injector is a connector interceptor with
 // an explicit component scope; it can transform payloads and re-route
-// messages to a different serving component via the "__route_to" header the
-// runtime honours.
+// messages to a different serving component through the control envelope's
+// route_to, which the runtime honours.
 #pragma once
 
 #include <functional>

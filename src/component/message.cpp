@@ -1,5 +1,7 @@
 #include "component/message.h"
 
+#include <string_view>
+
 namespace aars::component {
 
 Message make_response(const Message& request, Value result) {
@@ -20,21 +22,39 @@ Message make_error_response(const Message& request, const std::string& code,
   return response;
 }
 
-Priority message_priority(const Message& message) {
-  if (message.headers.contains(kHeaderPriority)) {
-    std::int64_t raw = message.headers.at(kHeaderPriority).as_int();
-    if (raw < 0) raw = 0;
-    if (raw > static_cast<std::int64_t>(Priority::kControl)) {
-      raw = static_cast<std::int64_t>(Priority::kControl);
-    }
-    return static_cast<Priority>(raw);
+std::size_t Control::byte_size() const {
+  // Each set field charges as a header-map entry under its key: key bytes
+  // plus the value's util::Value size (8 for an int or double, 1 for a
+  // bool, 8 + 8 per entry for the avoid list).
+  std::size_t bytes = 0;
+  const auto entry = [&bytes](std::string_view key, std::size_t value) {
+    bytes += key.size() + value;
+  };
+  if (route_to.valid()) entry("__route_to", 8);
+  if (!route_avoid.empty()) {
+    entry("__route_avoid", 8 + 8 * route_avoid.size());
   }
-  if (message.kind == MessageKind::kControl) return Priority::kControl;
-  return Priority::kNormal;
+  if (work_scale) entry("__work_scale", 8);
+  if (priority) entry("__priority", 8);
+  if (retry_budget) {
+    entry("__retry_budget", 8);
+    entry("__backoff_base_us", 8);
+    entry("__backoff_cap_us", 8);
+  }
+  if (retry_attempt > 0) entry("__retry_attempt", 8);
+  if (timeout > 0) entry("__timeout_us", 8);
+  if (timeout_armed) entry("__timeout_armed", 1);
+  if (failover) entry("__failover", 1);
+  if (breaker_rejected) entry("__breaker_rejected", 1);
+  if (breaker_probe) entry("__breaker_probe", 1);
+  if (breaker_exempt) entry("__breaker_exempt", 1);
+  return bytes;
 }
 
-void set_priority(Message& message, Priority priority) {
-  message.headers[kHeaderPriority] = static_cast<std::int64_t>(priority);
+Priority message_priority(const Message& message) {
+  if (message.control.priority) return *message.control.priority;
+  return message.kind == MessageKind::kControl ? Priority::kControl
+                                               : Priority::kNormal;
 }
 
 bool is_error_response(const Message& message) {

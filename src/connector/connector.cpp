@@ -7,21 +7,6 @@ namespace aars::connector {
 using util::Error;
 using util::ErrorCode;
 
-namespace {
-
-/// True when `provider` appears on a "__route_avoid" header list.
-bool route_avoided(const util::Value& avoid, ComponentId provider) {
-  for (const util::Value& entry : avoid.as_list()) {
-    if (entry.is_int() &&
-        static_cast<std::uint64_t>(entry.as_int()) == provider.raw()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 Connector::Connector(ConnectorId id, ConnectorSpec spec)
     : id_(id), spec_(std::move(spec)) {
   util::require(!spec_.name.empty(), "connector name required");
@@ -76,29 +61,21 @@ Result<ComponentId> Connector::select_target(const Message& message,
   if (providers_.empty()) {
     return Error{ErrorCode::kUnavailable, name() + ": no provider attached"};
   }
-  // Failover support: retried messages carry a "__route_avoid" list of
+  // Failover support: retried messages carry control.route_avoid, the
   // providers that already failed; prefer any provider not on it.  When the
   // list covers every provider, fall back to normal selection — avoiding
   // everything would turn a degraded service into an unavailable one.
   // The unfiltered case (virtually every message) selects straight from
   // providers_ — no candidate vector is materialised on the hot path.
-  const util::Value* avoid = nullptr;
-  if (message.headers.contains(component::kHeaderRouteAvoid)) {
-    const util::Value& header =
-        message.headers.at(component::kHeaderRouteAvoid);
-    if (header.is_list()) {
-      bool any_allowed = false;
-      for (ComponentId provider : providers_) {
-        if (!route_avoided(header, provider)) {
-          any_allowed = true;
-          break;
-        }
-      }
-      if (any_allowed) avoid = &header;
-    }
-  }
+  const std::vector<ComponentId>& avoid = message.control.route_avoid;
+  const auto listed = [&avoid](ComponentId provider) {
+    return std::find(avoid.begin(), avoid.end(), provider) != avoid.end();
+  };
+  const bool filter =
+      !avoid.empty() && !std::all_of(providers_.begin(), providers_.end(),
+                                     listed);
   const auto allowed = [&](ComponentId provider) {
-    return avoid == nullptr || !route_avoided(*avoid, provider);
+    return !filter || !listed(provider);
   };
   switch (spec_.routing) {
     case RoutingPolicy::kDirect: {

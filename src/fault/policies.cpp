@@ -18,26 +18,20 @@ Interceptor::Verdict RetryInterceptor::before(Message& message,
   if (message.kind != component::MessageKind::kRequest) {
     return Verdict::kPass;  // one-way events are fire-and-forget
   }
-  const std::int64_t attempt =
-      message.headers.get_or(component::kHeaderRetryAttempt, 0).as_int();
-  if (attempt > 0) {
+  component::Control& control = message.control;
+  if (control.retry_attempt > 0) {
     ++retries_seen_;
-    obs::Registry::global().counter("fault.retries").inc();
+    if (obs_retries_ == nullptr) {
+      obs_retries_ = &obs::Registry::global().counter("fault.retries");
+    }
+    obs_retries_->inc();
   }
-  if (!message.headers.contains(component::kHeaderRetryBudget)) {
-    message.headers[component::kHeaderRetryBudget] =
-        static_cast<std::int64_t>(policy_.max_retries);
-    message.headers[component::kHeaderBackoffBase] =
-        static_cast<std::int64_t>(policy_.backoff_base);
-    message.headers[component::kHeaderBackoffCap] =
-        static_cast<std::int64_t>(policy_.backoff_cap);
-    if (policy_.failover) {
-      message.headers[component::kHeaderFailover] = true;
-    }
-    if (policy_.timeout > 0) {
-      message.headers[component::kHeaderTimeout] =
-          static_cast<std::int64_t>(policy_.timeout);
-    }
+  if (!control.retry_budget) {
+    control.retry_budget = policy_.max_retries;
+    control.backoff_base = policy_.backoff_base;
+    control.backoff_cap = policy_.backoff_cap;
+    if (policy_.failover) control.failover = true;
+    if (policy_.timeout > 0) control.timeout = policy_.timeout;
   }
   return Verdict::kPass;
 }
@@ -45,13 +39,14 @@ Interceptor::Verdict RetryInterceptor::before(Message& message,
 void RetryInterceptor::after(const Message& message,
                              Result<Value>& reply) {
   if (reply.ok()) return;
-  const std::int64_t budget =
-      message.headers.get_or(component::kHeaderRetryBudget, 0).as_int();
-  const std::int64_t attempt =
-      message.headers.get_or(component::kHeaderRetryAttempt, 0).as_int();
-  if (budget > 0 && attempt >= budget) {
+  const std::int32_t budget = message.control.retry_budget.value_or(0);
+  if (budget > 0 && message.control.retry_attempt >= budget) {
     ++budget_exhausted_;
-    obs::Registry::global().counter("fault.retry_exhausted").inc();
+    if (obs_exhausted_ == nullptr) {
+      obs_exhausted_ =
+          &obs::Registry::global().counter("fault.retry_exhausted");
+    }
+    obs_exhausted_->inc();
   }
 }
 

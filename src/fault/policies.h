@@ -2,14 +2,15 @@
 //
 // "Connectors are first-class" (§2): resilience is a property of the glue,
 // not of components.  These interceptors reuse the run_before/run_after
-// machinery — before() stamps the well-known retry/timeout/failover headers
-// on outbound requests, the Application relay honours them (exponential
-// backoff re-relays, deadline races, provider avoidance on failover) and
-// after() observes the final reply to account exhausted budgets.
+// machinery — before() stamps the retry, backoff, failover and deadline
+// fields of an outbound request's control envelope (component::Control),
+// the Application relay honours them (exponential backoff re-relays,
+// deadline races, provider avoidance on failover) and after() observes
+// the final reply to account exhausted budgets.
 //
-// Stacking rules inherited from PR 1's partial-chain unwinding: an earlier
-// interceptor returning kBlock stops the chain before these ever stamp a
-// header (blocked calls are never retried), and a kRejected reply is never
+// Stacking rules of the partial-chain unwinding: an earlier interceptor
+// returning kBlock stops the chain before these ever stamp a request
+// (blocked calls are never retried), and a kRejected reply is never
 // considered retryable.
 #pragma once
 
@@ -17,6 +18,7 @@
 
 #include "connector/connector.h"
 #include "connector/factory.h"
+#include "obs/metrics.h"
 #include "util/time.h"
 
 namespace aars::fault {
@@ -33,8 +35,8 @@ struct RetryPolicy {
   util::Duration timeout = 0;
 };
 
-/// Stamps retry/backoff/failover/timeout headers on outbound requests and
-/// counts retry traffic on the reply path.
+/// Stamps the retry, backoff, failover and deadline fields of outbound
+/// requests' control envelope and counts retry traffic on the reply path.
 class RetryInterceptor : public connector::Interceptor {
  public:
   explicit RetryInterceptor(RetryPolicy policy) : policy_(policy) {}
@@ -56,6 +58,10 @@ class RetryInterceptor : public connector::Interceptor {
   RetryPolicy policy_;
   std::uint64_t retries_seen_ = 0;
   std::uint64_t budget_exhausted_ = 0;
+  // "fault.retries" and "fault.retry_exhausted", resolved at first use so
+  // that an interceptor which never retries creates no series.
+  obs::Counter* obs_retries_ = nullptr;
+  obs::Counter* obs_exhausted_ = nullptr;
 };
 
 /// Registers the "retry", "failover" and "timeout(<us>)"-style aspects with

@@ -16,15 +16,15 @@
 //     labels, allocates and creates the series even while the registry is
 //     off.  The sites that still look up at record time are the fault
 //     injector (fault.injected, fault.active, fault.dropped_during_fault),
-//     the retry policy (fault.retries, fault.retry_exhausted), the
-//     engine's verify.warned / verify.rejected, Txn's txn.step_faults,
-//     txn.rollback_steps and txn.rollback_failures, and the install-time
-//     rules.explore_findings.
+//     the engine's verify.warned / verify.rejected, Txn's
+//     txn.step_faults, txn.rollback_steps and txn.rollback_failures, and
+//     the install-time rules.explore_findings.
 //   * Stable handles.  Instrumented classes resolve their instruments once
 //     (at construction, or at first use where a series must exist only once
-//     recorded, as the reconfiguration engine's phase and txn instruments)
-//     and keep pointers; instruments are never deallocated while the
-//     registry lives, so recording is lock-free and allocation-free.
+//     recorded, as the reconfiguration engine's phase and txn instruments
+//     and the retry policy's fault.retries and fault.retry_exhausted) and
+//     keep pointers; instruments are never deallocated while the registry
+//     lives, so recording is lock-free and allocation-free.
 //   * Mirror, not source of truth.  Subsystems keep their own counters for
 //     control decisions (tests and protocols rely on them regardless of
 //     whether observability is on); the registry mirrors those signals for

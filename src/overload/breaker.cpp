@@ -59,7 +59,7 @@ void CircuitBreakerInterceptor::trip(util::SimTime now) {
 connector::Interceptor::Verdict CircuitBreakerInterceptor::reject(
     component::Message& request, const char* reason,
     util::Result<util::Value>* reply_out) {
-  request.headers[kHeaderBreakerRejected] = true;
+  request.control.breaker_rejected = true;
   ++short_circuits_;
   obs_short_circuit_->inc();
   if (reply_out != nullptr) {
@@ -82,7 +82,7 @@ connector::Interceptor::Verdict CircuitBreakerInterceptor::before(
   const util::SimTime now = clock_ ? clock_() : 0;
   if (policy_.protect_control &&
       component::message_priority(request) == component::Priority::kControl) {
-    request.headers[kHeaderBreakerExempt] = true;
+    request.control.breaker_exempt = true;
     return Verdict::kPass;
   }
   if (state_ == BreakerState::kOpen &&
@@ -98,7 +98,7 @@ connector::Interceptor::Verdict CircuitBreakerInterceptor::before(
                       reply_out);
       }
       --probes_left_;
-      request.headers[kHeaderBreakerProbe] = true;
+      request.control.breaker_probe = true;
       return Verdict::kPass;
     case BreakerState::kClosed:
       roll_window(now);
@@ -110,8 +110,7 @@ connector::Interceptor::Verdict CircuitBreakerInterceptor::before(
 void CircuitBreakerInterceptor::after(const component::Message& request,
                                       util::Result<util::Value>& reply) {
   // Our own short-circuits and exempt control traffic are not samples.
-  if (request.headers.contains(kHeaderBreakerRejected) ||
-      request.headers.contains(kHeaderBreakerExempt)) {
+  if (request.control.breaker_rejected || request.control.breaker_exempt) {
     return;
   }
   const util::SimTime now = clock_ ? clock_() : 0;
@@ -119,7 +118,7 @@ void CircuitBreakerInterceptor::after(const component::Message& request,
                     now - request.sent_at > policy_.latency_to_open;
   const bool failure = !reply.ok() || slow;
 
-  if (request.headers.contains(kHeaderBreakerProbe)) {
+  if (request.control.breaker_probe) {
     if (state_ != BreakerState::kHalfOpen) return;  // stale probe reply
     if (failure) {
       transition(BreakerState::kOpen, now);

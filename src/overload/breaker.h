@@ -4,8 +4,13 @@
 // sustained ones: every retry against a saturated provider adds load.  The
 // breaker composes with retry by sitting *earlier* in the chain (lower
 // attach priority): while open it answers kOverloaded before the retry
-// interceptor ever stamps its headers, so a tripped binding generates zero
-// provider traffic and zero retry attempts.  Classic three-state machine:
+// interceptor ever stamps a request, so a tripped binding generates zero
+// provider traffic and zero retry attempts.  The breaker marks each request
+// it rejects, probes with or exempts (component::Control's breaker_*
+// flags), so its after() classifies replies without guessing:
+// short-circuited requests are not samples, probe replies drive the
+// half-open transition, exempt (control) traffic is untracked.  Classic
+// three-state machine:
 //
 //   closed --(failure rate / latency over a tumbling window)--> open
 //   open --(cooldown elapsed)--> half-open (admits a fixed probe quota)
@@ -54,13 +59,6 @@ struct BreakerPolicy {
   /// binding to execute a repair).
   bool protect_control = true;
 };
-
-// Headers the breaker stamps so its after() can classify replies without
-// guessing: short-circuited requests are not samples, probe replies drive
-// the half-open transition, exempt (control) traffic is untracked.
-inline constexpr const char* kHeaderBreakerRejected = "__breaker_rejected";
-inline constexpr const char* kHeaderBreakerProbe = "__breaker_probe";
-inline constexpr const char* kHeaderBreakerExempt = "__breaker_exempt";
 
 /// Per-binding circuit breaker, attached earlier than retry on the
 /// connector chain. While open, requests fail with kOverloaded without

@@ -17,12 +17,11 @@ using util::ErrorCode;
 
 namespace {
 
-/// A held event message detached from its source-shard channel, ready for
-/// re-delivery once routes are rebound.
+/// A held event detached from its source-shard channel, ready for
+/// re-delivery once routes are rebound: operation, payload, headers and
+/// control envelope, with no trace of its source-shard routing.
 struct HeldEvent {
-  util::Symbol operation;
-  Value payload;
-  Value headers;
+  component::Message event;
   std::string connector_name;
 };
 
@@ -139,10 +138,13 @@ struct MigrationState {
         ++report.held_messages;
         component::Message& m = held->message;
         if (m.kind == MessageKind::kEvent) {
-          HeldEvent ev{m.operation, std::move(m.payload),
-                       std::move(m.headers), conn->name()};
-          ev.payload.deep_detach();
-          ev.headers.deep_detach();
+          HeldEvent ev{{}, conn->name()};
+          ev.event.operation = m.operation;
+          ev.event.payload = std::move(m.payload);
+          ev.event.headers = std::move(m.headers);
+          ev.event.control = std::move(m.control);
+          ev.event.payload.deep_detach();
+          ev.event.headers.deep_detach();
           events.push_back(std::move(ev));
         } else if (held->reject) {
           held->reject(std::move(held->message),
@@ -190,8 +192,7 @@ struct MigrationState {
     //    routing now picks a surviving provider) when it stayed.
     for (HeldEvent& ev : events) {
       if (auto it = moved.find(ev.connector_name); it != moved.end()) {
-        if (target.app->send_event(it->second, ev.operation, ev.payload,
-                                   dest, ev.headers)
+        if (target.app->send_event(it->second, std::move(ev.event), dest)
                 .ok()) {
           ++report.replayed_messages;
         }
@@ -199,9 +200,7 @@ struct MigrationState {
         const ConnectorId cid =
             source.app->connector_id(ev.connector_name);
         if (source.app->find_connector(cid) != nullptr &&
-            source.app
-                ->send_event(cid, ev.operation, ev.payload, source_node,
-                             ev.headers)
+            source.app->send_event(cid, std::move(ev.event), source_node)
                 .ok()) {
           ++report.replayed_messages;
         }

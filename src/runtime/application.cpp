@@ -359,34 +359,24 @@ bool Application::maybe_schedule_retry(Connector& conn, const Message& message,
                                        const util::Error& error, NodeId origin,
                                        const ResponseCallback& callback,
                                        SimTime departed) {
-  if (!message.headers.contains(component::kHeaderRetryBudget)) return false;
-  if (!retryable(error.code())) return false;
-  const std::int64_t budget =
-      message.headers.at(component::kHeaderRetryBudget).as_int();
-  const std::int64_t attempt =
-      message.headers.get_or(component::kHeaderRetryAttempt, 0).as_int();
-  if (attempt >= budget) {
+  const component::Control& control = message.control;
+  if (!control.retry_budget || !retryable(error.code())) return false;
+  const std::int32_t attempt = control.retry_attempt;
+  if (attempt >= *control.retry_budget) {
     ++retries_exhausted_;
     obs_retry_exhausted_->inc();
     return false;
   }
   // Exponential backoff with a cap: base * 2^attempt, clamped.
-  const std::int64_t base =
-      message.headers.get_or(component::kHeaderBackoffBase, 1000).as_int();
-  const std::int64_t cap =
-      message.headers.get_or(component::kHeaderBackoffCap, 100000).as_int();
-  const int shift = attempt < 30 ? static_cast<int>(attempt) : 30;
-  const Duration backoff = std::min<std::int64_t>(base << shift, cap);
+  const int shift = attempt < 30 ? attempt : 30;
+  const Duration backoff =
+      std::min<Duration>(control.backoff_base << shift, control.backoff_cap);
 
   Message retry = message;
-  retry.headers[component::kHeaderRetryAttempt] = attempt + 1;
-  if (retry.headers.contains(component::kHeaderFailover) &&
-      message.target.valid()) {
+  ++retry.control.retry_attempt;
+  if (control.failover && message.target.valid()) {
     // Remember the failed provider so select_target can fail over.
-    Value& avoid = retry.headers[component::kHeaderRouteAvoid];
-    if (!avoid.is_list()) avoid = util::ValueList{};
-    avoid.as_list().push_back(
-        Value{static_cast<std::int64_t>(message.target.raw())});
+    retry.control.route_avoid.push_back(message.target);
   }
   retry.target = ComponentId{};
   retry.sequence = 0;
@@ -422,13 +412,12 @@ bool Application::maybe_schedule_retry(Connector& conn, const Message& message,
 Application::ResponseCallback Application::arm_timeout(
     Message& message, ResponseCallback callback) {
   if (!callback || message.kind != MessageKind::kRequest) return callback;
-  if (!message.headers.contains(component::kHeaderTimeout)) return callback;
-  if (message.headers.contains(component::kHeaderTimeoutArmed)) {
+  if (message.control.timeout <= 0) return callback;
+  if (message.control.timeout_armed) {
     return callback;  // a retry of a call whose deadline is already running
   }
-  message.headers[component::kHeaderTimeoutArmed] = true;
-  const Duration deadline =
-      message.headers.at(component::kHeaderTimeout).as_int();
+  message.control.timeout_armed = true;
+  const Duration deadline = message.control.timeout;
   auto fired = std::make_shared<bool>(false);
   auto inner = std::make_shared<ResponseCallback>(std::move(callback));
   loop_.schedule_after(deadline, [this, fired, inner, deadline] {
@@ -469,7 +458,7 @@ void Application::finish_call(Connector& conn, const Message& message,
 void Application::invoke_async(ConnectorId connector, util::Symbol operation,
                                const Value& args, NodeId origin,
                                ResponseCallback callback,
-                               const Value& headers) {
+                               component::Control control) {
   Connector* conn = find_connector(connector);
   util::require(conn != nullptr, "invoke_async: unknown connector");
   Message message;
@@ -477,24 +466,29 @@ void Application::invoke_async(ConnectorId connector, util::Symbol operation,
   message.kind = MessageKind::kRequest;
   message.operation = operation;
   message.payload = args;
-  message.headers = headers;
+  message.control = std::move(control);
   message.sent_at = loop_.now();
   relay_event_driven(*conn, std::move(message), origin, std::move(callback));
 }
 
 Status Application::send_event(ConnectorId connector, util::Symbol operation,
                                const Value& args, NodeId origin,
-                               const Value& headers) {
+                               component::Control control) {
+  Message event;
+  event.operation = operation;
+  event.payload = args;
+  event.control = std::move(control);
+  return send_event(connector, std::move(event), origin);
+}
+
+Status Application::send_event(ConnectorId connector, Message event,
+                               NodeId origin) {
   Connector* conn = find_connector(connector);
   if (conn == nullptr) return Error{ErrorCode::kNotFound, "no such connector"};
-  Message message;
-  message.id = message_ids_.next();
-  message.kind = MessageKind::kEvent;
-  message.operation = operation;
-  message.payload = args;
-  message.headers = headers;
-  message.sent_at = loop_.now();
-  relay_event_driven(*conn, std::move(message), origin, nullptr);
+  event.id = message_ids_.next();
+  event.kind = MessageKind::kEvent;
+  event.sent_at = loop_.now();
+  relay_event_driven(*conn, std::move(event), origin, nullptr);
   return Status::success();
 }
 
@@ -522,16 +516,14 @@ void Application::relay_event_driven(Connector& conn, Message message,
     return;
   }
 
-  // Deadline: interceptors may have stamped "__timeout_us" above; arm it
-  // once per logical call (retries share the original deadline).
+  // Deadline: interceptors may have stamped a timeout above; arm it once
+  // per logical call (retries share the original deadline).
   callback = arm_timeout(message, std::move(callback));
 
   const SimTime departed = loop_.now();
-  // Routing. Interceptors (injectors) may force a target via the
-  // "__route_to" header, bypassing the connector's policy.
-  if (const Value& route_to = message.headers.at("__route_to");
-      !route_to.is_null()) {
-    const ComponentId forced{static_cast<std::uint64_t>(route_to.as_int())};
+  // Routing. Interceptors (injectors) may force a target via
+  // control.route_to, bypassing the connector's policy.
+  if (const ComponentId forced = message.control.route_to; forced.valid()) {
     if (find_component(forced) == nullptr) {
       finish_call(conn, message,
                   Error{ErrorCode::kNotFound, "injected route target missing"},
@@ -661,12 +653,10 @@ void Application::relay_arrive(RelayContext* context) {
     return;
   }
   // FIFO processing on the serving node: interception glue + operation,
-  // optionally scaled by the "__work_scale" header (quality-dependent
-  // work).
+  // optionally scaled by control.work_scale (quality-dependent work).
   const NodeId node_id = placement(context->message.target);
   sim::Node& node = network_.node(node_id);
-  const Value& work_scale = context->message.headers.at("__work_scale");
-  const double scale = work_scale.is_null() ? 1.0 : work_scale.as_double();
+  const double scale = context->message.control.work_scale.value_or(1.0);
   const double work = interceptor_work(*context->conn) +
                       provider->work_cost(context->message.operation) * scale;
   const SimTime completion = node.execute(loop_.now(), work);
@@ -740,10 +730,8 @@ Application::CallOutcome Application::invoke_sync(ConnectorId connector,
     return CallOutcome{std::move(outcome), 0};
   }
 
-  if (const Value& route_to = message.headers.at("__route_to");
-      !route_to.is_null()) {
-    message.target =
-        ComponentId{static_cast<std::uint64_t>(route_to.as_int())};
+  if (message.control.route_to.valid()) {
+    message.target = message.control.route_to;
     if (find_component(message.target) == nullptr) {
       Result<Value> outcome{
           Error{ErrorCode::kNotFound, "injected route target missing"}};
@@ -786,8 +774,7 @@ Application::CallOutcome Application::invoke_sync(ConnectorId connector,
   }
   latency += out_trip.delay;
   sim::Node& node = network_.node(target_node);
-  const Value& work_scale = message.headers.at("__work_scale");
-  const double scale = work_scale.is_null() ? 1.0 : work_scale.as_double();
+  const double scale = message.control.work_scale.value_or(1.0);
   const double work = interceptor_work(*conn) +
                       provider->work_cost(message.operation) * scale;
   const SimTime completion = node.execute(loop_.now() + out_trip.delay, work);
@@ -810,44 +797,6 @@ Application::CallOutcome Application::invoke_sync(ConnectorId connector,
   CallRecord record{conn->id(), message.target, message.operation,
                     latency,    result.ok(),    loop_.now()};
   for (const CallListener& listener : listeners_) listener(record);
-  return CallOutcome{std::move(result), latency};
-}
-
-Application::CallOutcome Application::invoke_component(
-    ComponentId target, util::Symbol operation, const Value& args,
-    NodeId origin) {
-  Component* provider = find_component(target);
-  if (provider == nullptr) {
-    return CallOutcome{Error{ErrorCode::kNotFound, "no such component"}, 0};
-  }
-  Message message;
-  message.id = message_ids_.next();
-  message.kind = MessageKind::kRequest;
-  message.operation = operation;
-  message.payload = args;
-  message.target = target;
-  message.sent_at = loop_.now();
-
-  const NodeId target_node = placement(target);
-  Duration latency = 0;
-  if (target_node.valid()) {
-    const sim::TransferOutcome out_trip =
-        network_.transfer(origin, target_node, message.byte_size(), rng_);
-    if (!out_trip.delivered) {
-      return CallOutcome{Error{ErrorCode::kTimeout, "network loss"}, 0};
-    }
-    sim::Node& node = network_.node(target_node);
-    const SimTime completion =
-        node.execute(loop_.now() + out_trip.delay,
-                     provider->work_cost(operation));
-    latency = completion - loop_.now();
-    const sim::TransferOutcome back_trip =
-        network_.transfer(target_node, origin, 64, rng_);
-    if (back_trip.delivered) latency += back_trip.delay;
-  }
-  Result<Value> result = provider->handle(message);
-  ++total_calls_;
-  if (!result.ok()) ++failed_calls_;
   return CallOutcome{std::move(result), latency};
 }
 

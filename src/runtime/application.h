@@ -125,15 +125,21 @@ class Application {
   // --- invocation ----------------------------------------------------------------
   /// External request entering through `connector` from `origin`; fully
   /// event-driven. The callback fires when the response returns to origin.
-  /// `headers` seeds the message metadata (e.g. "__work_scale" multiplies
-  /// the provider's operation cost — used for quality-dependent work).
+  /// `control` seeds the message's control envelope (e.g. its work_scale
+  /// multiplies the provider's operation cost — quality-dependent work —
+  /// and its priority sets the traffic class).
   void invoke_async(ConnectorId connector, util::Symbol operation,
                     const Value& args, NodeId origin,
-                    ResponseCallback callback, const Value& headers = {});
+                    ResponseCallback callback,
+                    component::Control control = {});
   /// One-way event from an external origin through `connector`.
   Status send_event(ConnectorId connector, util::Symbol operation,
                     const Value& args, NodeId origin,
-                    const Value& headers = {});
+                    component::Control control = {});
+  /// Sends `event`'s operation, payload, headers and control as a one-way
+  /// event under a fresh id; its other fields must be unset.  Re-sends an
+  /// event held elsewhere (reconfig::CrossShardMigrator's replay).
+  Status send_event(ConnectorId connector, Message event, NodeId origin);
   /// Immediate call used for nested component-to-component invocations and
   /// micro-benchmarks; returns in-line with cost accounting.
   struct CallOutcome {
@@ -142,10 +148,6 @@ class Application {
   };
   CallOutcome invoke_sync(ConnectorId connector, util::Symbol operation,
                           const Value& args, NodeId origin);
-  /// Direct component invocation bypassing connectors (test/administration
-  /// entry point); still charges network and node costs.
-  CallOutcome invoke_component(ComponentId target, util::Symbol operation,
-                               const Value& args, NodeId origin);
 
   // --- management (intercession primitives) -------------------------------------
   Status passivate_component(ComponentId component);
@@ -232,16 +234,15 @@ class Application {
   void finish_call(Connector& conn, const Message& message,
                    Result<Value> result, NodeId origin,
                    const ResponseCallback& callback, util::SimTime departed);
-  /// Retry driver: when a failed request carries retry headers (stamped by
+  /// Retry driver: when a failed request carries a retry budget (stamped by
   /// fault::RetryInterceptor) and budget remains, schedules a re-relay after
   /// an exponential backoff and returns true (the call is not finished yet).
   bool maybe_schedule_retry(Connector& conn, const Message& message,
                             const util::Error& error, NodeId origin,
                             const ResponseCallback& callback,
                             util::SimTime departed);
-  /// Wraps `callback` with a deadline when the message carries a
-  /// "__timeout_us" header; the loser of the race (completion vs. deadline)
-  /// is suppressed.
+  /// Wraps `callback` with a deadline when the message carries a timeout;
+  /// the loser of the race (completion vs. deadline) is suppressed.
   ResponseCallback arm_timeout(Message& message, ResponseCallback callback);
   /// Refuses `provider` for `conn` (kIncompatible) unless it satisfies the
   /// required interface of every port already bound to `conn`.

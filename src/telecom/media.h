@@ -56,8 +56,9 @@ class Transmitter final : public component::Component {
 };
 
 /// The stateful media server: serves "frame" requests whose work scales
-/// with the session's quality level (via the "__work_scale" header).  Keeps
-/// a per-session frame counter so strong reconfiguration is observable.
+/// with the session's quality level (SessionManager sets each frame's
+/// control.work_scale).  Keeps a per-session frame counter so strong
+/// reconfiguration is observable.
 ///
 /// The counter table is bounded: a direct-mapped array of `session_slots`
 /// entries (attribute, power of two) keyed by the raw session id.  A

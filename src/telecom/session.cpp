@@ -234,20 +234,14 @@ void SessionManager::fire_frame(std::uint32_t slot) {
   const Value args = Value::object(
       {{"session", static_cast<std::int64_t>(id.raw())},
        {"quality", static_cast<std::int64_t>(quality)}});
-  // Headers are built on the first frame at this level; later frames share
-  // them copy-on-write, so an interceptor that stamps a header detaches its
-  // own copy.
-  FrameLevel& level = levels_[static_cast<std::size_t>(quality)];
-  if (level.headers.is_null()) {
-    level.headers = Value::object({{"__work_scale", q.work_units}});
-  }
+  const FrameLevel& level = levels_[static_cast<std::size_t>(quality)];
   app_.invoke_async(
       options_.service, "frame", args, s.origin,
       [level = &level, id](Result<Value> result, Duration latency) {
         level->manager->frame_settled(level->quality, id, result.ok(),
                                       latency);
       },
-      level.headers);
+      component::Control{.work_scale = q.work_units});
 }
 
 void SessionManager::frame_settled(int quality, SessionId id, bool ok,

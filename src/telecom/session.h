@@ -130,9 +130,6 @@ class SessionManager {
   struct FrameLevel {
     SessionManager* manager = nullptr;
     int quality = 0;
-    /// {"__work_scale": work units}; null until the first frame at this
-    /// level.
-    util::Value headers;
   };
   void frame_settled(int quality, SessionId id, bool ok, Duration latency);
 

@@ -32,7 +32,7 @@ TEST(InjectorTest, RedirectSetsRoutingHeader) {
   Message m;
   Result<Value> reply = Value{};
   (void)injector.before(m, &reply);
-  EXPECT_EQ(m.headers.at("__route_to").as_int(), 77);
+  EXPECT_EQ(m.control.route_to, util::ComponentId{77});
 }
 
 TEST(InjectorTest, DropPredicateBlocks) {

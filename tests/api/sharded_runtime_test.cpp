@@ -240,7 +240,10 @@ TEST(ShardedRuntimeTest, CrossShardReplayKeepsAHeldEventsPriority) {
                               origin)
                   .ok());
   srt->run();
-  probe_seen.clear();
+  {
+    std::lock_guard<std::mutex> lock(probe_mutex);
+    probe_seen.clear();
+  }
 
   // The migration blocks the source channel at its first barrier, before
   // the next window; this event lands in that window and is held.
@@ -248,7 +251,9 @@ TEST(ShardedRuntimeTest, CrossShardReplayKeepsAHeldEventsPriority) {
   source.loop().schedule_at(at, [&source, conn, origin] {
     EXPECT_TRUE(source.app()
                     .send_event(conn, "add", Value::object({{"amount", 4}}),
-                                origin, Value::object({{"__priority", 2}}))
+                                origin,
+                                component::Control{
+                                    .priority = component::Priority::kHigh})
                     .ok());
   });
   std::optional<reconfig::ReconfigReport> report;

@@ -328,7 +328,7 @@ TEST(ConnectorTest, RoundRobinCursorClampedWhenTailRemoved) {
   EXPECT_EQ(conn.select_target(m, nullptr).value(), ComponentId{2});
 }
 
-// Regression: a "__route_avoid" pick used to index the *filtered* candidate
+// Regression: an avoid-list pick used to index the *filtered* candidate
 // list with the providers_-based cursor, so a filtered call could repeat a
 // provider while another lost its turn. The cursor must keep rotating over
 // the full pool, skipping (not re-serving) avoided providers.
@@ -338,8 +338,7 @@ TEST(ConnectorTest, RoundRobinAvoidListKeepsRotationFair) {
   (void)conn.add_provider(ComponentId{2});
   (void)conn.add_provider(ComponentId{3});
   Message avoid2;
-  avoid2.headers[component::kHeaderRouteAvoid] =
-      Value::list({Value{std::int64_t{2}}});
+  avoid2.control.route_avoid = {ComponentId{2}};
   Message plain;
   EXPECT_EQ(conn.select_target(avoid2, nullptr).value(), ComponentId{1});
   EXPECT_EQ(conn.select_target(avoid2, nullptr).value(), ComponentId{3});
@@ -357,8 +356,7 @@ TEST(ConnectorTest, RoundRobinAvoidAllFallsBackToRotation) {
   (void)conn.add_provider(ComponentId{1});
   (void)conn.add_provider(ComponentId{2});
   Message m;
-  m.headers[component::kHeaderRouteAvoid] =
-      Value::list({Value{std::int64_t{1}}, Value{std::int64_t{2}}});
+  m.control.route_avoid = {ComponentId{1}, ComponentId{2}};
   EXPECT_EQ(conn.select_target(m, nullptr).value(), ComponentId{1});
   EXPECT_EQ(conn.select_target(m, nullptr).value(), ComponentId{2});
 }

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "component/message.h"
+#include "obs/metrics.h"
 #include "testing/test_components.h"
 #include "util/time.h"
 
@@ -308,6 +309,35 @@ TEST_F(RetryTest, WholeCallDeadlineWinsTheRaceAndFiresOnce) {
   EXPECT_EQ(probe->completed_at, 500);
   EXPECT_EQ(probe->callbacks, 1);
   EXPECT_EQ(app_.calls_timed_out(), 1u);
+}
+
+// The policy resolves "fault.retries" and "fault.retry_exhausted" at first
+// use and keeps the handles: building an interceptor looks up no series,
+// and the kept handles still count after the registry's values are reset.
+TEST_F(RetryTest, KeptCountersStillCountAfterARegistryReset) {
+  obs::Registry& reg = obs::Registry::global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  const std::size_t series = reg.counters().size();
+  RetryPolicy policy;
+  policy.max_retries = 1;
+  policy.backoff_base = 1000;
+  { RetryInterceptor unused(policy); }
+  EXPECT_EQ(reg.counters().size(), series);
+
+  auto world = make_flaky("svc", /*failures=*/-1, policy);
+  auto first = echo_async(world.conn);
+  loop_.run();
+  ASSERT_FALSE(first->result.ok());
+  reg.reset_values();
+  auto second = echo_async(world.conn);
+  loop_.run();
+  ASSERT_FALSE(second->result.ok());
+  EXPECT_EQ(reg.counter("fault.retries").value(), 1u);
+  EXPECT_EQ(reg.counter("fault.retry_exhausted").value(), 1u);
+  EXPECT_EQ(world.retry->retries_seen(), 2u);
+  EXPECT_EQ(world.retry->budget_exhausted(), 2u);
+  reg.set_enabled(was_enabled);
 }
 
 }  // namespace

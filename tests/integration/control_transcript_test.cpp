@@ -19,8 +19,7 @@
 // moves the recorded latencies.
 //
 // Regenerating the golden (only when behaviour changes INTENTIONALLY):
-//   AARS_UPDATE_GOLDEN=1 ./tests/integration_test \
-//       --gtest_filter=ControlTranscript*
+//   AARS_UPDATE_GOLDEN=1 ./tests/integration_test --gtest_filter=Control*
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -192,8 +191,7 @@ void overload_world(std::ostringstream& out) {
                       loop.now() < util::milliseconds(120);
     app.invoke_async(
         conn, "echo", Value::object({{"text", "x"}}), client,
-        record_reply(out, n),
-        Value::object({{"__priority", static_cast<std::int64_t>(priority)}}));
+        record_reply(out, n), component::Control{.priority = priority});
     ++n;
     loop.schedule_after(rng.poisson_gap(rush ? 3000.0 : 800.0), pump);
   };
@@ -238,10 +236,10 @@ void redirect_world(std::ostringstream& out) {
                    record_reply(out, n++));
   app.invoke_async(conn, "echo", Value::object({{"text", "heavy"}}), client,
                    record_reply(out, n++),
-                   Value::object({{"__work_scale", 2.5}}));
+                   component::Control{.work_scale = 2.5});
   app.invoke_async(conn, "echo", Value::object({{"text", "unit"}}), client,
                    record_reply(out, n++),
-                   Value::object({{"__work_scale", 1.0}}));
+                   component::Control{.work_scale = 1.0});
   rt->run();
 
   // Redirect everything to pb; the transform adds a user header and, on
@@ -251,7 +249,7 @@ void redirect_world(std::ostringstream& out) {
   injector->redirect_to(rt->component("pb"))
       .transform([&scale](component::Message& m) {
         m.headers["tag"] = std::int64_t{7};
-        if (scale) m.headers["__work_scale"] = 3.0;
+        if (scale) m.control.work_scale = 3.0;
         scale = !scale;
       });
   ASSERT_TRUE(pool->attach_interceptor(injector).ok());

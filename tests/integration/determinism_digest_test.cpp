@@ -40,8 +40,11 @@ std::string golden_path() {
 
 // Rush-hour-shaped arrival process over a round-robin connector with two
 // providers on separate hosts, one provider blocked/unblocked mid-run (the
-// hold/replay path), retried traffic and queued one-way events.  Everything
-// is driven by the one event loop at a fixed seed.
+// hold/replay path) and one-way events sent at high priority among the
+// requests.  Everything is driven by the one event loop at a fixed seed.
+// The connector has no interceptor, so nothing is retried; the control
+// path (retry, failover, deadline, admission, breaker, injector) is pinned
+// by control_transcript_test.cpp.
 std::string run_scenario() {
   sim::LinkSpec link;
   link.latency = util::milliseconds(2);
@@ -91,7 +94,8 @@ std::string run_scenario() {
     const int n = kCalls - remaining;
     if (n % 8 == 7) {
       (void)app.send_event(conn, "ping", Value{}, edge,
-                           Value::object({{"__priority", 2}}));
+                           component::Control{
+                               .priority = component::Priority::kHigh});
     } else if (n % 2 == 0) {
       app.invoke_async(conn, "echo",
                        Value::object({{"text", "m" + std::to_string(n)}}),

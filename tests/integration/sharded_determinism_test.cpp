@@ -80,7 +80,8 @@ std::string run_single_shard_scenario() {
     const int n = kCalls - remaining;
     if (n % 8 == 7) {
       (void)app.send_event(conn, "ping", Value{}, edge,
-                           Value::object({{"__priority", 2}}));
+                           component::Control{
+                               .priority = component::Priority::kHigh});
     } else if (n % 2 == 0) {
       app.invoke_async(conn, "echo",
                        Value::object({{"text", "m" + std::to_string(n)}}),

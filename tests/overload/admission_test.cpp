@@ -20,7 +20,7 @@ using util::Value;
 Message request(Priority priority, const std::string& op = "echo") {
   Message msg;
   msg.operation = op;
-  component::set_priority(msg, priority);
+  msg.control.priority = priority;
   return msg;
 }
 

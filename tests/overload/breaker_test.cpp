@@ -31,7 +31,7 @@ struct BreakerHarness {
     Message msg;
     msg.operation = "echo";
     msg.sent_at = now;
-    component::set_priority(msg, priority);
+    msg.control.priority = priority;
     return msg;
   }
 
@@ -106,7 +106,7 @@ TEST(BreakerTest, OpenShortCircuitsWithOverloaded) {
   EXPECT_EQ(h.breaker.before(msg, &reply), Interceptor::Verdict::kBlock);
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.error().code(), ErrorCode::kOverloaded);
-  EXPECT_TRUE(msg.headers.contains(kHeaderBreakerRejected));
+  EXPECT_TRUE(msg.control.breaker_rejected);
   EXPECT_EQ(h.breaker.short_circuits(), 1u);
 
   // The breaker's own rejection must not feed the failure window.
@@ -133,8 +133,8 @@ TEST(BreakerTest, CooldownAdmitsExactlyTheProbeQuota) {
   EXPECT_EQ(h.breaker.before(probe1, nullptr), Interceptor::Verdict::kPass);
   EXPECT_EQ(h.breaker.state(), BreakerState::kHalfOpen);
   EXPECT_EQ(h.breaker.before(probe2, nullptr), Interceptor::Verdict::kPass);
-  EXPECT_TRUE(probe1.headers.contains(kHeaderBreakerProbe));
-  EXPECT_TRUE(probe2.headers.contains(kHeaderBreakerProbe));
+  EXPECT_TRUE(probe1.control.breaker_probe);
+  EXPECT_TRUE(probe2.control.breaker_probe);
 
   Result<Value> reply{Value{}};
   EXPECT_EQ(h.breaker.before(extra, &reply), Interceptor::Verdict::kBlock);
@@ -205,7 +205,7 @@ TEST(BreakerTest, ControlTrafficPassesAnOpenBreaker) {
 
   Message ctrl = h.make_request(Priority::kControl);
   EXPECT_EQ(h.breaker.before(ctrl, nullptr), Interceptor::Verdict::kPass);
-  EXPECT_TRUE(ctrl.headers.contains(kHeaderBreakerExempt));
+  EXPECT_TRUE(ctrl.control.breaker_exempt);
 
   // Exempt replies are not window samples.
   Result<Value> fail{util::Error{ErrorCode::kUnavailable, "x"}};

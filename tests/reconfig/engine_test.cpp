@@ -530,8 +530,11 @@ TEST_F(EngineTest, ReplaceWithAnIncompatibleTypeIsRefusedAndChangesNothing) {
                                  Value::object({{"text", "hi"}}), node_b_);
   ASSERT_TRUE(echoed.result.ok()) << echoed.result.error().message();
   EXPECT_EQ(echoed.result.value().as_string(), "hi");
-  auto relayed = app_.invoke_component(
-      client, "go", Value::object({{"text", "via"}}), node_b_);
+  spec.name = "to_client";
+  const auto to_client = app_.create_connector(spec).value();
+  ASSERT_TRUE(app_.add_provider(to_client, client).ok());
+  auto relayed = app_.invoke_sync(to_client, "go",
+                                  Value::object({{"text", "via"}}), node_b_);
   ASSERT_TRUE(relayed.result.ok()) << relayed.result.error().message();
   EXPECT_EQ(relayed.result.value().as_string(), "via");
 }

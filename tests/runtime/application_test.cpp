@@ -92,13 +92,12 @@ TEST_F(ApplicationTest, EventsAreOneWay) {
 
 TEST_F(ApplicationTest, NestedCallThroughBoundPort) {
   const auto conn = direct_to("EchoServer", "server", node_a_);
-  auto client_id = app_.instantiate("EchoClient", "client", node_b_, Value{});
-  ASSERT_TRUE(client_id.ok());
-  ASSERT_TRUE(app_.bind(client_id.value(), "out", conn).ok());
-  EXPECT_EQ(app_.binding(client_id.value(), "out"), conn);
-  auto outcome =
-      app_.invoke_component(client_id.value(), "go",
-                            Value::object({{"text", "nested"}}), node_b_);
+  const auto to_client = direct_to("EchoClient", "client", node_b_);
+  const auto client_id = app_.component_id("client");
+  ASSERT_TRUE(app_.bind(client_id, "out", conn).ok());
+  EXPECT_EQ(app_.binding(client_id, "out"), conn);
+  auto outcome = app_.invoke_sync(to_client, "go",
+                                  Value::object({{"text", "nested"}}), node_b_);
   ASSERT_TRUE(outcome.result.ok()) << outcome.result.error().message();
   EXPECT_EQ(outcome.result.value().as_string(), "nested");
 }
@@ -343,7 +342,7 @@ TEST_F(ApplicationTest, WorkScaleHeaderMultipliesCost) {
         fast_latency = l;
         first_done = true;
       },
-      Value::object({{"__work_scale", 1.0}}));
+      component::Control{.work_scale = 1.0});
   loop_.run();
   ASSERT_TRUE(first_done);
   app_.invoke_async(
@@ -352,7 +351,7 @@ TEST_F(ApplicationTest, WorkScaleHeaderMultipliesCost) {
         ASSERT_TRUE(r.ok());
         slow_latency = l;
       },
-      Value::object({{"__work_scale", 50.0}}));
+      component::Control{.work_scale = 50.0});
   loop_.run();
   EXPECT_GT(slow_latency, fast_latency);
 }

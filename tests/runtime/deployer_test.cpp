@@ -74,10 +74,15 @@ TEST_F(DeployerTest, DeploysFullTopology) {
 TEST_F(DeployerTest, DeployedApplicationServesCalls) {
   auto deployment = deploy_adl(kEchoConfig);
   ASSERT_TRUE(deployment.ok());
-  const auto client = deployment.value().instances.at("client");
-  auto outcome = app_.invoke_component(
-      client, "go", Value::object({{"text", "deployed"}}),
-      deployment.value().nodes.at("edge"));
+  connector::ConnectorSpec spec;
+  spec.name = "to_client";
+  const auto to_client = app_.create_connector(spec).value();
+  ASSERT_TRUE(
+      app_.add_provider(to_client, deployment.value().instances.at("client"))
+          .ok());
+  auto outcome = app_.invoke_sync(to_client, "go",
+                                  Value::object({{"text", "deployed"}}),
+                                  deployment.value().nodes.at("edge"));
   ASSERT_TRUE(outcome.result.ok()) << outcome.result.error().message();
   EXPECT_EQ(outcome.result.value().as_string(), "deployed");
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -109,26 +110,26 @@ TEST_F(SessionTest, FrameListenersObserveLatencyAndQuality) {
   EXPECT_GT(latencies.front(), 0);
 }
 
-// Frames at one quality carry one shared headers node: the manager builds
-// it on the first frame at that level and reuses it copy-on-write.
-TEST_F(SessionTest, FramesAtOneQualityShareOneHeadersNode) {
-  std::vector<Value> seen;
+// Every frame carries its quality level's work scale in its control
+// envelope, and nothing in its headers.
+TEST_F(SessionTest, FramesCarryTheirLevelsWorkScale) {
+  std::vector<component::Message> seen;
   app_.find_component(app_.component_id("srv"))
       ->observe([&](const component::Message& message,
-                    const util::Result<Value>&) {
-        seen.push_back(message.headers);
-      });
+                    const util::Result<Value>&) { seen.push_back(message); });
   (void)sessions_->start_session(3, node_b_, util::milliseconds(500));
   loop_.run();
   ASSERT_GE(seen.size(), 2u);
-  EXPECT_TRUE(seen[0].shares_storage_with(seen[1]));
-  EXPECT_EQ(seen[0], Value::object({{"__work_scale",
-                                     QualityLadder::at(3).work_units}}));
+  for (const component::Message& frame : seen) {
+    EXPECT_EQ(frame.control.work_scale,
+              std::optional<double>(QualityLadder::at(3).work_units));
+    EXPECT_TRUE(frame.headers.is_null());
+  }
 }
 
-// An interceptor that stamps a header on one frame writes to that frame's
-// own copy: the next frame still carries the unstamped shared headers.
-TEST_F(SessionTest, StampedHeadersDetachFromTheSharedNode) {
+// An interceptor that stamps a header on one frame stamps that frame only:
+// the next frame starts with no headers and the same work scale.
+TEST_F(SessionTest, AHeaderStampedOnOneFrameDoesNotReachTheNext) {
   class StampFirst final : public connector::Interceptor {
    public:
     Verdict before(component::Message& request,
@@ -146,21 +147,16 @@ TEST_F(SessionTest, StampedHeadersDetachFromTheSharedNode) {
   ASSERT_TRUE(app_.find_connector(service_)
                   ->attach_interceptor(std::make_shared<StampFirst>(), 0)
                   .ok());
-  std::vector<Value> seen;
+  std::vector<component::Message> seen;
   app_.find_component(app_.component_id("srv"))
       ->observe([&](const component::Message& message,
-                    const util::Result<Value>&) {
-        seen.push_back(message.headers);
-      });
+                    const util::Result<Value>&) { seen.push_back(message); });
   (void)sessions_->start_session(3, node_b_, util::milliseconds(500));
   loop_.run();
-  ASSERT_GE(seen.size(), 3u);
-  const Value unstamped =
-      Value::object({{"__work_scale", QualityLadder::at(3).work_units}});
-  EXPECT_TRUE(seen[0].contains("stamp"));
-  EXPECT_EQ(seen[1], unstamped);
-  EXPECT_FALSE(seen[0].shares_storage_with(seen[1]));
-  EXPECT_TRUE(seen[1].shares_storage_with(seen[2]));
+  ASSERT_GE(seen.size(), 2u);
+  EXPECT_TRUE(seen[0].headers.contains("stamp"));
+  EXPECT_TRUE(seen[1].headers.is_null());
+  EXPECT_EQ(seen[1].control.work_scale, seen[0].control.work_scale);
 }
 
 TEST_F(SessionTest, FailedFramesCounted) {
