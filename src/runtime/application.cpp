@@ -84,9 +84,8 @@ Result<ComponentId> Application::instantiate(const std::string& type,
   if (Status s = instance->initialize(attributes); !s.ok()) return s.error();
   if (Status s = instance->activate(); !s.ok()) return s.error();
   instance->set_sender(make_sender(id));
-  placement_[id] = node;
   components_by_name_[instance_name] = id;
-  components_.emplace(id, std::move(instance));
+  components_.emplace(id, Placed{std::move(instance), node});
   return id;
 }
 
@@ -97,7 +96,7 @@ Status Application::destroy(ComponentId id) {
   }
   if (in_flight_to(id) > 0 || held_to(id) > 0) {
     return Error{ErrorCode::kNotQuiescent,
-                 it->second->instance_name() +
+                 it->second.component->instance_name() +
                      ": messages in flight or held; drain first"};
   }
   // Detach from all connectors.
@@ -107,6 +106,7 @@ Status Application::destroy(ComponentId id) {
     }
   }
   // Remove channels feeding it.
+  std::erase(blocked_, id);
   channel_memo_ = nullptr;
   for (auto chan_it = channels_.begin(); chan_it != channels_.end();) {
     if (chan_it->first.second == id) {
@@ -123,9 +123,8 @@ Status Application::destroy(ComponentId id) {
       ++bind_it;
     }
   }
-  (void)it->second->remove();
-  components_by_name_.erase(it->second->instance_name());
-  placement_.erase(id);
+  (void)it->second.component->remove();
+  components_by_name_.erase(it->second.component->instance_name());
   components_.erase(it);
   return Status::success();
 }
@@ -256,12 +255,12 @@ Status Application::unbind(ComponentId caller, const std::string& port) {
 
 Component* Application::find_component(ComponentId id) {
   auto it = components_.find(id);
-  return it == components_.end() ? nullptr : it->second.get();
+  return it == components_.end() ? nullptr : it->second.component.get();
 }
 
 const Component* Application::find_component(ComponentId id) const {
   auto it = components_.find(id);
-  return it == components_.end() ? nullptr : it->second.get();
+  return it == components_.end() ? nullptr : it->second.component.get();
 }
 
 ComponentId Application::component_id(const std::string& name) const {
@@ -281,8 +280,8 @@ ConnectorId Application::connector_id(const std::string& name) const {
 }
 
 NodeId Application::placement(ComponentId id) const {
-  auto it = placement_.find(id);
-  return it == placement_.end() ? NodeId::invalid() : it->second;
+  auto it = components_.find(id);
+  return it == components_.end() ? NodeId::invalid() : it->second.node;
 }
 
 std::vector<ComponentId> Application::component_ids() const {
@@ -328,6 +327,7 @@ Channel& Application::channel(ConnectorId connector, ComponentId provider) {
     } else if (const Connector* conn = find_connector(connector)) {
       chan->set_hold_limit(conn->spec().queue_capacity);
     }
+    if (std::ranges::count(blocked_, provider) != 0) chan->block();
     it = channels_.emplace(key, std::move(chan)).first;
   }
   channel_memo_key_ = key;
@@ -336,10 +336,6 @@ Channel& Application::channel(ConnectorId connector, ComponentId provider) {
 }
 
 // --- invocation ----------------------------------------------------------------
-
-double Application::interceptor_work(const Connector& conn) const {
-  return kInterceptorWork * static_cast<double>(conn.interceptor_count());
-}
 
 namespace {
 
@@ -353,7 +349,82 @@ bool retryable(ErrorCode code) {
          code == ErrorCode::kResourceExhausted || code == ErrorCode::kInternal;
 }
 
+/// Work charged on the serving node: the glue of each interceptor plus the
+/// operation's cost, scaled by control.work_scale (quality-dependent work).
+double node_work(const Connector& conn, const Component& provider,
+                 const Message& message) {
+  return kInterceptorWork * static_cast<double>(conn.interceptor_count()) +
+         provider.work_cost(message.operation) *
+             message.control.work_scale.value_or(1.0);
+}
+
 }  // namespace
+
+bool Application::intercept(Connector& conn, Message& message,
+                            Result<Value>& outcome, std::size_t& seen) {
+  conn.count_relay();
+  const Interceptor::Verdict verdict =
+      conn.run_before(message, &outcome, &seen);
+  if (verdict == Interceptor::Verdict::kPass) {
+    seen = Connector::kAllInterceptors;
+    return true;
+  }
+  if (verdict == Interceptor::Verdict::kBlock && outcome.ok()) {
+    outcome = Error{ErrorCode::kRejected,
+                    conn.name() + ": blocked by interceptor"};
+  }
+  return false;
+}
+
+Result<ComponentId> Application::route(Connector& conn,
+                                       const Message& message) {
+  // Interceptors (injectors) may force a target via control.route_to,
+  // bypassing the connector's policy.
+  if (const ComponentId forced = message.control.route_to; forced.valid()) {
+    if (find_component(forced) == nullptr) {
+      return Error{ErrorCode::kNotFound, "injected route target missing"};
+    }
+    return forced;
+  }
+  if (conn.routing() == RoutingPolicy::kBroadcast) {
+    if (message.kind == MessageKind::kRequest) {
+      return Error{ErrorCode::kInvalidArgument,
+                   conn.name() + ": cannot request over broadcast"};
+    }
+    // An event fans out; with no provider it fails like any other call.
+    if (!conn.providers().empty()) return ComponentId{};
+  }
+  return conn.select_target(message, load_probe());
+}
+
+void Application::finish_call(Connector& conn, const Message& message,
+                              Result<Value>& result, NodeId origin,
+                              const ResponseCallback& callback,
+                              SimTime departed, std::size_t seen) {
+  conn.run_after(message, result, seen);
+  if (!result.ok() && callback &&
+      maybe_schedule_retry(conn, message, result.error(), origin, callback,
+                           departed)) {
+    return;
+  }
+  record_call(conn.id(), message, result, loop_.now() - departed, callback);
+}
+
+void Application::record_call(ConnectorId connector, const Message& message,
+                              Result<Value>& result, Duration latency,
+                              const ResponseCallback& callback) {
+  ++total_calls_;
+  obs_calls_->inc();
+  if (!result.ok()) {
+    ++failed_calls_;
+    obs_failed_calls_->inc();
+  }
+  obs_call_latency_->observe(static_cast<double>(latency));
+  const CallRecord record{connector, message.target, message.operation,
+                          latency,   result.ok(),    loop_.now()};
+  for (const CallListener& listener : listeners_) listener(record);
+  if (callback) callback(std::move(result), latency);
+}
 
 bool Application::maybe_schedule_retry(Connector& conn, const Message& message,
                                        const util::Error& error, NodeId origin,
@@ -392,16 +463,8 @@ bool Application::maybe_schedule_retry(Connector& conn, const Message& message,
     if (target_conn == nullptr) {
       // The connector was removed while the retry waited out its backoff:
       // finish the call with the original failure.
-      const Duration latency = loop_.now() - departed;
-      ++total_calls_;
-      ++failed_calls_;
-      obs_calls_->inc();
-      obs_failed_calls_->inc();
-      obs_call_latency_->observe(static_cast<double>(latency));
-      CallRecord record{conn_id,  retry.target, retry.operation,
-                        latency,  false,        loop_.now()};
-      for (const CallListener& listener : listeners_) listener(record);
-      if (callback) callback(error, latency);
+      Result<Value> failure = std::move(error);
+      record_call(conn_id, retry, failure, loop_.now() - departed, callback);
       return;
     }
     relay_event_driven(*target_conn, std::move(retry), origin, callback);
@@ -432,27 +495,6 @@ Application::ResponseCallback Application::arm_timeout(
     *fired = true;
     (*inner)(std::move(result), latency);
   };
-}
-
-void Application::finish_call(Connector& conn, const Message& message,
-                              Result<Value> result, NodeId origin,
-                              const ResponseCallback& callback,
-                              SimTime departed) {
-  if (!result.ok() && callback && message.kind == MessageKind::kRequest &&
-      maybe_schedule_retry(conn, message, result.error(), origin, callback,
-                           departed)) {
-    return;
-  }
-  const Duration latency = loop_.now() - departed;
-  ++total_calls_;
-  if (!result.ok()) ++failed_calls_;
-  obs_calls_->inc();
-  if (!result.ok()) obs_failed_calls_->inc();
-  obs_call_latency_->observe(static_cast<double>(latency));
-  CallRecord record{conn.id(),     message.target, message.operation,
-                    latency,       result.ok(),    loop_.now()};
-  for (const CallListener& listener : listeners_) listener(record);
-  if (callback) callback(std::move(result), latency);
 }
 
 void Application::invoke_async(ConnectorId connector, util::Symbol operation,
@@ -495,70 +537,38 @@ Status Application::send_event(ConnectorId connector, Message event,
 void Application::relay_event_driven(Connector& conn, Message message,
                                      NodeId origin,
                                      ResponseCallback callback) {
-  conn.count_relay();
-  Result<Value> intercepted = Value{};
-  std::size_t icpt_seen = 0;
-  const Interceptor::Verdict verdict =
-      conn.run_before(message, &intercepted, &icpt_seen);
-  if (verdict != Interceptor::Verdict::kPass) {
-    Result<Value> outcome =
-        (verdict == Interceptor::Verdict::kBlock && intercepted.ok())
-            ? Result<Value>(Error{ErrorCode::kRejected,
-                                  conn.name() + ": blocked by interceptor"})
-            : std::move(intercepted);
-    const SimTime departed = loop_.now();
+  const SimTime departed = loop_.now();
+  Result<Value> outcome = Value{};
+  std::size_t seen = 0;
+  if (!intercept(conn, message, outcome, seen)) {
     loop_.schedule_after(0, [this, &conn, message, outcome, origin, callback,
-                             departed, icpt_seen]() mutable {
-      conn.run_after(message, outcome, icpt_seen);
-      finish_call(conn, message, std::move(outcome), origin, callback,
-                  departed);
+                             departed, seen]() mutable {
+      finish_call(conn, message, outcome, origin, callback, departed, seen);
     });
     return;
   }
-
   // Deadline: interceptors may have stamped a timeout above; arm it once
   // per logical call (retries share the original deadline).
   callback = arm_timeout(message, std::move(callback));
-
-  const SimTime departed = loop_.now();
-  // Routing. Interceptors (injectors) may force a target via
-  // control.route_to, bypassing the connector's policy.
-  if (const ComponentId forced = message.control.route_to; forced.valid()) {
-    if (find_component(forced) == nullptr) {
-      finish_call(conn, message,
-                  Error{ErrorCode::kNotFound, "injected route target missing"},
-                  origin, callback, departed);
-      return;
-    }
-    relay_to(conn, std::move(message), forced, origin, std::move(callback),
-             departed);
-    return;
-  }
-  if (conn.routing() == RoutingPolicy::kBroadcast) {
-    if (message.kind == MessageKind::kRequest) {
-      finish_call(conn, message,
-                  Error{ErrorCode::kInvalidArgument,
-                        conn.name() + ": cannot request over broadcast"},
-                  origin, callback, departed);
-      return;
-    }
-    // Copy the target list: a hold-overflow reject can re-enter the
-    // connector while this loop runs.
-    const std::vector<ComponentId> targets = conn.broadcast_targets();
-    for (ComponentId target : targets) {
-      Message copy = message;
-      if (targets.size() > 1) copy.id = message_ids_.next();
-      relay_to(conn, std::move(copy), target, origin, callback, departed);
-    }
-    return;
-  }
-  Result<ComponentId> target = conn.select_target(message, load_probe());
+  const Result<ComponentId> target = route(conn, message);
   if (!target.ok()) {
-    finish_call(conn, message, target.error(), origin, callback, departed);
+    outcome = target.error();
+    finish_call(conn, message, outcome, origin, callback, departed);
     return;
   }
-  relay_to(conn, std::move(message), target.value(), origin,
-           std::move(callback), departed);
+  if (target.value().valid()) {
+    relay_to(conn, std::move(message), target.value(), origin,
+             std::move(callback), departed);
+    return;
+  }
+  // A broadcast event: one copy per provider.  Copy the target list: a
+  // hold-overflow reject can re-enter the connector while this loop runs.
+  const std::vector<ComponentId> targets = conn.broadcast_targets();
+  for (ComponentId provider : targets) {
+    Message copy = message;
+    if (targets.size() > 1) copy.id = message_ids_.next();
+    relay_to(conn, std::move(copy), provider, origin, callback, departed);
+  }
 }
 
 void Application::relay_to(Connector& conn, Message message, ComponentId target,
@@ -567,62 +577,48 @@ void Application::relay_to(Connector& conn, Message message, ComponentId target,
   message.target = target;
   Channel& chan = channel(conn.id(), target);
   message.sequence = chan.next_sequence();
-  if (chan.blocked()) {
-    Connector* conn_ptr = &conn;
-    Channel* chan_ptr = &chan;
-    HeldMessage held;
-    held.message = message;
-    held.priority = static_cast<int>(component::message_priority(message));
-    held.resume = [this, conn_ptr, chan_ptr, origin, callback,
-                   departed](Message replayed) {
-      deliver(*conn_ptr, *chan_ptr, std::move(replayed), origin, callback,
-              departed);
-    };
-    held.reject = [this, conn_ptr, origin, callback,
-                   departed](Message rejected, util::Error error) {
-      finish_call(*conn_ptr, rejected, std::move(error), origin, callback,
-                  departed);
-    };
-    Status parked = chan.hold(std::move(held));
-    if (!parked.ok()) {
-      chan.record_drop();
-      if (callback) {
-        finish_call(conn, message,
-                    Error{parked.error().code(),
-                          conn.name() + ": " + parked.error().message()},
-                    origin, callback, departed);
-      }
-    }
+  if (!chan.blocked()) {
+    deliver(conn, chan, std::move(message), origin, std::move(callback),
+            departed);
     return;
   }
-  deliver(conn, chan, std::move(message), origin, std::move(callback),
-          departed);
+  HeldMessage held;
+  held.message = message;
+  held.priority = static_cast<int>(component::message_priority(message));
+  held.resume = [this, &conn, &chan, origin, callback,
+                 departed](Message replayed) {
+    deliver(conn, chan, std::move(replayed), origin, callback, departed);
+  };
+  held.reject = [this, &conn, origin, callback, departed](
+                    Message rejected, util::Error error) {
+    Result<Value> outcome = std::move(error);
+    finish_call(conn, rejected, outcome, origin, callback, departed);
+  };
+  Status parked = chan.hold(std::move(held));
+  if (!parked.ok()) {
+    chan.record_drop();
+    Result<Value> outcome = Error{
+        parked.error().code(), conn.name() + ": " + parked.error().message()};
+    finish_call(conn, message, outcome, origin, callback, departed);
+  }
 }
 
 void Application::deliver(Connector& conn, Channel& chan, Message message,
                           NodeId origin, ResponseCallback callback,
                           SimTime departed) {
   chan.on_depart();
-  const ComponentId target = message.target;
-  const NodeId target_node = placement(target);
+  const NodeId target_node = placement(message.target);
   if (!target_node.valid()) {
-    chan.record_drop();
-    chan.on_arrive();
-    finish_call(conn, message,
-                Error{ErrorCode::kUnavailable, "provider has no placement"},
-                origin, callback, departed);
+    drop(conn, chan, message,
+         Error{ErrorCode::kUnavailable, "provider has no placement"}, origin,
+         callback, departed);
     return;
   }
   const sim::TransferOutcome transfer =
       network_.transfer(origin, target_node, message.byte_size(), rng_);
   if (!transfer.delivered) {
-    chan.record_drop();
-    chan.on_arrive();
-    if (callback) {
-      finish_call(conn, message,
-                  Error{ErrorCode::kTimeout, "network loss"}, origin,
-                  callback, departed);
-    }
+    drop(conn, chan, message, Error{ErrorCode::kTimeout, "network loss"},
+         origin, callback, departed);
     return;
   }
   // From here the relay rides a pooled context: each hop schedules a
@@ -639,28 +635,31 @@ void Application::deliver(Connector& conn, Channel& chan, Message message,
                        [this, context] { relay_arrive(context); });
 }
 
+void Application::drop(Connector& conn, Channel& chan, const Message& message,
+                       Error error, NodeId origin,
+                       const ResponseCallback& callback, SimTime departed) {
+  chan.record_drop();
+  chan.on_arrive();
+  Result<Value> outcome = std::move(error);
+  finish_call(conn, message, outcome, origin, callback, departed);
+}
+
 void Application::relay_arrive(RelayContext* context) {
-  Component* provider = find_component(context->message.target);
-  if (provider == nullptr) {
-    context->chan->record_drop();
-    context->chan->on_arrive();
-    if (context->callback) {
-      finish_call(*context->conn, context->message,
-                  Error{ErrorCode::kUnavailable, "provider removed"},
-                  context->origin, context->callback, context->departed);
-    }
+  const auto placed = components_.find(context->message.target);
+  if (placed == components_.end()) {
+    drop(*context->conn, *context->chan, context->message,
+         Error{ErrorCode::kUnavailable, "provider removed"}, context->origin,
+         context->callback, context->departed);
     release_relay_context(context);
     return;
   }
-  // FIFO processing on the serving node: interception glue + operation,
-  // optionally scaled by control.work_scale (quality-dependent work).
-  const NodeId node_id = placement(context->message.target);
-  sim::Node& node = network_.node(node_id);
-  const double scale = context->message.control.work_scale.value_or(1.0);
-  const double work = interceptor_work(*context->conn) +
-                      provider->work_cost(context->message.operation) * scale;
-  const SimTime completion = node.execute(loop_.now(), work);
-  context->node_id = node_id;
+  // FIFO processing on the serving node, read on arrival: a migrate while
+  // the message was in transit moves its work to the new node.
+  context->node_id = placed->second.node;
+  const double work =
+      node_work(*context->conn, *placed->second.component, context->message);
+  const SimTime completion =
+      network_.node(context->node_id).execute(loop_.now(), work);
   loop_.schedule_at(completion, [this, context] { relay_execute(context); });
 }
 
@@ -669,7 +668,7 @@ void Application::relay_execute(RelayContext* context) {
   // Handle before acknowledging arrival: drain waiters (the
   // quiescence protocol) must only fire once the message's effect has
   // been applied.
-  Result<Value> result =
+  context->result =
       provider == nullptr
           ? Result<Value>(Error{ErrorCode::kUnavailable, "provider removed"})
           : provider->handle(context->message);
@@ -677,9 +676,7 @@ void Application::relay_execute(RelayContext* context) {
   context->chan->record_delay(loop_.now() - context->message.sent_at);
   context->chan->on_arrive();
   if (context->message.kind != MessageKind::kRequest) {
-    finish_call(*context->conn, context->message, std::move(result),
-                context->origin, nullptr, context->departed);
-    release_relay_context(context);
+    relay_respond(context);
     return;
   }
   // Response trip back to the origin.
@@ -687,14 +684,12 @@ void Application::relay_execute(RelayContext* context) {
       context->node_id, context->origin,
       component::response_byte_size(context->message, Value{}), rng_);
   const Duration back_delay = back.delivered ? back.delay : 0;
-  context->result = std::move(result);
   loop_.schedule_after(back_delay,
                        [this, context] { relay_respond(context); });
 }
 
 void Application::relay_respond(RelayContext* context) {
-  context->conn->run_after(context->message, context->result);
-  finish_call(*context->conn, context->message, std::move(context->result),
+  finish_call(*context->conn, context->message, context->result,
               context->origin, context->callback, context->departed);
   release_relay_context(context);
 }
@@ -703,101 +698,66 @@ Application::CallOutcome Application::invoke_sync(ConnectorId connector,
                                                   util::Symbol operation,
                                                   const Value& args,
                                                   NodeId origin) {
+  CallOutcome outcome{Value{}, 0};
   Connector* conn = find_connector(connector);
   if (conn == nullptr) {
-    return CallOutcome{Error{ErrorCode::kNotFound, "no such connector"}, 0};
+    outcome.result = Error{ErrorCode::kNotFound, "no such connector"};
+    return outcome;
   }
-  conn->count_relay();
   Message message;
   message.id = message_ids_.next();
   message.kind = MessageKind::kRequest;
   message.operation = operation;
   message.payload = args;
   message.sent_at = loop_.now();
-
-  Result<Value> intercepted = Value{};
-  std::size_t icpt_seen = 0;
-  const Interceptor::Verdict verdict =
-      conn->run_before(message, &intercepted, &icpt_seen);
-  if (verdict != Interceptor::Verdict::kPass) {
-    Result<Value> outcome =
-        (verdict == Interceptor::Verdict::kBlock && intercepted.ok())
-            ? Result<Value>(Error{ErrorCode::kRejected,
-                                  conn->name() + ": blocked by interceptor"})
-            : std::move(intercepted);
-    conn->run_after(message, outcome, icpt_seen);
-    finish_call(*conn, message, outcome, origin, nullptr, loop_.now());
-    return CallOutcome{std::move(outcome), 0};
+  std::size_t seen = 0;
+  if (intercept(*conn, message, outcome.result, seen)) {
+    relay_in_line(*conn, message, origin, outcome);
   }
+  // The call completes within the current event, so it departed `latency`
+  // before now as far as its record is concerned.
+  finish_call(*conn, message, outcome.result, origin, nullptr,
+              loop_.now() - outcome.latency, seen);
+  return outcome;
+}
 
-  if (message.control.route_to.valid()) {
-    message.target = message.control.route_to;
-    if (find_component(message.target) == nullptr) {
-      Result<Value> outcome{
-          Error{ErrorCode::kNotFound, "injected route target missing"}};
-      finish_call(*conn, message, outcome, origin, nullptr, loop_.now());
-      return CallOutcome{std::move(outcome), 0};
-    }
-  } else {
-    Result<ComponentId> target = conn->select_target(message, load_probe());
-    if (!target.ok()) {
-      finish_call(*conn, message, target.error(), origin, nullptr,
-                  loop_.now());
-      return CallOutcome{target.error(), 0};
-    }
-    message.target = target.value();
+void Application::relay_in_line(Connector& conn, Message& message,
+                                NodeId origin, CallOutcome& outcome) {
+  const Result<ComponentId> target = route(conn, message);
+  if (!target.ok()) {
+    outcome.result = target.error();
+    return;
   }
-  Channel& chan = channel(conn->id(), message.target);
+  message.target = target.value();
+  Channel& chan = channel(conn.id(), message.target);
   message.sequence = chan.next_sequence();
-  if (chan.blocked()) {
+  const auto placed = components_.find(message.target);
+  if (chan.blocked() || placed == components_.end()) {
     chan.record_drop();
-    Result<Value> outcome{Error{ErrorCode::kUnavailable,
-                                conn->name() + ": channel blocked"}};
-    finish_call(*conn, message, outcome, origin, nullptr, loop_.now());
-    return CallOutcome{std::move(outcome), 0};
+    outcome.result = Error{ErrorCode::kUnavailable,
+                           chan.blocked() ? conn.name() + ": channel blocked"
+                                          : std::string("provider removed")};
+    return;
   }
-  Component* provider = find_component(message.target);
-  if (provider == nullptr) {
-    chan.record_drop();
-    return CallOutcome{Error{ErrorCode::kUnavailable, "provider removed"}, 0};
-  }
-
-  const NodeId target_node = placement(message.target);
-  Duration latency = 0;
+  Component& provider = *placed->second.component;
+  const NodeId target_node = placed->second.node;
   const sim::TransferOutcome out_trip =
       network_.transfer(origin, target_node, message.byte_size(), rng_);
   if (!out_trip.delivered) {
     chan.record_drop();
-    Result<Value> outcome{Error{ErrorCode::kTimeout, "network loss"}};
-    finish_call(*conn, message, outcome, origin, nullptr, loop_.now());
-    return CallOutcome{std::move(outcome), 0};
+    outcome.result = Error{ErrorCode::kTimeout, "network loss"};
+    return;
   }
-  latency += out_trip.delay;
-  sim::Node& node = network_.node(target_node);
-  const double scale = message.control.work_scale.value_or(1.0);
-  const double work = interceptor_work(*conn) +
-                      provider->work_cost(message.operation) * scale;
-  const SimTime completion = node.execute(loop_.now() + out_trip.delay, work);
-  latency = completion - loop_.now();
+  const SimTime completion = network_.node(target_node).execute(
+      loop_.now() + out_trip.delay, node_work(conn, provider, message));
+  outcome.latency = completion - loop_.now();
   chan.record_delivery(message.sequence);
-  chan.record_delay(latency);
-
-  Result<Value> result = provider->handle(message);
+  chan.record_delay(outcome.latency);
+  outcome.result = provider.handle(message);
   const sim::TransferOutcome back_trip = network_.transfer(
       target_node, origin, component::response_byte_size(message, Value{}),
       rng_);
-  if (back_trip.delivered) latency += back_trip.delay;
-  conn->run_after(message, result);
-
-  ++total_calls_;
-  if (!result.ok()) ++failed_calls_;
-  obs_calls_->inc();
-  if (!result.ok()) obs_failed_calls_->inc();
-  obs_call_latency_->observe(static_cast<double>(latency));
-  CallRecord record{conn->id(), message.target, message.operation,
-                    latency,    result.ok(),    loop_.now()};
-  for (const CallListener& listener : listeners_) listener(record);
-  return CallOutcome{std::move(result), latency};
+  if (back_trip.delivered) outcome.latency += back_trip.delay;
 }
 
 component::Component::Sender Application::make_sender(ComponentId caller) {
@@ -828,11 +788,14 @@ Status Application::activate_component(ComponentId id) {
 }
 
 Status Application::block_channels_to(ComponentId id) {
+  std::erase(blocked_, id);
+  blocked_.push_back(id);
   for (Channel* chan : channels_to(id)) chan->block();
   return Status::success();
 }
 
 Status Application::unblock_channels_to(ComponentId id) {
+  std::erase(blocked_, id);
   for (Channel* chan : channels_to(id)) chan->unblock();
   return Status::success();
 }
@@ -905,7 +868,9 @@ Status Application::redirect(ComponentId from, ComponentId to) {
       if (Status s = conn->add_provider(to); !s.ok()) return s;
     }
   }
-  // Re-key channels so sequence/audit state carries over.
+  // Re-key channels so sequence/audit state carries over; a block moves
+  // with them.
+  std::replace(blocked_.begin(), blocked_.end(), from, to);
   channel_memo_ = nullptr;
   std::vector<std::pair<ConnectorId, ComponentId>> to_move;
   for (const auto& [key, chan] : channels_) {
@@ -935,12 +900,13 @@ Status Application::redirect(ComponentId from, ComponentId to) {
 }
 
 Status Application::migrate(ComponentId id, NodeId destination) {
-  if (find_component(id) == nullptr) {
+  auto it = components_.find(id);
+  if (it == components_.end()) {
     return Error{ErrorCode::kNotFound, "no such component"};
   }
   // Destination must exist (throws InvariantViolation when bogus).
   network_.node(destination);
-  placement_[id] = destination;
+  it->second.node = destination;
   return Status::success();
 }
 

@@ -1,14 +1,16 @@
 // The application runtime: components + connectors + channels on a
 // simulated topology, driven by one event loop.
 //
-// Two invocation paths exist:
-//   * invoke_async()/send_event() — fully event-driven: network delay, FIFO
-//     queueing on the serving node and the response trip are simulated as
-//     events.  Blocked channels hold messages and replay them on unblock,
-//     which is what makes strong dynamic reconfiguration (§1) observable.
-//   * Component::call() (nested synchronous calls) — resolved immediately
-//     within the current event; network/processing costs are charged to the
-//     simulated clock accounting but the call returns in-line.
+// Every call passes one pipeline (interceptors, routing, channel, network,
+// the provider's node and handler) in one of two timings:
+//   * queued — invoke_async()/send_event(): each hop is an event.  Blocked
+//     channels hold messages and replay them on unblock, which is what
+//     makes strong dynamic reconfiguration (§1) observable.
+//   * in-line — invoke_sync(), behind Component::call(): resolved within the
+//     current event, its latency added up; a blocked channel fails it, and
+//     it is never retried nor given a deadline.
+// Every attempt whose before() ran leaves through finish_call(): after()
+// runs once over the interceptors that saw it, then a retry or one record.
 //
 // The management section (passivate/block/drain/swap/migrate/...) provides
 // the intercession primitives the reconfiguration engine and RAML build on.
@@ -152,6 +154,8 @@ class Application {
   // --- management (intercession primitives) -------------------------------------
   Status passivate_component(ComponentId component);
   Status activate_component(ComponentId component);
+  /// Blocks the channels to `component`, also those opened before the
+  /// unblock; redirect() moves the block, destroy() drops it.
   Status block_channels_to(ComponentId component);
   Status unblock_channels_to(ComponentId component);
   std::size_t in_flight_to(ComponentId component) const;
@@ -215,9 +219,32 @@ class Application {
   RelayContext* acquire_relay_context();
   void release_relay_context(RelayContext* context);
 
-  /// Shared relay used by invoke_async/send_event: applies interceptors,
-  /// routing, channel state and schedules delivery events. When `callback`
-  /// is empty the message is one-way.
+  // Stages both timings share; intercept and route are inline for the
+  // in-line call (defined in application.cpp, their only user).
+  /// before(); false when an interceptor answered (`outcome`, `seen`).
+  inline bool intercept(Connector& conn, Message& message,
+                        Result<Value>& outcome, std::size_t& seen);
+  /// route_to, else the connector's pick; invalid for a broadcast event.
+  inline Result<ComponentId> route(Connector& conn, const Message& message);
+  /// The one exit: after() over the first `seen` interceptors, then a retry
+  /// or record_call() with latency now - `departed`.
+  void finish_call(Connector& conn, const Message& message,
+                   Result<Value>& result, NodeId origin,
+                   const ResponseCallback& callback, util::SimTime departed,
+                   std::size_t seen = Connector::kAllInterceptors);
+  /// Counts the call, tells the listeners, then hands `result` on.
+  void record_call(ConnectorId connector, const Message& message,
+                   Result<Value>& result, util::Duration latency,
+                   const ResponseCallback& callback);
+  /// Retry driver: when a failed request carries a retry budget (stamped by
+  /// fault::RetryInterceptor) and budget remains, schedules a re-relay after
+  /// an exponential backoff and returns true (the call is not finished yet).
+  bool maybe_schedule_retry(Connector& conn, const Message& message,
+                            const util::Error& error, NodeId origin,
+                            const ResponseCallback& callback,
+                            util::SimTime departed);
+
+  // The queued timing.  When `callback` is empty the message is one-way.
   void relay_event_driven(Connector& conn, Message message, NodeId origin,
                           ResponseCallback callback);
   /// Stamps target/sequence and either parks the message (blocked channel)
@@ -227,30 +254,26 @@ class Application {
                 util::SimTime departed);
   void deliver(Connector& conn, Channel& chan, Message message, NodeId origin,
                ResponseCallback callback, util::SimTime departed);
+  /// Fails a relay lost before its provider handled it.
+  void drop(Connector& conn, Channel& chan, const Message& message,
+            util::Error error, NodeId origin, const ResponseCallback& callback,
+            util::SimTime departed);
   /// Delivery-chain hops (each scheduled as a {this, context} closure).
   void relay_arrive(RelayContext* context);
   void relay_execute(RelayContext* context);
   void relay_respond(RelayContext* context);
-  void finish_call(Connector& conn, const Message& message,
-                   Result<Value> result, NodeId origin,
-                   const ResponseCallback& callback, util::SimTime departed);
-  /// Retry driver: when a failed request carries a retry budget (stamped by
-  /// fault::RetryInterceptor) and budget remains, schedules a re-relay after
-  /// an exponential backoff and returns true (the call is not finished yet).
-  bool maybe_schedule_retry(Connector& conn, const Message& message,
-                            const util::Error& error, NodeId origin,
-                            const ResponseCallback& callback,
-                            util::SimTime departed);
   /// Wraps `callback` with a deadline when the message carries a timeout;
   /// the loser of the race (completion vs. deadline) is suppressed.
   ResponseCallback arm_timeout(Message& message, ResponseCallback callback);
+  /// The in-line timing of the stages after interception.
+  void relay_in_line(Connector& conn, Message& message, NodeId origin,
+                     CallOutcome& outcome);
   /// Refuses `provider` for `conn` (kIncompatible) unless it satisfies the
   /// required interface of every port already bound to `conn`.
   Status fits_bound_ports(const Connector& conn,
                           const Component& provider) const;
   const connector::LoadProbe& load_probe() const { return load_probe_; }
   component::Component::Sender make_sender(ComponentId caller);
-  double interceptor_work(const Connector& conn) const;
 
   sim::EventLoop& loop_;
   sim::Network& network_;
@@ -261,9 +284,12 @@ class Application {
 
   util::IdGenerator<ComponentId> component_ids_;
   util::IdGenerator<ChannelId> channel_ids_;
-  std::map<ComponentId, std::unique_ptr<Component>> components_;
+  struct Placed {  // an instance and the node it runs on
+    std::unique_ptr<Component> component;
+    NodeId node;
+  };
+  std::map<ComponentId, Placed> components_;
   std::map<std::string, ComponentId> components_by_name_;
-  std::map<ComponentId, NodeId> placement_;
   std::map<ConnectorId, std::unique_ptr<Connector>> connectors_;
   std::map<std::string, ConnectorId> connectors_by_name_;
   std::map<BindingKey, ConnectorId> bindings_;
@@ -274,6 +300,9 @@ class Application {
   /// erases or re-keys entries (destroy, remove_connector, redirect).
   std::pair<ConnectorId, ComponentId> channel_memo_key_;
   Channel* channel_memo_ = nullptr;
+  /// Blocked providers (a few at a time, kept without a node allocation per
+  /// block): a channel opened to one starts blocked.
+  std::vector<ComponentId> blocked_;
   /// Relay-context freelist. Contexts are owned by relay_contexts_ (stable
   /// addresses); relay_free_ holds the recyclable ones.
   std::vector<std::unique_ptr<RelayContext>> relay_contexts_;

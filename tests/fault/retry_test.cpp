@@ -311,6 +311,27 @@ TEST_F(RetryTest, WholeCallDeadlineWinsTheRaceAndFiresOnce) {
   EXPECT_EQ(app_.calls_timed_out(), 1u);
 }
 
+// A budget spent on transport failures is exhausted in both ledgers: the
+// interceptor's after() sees each lost attempt, as the retry driver does.
+TEST_F(RetryTest, ABudgetSpentOnNetworkLossIsExhaustedInBothLedgers) {
+  RetryPolicy policy;
+  policy.max_retries = 2;
+  policy.backoff_base = 1000;
+  auto world = make_flaky("svc", /*failures=*/0, policy);
+  network_.find_link(node_b_, node_a_)->loss_probability = 1.0;
+
+  auto probe = echo_async(world.conn);
+  loop_.run();
+
+  ASSERT_FALSE(probe->result.ok());
+  EXPECT_EQ(probe->result.error().code(), ErrorCode::kTimeout);
+  EXPECT_EQ(probe->callbacks, 1);
+  EXPECT_EQ(world.server->calls(), 0);
+  EXPECT_EQ(app_.retries_scheduled(), 2u);
+  EXPECT_EQ(app_.retries_exhausted(), 1u);
+  EXPECT_EQ(world.retry->budget_exhausted(), 1u);
+}
+
 // The policy resolves "fault.retries" and "fault.retry_exhausted" at first
 // use and keeps the handles: building an interceptor looks up no series,
 // and the kept handles still count after the registry's values are reset.

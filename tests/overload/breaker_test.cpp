@@ -257,5 +257,48 @@ TEST_F(BreakerAppTest, OpenBreakerShortCircuitsBeforeAnyRetry) {
   EXPECT_EQ(svc->handled_count(), 0u);
 }
 
+// Probes lost on the network are samples too: each fails its half-open
+// probe and re-opens the breaker, so once the link heals the breaker probes
+// again and closes instead of refusing every call for want of a probe.
+TEST_F(BreakerAppTest, ProbesLostOnTheNetworkDoNotWedgeAHalfOpenBreaker) {
+  const util::ConnectorId conn = direct_to("EchoServer", "svc", node_b_);
+  auto breaker = std::make_shared<CircuitBreakerInterceptor>(
+      quick_policy(), [this] { return loop_.now(); }, "to_svc");
+  ASSERT_TRUE(app_.find_connector(conn)->attach_interceptor(breaker).ok());
+  sim::LinkSpec* link = network_.find_link(node_a_, node_b_);
+  ASSERT_NE(link, nullptr);
+
+  int served = 0;
+  int failed = 0;
+  const auto call = [&] {
+    app_.invoke_async(conn, "echo", Value::object({{"text", "hi"}}), node_a_,
+                      [&](Result<Value> r, util::Duration) {
+                        ++(r.ok() ? served : failed);
+                      });
+  };
+  breaker->trip(loop_.now());
+  link->loss_probability = 1.0;
+  // Past the cooldown the breaker lets its two probes through; the cut
+  // link drops both.
+  loop_.run_until(util::milliseconds(600));
+  call();
+  call();
+  loop_.run();
+  EXPECT_EQ(failed, 2);
+  EXPECT_EQ(breaker->state(), BreakerState::kOpen);
+
+  link->loss_probability = 0.0;
+  loop_.run_for(util::seconds(1));
+  served = 0;
+  failed = 0;
+  for (int i = 0; i < 10; ++i) {
+    call();
+    loop_.run();
+  }
+  EXPECT_EQ(served, 10);
+  EXPECT_EQ(failed, 0);
+  EXPECT_EQ(breaker->state(), BreakerState::kClosed);
+}
+
 }  // namespace
 }  // namespace aars::overload

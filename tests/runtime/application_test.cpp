@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "testing/test_components.h"
@@ -10,6 +14,7 @@ namespace aars::runtime {
 namespace {
 
 using aars::testing::AppFixture;
+using component::Priority;
 using util::ErrorCode;
 using util::Value;
 
@@ -196,6 +201,53 @@ TEST_F(ApplicationTest, BlockedChannelHoldsAndReplays) {
   EXPECT_EQ(counter->total(), 11);
   EXPECT_EQ(app_.messages_dropped(), 0u);
   EXPECT_EQ(app_.messages_duplicated(), 0u);
+}
+
+TEST_F(ApplicationTest, AChannelOpenedDuringABlockStartsBlocked) {
+  // The block lands before any relay has opened a channel to c1, so the
+  // channel the first relay opens must start blocked.
+  const auto conn = direct_to("CounterServer", "c1", node_a_);
+  const auto target = app_.component_id("c1");
+  ASSERT_TRUE(app_.block_channels_to(target).ok());
+  std::vector<std::int64_t> totals;
+  for (int amount : {1, 2, 3}) {
+    app_.invoke_async(conn, "add", Value::object({{"amount", amount}}),
+                      node_b_,
+                      [&](util::Result<Value> result, util::Duration) {
+                        ASSERT_TRUE(result.ok());
+                        totals.push_back(result.value().as_int());
+                      });
+  }
+  loop_.run();
+  EXPECT_EQ(app_.held_to(target), 3u);
+  EXPECT_EQ(app_.in_flight_to(target), 0u);
+  EXPECT_TRUE(totals.empty());
+  ASSERT_TRUE(app_.unblock_channels_to(target).ok());
+  EXPECT_EQ(app_.replay_held(target), 3u);
+  loop_.run();
+  // Replayed in the order sent: the running totals read 1, 3, 6.
+  EXPECT_EQ(totals, (std::vector<std::int64_t>{1, 3, 6}));
+  EXPECT_EQ(app_.messages_dropped(), 0u);
+}
+
+TEST_F(ApplicationTest, ARedirectCarriesTheBlockToTheSuccessor) {
+  const auto conn = direct_to("CounterServer", "old", node_a_);
+  const auto old_id = app_.component_id("old");
+  ASSERT_TRUE(app_.block_channels_to(old_id).ok());
+  auto successor = app_.instantiate("CounterServer", "new", node_a_, Value{});
+  ASSERT_TRUE(successor.ok());
+  ASSERT_TRUE(app_.redirect(old_id, successor.value()).ok());
+  // No channel existed to move: the block itself moved to the successor.
+  (void)app_.send_event(conn, "add", Value::object({{"amount", 4}}), node_b_);
+  loop_.run();
+  EXPECT_EQ(app_.held_to(successor.value()), 1u);
+  ASSERT_TRUE(app_.unblock_channels_to(successor.value()).ok());
+  EXPECT_EQ(app_.replay_held(successor.value()), 1u);
+  loop_.run();
+  EXPECT_EQ(dynamic_cast<aars::testing::CounterServer*>(
+                app_.find_component(successor.value()))
+                ->total(),
+            4);
 }
 
 TEST_F(ApplicationTest, WhenDrainedFiresAfterInFlight) {
@@ -397,6 +449,241 @@ TEST_F(ApplicationTest, DefaultConfigSizesHoldBufferFromConnectorQueue) {
   // channel_hold_limit 0 keeps the per-connector queue_capacity rule.
   EXPECT_EQ(chan.hold_limit(), app_.find_connector(conn)->spec().queue_capacity);
   EXPECT_EQ(chan.audit_window(), Channel::kAuditWindow);
+}
+
+// --- the one call exit --------------------------------------------------------
+
+/// Records the outcome every after() sees; blocks, or forces a target
+/// through control.route_to, when told to.
+class ExitCounter : public connector::Interceptor {
+ public:
+  Verdict before(component::Message& request, util::Result<Value>*) override {
+    if (force.valid()) request.control.route_to = force;
+    return block ? Verdict::kBlock : Verdict::kPass;
+  }
+  void after(const component::Message&, util::Result<Value>& reply) override {
+    afters.push_back(reply.code());
+  }
+  std::string name() const override { return "exit_counter"; }
+
+  bool block = false;
+  ComponentId force;
+  std::vector<ErrorCode> afters;
+};
+
+/// One connector, `svc`, from host `client` to a counter `p` on host
+/// `server`, with an ExitCounter on it and a hold buffer of one message.
+struct ExitWorld {
+  explicit ExitWorld(connector::RoutingPolicy routing)
+      : app(loop, network, registry, Application::Config{.channel_hold_limit = 1}) {
+    client = network.add_node("client", 10000).id();
+    server = network.add_node("server", 10000).id();
+    network.add_duplex_link(client, server, sim::LinkSpec{});
+    registry.register_type("CounterServer", [](const std::string& name) {
+      return std::make_unique<aars::testing::CounterServer>(name);
+    });
+    provider = app.instantiate("CounterServer", "p", server, Value{}).value();
+    connector::ConnectorSpec spec;
+    spec.name = "svc";
+    spec.routing = routing;
+    conn = app.create_connector(spec).value();
+    EXPECT_TRUE(app.add_provider(conn, provider).ok());
+    EXPECT_TRUE(app.find_connector(conn)->attach_interceptor(counter).ok());
+    app.add_call_listener(
+        [this](const CallRecord& record) { records.push_back(record); });
+  }
+
+  /// Points `svc` at an id that names no component.
+  void route_to_a_ghost() {
+    connector::Connector* svc = app.find_connector(conn);
+    ASSERT_TRUE(svc->remove_provider(provider).ok());
+    ASSERT_TRUE(svc->add_provider(ComponentId{999}).ok());
+  }
+
+  /// An event of `priority` from the client; a kHigh one fills the buffer
+  /// of a blocked channel for good.
+  void send(Priority priority) {
+    (void)app.send_event(conn, "add", Value::object({{"amount", 1}}), client,
+                         component::Control{.priority = priority});
+  }
+
+  sim::EventLoop loop;
+  sim::Network network;
+  component::ComponentRegistry registry;
+  Application app;
+  NodeId client;
+  NodeId server;
+  ComponentId provider;
+  ConnectorId conn;
+  std::shared_ptr<ExitCounter> counter = std::make_shared<ExitCounter>();
+  std::vector<CallRecord> records;
+};
+
+enum class Timing { kRequest, kEvent, kInLine };
+
+/// One way out of the pipeline: how to steer a call there and the code it
+/// finishes with.  `arrange` runs before the call is sent, `meanwhile`
+/// after it is sent and before the loop runs.
+struct Exit {
+  const char* name;
+  ErrorCode code;
+  std::vector<Timing> timings;
+  connector::RoutingPolicy routing = connector::RoutingPolicy::kDirect;
+  Priority priority = Priority::kNormal;
+  std::function<void(ExitWorld&)> arrange = [](ExitWorld&) {};
+  std::function<void(ExitWorld&)> meanwhile = [](ExitWorld&) {};
+};
+
+std::vector<Exit> exits() {
+  using T = Timing;
+  std::vector<Exit> out;
+  out.push_back({.name = "interceptor short-circuit",
+                 .code = ErrorCode::kRejected,
+                 .timings = {T::kRequest, T::kEvent, T::kInLine},
+                 .arrange = [](ExitWorld& w) { w.counter->block = true; }});
+  out.push_back({.name = "forced target missing",
+                 .code = ErrorCode::kNotFound,
+                 .timings = {T::kRequest, T::kEvent, T::kInLine},
+                 .arrange = [](ExitWorld& w) {
+                   w.counter->force = ComponentId{999};
+                 }});
+  out.push_back({.name = "request over broadcast",
+                 .code = ErrorCode::kInvalidArgument,
+                 .timings = {T::kRequest, T::kInLine},
+                 .routing = connector::RoutingPolicy::kBroadcast});
+  out.push_back({.name = "no provider",
+                 .code = ErrorCode::kUnavailable,
+                 .timings = {T::kRequest, T::kEvent, T::kInLine},
+                 .arrange = [](ExitWorld& w) {
+                   ASSERT_TRUE(w.app.remove_provider(w.conn, w.provider).ok());
+                 }});
+  out.push_back({.name = "broadcast to no provider",
+                 .code = ErrorCode::kUnavailable,
+                 .timings = {T::kEvent},
+                 .routing = connector::RoutingPolicy::kBroadcast,
+                 .arrange = [](ExitWorld& w) {
+                   ASSERT_TRUE(w.app.remove_provider(w.conn, w.provider).ok());
+                 }});
+  out.push_back({.name = "hold overflow",
+                 .code = ErrorCode::kOverloaded,
+                 .timings = {T::kRequest, T::kEvent},
+                 .arrange = [](ExitWorld& w) {
+                   ASSERT_TRUE(w.app.block_channels_to(w.provider).ok());
+                   w.send(Priority::kHigh);
+                 }});
+  out.push_back({.name = "held message rejected",
+                 .code = ErrorCode::kOverloaded,
+                 .timings = {T::kRequest, T::kEvent},
+                 .priority = Priority::kBestEffort,
+                 .arrange = [](ExitWorld& w) {
+                   ASSERT_TRUE(w.app.block_channels_to(w.provider).ok());
+                 },
+                 .meanwhile = [](ExitWorld& w) { w.send(Priority::kHigh); }});
+  out.push_back({.name = "channel blocked",
+                 .code = ErrorCode::kUnavailable,
+                 .timings = {T::kInLine},
+                 .arrange = [](ExitWorld& w) {
+                   ASSERT_TRUE(w.app.block_channels_to(w.provider).ok());
+                 }});
+  out.push_back({.name = "no placement",
+                 .code = ErrorCode::kUnavailable,
+                 .timings = {T::kRequest, T::kEvent},
+                 .arrange = [](ExitWorld& w) { w.route_to_a_ghost(); }});
+  out.push_back({.name = "network loss",
+                 .code = ErrorCode::kTimeout,
+                 .timings = {T::kRequest, T::kEvent, T::kInLine},
+                 .arrange = [](ExitWorld& w) {
+                   w.network.find_link(w.client, w.server)->loss_probability =
+                       1.0;
+                 }});
+  out.push_back({.name = "provider removed",
+                 .code = ErrorCode::kUnavailable,
+                 .timings = {T::kInLine},
+                 .arrange = [](ExitWorld& w) { w.route_to_a_ghost(); }});
+  out.push_back(
+      {.name = "provider removed on arrival",
+       .code = ErrorCode::kUnavailable,
+       .timings = {T::kRequest, T::kEvent},
+       .meanwhile = [](ExitWorld& w) {
+         // The call is in transit: its channel moves to a successor and
+         // the provider it was sent to goes.
+         auto successor =
+             w.app.instantiate("CounterServer", "q", w.server, Value{});
+         ASSERT_TRUE(successor.ok());
+         ASSERT_TRUE(w.app.redirect(w.provider, successor.value()).ok());
+         ASSERT_TRUE(w.app.destroy(w.provider).ok());
+       }});
+  out.push_back({.name = "success",
+                 .code = ErrorCode::kOk,
+                 .timings = {T::kRequest, T::kEvent, T::kInLine}});
+  return out;
+}
+
+/// Drives one call of `timing` out of `exit` in a fresh world and checks
+/// that it leaves once: one after() carrying the call's outcome, one count,
+/// one call record, one reply.
+void expect_one_exit(Timing timing, const Exit& exit) {
+  SCOPED_TRACE(exit.name);
+  ExitWorld w(exit.routing);
+  exit.arrange(w);
+  const std::size_t afters = w.counter->afters.size();
+  const std::uint64_t calls = w.app.total_calls();
+  const std::uint64_t failed = w.app.failed_calls();
+  std::vector<ErrorCode> replies;
+  switch (timing) {
+    case Timing::kRequest:
+      w.app.invoke_async(
+          w.conn, "add", Value::object({{"amount", 1}}), w.client,
+          [&replies](util::Result<Value> result, util::Duration) {
+            replies.push_back(result.code());
+          },
+          component::Control{.priority = exit.priority});
+      break;
+    case Timing::kEvent:
+      w.send(exit.priority);
+      break;
+    case Timing::kInLine:
+      replies.push_back(
+          w.app.invoke_sync(w.conn, "add", Value::object({{"amount", 1}}),
+                            w.client)
+              .result.code());
+      break;
+  }
+  exit.meanwhile(w);
+  w.loop.run();
+  const bool ok = exit.code == ErrorCode::kOk;
+  ASSERT_EQ(w.counter->afters.size(), afters + 1);
+  EXPECT_EQ(w.counter->afters.back(), exit.code);
+  EXPECT_EQ(w.app.total_calls(), calls + 1);
+  EXPECT_EQ(w.app.failed_calls(), failed + (ok ? 0 : 1));
+  ASSERT_EQ(w.records.size(), 1u);
+  EXPECT_EQ(w.records.back().ok, ok);
+  if (timing == Timing::kEvent) {
+    EXPECT_TRUE(replies.empty());
+  } else {
+    EXPECT_EQ(replies, std::vector<ErrorCode>{exit.code});
+  }
+}
+
+void expect_one_exit_each(Timing timing) {
+  for (const Exit& exit : exits()) {
+    if (std::find(exit.timings.begin(), exit.timings.end(), timing) !=
+        exit.timings.end()) {
+      expect_one_exit(timing, exit);
+    }
+  }
+}
+
+TEST(OneExitTest, EveryRequestExitRunsAfterOnceAndCountsTheCallOnce) {
+  expect_one_exit_each(Timing::kRequest);
+}
+
+TEST(OneExitTest, EveryEventExitRunsAfterOnceAndCountsTheCallOnce) {
+  expect_one_exit_each(Timing::kEvent);
+}
+
+TEST(OneExitTest, EveryInLineExitRunsAfterOnceAndCountsTheCallOnce) {
+  expect_one_exit_each(Timing::kInLine);
 }
 
 }  // namespace
