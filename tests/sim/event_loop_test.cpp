@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <random>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -364,6 +368,144 @@ TEST(EventLoopTest, WrappedSlotStaysReusable) {
   }
   loop.run();
   EXPECT_TRUE(loop.empty());
+}
+
+// Differential check of the queue's order: a loop driven by random
+// schedules, cancels, runs and peeks against a reference ordered by
+// (time, schedule number).  The reference advances in lockstep from inside
+// each callback, so the first event out of order fails where it runs.
+class ReferenceOrder {
+ public:
+  explicit ReferenceOrder(std::uint64_t seed) : rng_(seed) {}
+
+  void run_operations(int count) {
+    for (int i = 0; i < count && !::testing::Test::HasFailure(); ++i) {
+      operate();
+      check_counts();
+    }
+    ran_in_op_ = 0;
+    EXPECT_EQ(loop_.run(), ran_in_op_);
+    check_counts();
+    EXPECT_TRUE(loop_.empty());
+  }
+
+ private:
+  enum class State { kPending, kFired, kCancelled };
+  // (time, schedule number), the order the loop must run events in.
+  using Key = std::pair<SimTime, std::uint64_t>;
+  struct Event {
+    Key key;
+    bool spawns = false;
+    State state = State::kPending;
+    EventHandle handle;
+  };
+
+  std::uint64_t draw(std::uint64_t bound) { return rng_() % bound; }
+  // 0 to 2^24 µs, spread over every power of two: an entry lands in every
+  // radix bucket, and the longest sit about as far ahead as the engine's
+  // 10 s quiescence timeout.
+  Duration delay() {
+    const std::uint64_t bits = draw(25);
+    return static_cast<Duration>(rng_() & ((std::uint64_t{1} << bits) - 1));
+  }
+
+  void schedule(SimTime at, bool spawns) {
+    const std::size_t id = events_.size();
+    events_.push_back(
+        Event{Key{at, next_number_++}, spawns, State::kPending, {}});
+    const auto fire = [this, id] { fired(id); };
+    events_[id].handle = (at == now_ && draw(2) == 0)
+                             ? loop_.schedule_after(0, fire)
+                             : loop_.schedule_at(at, fire);
+    expected_.emplace(events_[id].key, id);
+  }
+
+  void fired(std::size_t id) {
+    ASSERT_FALSE(expected_.empty()) << "event " << id << " ran unexpectedly";
+    const auto head = expected_.begin();
+    ASSERT_EQ(head->second, id) << "ran out of (time, schedule) order";
+    ASSERT_EQ(loop_.now(), head->first.first);
+    expected_.erase(head);
+    events_[id].state = State::kFired;
+    now_ = loop_.now();
+    ++executed_;
+    ++ran_in_op_;
+    // A callback that schedules at now(): the child runs at this instant,
+    // after every event already queued for it.
+    if (events_[id].spawns) schedule(now_, false);
+  }
+
+  void operate() {
+    ran_in_op_ = 0;
+    const std::uint64_t kind = draw(20);
+    if (kind < 9) {
+      schedule(now_ + delay(), draw(4) == 0);
+    } else if (kind < 12) {
+      // Live, fired, cancelled and stale handles alike: a fired event's
+      // slot is recycled, so an old handle names its new occupant's slot.
+      if (events_.empty()) return;
+      Event& event = events_[draw(events_.size())];
+      const bool live = event.state == State::kPending;
+      EXPECT_EQ(event.handle.active(), live);
+      EXPECT_EQ(event.handle.cancel(), live);
+      if (live) {
+        expected_.erase(event.key);
+        event.state = State::kCancelled;
+      }
+    } else if (kind < 14) {
+      // Deadlines between entries and beyond them.
+      const SimTime deadline = now_ + delay();
+      const std::size_t ran = loop_.run_until(deadline);
+      EXPECT_EQ(ran, ran_in_op_);
+      if (!expected_.empty()) {
+        EXPECT_GT(expected_.begin()->first.first, deadline);
+      }
+      now_ = deadline;
+    } else if (kind < 15) {
+      const std::size_t limit = draw(8);
+      const std::size_t ran = loop_.run(limit);
+      EXPECT_EQ(ran, ran_in_op_);
+      EXPECT_TRUE(ran == limit || expected_.empty());
+    } else if (kind < 16) {
+      const bool had_work = !expected_.empty();
+      EXPECT_EQ(loop_.step(), had_work);
+      EXPECT_EQ(ran_in_op_, had_work ? 1u : 0u);
+    } else {
+      // The shard barrier's pattern: peek, then schedule between now() and
+      // the peeked time, as a cross-shard delivery may.
+      constexpr SimTime kIdle = -1;
+      const SimTime next = loop_.next_event_time(kIdle);
+      EXPECT_EQ(next,
+                expected_.empty() ? kIdle : expected_.begin()->first.first);
+      if (next != kIdle && draw(2) == 0) {
+        const auto span = static_cast<std::uint64_t>(next - now_);
+        schedule(now_ + static_cast<SimTime>(draw(span + 1)), draw(4) == 0);
+      }
+    }
+  }
+
+  void check_counts() {
+    EXPECT_EQ(loop_.now(), now_);
+    EXPECT_EQ(loop_.pending(), expected_.size());
+    EXPECT_EQ(loop_.executed(), executed_);
+  }
+
+  std::mt19937_64 rng_;
+  EventLoop loop_;
+  std::vector<Event> events_;
+  std::map<Key, std::size_t> expected_;  // pending events by run order
+  std::uint64_t next_number_ = 0;
+  SimTime now_ = 0;
+  std::size_t executed_ = 0;
+  std::size_t ran_in_op_ = 0;
+};
+
+TEST(EventLoopTest, MatchesAReferenceOrderUnderRandomOperations) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ReferenceOrder(seed).run_operations(2000);
+    if (HasFailure()) return;
+  }
 }
 
 // Ownership guard: once a loop is exclusive, handle operations from a
