@@ -6,12 +6,16 @@
 // events/sec for sync and queued delivery at 0/2/8 interceptors, plus heap
 // allocations per relayed message measured by a counting global allocator.
 //
+// A second event-loop row runs 1,700 timers with delays over 0-20 ms, the
+// queue depth of the benchmark's rush_hour campaign.
+//
 // The steady-state sync relay path must add ZERO heap allocations over a
-// direct handler call, and the queued relay whose origin is one link from
-// the server must make none per message (exit code asserts both): the
-// slab-pooled event loop, copy-on-write Value trees, interned operation
-// names, the pooled message path and the network's route table exist
-// precisely so that interposing a connector costs no allocation.  The
+// direct handler call, the queued relay whose origin is one link from the
+// server must make none per message, and the deep event loop none per
+// event (exit code asserts all three): the slab-pooled event loop,
+// copy-on-write Value trees, interned operation names, the pooled message
+// path and the network's route table exist precisely so that interposing a
+// connector costs no allocation.  The
 // "pre_overhaul" block records the measurement taken on the tree
 // immediately before the overhaul (same harness, same host class) so
 // BENCH_e14_throughput.json always carries both numbers; CI separately
@@ -186,6 +190,41 @@ Measurement measure_event_loop(std::uint64_t events) {
   return m;
 }
 
+/// The raw event loop at rush_hour's queue depth: 1,700 self-rescheduling
+/// timers, each delay drawn from one fixed xorshift stream over 0-20 ms, so
+/// the queue holds about 1,700 entries spread over 20 ms of sim time.
+Measurement measure_event_loop_deep(std::uint64_t events) {
+  sim::EventLoop loop;
+  constexpr int kTimers = 1700;
+  std::uint64_t stream = 0x9E3779B97F4A7C15ULL;
+  struct Timer {
+    sim::EventLoop* loop;
+    std::uint64_t* stream;
+    void operator()() const {
+      std::uint64_t x = *stream;
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      *stream = x;
+      loop->schedule_after(static_cast<util::Duration>(x % 20001),
+                           Timer{loop, stream});
+    }
+  };
+  for (int i = 0; i < kTimers; ++i) Timer{&loop, &stream}();
+  loop.run(100 * kTimers);  // warmup: the slab and the queue reach size
+  const std::uint64_t allocs_before = alloc_count();
+  const double start = now_seconds();
+  const std::size_t ran = loop.run(events);
+  const double wall = now_seconds() - start;
+  const std::uint64_t allocs = alloc_count() - allocs_before;
+  Measurement m;
+  m.ops_per_sec = wall > 0 ? static_cast<double>(ran) / wall : 0;
+  m.events_per_sec = m.ops_per_sec;
+  m.allocs_per_op = static_cast<double>(allocs) / static_cast<double>(ran);
+  m.events = loop.executed();
+  return m;
+}
+
 /// Allocation probe at 0 interceptors with metrics off: allocations per
 /// direct handler call vs per connector-mediated call. The difference is
 /// what the relay machinery itself allocates — the overhaul drives it to 0.
@@ -325,6 +364,12 @@ int main() {
                  fmt(kPre.event_loop, 0),
                  fmt(loop_m.events_per_sec / kPre.event_loop, 2)});
 
+  const Measurement deep = measure_event_loop_deep(kLoopEvents);
+  events += deep.events;
+  table.add_row({"event_loop deep", "-", fmt(deep.events_per_sec, 0),
+                 fmt(deep.events_per_sec, 0), fmt(deep.allocs_per_op, 3), "-",
+                 "-"});
+
   const AllocProbe probe = measure_alloc_probe(100000);
   table.print();
   std::printf(
@@ -346,6 +391,10 @@ int main() {
       ", \"event_loop\": {\"events_per_sec\": " +
       fmt_json(loop_m.events_per_sec) +
       ", \"allocs_per_event\": " + fmt(loop_m.allocs_per_op, 4) + "}" +
+      ", \"event_loop_deep_events_per_sec\": " +
+      fmt_json(deep.events_per_sec) +
+      ", \"event_loop_deep_allocs_per_event\": " +
+      fmt(deep.allocs_per_op, 4) +
       ", \"alloc_probe\": {\"direct_allocs_per_op\": " +
       fmt(probe.direct_per_op, 4) +
       ", \"connector_allocs_per_op\": " + fmt(probe.connector_per_op, 4) +
@@ -365,8 +414,8 @@ int main() {
   write_metrics_json("e14_throughput", extra, events);
 
   // Exit-code assertions: the relay path adds no allocations at steady
-  // state, co-located or across a link, and the overhaul's throughput
-  // target holds.
+  // state, co-located or across a link, nor does the event loop at
+  // rush_hour's depth, and the overhaul's throughput target holds.
   bool ok = true;
   if (probe.relay_added_per_op > 0.01) {
     std::printf("FAIL: relay adds %.4f allocs/op on the sync path "
@@ -376,6 +425,11 @@ int main() {
   if (cross.allocs_per_op > 0.01) {
     std::printf("FAIL: cross-link queued relay makes %.4f allocs/msg "
                 "(want 0)\n", cross.allocs_per_op);
+    ok = false;
+  }
+  if (deep.allocs_per_op > 0.01) {
+    std::printf("FAIL: the event loop at depth 1,700 makes %.4f "
+                "allocs/event (want 0)\n", deep.allocs_per_op);
     ok = false;
   }
   if (speedup_sync0 < 2.5) {

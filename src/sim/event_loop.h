@@ -5,12 +5,15 @@
 // on the same clock, which makes every experiment reproducible.
 //
 // Storage is a slab: callbacks live in pooled slots recycled through a
-// freelist, queue entries are 24-byte PODs referencing a slot by index, and
+// freelist, queue entries are 16-byte PODs referencing a slot by index, and
 // handles carry (slot, generation, epoch) so stale references
-// self-invalidate.  At steady state scheduling an event performs zero heap
-// allocations (the slab and queue reach high-water size and stay there;
-// callbacks up to InlineFunction::kInlineSize bytes of capture are stored
-// inline).
+// self-invalidate.  The queue is a monotone radix queue of FIFO buckets
+// keyed by time (see "Event queue" in event_loop.cpp): entries are only
+// appended in schedule order and moved stably, so same-instant events run
+// in schedule order without a sequence number.  At steady state scheduling
+// an event performs zero heap allocations (the slab and the buckets reach
+// high-water size and stay there; callbacks up to
+// InlineFunction::kInlineSize bytes of capture are stored inline).
 //
 // Threading: an EventLoop is single-threaded.  Under sharded execution
 // (sim::ShardSet) a loop belongs to its shard, and a shard's window may run
@@ -23,10 +26,12 @@
 // between windows, and the whole single-shard world) accept every caller.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -80,8 +85,9 @@ class EventHandle {
   std::uint32_t epoch_ = 0;
 };
 
-/// Priority queue of timed callbacks. Events at the same instant run in
-/// schedule order (FIFO), which keeps the simulation deterministic.
+/// Queue of timed callbacks. Events run in time order, and events at the
+/// same instant in schedule order (FIFO), which keeps the simulation
+/// deterministic.
 class EventLoop {
  public:
   using Callback = util::InlineFunction;
@@ -110,13 +116,13 @@ class EventLoop {
   bool step();
 
   bool empty() const { return pending() == 0; }
-  std::size_t pending() const { return queue_.size() - cancelled_in_queue_; }
+  std::size_t pending() const { return pending_; }
   std::size_t executed() const { return executed_; }
 
   /// Timestamp of the earliest live event, or `sentinel` when the queue is
-  /// empty.  Pops cancelled tombstones off the head as a side effect.
-  /// Coordinator-side helper (ShardSet barrier): call only while no runner
-  /// is executing this loop's window.
+  /// empty.  Leaves the queue as it is, so an event may still be scheduled
+  /// at any time from now() on.  Coordinator-side helper (ShardSet
+  /// barrier): call only while no runner is executing this loop's window.
   SimTime next_event_time(SimTime sentinel);
 
   // --- shard-ownership ---------------------------------------------------------
@@ -177,23 +183,27 @@ class EventLoop {
     std::uint32_t next_free = kNoSlot;
     bool in_use = false;
   };
-  /// Queue entries are plain data; the callback stays in the slab.  Entries
-  /// carry only the 32-bit generation (the 24-byte budget): an entry's
-  /// (slot, generation) is unambiguous as long as the entry leaves the
-  /// queue within 2^32 releases of its slot — see the wraparound note in
-  /// event_loop.cpp.
+  /// Queue entries are plain data; the callback stays in the slab.  They
+  /// need no sequence number, as the FIFO buckets keep schedule order.
+  /// Entries carry only the 32-bit generation (the 16-byte budget): an
+  /// entry's (slot, generation) is unambiguous as long as the entry leaves
+  /// the queue within 2^32 releases of its slot — see the wraparound note
+  /// in event_loop.cpp.
   struct Entry {
     SimTime at;
-    std::uint64_t seq;
     std::uint32_t slot;
     std::uint32_t generation;
   };
-  static_assert(sizeof(Entry) == 24, "queue entries must stay 24-byte PODs");
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
+  static_assert(sizeof(Entry) == 16, "queue entries must stay 16-byte PODs");
+  /// Bucket 0 holds the entries at the base; bucket b >= 1 those whose
+  /// time first differs from the base in bit b-1.
+  static constexpr std::size_t kBuckets = 65;
+  static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+  /// A FIFO bucket and the earliest time queued in it, cancelled entries
+  /// included: kNever when empty, unused for bucket 0 (all at the base).
+  struct Bucket {
+    std::vector<Entry> entries;
+    SimTime earliest = kNever;
   };
 
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
@@ -217,18 +227,31 @@ class EventLoop {
   void note_foreign_cancel() {
     foreign_cancels_rejected_.fetch_add(1, std::memory_order_relaxed);
   }
-  bool pop_and_run();
+  std::size_t bucket_of(SimTime at) const {
+    return static_cast<std::size_t>(
+        std::bit_width(static_cast<std::uint64_t>(at ^ base_)));
+  }
+  void push(const Entry& entry);
+  /// The next live entry, refilling bucket 0 when it runs dry, provided it
+  /// is due by `limit`; null otherwise.
+  const Entry* next_due(SimTime limit);
+  bool pop_and_run(SimTime limit);
   void report_queue_depth() {
     obs_queue_depth_->set(static_cast<double>(pending()));
   }
 
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 0;
   std::size_t executed_ = 0;
-  std::size_t cancelled_in_queue_ = 0;
+  std::size_t pending_ = 0;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  /// The radix queue.  `base_` is at or before every queued entry and
+  /// never past now_, `head_` is the next unread entry of bucket 0, and bit
+  /// b-1 of `occupied_` is set while bucket b >= 1 holds entries.
+  SimTime base_ = 0;
+  std::size_t head_ = 0;
+  std::uint64_t occupied_ = 0;
+  std::array<Bucket, kBuckets> buckets_;
   std::shared_ptr<EventLoop*> anchor_;
   /// The loop the calling thread acts for (see ActingAs); null by default.
   static inline thread_local const EventLoop* acting_for_ = nullptr;

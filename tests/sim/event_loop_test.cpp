@@ -331,6 +331,30 @@ TEST(EventLoopTest, QueueDepthGaugeExcludesCancelledTombstones) {
   registry.set_enabled(false);
 }
 
+// `sim.events_cancelled` counts each cancel() that took effect, when it is
+// called: no count waits for the queue to reach the cancelled entry.
+TEST(EventLoopTest, CancelledCounterCountsEachSuccessfulCancel) {
+  obs::Registry& registry = obs::Registry::global();
+  const obs::Counter& cancelled = registry.counter("sim.events_cancelled");
+  registry.set_enabled(true);
+  {
+    const std::uint64_t before = cancelled.value();
+    EventLoop loop;
+    EventHandle near = loop.schedule_at(10, [] {});
+    EventHandle far = loop.schedule_at(util::seconds(10), [] {});
+    EventHandle fired = loop.schedule_at(5, [] {});
+    loop.run(1);
+    EXPECT_TRUE(near.cancel());
+    EXPECT_FALSE(near.cancel());   // already cancelled
+    EXPECT_FALSE(fired.cancel());  // already ran
+    EXPECT_TRUE(far.cancel());
+    EXPECT_EQ(cancelled.value() - before, 2u);
+    loop.run();
+    EXPECT_EQ(cancelled.value() - before, 2u);
+  }
+  registry.set_enabled(false);
+}
+
 // Generation wraparound: after 2^32 releases a slot's 32-bit generation
 // returns to an old value; the epoch widens the handle identity so a stale
 // handle from the previous era cannot cancel (or report active for) the
