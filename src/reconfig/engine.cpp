@@ -324,11 +324,17 @@ void ReconfigurationEngine::remove_component(ComponentId component,
   quiesce(component, std::move(report), std::move(done),
           [this, component](ReconfigReport report, Done done) {
             // Held messages towards a removed component are rejected
-            // explicitly.
+            // explicitly, each call through its own exit, as the relay
+            // fails a message that finds its provider gone.
             for (runtime::Channel* chan : app_.channels_to(component)) {
               while (auto held = chan->take_held()) {
                 chan->record_drop();
                 ++report.held_messages;
+                if (held->reject) {
+                  held->reject(std::move(held->message),
+                               Error{ErrorCode::kUnavailable,
+                                     "provider removed"});
+                }
               }
             }
             finish(std::move(report), app_.destroy(component), done);

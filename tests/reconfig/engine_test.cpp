@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string_view>
+#include <vector>
 
 #include "fault/injector.h"
 #include "fault/scenario.h"
@@ -141,6 +142,44 @@ TEST_F(EngineTest, RemoveComponentDrainsFirst) {
   EXPECT_EQ(app_.find_component(id), nullptr);
   // The in-flight message was delivered before removal, not dropped.
   EXPECT_EQ(app_.messages_dropped(), 0u);
+}
+
+// A request held towards the component being removed fails through the
+// call's one exit: its callback fires with the relay's "provider removed"
+// and the call counts once, as failed.
+TEST_F(EngineTest, RemoveRejectsHeldRequestsThroughTheOneExit) {
+  const auto conn = direct_to("CounterServer", "victim", node_a_);
+  const auto id = app_.component_id("victim");
+  std::vector<util::Result<Value>> replies;
+  const auto on_reply = [&](util::Result<Value> reply, util::Duration) {
+    replies.push_back(std::move(reply));
+  };
+  const auto add = Value::object({{"amount", std::int64_t{1}}});
+  // In flight when the removal starts, so the drain waits for it.
+  app_.invoke_async(conn, "add", add, node_b_, on_reply);
+  bool done = false;
+  ReconfigReport report;
+  engine_.remove_component(id, [&](const ReconfigReport& r) {
+    done = true;
+    report = r;
+  });
+  // Sent once the removal blocked the channel: held.
+  app_.invoke_async(conn, "add", add, node_b_, on_reply);
+  loop_.run();
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(report.ok()) << report.error_message();
+  EXPECT_EQ(report.held_messages, 1u);
+  ASSERT_EQ(replies.size(), 2u);
+  std::size_t failed = 0;
+  for (const util::Result<Value>& reply : replies) {
+    if (reply.ok()) continue;
+    ++failed;
+    EXPECT_EQ(reply.error().code(), ErrorCode::kUnavailable);
+    EXPECT_EQ(reply.error().message(), "provider removed");
+  }
+  EXPECT_EQ(failed, 1u);
+  EXPECT_EQ(app_.total_calls(), 2u);
+  EXPECT_EQ(app_.failed_calls(), 1u);
 }
 
 TEST_F(EngineTest, RebindPointsPortAtNewConnector) {
