@@ -15,11 +15,11 @@
 // event (exit code asserts all three): the slab-pooled event loop,
 // copy-on-write Value trees, interned operation names, the pooled message
 // path and the network's route table exist precisely so that interposing a
-// connector costs no allocation.  The
-// "pre_overhaul" block records the measurement taken on the tree
-// immediately before the overhaul (same harness, same host class) so
-// BENCH_e14_throughput.json always carries both numbers; CI separately
-// defends the committed bench/baselines/e14.json against >20% regressions.
+// connector costs no allocation.  The "pre_overhaul" block records the
+// measurement taken on the tree immediately before the overhaul (same
+// harness, same host class) so BENCH_e14_throughput.json always carries
+// both numbers; CI separately defends the committed
+// bench/baselines/e14.json against >20% regressions.
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -156,6 +156,21 @@ Measurement measure_queued(std::size_t interceptors, std::uint64_t msgs,
   return m;
 }
 
+/// Times `loop.run(events)` on a loop its caller has warmed up.
+Measurement time_run(sim::EventLoop& loop, std::uint64_t events) {
+  const std::uint64_t allocs_before = alloc_count();
+  const double start = now_seconds();
+  const std::size_t ran = loop.run(events);
+  const double wall = now_seconds() - start;
+  const std::uint64_t allocs = alloc_count() - allocs_before;
+  Measurement m;
+  m.ops_per_sec = wall > 0 ? static_cast<double>(ran) / wall : 0;
+  m.events_per_sec = m.ops_per_sec;
+  m.allocs_per_op = static_cast<double>(allocs) / static_cast<double>(ran);
+  m.events = loop.executed();
+  return m;
+}
+
 /// Raw event-loop throughput: a ladder of self-rescheduling timers.
 Measurement measure_event_loop(std::uint64_t events) {
   sim::EventLoop loop;
@@ -176,18 +191,7 @@ Measurement measure_event_loop(std::uint64_t events) {
     loop.schedule_after(1, Tick{&loop, &fired});
   }
   loop.run(10000);  // warmup
-  const std::uint64_t allocs_before = alloc_count();
-  const double start = now_seconds();
-  const std::size_t ran = loop.run(events);
-  const double wall = now_seconds() - start;
-  const std::uint64_t allocs = alloc_count() - allocs_before;
-  (void)fired;
-  Measurement m;
-  m.ops_per_sec = wall > 0 ? static_cast<double>(ran) / wall : 0;
-  m.events_per_sec = m.ops_per_sec;
-  m.allocs_per_op = static_cast<double>(allocs) / static_cast<double>(ran);
-  m.events = loop.executed();
-  return m;
+  return time_run(loop, events);
 }
 
 /// The raw event loop at rush_hour's queue depth: 1,700 self-rescheduling
@@ -212,17 +216,7 @@ Measurement measure_event_loop_deep(std::uint64_t events) {
   };
   for (int i = 0; i < kTimers; ++i) Timer{&loop, &stream}();
   loop.run(100 * kTimers);  // warmup: the slab and the queue reach size
-  const std::uint64_t allocs_before = alloc_count();
-  const double start = now_seconds();
-  const std::size_t ran = loop.run(events);
-  const double wall = now_seconds() - start;
-  const std::uint64_t allocs = alloc_count() - allocs_before;
-  Measurement m;
-  m.ops_per_sec = wall > 0 ? static_cast<double>(ran) / wall : 0;
-  m.events_per_sec = m.ops_per_sec;
-  m.allocs_per_op = static_cast<double>(allocs) / static_cast<double>(ran);
-  m.events = loop.executed();
-  return m;
+  return time_run(loop, events);
 }
 
 /// Allocation probe at 0 interceptors with metrics off: allocations per

@@ -185,8 +185,9 @@ void ShardSet::drain_mailboxes() {
       Mailbox& mb = mailbox(from, to);
       EventLoop* receiver = loops_[to];
       // Ring first (older than any overflow), then overflow, preserving the
-      // sender's FIFO order — receiver sequence numbers are assigned here,
-      // so this order is part of the determinism contract.
+      // sender's FIFO order — the receiver's schedule order, which orders
+      // same-instant events, is set here, so this order is part of the
+      // determinism contract.
       while (auto ev = mb.ring.pop()) {
         receiver->schedule_at(std::max(ev->at, receiver->now()),
                               std::move(ev->fn));

@@ -40,9 +40,10 @@
 //
 // Determinism: windows derive only from simulated event times, mailboxes
 // drain in fixed order (sender shard 0..N-1, FIFO within a pair, ring
-// before overflow), and drained events receive receiver sequence numbers
-// in that order — so a run is reproducible for a fixed (seed, shard
-// count), independent of thread scheduling and of the runner count.  N=1
+// before overflow), and the receiver schedules drained events in that
+// order, which orders its same-instant events — so a run is reproducible
+// for a fixed (seed, shard count), independent of thread scheduling and of
+// the runner count.  N=1
 // bypasses threads, windows and mailboxes entirely and is byte-identical
 // to unsharded execution (the golden determinism digest is the regression
 // test).

@@ -247,7 +247,7 @@ TEST(EventLoopTest, HandleReuseAfterGenerationBumpViaCancel) {
 }
 
 // Same-instant FIFO must hold even when the submissions land in recycled
-// slots (freelist order is arbitrary; the queue's sequence number decides).
+// slots (freelist order is arbitrary; the order of the FIFO buckets decides).
 TEST(EventLoopTest, SameInstantFifoSurvivesSlotChurn) {
   EventLoop loop;
   // Churn: fire and cancel a burst so later schedules reuse mixed slots.
