@@ -16,7 +16,8 @@
 // calls it once per shard with the shard router, which makes it skip the
 // declarations homed on other shards.  A sharded world is therefore built
 // by exactly the code that builds a plain one, and a new declaration is
-// added in one place.
+// added in one place.  An ADL source declares nothing of its own: build()
+// lowers its topology into these same declarations (Runtime::lower_adl).
 //
 //   class Runtime::Builder : public api::WorldBuilder<Builder> { ... };
 #pragma once
@@ -29,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "component/interface.h"
 #include "component/registry.h"
 #include "connector/connector.h"
 #include "fault/policies.h"
@@ -58,12 +60,17 @@ struct World {
     std::string a;
     std::string b;
     sim::LinkSpec spec;
+    /// False for an ADL `link a -> b`: only a reaches b.
+    bool duplex = true;
   };
   struct DeployDecl {
     std::string type;
     std::string instance;
     std::string host;
     util::Value attributes;
+    /// The interface an ADL instance's type declares it provides; the
+    /// implementation must honour it (kIncompatible otherwise).
+    std::optional<component::InterfaceDescription> honours = std::nullopt;
   };
   struct ConnectDecl {
     connector::ConnectorSpec spec;
@@ -91,7 +98,10 @@ struct World {
   // --- options -----------------------------------------------------------------
   runtime::Application::Config config;
   bool metrics = false;
-  /// Inline ADL sources, compiled once per build() and deployed in order.
+  /// Inline ADL sources, compiled once per build() and lowered in order:
+  /// nodes and links after the declared hosts and links, instances,
+  /// connectors and bindings before the declared deploys, connects and
+  /// binds.
   std::vector<std::string> adl_sources;
   std::optional<analysis::VerifyMode> verify_mode;
   std::size_t verify_max_states = 100000;

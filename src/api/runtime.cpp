@@ -1,8 +1,10 @@
 #include "api/runtime.h"
 
+#include <algorithm>
+
+#include "adapt/aspect_library.h"
 #include "analysis/adl_screen.h"
 #include "reconfig/rules.h"
-#include "runtime/deployer.h"
 #include "runtime/shard_router.h"
 
 namespace aars {
@@ -93,34 +95,140 @@ Runtime::Builder& Runtime::Builder::with_fault_text(
 }
 
 Result<std::unique_ptr<Runtime>> Runtime::Builder::build() {
-  auto compiled = compile_adl(world_);
-  if (!compiled.ok()) return compiled.error();
-  return materialise(world_, 0, world_.config.seed, nullptr,
-                     compiled.value());
+  auto lowered = lower_adl(world_);
+  if (!lowered.ok()) return lowered.error();
+  return materialise(lowered.value().world(world_), 0, world_.config.seed,
+                     nullptr, lowered.value().rules);
 }
 
 // --- the one build path ------------------------------------------------------
 
-Result<std::vector<adl::CompilationResult>> Runtime::compile_adl(
-    const api::World& world) {
+namespace {
+
+template <typename T>
+void append(std::vector<T>& to, const std::vector<T>& from) {
+  to.insert(to.end(), from.begin(), from.end());
+}
+
+connector::RoutingPolicy routing_named(const std::string& name) {
+  for (const connector::RoutingPolicy policy :
+       {connector::RoutingPolicy::kRoundRobin,
+        connector::RoutingPolicy::kBroadcast,
+        connector::RoutingPolicy::kLeastBacklog}) {
+    if (name == connector::to_string(policy)) return policy;
+  }
+  return connector::RoutingPolicy::kDirect;
+}
+
+/// Appends one compiled ADL topology to `world`'s declarations, in the
+/// order the ADL states them; a connector's providers are the instances
+/// its bindings name, each once, in binding order.
+void lower_topology(const adl::CompiledConfiguration& config,
+                    api::World& world) {
+  const adl::Configuration& ast = config.ast;
+  for (const adl::AstNode& node : ast.nodes) {
+    world.hosts.push_back({node.name, node.capacity, api::kAdlShard});
+  }
+  for (const adl::AstLink& link : ast.links) {
+    const sim::LinkSpec spec{link.latency_us, link.bandwidth_bytes_per_sec,
+                             link.jitter_us, link.loss};
+    world.links.push_back({link.from, link.to, spec, link.duplex});
+  }
+  for (const adl::AstInstance& inst : ast.instances) {
+    const auto type = std::find_if(
+        ast.components.begin(), ast.components.end(),
+        [&](const adl::AstComponent& c) { return c.name == inst.type; });
+    util::require(type != ast.components.end(),
+                  "sema resolves every instance's type");
+    // The type's attribute defaults, then the instance's overrides.
+    util::Value attributes = util::Value{util::ValueMap{}};
+    for (const adl::AstAttribute& attr : type->attributes) {
+      if (!attr.default_value.is_null()) {
+        attributes[attr.name] = attr.default_value;
+      }
+    }
+    for (const auto& [name, value] : inst.attribute_overrides) {
+      attributes[name] = value;
+    }
+    api::World::DeployDecl& deploy = world.deploys.emplace_back(
+        api::World::DeployDecl{inst.type, inst.name, inst.node,
+                               std::move(attributes)});
+    if (!type->provides.empty()) {
+      deploy.honours = config.interfaces.at(type->provides);
+    }
+  }
+  const std::size_t first_named = world.connects.size();
+  for (const adl::AstConnector& conn : ast.connectors) {
+    connector::ConnectorSpec spec;
+    spec.name = conn.name;
+    spec.routing = routing_named(conn.routing);
+    spec.delivery = conn.delivery == "queued"
+                        ? connector::DeliveryMode::kQueued
+                        : connector::DeliveryMode::kSync;
+    spec.queue_capacity = static_cast<std::size_t>(conn.capacity);
+    world.connects.push_back({std::move(spec), {}, conn.aspects});
+  }
+  std::uint64_t implicit = 0;
+  for (const adl::AstBinding& bind : ast.bindings) {
+    std::size_t via = world.connects.size();
+    if (bind.via_connector.empty()) {
+      // A bare binding gets its own direct, synchronous connector.
+      connector::ConnectorSpec spec;
+      spec.name = "implicit_" + bind.from_instance + "_" + bind.from_port +
+                  "_" + std::to_string(implicit++);
+      world.connects.push_back({std::move(spec), {}, {}});
+    } else {
+      via = first_named + config.connector_index.at(bind.via_connector);
+    }
+    api::World::ConnectDecl& conn = world.connects[via];
+    for (const std::string& provider : bind.to_instances) {
+      if (std::find(conn.providers.begin(), conn.providers.end(),
+                    provider) == conn.providers.end()) {
+        conn.providers.push_back(provider);
+      }
+    }
+    world.binds.push_back({bind.from_instance, bind.from_port, conn.spec.name});
+  }
+}
+
+}  // namespace
+
+Result<Runtime::Lowered> Runtime::lower_adl(const api::World& declared) {
+  Lowered lowered;
+  if (declared.adl_sources.empty()) return lowered;
   // ADL sources run the full five-stage compiler (parse -> sema -> emit ->
   // analysis screen), so an unverifiable rule or infeasible goal fails the
   // build here, not mid-simulation.
   analysis::VerifierOptions screen_options;
-  screen_options.max_states = world.verify_max_states;
-  std::vector<adl::CompilationResult> compiled;
-  compiled.reserve(world.adl_sources.size());
-  for (const std::string& source : world.adl_sources) {
-    compiled.push_back(analysis::compile_adl(source, screen_options));
-    if (!compiled.back().ok()) return compiled.back().diagnostics.to_error();
+  screen_options.max_states = declared.verify_max_states;
+  // The ADL's nodes and links follow the declared hosts and links; its
+  // instances, connectors and bindings precede the declared deploys,
+  // connects and binds.
+  api::World& world = lowered.copy.emplace(declared);
+  world.deploys.clear();
+  world.connects.clear();
+  world.binds.clear();
+  adl::RuleProgram& rules = lowered.rules;
+  for (const std::string& source : declared.adl_sources) {
+    const adl::CompilationResult result =
+        analysis::compile_adl(source, screen_options);
+    if (!result.ok()) return result.diagnostics.to_error();
+    lower_topology(result.config, world);
+    append(rules.rules, result.program.rules);
+    append(rules.goals, result.program.goals);
+    append(rules.scenarios, result.program.scenarios);
+    append(rules.properties, result.program.properties);
   }
-  return compiled;
+  append(world.deploys, declared.deploys);
+  append(world.connects, declared.connects);
+  append(world.binds, declared.binds);
+  return lowered;
 }
 
 Result<std::unique_ptr<Runtime>> Runtime::materialise(
     const api::World& world, std::size_t shard, std::uint64_t seed,
     const runtime::ShardRouter* router,
-    const std::vector<adl::CompilationResult>& compiled) {
+    const adl::RuleProgram& rule_program) {
   const bool adl_shard = shard == api::kAdlShard;
   if (adl_shard && world.metrics) obs::Registry::global().set_enabled(true);
   if (adl_shard && world.trace_capacity) {
@@ -147,7 +255,11 @@ Result<std::unique_ptr<Runtime>> Runtime::materialise(
                                              (a.valid() ? decl.b : decl.a) +
                                              "'"};
     }
-    rt->network_.add_duplex_link(a, b, decl.spec);
+    if (decl.duplex) {
+      rt->network_.add_duplex_link(a, b, decl.spec);
+    } else {
+      rt->network_.add_link(a, b, decl.spec);
+    }
   }
   if (world.mesh.has_value()) {
     const std::vector<util::NodeId> nodes = rt->network_.node_ids();
@@ -164,28 +276,9 @@ Result<std::unique_ptr<Runtime>> Runtime::materialise(
   config.seed = seed;
   rt->app_ = std::make_unique<runtime::Application>(rt->loop_, rt->network_,
                                                     rt->types_, config);
+  // The aspect names an ADL `aspects [...]` list or connect() may use.
+  adapt::register_standard_aspects(rt->app_->connector_factory());
   fault::register_fault_aspects(rt->app_->connector_factory());
-
-  // Rule programs from every source merge into one set, installed into RAML
-  // after the world is complete.
-  adl::RuleProgram rule_program;
-  if (adl_shard) {
-    for (const adl::CompilationResult& result : compiled) {
-      auto deployment = runtime::deploy(result.config, *rt->app_);
-      if (!deployment.ok()) return deployment.error();
-      const adl::RuleProgram& program = result.program;
-      rule_program.rules.insert(rule_program.rules.end(),
-                                program.rules.begin(), program.rules.end());
-      rule_program.goals.insert(rule_program.goals.end(),
-                                program.goals.begin(), program.goals.end());
-      rule_program.scenarios.insert(rule_program.scenarios.end(),
-                                    program.scenarios.begin(),
-                                    program.scenarios.end());
-      rule_program.properties.insert(rule_program.properties.end(),
-                                     program.properties.begin(),
-                                     program.properties.end());
-    }
-  }
 
   for (const api::World::DeployDecl& decl : world.deploys) {
     if (router != nullptr && router->host_shard(decl.host) != shard) continue;
@@ -198,6 +291,14 @@ Result<std::unique_ptr<Runtime>> Runtime::materialise(
     auto created = rt->app_->instantiate(decl.type, decl.instance, node,
                                          decl.attributes);
     if (!created.ok()) return created.error();
+    if (!decl.honours.has_value()) continue;
+    const component::Component* comp =
+        rt->app_->find_component(created.value());
+    if (Status s = comp->provided().satisfies(*decl.honours); !s.ok()) {
+      return Error{ErrorCode::kIncompatible,
+                   decl.instance + ": implementation does not honour " +
+                       decl.honours->name() + ": " + s.error().message()};
+    }
   }
 
   for (const api::World::ConnectDecl& decl : world.connects) {
@@ -226,6 +327,9 @@ Result<std::unique_ptr<Runtime>> Runtime::materialise(
   }
 
   for (const api::World::BindDecl& decl : world.binds) {
+    if (router != nullptr && router->component_shard(decl.caller) != shard) {
+      continue;
+    }
     const util::ComponentId caller = rt->app_->component_id(decl.caller);
     const util::ConnectorId conn = rt->app_->connector_id(decl.connector);
     if (!caller.valid()) {
@@ -307,15 +411,13 @@ Result<std::unique_ptr<Runtime>> Runtime::materialise(
   // ADL-declared rules need the MAPE clock to poll their conditions; an ADL
   // world that declares rules gets RAML even without an explicit
   // with_raml() (default period: 10ms).
-  const bool needs_raml =
-      adl_shard &&
-      (world.raml_period.has_value() || !rule_program.rules.empty());
-  if (needs_raml) {
+  const bool has_rules = adl_shard && !rule_program.rules.empty();
+  if (has_rules || (adl_shard && world.raml_period.has_value())) {
     rt->raml_ = std::make_unique<meta::Raml>(
         *rt->app_, world.raml_period.value_or(util::milliseconds(10)));
   }
 
-  if (!rule_program.rules.empty()) {
+  if (has_rules) {
     // Rules name only ADL-declared instances (sema rejects any other name
     // with `unknown-instance`), so the program binds to its own deployment.
     // watch_faults so "fault.*" triggers reach the event rules.

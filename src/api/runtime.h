@@ -27,6 +27,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -99,19 +100,30 @@ class Runtime {
   friend class ShardedRuntime;
   Runtime();
 
-  /// Compiles each ADL source of `world` once, through the full pipeline
-  /// (analysis screen included).
-  static util::Result<std::vector<adl::CompilationResult>> compile_adl(
-      const api::World& world);
-  /// The one build path: creates shard `shard`'s stack from `world`,
-  /// seeded with `seed`.  Under a router, declarations homed on another
-  /// shard are skipped and every connector is stamped with `shard`; the
-  /// ADL world, RAML and the rules live on shard 0.  `compiled` is
-  /// compile_adl(world).
+  /// A declared world with its ADL sources lowered: `copy` holds the
+  /// lowered declarations (unset when there is no ADL source, so such a
+  /// world is not copied) and `rules` every source's rule program.
+  struct Lowered {
+    std::optional<api::World> copy;
+    adl::RuleProgram rules;
+    const api::World& world(const api::World& declared) const {
+      return copy.has_value() ? *copy : declared;
+    }
+  };
+  /// Compiles each ADL source of `declared` once, through the full pipeline
+  /// (analysis screen included), and lowers its topology into the builder's
+  /// declarations: nodes become hosts on kAdlShard, links links, instances
+  /// deploys, named and implicit connectors connects with the providers
+  /// their bindings name, and bindings binds.
+  static util::Result<Lowered> lower_adl(const api::World& declared);
+  /// The one build path: creates shard `shard`'s stack from `world` (a
+  /// lowered world), seeded with `seed`.  Under a router, declarations
+  /// homed on another shard are skipped and every connector is stamped
+  /// with `shard`; RAML and the ADL rules (`rule_program`) live on shard 0.
   static util::Result<std::unique_ptr<Runtime>> materialise(
       const api::World& world, std::size_t shard, std::uint64_t seed,
       const runtime::ShardRouter* router,
-      const std::vector<adl::CompilationResult>& compiled);
+      const adl::RuleProgram& rule_program);
 
   sim::EventLoop loop_;
   sim::Network network_;

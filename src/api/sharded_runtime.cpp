@@ -187,11 +187,22 @@ Result<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Builder::build() {
                  "cross-shard link latency must be positive (it is the "
                  "conservative window lookahead)"};
   }
+  // A connector lives on its providers' shard, so connect() needs them.
+  for (const api::World::ConnectDecl& c : world_.connects) {
+    if (c.providers.empty()) {
+      return Error{ErrorCode::kInvalidArgument,
+                   "connector '" + c.spec.name + "' needs providers"};
+    }
+  }
+  auto lowered = Runtime::lower_adl(world_);
+  if (!lowered.ok()) return lowered.error();
+  const api::World& world = lowered.value().world(world_);
   auto router = std::make_unique<runtime::ShardRouter>(shards_);
 
   // Resolve every name to its home shard up front (and catch conflicts):
-  // hosts, then the ADL world's names, then deployments, then connectors.
-  for (const api::World::HostDecl& h : world_.hosts) {
+  // hosts, then deployments, then connectors.  The ADL's nodes are hosts
+  // on kAdlShard, so its whole world lives there.
+  for (const api::World::HostDecl& h : world.hosts) {
     if (h.shard >= shards_) {
       return Error{ErrorCode::kInvalidArgument,
                    "host '" + h.name + "' assigned to unknown shard"};
@@ -203,35 +214,7 @@ Result<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Builder::build() {
     router->assign_host(h.name, h.shard);
   }
 
-  // The router learns the ADL world's names so cross-shard calls may
-  // target them.
-  auto compiled = Runtime::compile_adl(world_);
-  if (!compiled.ok()) return compiled.error();
-  for (const adl::CompilationResult& result : compiled.value()) {
-    for (const adl::AstNode& node : result.config.ast.nodes) {
-      if (router->host_shard(node.name).has_value()) {
-        return Error{ErrorCode::kAlreadyExists,
-                     "host declared twice: " + node.name};
-      }
-      router->assign_host(node.name, api::kAdlShard);
-    }
-    for (const adl::AstInstance& inst : result.config.ast.instances) {
-      if (router->component_shard(inst.name).has_value()) {
-        return Error{ErrorCode::kAlreadyExists,
-                     "instance declared twice: " + inst.name};
-      }
-      router->assign_component(inst.name, api::kAdlShard);
-    }
-    for (const adl::AstConnector& conn : result.config.ast.connectors) {
-      if (router->connector_shard(conn.name).has_value()) {
-        return Error{ErrorCode::kAlreadyExists,
-                     "connector declared twice: " + conn.name};
-      }
-      router->assign_connector(conn.name, api::kAdlShard);
-    }
-  }
-
-  for (const api::World::DeployDecl& d : world_.deploys) {
+  for (const api::World::DeployDecl& d : world.deploys) {
     const auto shard = router->host_shard(d.host);
     if (!shard.has_value()) {
       return Error{ErrorCode::kNotFound,
@@ -243,11 +226,9 @@ Result<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Builder::build() {
     }
     router->assign_component(d.instance, *shard);
   }
-  for (const api::World::ConnectDecl& c : world_.connects) {
-    if (c.providers.empty()) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "connector '" + c.spec.name + "' needs providers"};
-    }
+  for (const api::World::ConnectDecl& c : world.connects) {
+    // An ADL connector no binding names has no providers: it stays with
+    // the rest of the ADL world.
     std::optional<std::size_t> home;
     for (const std::string& provider : c.providers) {
       const auto shard = router->component_shard(provider);
@@ -268,9 +249,9 @@ Result<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Builder::build() {
       return Error{ErrorCode::kAlreadyExists,
                    "connector declared twice: " + c.spec.name};
     }
-    router->assign_connector(c.spec.name, *home);
+    router->assign_connector(c.spec.name, home.value_or(api::kAdlShard));
   }
-  for (const api::World::LinkDecl& l : world_.links) {
+  for (const api::World::LinkDecl& l : world.links) {
     const auto sa = router->host_shard(l.a);
     const auto sb = router->host_shard(l.b);
     if (!sa.has_value() || !sb.has_value()) {
@@ -290,8 +271,8 @@ Result<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Builder::build() {
   auto sharded = std::unique_ptr<ShardedRuntime>(new ShardedRuntime());
   sharded->link_latency_ = fabric_.latency;
   for (std::size_t s = 0; s < shards_; ++s) {
-    auto built = Runtime::materialise(world_, s, world_.config.seed + s,
-                                      router.get(), compiled.value());
+    auto built = Runtime::materialise(world, s, world_.config.seed + s,
+                                      router.get(), lowered.value().rules);
     if (!built.ok()) return built.error();
     sharded->runtimes_.push_back(std::move(built).value());
   }

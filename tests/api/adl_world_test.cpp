@@ -6,8 +6,10 @@
 // connectors, compile errors) hold on both.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "api/runtime.h"
 #include "api/sharded_runtime.h"
@@ -240,7 +242,88 @@ TEST(AdlWorldTest, BuildingTwiceGivesTheSameWorld) {
             describe(sharded_first.value()->shard(1)));
 }
 
-// --- ADL deployment through the builder ----------------------------------------
+// An ADL node is a host like any other: naming one twice is an error
+// result, never a throw.
+TEST(AdlWorldTest, DuplicateAdlNodeIsAlreadyExistsOnEveryBuilder) {
+  const char* node = "node core { capacity 1; }";
+  auto plain = Runtime::builder().host("core", 100).adl(node).build();
+  ASSERT_FALSE(plain.ok());
+  EXPECT_EQ(plain.error().code(), ErrorCode::kAlreadyExists);
+  EXPECT_NE(plain.error().message().find("core"), std::string::npos);
+  auto twice = Runtime::builder().adl(node).adl(node).build();
+  ASSERT_FALSE(twice.ok());
+  EXPECT_EQ(twice.error().code(), ErrorCode::kAlreadyExists);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    auto split = sharded(shards).host("core", 100, 0).adl(node).build();
+    ASSERT_FALSE(split.ok()) << shards << " shard(s)";
+    EXPECT_EQ(split.error().code(), ErrorCode::kAlreadyExists);
+    EXPECT_EQ(split.error().message(), "host declared twice: core");
+  }
+}
+
+// The aspect names the ADL documents (adapt/aspect_library.h) resolve on
+// every builder's connectors.
+constexpr const char* kAspectWorld = R"(interface Echo {
+  service echo(text: string) -> string;
+  service ping() -> int;
+}
+interface Trigger {
+  service go(text: string) -> string;
+}
+component EchoServer provides Echo;
+component EchoClient provides Trigger {
+  requires out: Echo;
+}
+node edge { capacity 10000; }
+node core { capacity 10000; }
+link edge <-> core { latency 1ms; bandwidth 100mbps; }
+instance server: EchoServer on core;
+instance client: EchoClient on edge;
+connector main { routing direct; delivery sync; aspects [metrics, checksum]; }
+bind client.out -> server via main;
+)";
+
+TEST(AdlWorldTest, StandardAspectsServeOnEveryBuilder) {
+  const std::vector<std::string> aspects{"metrics", "checksum"};
+  auto plain = Runtime::builder()
+                   .component_class<EchoServer>("EchoServer")
+                   .component_class<EchoClient>("EchoClient")
+                   .adl(kAspectWorld)
+                   .build();
+  ASSERT_TRUE(plain.ok()) << plain.error().message();
+  Runtime& rt = *plain.value();
+  connector::Connector& main = *rt.app().find_connector(rt.connector("main"));
+  EXPECT_EQ(main.interceptor_names(), aspects);
+  auto out = rt.app().invoke_sync(rt.connector("main"), "echo",
+                                  Value::object({{"text", "plain"}}),
+                                  rt.host("edge"));
+  ASSERT_TRUE(out.result.ok()) << out.result.error().message();
+  EXPECT_EQ(out.result.value().as_string(), "plain");
+  EXPECT_EQ(main.relayed(), 1u);
+
+  auto split = sharded(2)
+                   .component_class<EchoServer>("EchoServer")
+                   .component_class<EchoClient>("EchoClient")
+                   .host("far", 2000, 1)
+                   .adl(kAspectWorld)
+                   .build();
+  ASSERT_TRUE(split.ok()) << split.error().message();
+  ShardedRuntime& srt = *split.value();
+  Runtime& shard0 = srt.shard(0);
+  const connector::Connector& homed =
+      *shard0.app().find_connector(shard0.connector("main"));
+  EXPECT_EQ(homed.interceptor_names(), aspects);
+  std::optional<std::string> text;
+  srt.call(1, "main", "echo", Value::object({{"text", "sharded"}}),
+           [&](util::Result<Value> result, util::Duration) {
+             ASSERT_TRUE(result.ok()) << result.error().message();
+             text = result.value().as_string();
+           });
+  srt.run();
+  EXPECT_EQ(text, std::optional<std::string>("sharded"));
+}
+
+// --- ADL deployment through the builder --------------------------------------
 
 constexpr const char* kEchoConfig = R"(
   interface Echo {

@@ -4,10 +4,10 @@
 
 #include "adapt/aspect_library.h"
 #include "adl/compiler.h"
+#include "api/runtime.h"
 #include "meta/raml.h"
 #include "reconfig/engine.h"
 #include "reconfig/rules.h"
-#include "runtime/deployer.h"
 #include "telecom/media.h"
 #include "testing/test_components.h"
 
@@ -26,8 +26,9 @@ class EndToEndTest : public AppFixture {
 };
 
 TEST_F(EndToEndTest, DeployedMediaPipelineServesUnderLoad) {
-  // The fixture network already has node_a..c; the deployment adds its own
-  // nodes and connectors. External clients attach the provider explicitly.
+  // The builder deploys the ADL world; its `metrics` aspect is one of the
+  // standard aspects every Runtime registers. External clients attach the
+  // provider explicitly.
   const char* config = R"(
     interface MediaService {
       service frame(session: int, optional quality: int) -> map;
@@ -39,27 +40,27 @@ TEST_F(EndToEndTest, DeployedMediaPipelineServesUnderLoad) {
     instance media: MediaServer on backbone;
     connector svc { routing direct; delivery sync; aspects [metrics]; }
   )";
-  const adl::CompilationResult compiled = adl::compile(config);
-  ASSERT_TRUE(compiled.ok()) << adl::render_text(compiled.diagnostics,
-                                                 "<input>", config);
-  auto deployment = runtime::deploy(compiled.config, app_);
-  ASSERT_TRUE(deployment.ok()) << deployment.error().message();
-  const auto svc = deployment.value().connectors.at("svc");
-  ASSERT_TRUE(
-      app_.add_provider(svc, deployment.value().instances.at("media")).ok());
+  auto built = Runtime::builder()
+                   .install_types(telecom::register_media_components)
+                   .adl(config)
+                   .build();
+  ASSERT_TRUE(built.ok()) << built.error().message();
+  Runtime& rt = *built.value();
+  const auto svc = rt.connector("svc");
+  ASSERT_TRUE(rt.app().add_provider(svc, rt.component("media")).ok());
 
   int ok = 0;
   for (int i = 0; i < 100; ++i) {
-    app_.invoke_async(svc, "frame",
-                      Value::object({{"session", 1}, {"quality", 2}}),
-                      deployment.value().nodes.at("access"),
-                      [&](util::Result<Value> r, util::Duration) {
-                        if (r.ok()) ++ok;
-                      });
+    rt.app().invoke_async(svc, "frame",
+                          Value::object({{"session", 1}, {"quality", 2}}),
+                          rt.host("access"),
+                          [&](util::Result<Value> r, util::Duration) {
+                            if (r.ok()) ++ok;
+                          });
   }
-  loop_.run();
+  rt.run();
   EXPECT_EQ(ok, 100);
-  EXPECT_EQ(app_.failed_calls(), 0u);
+  EXPECT_EQ(rt.app().failed_calls(), 0u);
 }
 
 TEST_F(EndToEndTest, HotSwapUnderDeployedTraffic) {
