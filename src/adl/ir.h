@@ -1,10 +1,10 @@
 // Typed intermediate representation — stage 3 of the compiler.
 //
 // Sema resolves the AST's names against each other and produces two
-// artifacts: the CompiledConfiguration (topology IR the deployer consumes,
-// unchanged shape since PR 2) and — via the emit stage — a RuleProgram in
-// which every name that a firing rule would otherwise look up is
-// pre-resolved to an interned util::Symbol or a dense index.  The runtime
+// artifacts: the CompiledConfiguration (topology IR that the runtime
+// builders lower into their declarations) and — via the emit stage — a
+// RuleProgram in which every name that a firing rule would otherwise look
+// up is pre-resolved to an interned util::Symbol or a dense index.  The runtime
 // layer (`reconfig::RuleSet`) binds Symbols to live ids once at install
 // time, so evaluating or firing a rule is table lookups only: no string
 // parsing, no hashing, no allocation.

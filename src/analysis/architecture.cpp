@@ -161,7 +161,8 @@ ArchitectureModel model_from(const adl::CompiledConfiguration& config) {
     m.providers = bind.to_instances;
     m.line = bind.loc.line;
     if (bind.via_connector.empty()) {
-      // Mirror the deployer: an implicit sync direct connector per binding.
+      // Mirror Runtime::lower_adl: an implicit sync direct connector per
+      // binding.
       ModelConnector implicit;
       implicit.name = "implicit_" + bind.from_instance + "_" +
                       bind.from_port + "_" + std::to_string(implicit_counter++);

@@ -127,8 +127,8 @@ class RouteSearch {
 };
 
 /// Builds the model from a validated configuration. Implicit direct
-/// connectors are synthesised for `bind a.p -> b;` forms, mirroring the
-/// deployer's "implicit_<instance>_<port>_<n>" naming.
+/// connectors are synthesised for `bind a.p -> b;` forms, mirroring
+/// Runtime::lower_adl's "implicit_<instance>_<port>_<n>" naming.
 ArchitectureModel model_from(const adl::CompiledConfiguration& config);
 
 /// Snapshots the live application + its network into a model. Lines are 0

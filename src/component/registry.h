@@ -1,7 +1,7 @@
 // Component type registry.
 //
-// The ADL deployer and the reconfiguration engine create components by type
-// name; new implementations can be registered at run-time, which is what
+// The runtime builders and the reconfiguration engine create components by
+// type name; new implementations can be registered at run-time, which is what
 // makes on-line implementation modification (§1) possible.
 #pragma once
 

@@ -135,7 +135,7 @@ class Status {
 
 namespace aars {
 // Public spellings of the error model: mutation APIs across the repo
-// (reconfig engine, deployer, runtime facade) report `aars::Status` — a
+// (reconfig engine, runtime builders) report `aars::Status` — a
 // code + message pair — instead of bool/sentinel returns.
 using util::Error;
 using util::ErrorCode;

@@ -82,7 +82,7 @@ void expect_same_topology(const CompiledConfiguration& staged,
         << label;
   }
 
-  // Resolved artifacts the deployer consumes.
+  // Resolved artifacts the runtime builders lower.
   EXPECT_EQ(staged.instance_index, unified.instance_index) << label;
   EXPECT_EQ(staged.connector_index, unified.connector_index) << label;
   ASSERT_EQ(staged.interfaces.size(), unified.interfaces.size()) << label;
