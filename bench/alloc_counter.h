@@ -1,5 +1,5 @@
 // Counting global allocator for the benches that gate on allocations
-// (e14, e16, e17, e19).  Linking bench/alloc_counter.cpp into a bench
+// (e14, e16, e17, e18, e19).  Linking bench/alloc_counter.cpp into a bench
 // replaces every global operator new and delete with malloc/free wrappers,
 // so the pairs stay matched under ASan.  The count is per thread: a bench
 // reads deltas of alloc_count() around a region that one thread runs, and

@@ -15,16 +15,20 @@
 //   3. honesty — capping the exploration must yield an explicit
 //      "exploration-truncated" finding, never a silently partial verdict,
 //   4. corpus — the shipped configs explore clean (zero false positives)
-//      and every seeded path defect (d18..d20) is caught with its code.
+//      and every seeded path defect (d18..d20) is caught with its code,
+//   5. allocations — exploring the 9-spare ladder makes at most
+//      kMaxAllocsPerFiring heap allocations per committed firing.
 //
-// Exit code 0 only if all four hold.
+// Exit code 0 only if all five hold.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "analysis/adl_screen.h"
 #include "analysis/architecture.h"
 #include "analysis/explorer.h"
@@ -35,6 +39,15 @@ namespace {
 
 using analysis::ExplorationResult;
 using analysis::ExplorerOptions;
+
+// Heap allocations per committed firing on the 9-spare ladder (512
+// configurations, 2,304 firings).  1,793 of the firings reach a known
+// configuration and allocate nothing; each new configuration pays for its
+// stored model, its key and its verification pass, 6.25 per firing in all.
+// A per-firing model copy, key buffer or probe finding (28.32 before the
+// explorer reused them) fails the gate.
+constexpr double kMaxAllocsPerFiring = 8.0;
+constexpr std::size_t kAllocSpares = 9;
 
 /// 1 permanent worker + `spares` removable spares, one shed rule per spare:
 /// the reachable closure is every subset of the spares.
@@ -93,6 +106,34 @@ double elapsed_us(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - start)
       .count();
+}
+
+struct Allocs {
+  double per_firing = 0.0;
+  double per_config = 0.0;
+};
+
+/// Heap allocations of one exploration of the `spares` ladder (compiling and
+/// modelling it excluded); zero per firing when the counts miss the closed
+/// form.
+Allocs explore_allocs(std::size_t spares) {
+  const adl::CompilationResult compiled =
+      analysis::compile_adl(ladder_source(spares));
+  if (!compiled.ok()) return {};
+  const analysis::ArchitectureModel model =
+      analysis::model_from(compiled.config);
+  const std::uint64_t before = alloc_count();
+  const ExplorationResult result =
+      analysis::explore(model, compiled.program, ExplorerOptions{});
+  const auto allocs = static_cast<double>(alloc_count() - before);
+  const std::size_t configs = result.graph.states.size();
+  const std::size_t firings = result.graph.edges.size();
+  if (configs != std::size_t{1} << spares ||
+      firings != spares * (std::size_t{1} << (spares - 1))) {
+    return {};
+  }
+  return Allocs{allocs / static_cast<double>(firings),
+                allocs / static_cast<double>(configs)};
 }
 
 struct Rung {
@@ -198,12 +239,28 @@ int main() {
               caught, defects.size(), false_positives);
   ok = ok && caught == defects.size() && false_positives == 0;
 
+  // --- 5. a firing that reaches a known configuration allocates nothing ----
+  const Allocs allocs = explore_allocs(kAllocSpares);
+  std::printf("\n%zu-spare ladder: %.2f heap allocations per committed "
+              "firing (gate %.1f), %.1f per configuration\n",
+              kAllocSpares, allocs.per_firing, kMaxAllocsPerFiring,
+              allocs.per_config);
+  if (allocs.per_firing == 0.0 || allocs.per_firing > kMaxAllocsPerFiring) {
+    std::printf("FAIL: %.2f allocations per committed firing (want (0, "
+                "%.1f])\n",
+                allocs.per_firing, kMaxAllocsPerFiring);
+    ok = false;
+  }
+
   std::printf(
       "\nExpected shape: every ladder rung reads exactly 2^k configurations "
-      "and k*2^(k-1) edges; wall time grows with the edge count (each firing "
-      "re-canonicalizes and re-verifies a configuration); the capped run "
+      "and k*2^(k-1) edges; wall time grows with the configuration count "
+      "(each new configuration is stored, keyed and re-verified, while a "
+      "firing that reaches a known one only re-keys it); the capped run "
       "reports an explicit truncation finding; all seeded path defects are "
-      "caught with zero false positives.\n");
+      "caught with zero false positives; a committed firing costs at most "
+      "%.1f heap allocations.\n",
+      kMaxAllocsPerFiring);
 
   // Ladder rows land in BENCH_e18_explore.json for the perf-smoke gate.
   std::string ladder_json = "[";
@@ -221,8 +278,15 @@ int main() {
   std::snprintf(corpus_json, sizeof(corpus_json),
                 "{\"caught\": %zu, \"seeded\": %zu, \"false_positives\": %zu}",
                 caught, defects.size(), false_positives);
+  char allocs_json[160];
+  std::snprintf(allocs_json, sizeof(allocs_json),
+                "{\"spares\": %zu, \"per_firing\": %.2f, \"per_config\": "
+                "%.1f, \"max_per_firing\": %.1f}",
+                kAllocSpares, allocs.per_firing, allocs.per_config,
+                kMaxAllocsPerFiring);
   const std::string extra = "\"explore\": {\"ladder\": " + ladder_json +
-                            ", \"corpus\": " + std::string(corpus_json) + "}";
+                            ", \"corpus\": " + std::string(corpus_json) +
+                            ", \"allocations\": " + allocs_json + "}";
   write_metrics_json("e18_explore", extra);
   return ok ? 0 : 1;
 }

@@ -316,6 +316,13 @@ class Sema {
     static const std::set<std::string> kDeliveries{"sync", "queued"};
     for (std::size_t i = 0; i < config_.connectors.size(); ++i) {
       const AstConnector& conn = config_.connectors[i];
+      for (const std::string& aspect : conn.aspects) {
+        if (std::find(kConnectorAspects.begin(), kConnectorAspects.end(),
+                      aspect) == kConnectorAspects.end()) {
+          diags_.error(conn.loc, "unknown-aspect",
+                       conn.name + ": unknown aspect '" + aspect + "'");
+        }
+      }
       if (!kRoutings.count(conn.routing)) {
         diags_.error(conn.loc, "unknown-routing",
                      conn.name + ": unknown routing '" + conn.routing + "'");

@@ -7,7 +7,9 @@
 // `goal` and `scenario` blocks against the declared topology.
 #pragma once
 
+#include <array>
 #include <string>
+#include <string_view>
 
 #include "adl/ast.h"
 #include "adl/diagnostics.h"
@@ -15,6 +17,14 @@
 #include "util/errors.h"
 
 namespace aars::adl {
+
+/// The aspects a connector's `aspects [...]` list may name: those every
+/// Runtime registers on its connector factory
+/// (adapt::register_standard_aspects, fault::register_fault_aspects).
+/// Any other name is an "unknown-aspect" error.
+inline constexpr std::array<std::string_view, 8> kConnectorAspects{
+    "logging",     "metrics", "tracing", "checksum", "encryption",
+    "compression", "retry",   "failover"};
 
 /// Maps an ADL type name to a runtime ValueType. kNull encodes "any".
 util::Result<util::ValueType> value_type_from_name(const std::string& name);

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
+#include <unordered_map>
 #include <utility>
 
 #include "analysis/adl_screen.h"
@@ -67,13 +67,25 @@ ExplorationResult explore(const ArchitectureModel& initial,
     }
   }
 
-  std::map<std::string, std::size_t> seen;
+  // Identities of the configurations found so far, keyed through one
+  // reused builder.
+  ConfigKeyBuilder keys;
+  std::unordered_map<std::string, std::size_t> seen;
+  // Per state: the members of its all-synchronous call cycles, which every
+  // rule's step 0 needs for its quiescence check.  A verified state takes
+  // them from its verification pass.
+  std::vector<std::vector<std::string>> stuck{quiescence_unreachable(initial)};
   graph.states.push_back(ConfigState{initial, ConfigGraph::npos,
                                      ConfigGraph::npos, 0});
-  std::string initial_key = canonical_config_key(initial);
+  const std::string& initial_key = keys.build(initial);
   result.order_digest = fnv1a(kFnvOffset, initial_key);
-  seen.emplace(std::move(initial_key), 0);
+  seen.emplace(initial_key, 0);
 
+  // Reused from firing to firing: each firing's successor is copy-assigned
+  // into `successor`, whose buffers keep their capacity, so a firing that
+  // reaches a known configuration allocates nothing.
+  ArchitectureModel successor;
+  std::vector<TransientViolation> pending;
   bool hit_config_cap = false;
   bool hit_depth_cap = false;
   std::deque<std::size_t> frontier{0};
@@ -81,13 +93,12 @@ ExplorationResult explore(const ArchitectureModel& initial,
   while (!frontier.empty() && !hit_config_cap) {
     const std::size_t s = frontier.front();
     frontier.pop_front();
-    // Copy: graph.states reallocates as new configurations are appended.
-    const ArchitectureModel source = graph.states[s].model;
     const std::size_t depth = graph.states[s].depth;
 
     if (depth >= options.max_depth) {
       // Only report truncation when a committed firing was actually cut
       // off — a leaf state with no enabled rules loses nothing.
+      const ArchitectureModel& source = graph.states[s].model;
       for (std::size_t r = 0; r < plans.size(); ++r) {
         if (guard_holds(program.rules[r], source) &&
             fully_applicable(source, plans[r])) {
@@ -100,10 +111,12 @@ ExplorationResult explore(const ArchitectureModel& initial,
 
     // Every rule's step 0 reads the source state, so one stuck set serves
     // all of them; later steps read intermediate models and recompute it.
-    const std::vector<std::string> source_stuck =
-        quiescence_unreachable(source);
+    const std::vector<std::string> source_stuck = std::move(stuck[s]);
     for (std::size_t r = 0; r < plans.size() && !hit_config_cap; ++r) {
       const Plan& plan = plans[r];
+      // Looked up per rule: a firing that reaches a new configuration
+      // appends it to graph.states, which may reallocate.
+      const ArchitectureModel& source = graph.states[s].model;
       // A false guard disables the rule, as at runtime.  Then test step 0
       // on the source before paying for a copy of the model.
       if (!guard_holds(program.rules[r], source) ||
@@ -111,20 +124,20 @@ ExplorationResult explore(const ArchitectureModel& initial,
                                                   &source_stuck))) {
         continue;  // rule not enabled in this state
       }
-      ArchitectureModel model = source;
+      successor = source;
       std::size_t applied = 0;
-      std::vector<TransientViolation> pending;
+      pending.clear();
       for (std::size_t i = 0; i < plan.size(); ++i) {
-        if (i > 0 && !plan_step_applicable(model, plan[i], i)) break;
-        apply_plan_step(model, plan[i]);
+        if (i > 0 && !plan_step_applicable(successor, plan[i], i)) break;
+        apply_plan_step(successor, plan[i]);
         ++applied;
         // Mid-firing transient check: the runtime enacts plans step by
         // step, so every intermediate configuration is briefly live (and
         // stays exposed during a rollback).
         for (const std::size_t pi : always_clauses) {
-          if (eval_predicate(program.properties[pi].pred, model)) continue;
+          if (eval_predicate(program.properties[pi].pred, successor)) continue;
           pending.push_back(TransientViolation{
-              pi, s, r, i, false, render_state_diff(source, model)});
+              pi, s, r, i, false, render_state_diff(source, successor)});
         }
       }
 
@@ -148,7 +161,7 @@ ExplorationResult explore(const ArchitectureModel& initial,
       result.transients.insert(result.transients.end(), pending.begin(),
                                pending.end());
 
-      std::string key = canonical_config_key(model);
+      const std::string& key = keys.build(successor);
       auto it = seen.find(key);
       if (it != seen.end()) {
         graph.edges.push_back(ConfigEdge{s, it->second, r});
@@ -160,13 +173,16 @@ ExplorationResult explore(const ArchitectureModel& initial,
       }
       const std::size_t to = graph.states.size();
       result.order_digest = fnv1a(result.order_digest, key);
-      seen.emplace(std::move(key), to);
+      seen.emplace(key, to);
       graph.edges.push_back(ConfigEdge{s, to, r});
-      graph.states.push_back(ConfigState{std::move(model), s, r, depth + 1});
+      graph.states.push_back(ConfigState{successor, s, r, depth + 1});
 
-      if (options.verify_states) {
-        const adl::Diagnostics verdict =
-            verify_architecture(graph.states[to].model, options.verifier);
+      std::vector<std::string>& to_stuck = stuck.emplace_back();
+      if (!options.verify_states) {
+        to_stuck = quiescence_unreachable(graph.states[to].model);
+      } else {
+        const adl::Diagnostics verdict = verify_architecture(
+            graph.states[to].model, options.verifier, &to_stuck);
         if (verdict.errors() > 0) {
           std::string message =
               "reachable configuration fails verification: " +

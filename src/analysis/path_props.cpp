@@ -10,10 +10,11 @@ namespace aars::analysis {
 
 namespace {
 
-/// Appends the sorted provider list rendered "[a,b,c]".
+/// Appends the sorted provider list rendered "[a,b,c]", sorting in `sorted`.
 void append_provider_set(std::string& out,
-                         const std::vector<std::string>& providers) {
-  std::vector<std::string_view> sorted(providers.begin(), providers.end());
+                         const std::vector<std::string>& providers,
+                         std::vector<std::string_view>& sorted) {
+  sorted.assign(providers.begin(), providers.end());
   std::sort(sorted.begin(), sorted.end());
   out += '[';
   for (std::size_t i = 0; i < sorted.size(); ++i) {
@@ -25,7 +26,8 @@ void append_provider_set(std::string& out,
 
 std::string provider_set(const std::vector<std::string>& providers) {
   std::string out;
-  append_provider_set(out, providers);
+  std::vector<std::string_view> sorted;
+  append_provider_set(out, providers, sorted);
   return out;
 }
 
@@ -96,44 +98,48 @@ std::string cooldown_rule_names(const ConfigGraph& graph) {
 
 }  // namespace
 
-std::string canonical_config_key(const ArchitectureModel& model) {
+const std::string& ConfigKeyBuilder::build(const ArchitectureModel& model) {
   // Every part goes into one buffer; the parts are sorted as views into it
   // and joined with ';'.
-  std::string buffer;
-  std::vector<std::size_t> ends;
-  ends.reserve(model.instances.size() + model.connectors.size() +
-               model.bindings.size());
+  buffer_.clear();
+  ends_.clear();
+  ends_.reserve(model.instances.size() + model.connectors.size() +
+                model.bindings.size());
   for (const ModelInstance& inst : model.instances) {
-    buffer.append("i:").append(inst.name).append(":").append(inst.type);
-    buffer.append("@").append(inst.node);
-    ends.push_back(buffer.size());
+    buffer_.append("i:").append(inst.name).append(":").append(inst.type);
+    buffer_.append("@").append(inst.node);
+    ends_.push_back(buffer_.size());
   }
   for (const ModelConnector& conn : model.connectors) {
-    buffer.append("c:").append(conn.name);
-    append_provider_set(buffer, conn.providers);
-    ends.push_back(buffer.size());
+    buffer_.append("c:").append(conn.name);
+    append_provider_set(buffer_, conn.providers, providers_);
+    ends_.push_back(buffer_.size());
   }
   for (const ModelBinding& bind : model.bindings) {
-    buffer.append("b:").append(bind.caller).append(".").append(bind.port);
-    buffer.append(">").append(bind.connector);
-    append_provider_set(buffer, bind.providers);
-    ends.push_back(buffer.size());
+    buffer_.append("b:").append(bind.caller).append(".").append(bind.port);
+    buffer_.append(">").append(bind.connector);
+    append_provider_set(buffer_, bind.providers, providers_);
+    ends_.push_back(buffer_.size());
   }
-  std::vector<std::string_view> parts;
-  parts.reserve(ends.size());
+  parts_.clear();
+  parts_.reserve(ends_.size());
   std::size_t begin = 0;
-  for (const std::size_t end : ends) {
-    parts.push_back(std::string_view(buffer).substr(begin, end - begin));
+  for (const std::size_t end : ends_) {
+    parts_.push_back(std::string_view(buffer_).substr(begin, end - begin));
     begin = end;
   }
-  std::sort(parts.begin(), parts.end());
-  std::string key;
-  key.reserve(buffer.size() + parts.size());
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) key += ';';
-    key += parts[i];
+  std::sort(parts_.begin(), parts_.end());
+  key_.clear();
+  key_.reserve(buffer_.size() + parts_.size());
+  for (std::size_t i = 0; i < parts_.size(); ++i) {
+    if (i > 0) key_ += ';';
+    key_ += parts_[i];
   }
-  return key;
+  return key_;
+}
+
+std::string canonical_config_key(const ArchitectureModel& model) {
+  return ConfigKeyBuilder().build(model);
 }
 
 std::string render_path(const ConfigGraph& graph, std::size_t state) {

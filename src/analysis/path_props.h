@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "adl/ir.h"
@@ -70,6 +71,22 @@ struct TransientViolation {
 /// mutates them, so they are constant along every path.  Two isomorphic
 /// configurations (same content, any vector order) get the same key.
 std::string canonical_config_key(const ArchitectureModel& model);
+
+/// Builds canonical_config_key into buffers it keeps from call to call, so
+/// keying a configuration no larger than one keyed before allocates
+/// nothing.  The explorer keys every firing's successor with one.
+class ConfigKeyBuilder {
+ public:
+  /// canonical_config_key(model), valid until the next call.
+  const std::string& build(const ArchitectureModel& model);
+
+ private:
+  std::string buffer_;  // the parts, unsorted
+  std::vector<std::size_t> ends_;
+  std::vector<std::string_view> parts_;
+  std::vector<std::string_view> providers_;  // one provider set, sorting
+  std::string key_;
+};
 
 /// "ruleA -> ruleB" firing sequence from the initial state to `state`,
 /// or "(initial)" for state 0.

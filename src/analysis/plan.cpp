@@ -117,91 +117,90 @@ void apply_plan_step(ArchitectureModel& model, const PlanStep& step) {
 bool plan_step_applicable(const ArchitectureModel& model, const PlanStep& step,
                           std::size_t index, adl::Diagnostics* report,
                           const std::vector<std::string>* stuck) {
-  // Precondition failures short-circuit on the first violation when no
-  // report is wanted — the explorer probes enabledness in a hot loop.
-  adl::Diagnostics scratch;
-  adl::Diagnostics& out = report != nullptr ? *report : scratch;
-  bool ok = true;
+  // Refuses the step. A finding is built only for a report: the explorer
+  // probes enabledness in a hot loop and asks for the verdict alone.
+  const auto refuse = [&](const auto& message) {
+    if (report != nullptr) step_error(*report, index, step, message());
+    return false;
+  };
   const ModelInstance* target = model.find_instance(step.instance);
 
   if (step.op == PlanOp::kAdd) {
-    if (target != nullptr) {
-      step_error(out, index, step,
-                 "instance '" + step.instance + "' already exists");
-      ok = false;
-    }
-    if (!step.node.empty() && !model.has_node(step.node)) {
-      step_error(out, index, step,
-                 "destination node '" + step.node + "' does not exist");
-      ok = false;
-    }
+    // Both preconditions are reported when both fail.
+    const bool fresh = target == nullptr || refuse([&] {
+      return "instance '" + step.instance + "' already exists";
+    });
+    const bool placed =
+        step.node.empty() || model.has_node(step.node) || refuse([&] {
+          return "destination node '" + step.node + "' does not exist";
+        });
+    if (!fresh || !placed) return false;
   } else if (target == nullptr) {
-    step_error(out, index, step,
-               "instance '" + step.instance + "' does not exist");
-    ok = false;
+    return refuse(
+        [&] { return "instance '" + step.instance + "' does not exist"; });
   }
-  if (!ok && report == nullptr) return false;
 
-  if (ok && (step.op == PlanOp::kMigrate || step.op == PlanOp::kRedeploy) &&
+  if ((step.op == PlanOp::kMigrate || step.op == PlanOp::kRedeploy) &&
       !model.has_node(step.node)) {
-    step_error(out, index, step,
-               "destination node '" + step.node + "' does not exist");
-    ok = false;
+    return refuse([&] {
+      return "destination node '" + step.node + "' does not exist";
+    });
   }
-  if (ok && step.op == PlanOp::kRebind &&
+  if (step.op == PlanOp::kRebind &&
       model.find_connector(step.connector) == nullptr) {
-    step_error(out, index, step,
-               "connector '" + step.connector + "' does not exist");
-    ok = false;
+    return refuse([&] {
+      return "connector '" + step.connector + "' does not exist";
+    });
   }
-  if (ok && step.op == PlanOp::kReroute) {
+  if (step.op == PlanOp::kReroute) {
     const ModelInstance* replica = model.find_instance(step.replica);
     if (replica == nullptr) {
-      step_error(out, index, step,
-                 "replica '" + step.replica + "' does not exist");
-      ok = false;
-    } else if (target != nullptr && replica->type != target->type) {
-      step_error(out, index, step,
-                 "replica '" + step.replica + "' has type '" + replica->type +
-                     "', expected '" + target->type + "'");
-      ok = false;
-    } else {
-      // As Application::redirect: a connector keeps one channel per
-      // provider, and two channels cannot be merged.
-      for (const ModelConnector& conn : model.connectors) {
-        const auto serves = [&](const std::string& name) {
-          return std::find(conn.providers.begin(), conn.providers.end(),
-                           name) != conn.providers.end();
-        };
-        if (serves(step.instance) && serves(step.replica)) {
-          step_error(out, index, step,
-                     "replica '" + step.replica +
-                         "' already serves connector '" + conn.name + "'");
-          ok = false;
-          break;
-        }
+      return refuse([&] {
+        return "replica '" + step.replica + "' does not exist";
+      });
+    }
+    if (replica->type != target->type) {
+      return refuse([&] {
+        return "replica '" + step.replica + "' has type '" + replica->type +
+               "', expected '" + target->type + "'";
+      });
+    }
+    // As Application::redirect: a connector keeps one channel per
+    // provider, and two channels cannot be merged.
+    for (const ModelConnector& conn : model.connectors) {
+      const auto serves = [&](const std::string& name) {
+        return std::find(conn.providers.begin(), conn.providers.end(),
+                         name) != conn.providers.end();
+      };
+      if (serves(step.instance) && serves(step.replica)) {
+        return refuse([&] {
+          return "replica '" + step.replica + "' already serves connector '" +
+                 conn.name + "'";
+        });
       }
     }
   }
 
-  if (ok && quiesces_target(step.op)) {
+  if (quiesces_target(step.op)) {
     std::vector<std::string> computed;
     if (stuck == nullptr) {
       computed = quiescence_unreachable(model);
       stuck = &computed;
     }
     if (std::binary_search(stuck->begin(), stuck->end(), step.instance)) {
-      out.add(
-          adl::Severity::kError, "quiescence-unreachable",
-          util::format("step %zu (%s %s)", index + 1, to_string(step.op),
-                       step.instance.c_str()),
-          "target sits on an all-synchronous call cycle; block -> drain "
-          "can never complete, so the protocol would hang until timeout",
-          0);
-      ok = false;
+      if (report != nullptr) {
+        report->add(
+            adl::Severity::kError, "quiescence-unreachable",
+            util::format("step %zu (%s %s)", index + 1, to_string(step.op),
+                         step.instance.c_str()),
+            "target sits on an all-synchronous call cycle; block -> drain "
+            "can never complete, so the protocol would hang until timeout",
+            0);
+      }
+      return false;
     }
   }
-  return ok;
+  return true;
 }
 
 PlanReview verify_plan(ArchitectureModel current, const Plan& plan,

@@ -49,7 +49,8 @@ struct PlanReview {
 /// destinations exist, quiescing targets can actually quiesce) without
 /// mutating anything. When `report` is non-null, each violated precondition
 /// is recorded as a "plan-invalid"/"quiescence-unreachable" error with the
-/// step labelled `index` + 1. The configuration-space explorer uses this to
+/// step labelled `index` + 1; without one, the first violation decides and
+/// no finding is built. The configuration-space explorer uses this to
 /// decide whether a rule's plan template is enabled in a given state.
 /// `stuck`, when non-null, must be `quiescence_unreachable(model)`: callers
 /// probing many steps against one model compute it once and pass it in.

@@ -287,8 +287,20 @@ void check_reachability(const ArchitectureModel& model,
   }
 }
 
-void check_cycles(const ArchitectureModel& model, const CallGraph& graph,
-                  adl::Diagnostics& report) {
+/// Names of `nodes`, sorted node indices: in name order.
+std::vector<std::string> names_of(const CallGraph& graph,
+                                  const std::vector<int>& nodes) {
+  std::vector<std::string> names;
+  names.reserve(nodes.size());
+  for (const int n : nodes) names.emplace_back(graph.names[n]);
+  return names;
+}
+
+/// Reports the call cycles; returns the members of the all-synchronous
+/// ones, sorted.
+std::vector<int> check_cycles(const ArchitectureModel& model,
+                              const CallGraph& graph,
+                              adl::Diagnostics& report) {
   const auto line_of = [&](const std::vector<int>& cycle) {
     const ModelInstance* first =
         model.find_instance(std::string(graph.names[cycle.front()]));
@@ -319,6 +331,7 @@ void check_cycles(const ArchitectureModel& model, const CallGraph& graph,
                "unless the application breaks it",
                line_of(cycle));
   }
+  return in_sync_cycle;
 }
 
 void check_routes(const ArchitectureModel& model, RouteSearch& routes,
@@ -447,13 +460,15 @@ void check_protocols(const ArchitectureModel& model,
 }  // namespace
 
 adl::Diagnostics verify_architecture(const ArchitectureModel& model,
-                                     const VerifierOptions& options) {
+                                     const VerifierOptions& options,
+                                     std::vector<std::string>* stuck) {
   adl::Diagnostics report;
   const CallGraph graph(model);
   RouteSearch routes(model);
   check_bindings(model, report);
   check_reachability(model, graph, report);
-  check_cycles(model, graph, report);
+  const std::vector<int> in_sync_cycle = check_cycles(model, graph, report);
+  if (stuck != nullptr) *stuck = names_of(graph, in_sync_cycle);
   check_routes(model, routes, report);
   check_qos(model, routes, report);
   if (options.check_protocols) check_protocols(model, options, report);
@@ -468,10 +483,7 @@ std::vector<std::string> quiescence_unreachable(
     stuck.insert(stuck.end(), cycle.begin(), cycle.end());
   }
   std::sort(stuck.begin(), stuck.end());
-  std::vector<std::string> members;
-  members.reserve(stuck.size());
-  for (const int n : stuck) members.emplace_back(graph.names[n]);
-  return members;
+  return names_of(graph, stuck);
 }
 
 }  // namespace aars::analysis

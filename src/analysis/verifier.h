@@ -44,9 +44,12 @@ struct VerifierOptions {
   bool check_protocols = true;
 };
 
-/// Runs every whole-architecture check against the model.
+/// Runs every whole-architecture check against the model. When `stuck` is
+/// non-null it receives `quiescence_unreachable(model)`, the members of the
+/// all-synchronous call cycles the cycle check has found anyway.
 adl::Diagnostics verify_architecture(const ArchitectureModel& model,
-                                     const VerifierOptions& options = {});
+                                     const VerifierOptions& options = {},
+                                     std::vector<std::string>* stuck = nullptr);
 
 /// Instances that can never reach a quiescence point: members of a call
 /// cycle whose every edge is synchronous (in-flight work re-enters the

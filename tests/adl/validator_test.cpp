@@ -313,6 +313,10 @@ TEST(ValidatorTest, DiagnosticsCarryLineNumbers) {
       // Unknown routing policy, line 2.
       {"node n { capacity 1; }\nconnector c { routing psychic; }\n",
        "unknown-routing", 2, 1},
+      // An aspect no Runtime registers, line 2.
+      {"node n { capacity 1; }\n"
+       "connector c { routing direct; aspects [bogus]; }\n",
+       "unknown-aspect", 2, 1},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.src);

@@ -4,6 +4,8 @@
 // (>= 95% catch rate is the experiment's bar; we require 100%).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -209,6 +211,35 @@ TEST(CorpusTest, ProtocolBearingConfigsReportVerificationCost) {
   EXPECT_TRUE(report.ok());
   EXPECT_GT(report.states_explored, 0u);
   EXPECT_FALSE(report.truncated);
+}
+
+// The explorer takes each verified state's quiescence set from the
+// verification pass; it must be the set quiescence_unreachable computes.
+TEST(CorpusTest, VerifierHandsBackTheQuiescenceSet) {
+  std::vector<std::string> files;
+  for (const std::string dir : {"", "defects/"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::string(AARS_CONFIG_DIR) + "/" + dir)) {
+      if (entry.is_regular_file() && entry.path().extension() == ".adl") {
+        files.push_back(dir + entry.path().filename().string());
+      }
+    }
+  }
+  std::sort(files.begin(), files.end());
+  std::size_t compiled = 0;
+  std::size_t stuck_configs = 0;
+  for (const std::string& file : files) {
+    const adl::CompilationResult result = adl::compile(read_file(file));
+    if (!result.ok()) continue;  // a front-end defect has no model
+    ++compiled;
+    const ArchitectureModel model = model_from(result.config);
+    std::vector<std::string> stuck{"(unset)"};
+    (void)verify_architecture(model, {}, &stuck);
+    EXPECT_EQ(stuck, quiescence_unreachable(model)) << file;
+    if (!stuck.empty()) ++stuck_configs;
+  }
+  EXPECT_GT(compiled, kCleanConfigs.size() + kDefects.size());
+  EXPECT_GT(stuck_configs, 0u);  // d01's sync cycle at least
 }
 
 }  // namespace

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "analysis/architecture.h"
 #include "analysis/verifier.h"
+#include "util/rng.h"
 
 namespace aars::analysis {
 namespace {
@@ -249,6 +254,121 @@ TEST(PlanTest, FailedStepIsSkippedButLaterStepsStillChecked) {
   EXPECT_TRUE(has_plan_error(review));
   // The valid step still applied to the hypothetical post-state.
   EXPECT_EQ(review.post_state.find_instance("server")->node, "n2");
+}
+
+// ---------------------------------------------------------------------------
+// The explorer's probe (no report) against the reporting path.
+
+/// A name from `pool`, or "" when `pool` is empty.
+std::string pick(util::Rng& rng, const std::vector<std::string>& pool) {
+  if (pool.empty()) return "";
+  return pool[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
+}
+
+/// Up to `most` names drawn from `pool`, repeats allowed.
+std::vector<std::string> some(util::Rng& rng,
+                              const std::vector<std::string>& pool, int most) {
+  std::vector<std::string> out(
+      static_cast<std::size_t>(rng.uniform_int(0, most)));
+  for (std::string& name : out) name = pick(rng, pool);
+  return out;
+}
+
+// Instance, node and connector names each include one the model may lack,
+// so every precondition fails now and then.
+const std::vector<std::string> kInstances = {"a", "b", "c", "d", "ghost"};
+const std::vector<std::string> kNodes = {"n0", "n1", "n2", "void"};
+const std::vector<std::string> kConnectors = {"k0", "k1", "k2", "none"};
+const std::vector<std::string> kTypes = {"T", "U"};
+const std::vector<std::string> kPorts = {"p", "q"};
+
+/// A small model with instances, connectors and bindings drawn from the
+/// pools above: dangling names, duplicate providers and call cycles over
+/// sync and queued connectors all occur.
+ArchitectureModel random_model(util::Rng& rng) {
+  ArchitectureModel model;
+  model.nodes = {"n0", "n1", "n2"};
+  model.nodes.resize(static_cast<std::size_t>(rng.uniform_int(1, 3)));
+  for (const char* name : {"a", "b", "c", "d"}) {
+    if (rng.chance(0.7)) {
+      model.instances.push_back(
+          make_instance(name, pick(rng, kTypes), pick(rng, kNodes)));
+    }
+  }
+  for (const char* name : {"k0", "k1", "k2"}) {
+    if (!rng.chance(0.8)) continue;
+    ModelConnector conn;
+    conn.name = name;
+    conn.sync_delivery = rng.chance(0.7);
+    conn.providers = some(rng, kInstances, 2);
+    model.connectors.push_back(std::move(conn));
+  }
+  const int bindings = static_cast<int>(rng.uniform_int(0, 4));
+  for (int i = 0; i < bindings; ++i) {
+    ModelBinding bind;
+    bind.caller = pick(rng, kInstances);
+    bind.port = pick(rng, kPorts);
+    bind.connector = pick(rng, kConnectors);
+    bind.providers = some(rng, kInstances, 2);
+    model.bindings.push_back(std::move(bind));
+  }
+  return model;
+}
+
+PlanStep random_step(util::Rng& rng, PlanOp op) {
+  PlanStep step = make_step(op, pick(rng, kInstances));
+  step.type = pick(rng, kTypes);
+  step.node = rng.chance(0.2) ? "" : pick(rng, kNodes);
+  step.port = pick(rng, kPorts);
+  step.connector = pick(rng, kConnectors);
+  step.replica = pick(rng, kInstances);
+  return step;
+}
+
+TEST(PlanTest, ProbeWithoutAReportMatchesTheReportingPath) {
+  const std::vector<PlanOp> ops = {PlanOp::kAdd,     PlanOp::kRemove,
+                                   PlanOp::kRebind,  PlanOp::kReplace,
+                                   PlanOp::kMigrate, PlanOp::kRedeploy,
+                                   PlanOp::kReroute};
+  util::Rng rng(29);
+  std::map<std::string, int> refusals;  // by finding code
+  int applicable = 0;
+  for (int round = 0; round < 400; ++round) {
+    const ArchitectureModel model = random_model(rng);
+    std::vector<std::string> from_verifier;
+    (void)verify_architecture(model, {}, &from_verifier);
+    const std::vector<std::string> stuck = quiescence_unreachable(model);
+    ASSERT_EQ(from_verifier, stuck) << "round " << round;
+    for (const PlanOp op : ops) {
+      for (int probe = 0; probe < 4; ++probe) {
+        const PlanStep step = random_step(rng, op);
+        const std::size_t index = static_cast<std::size_t>(probe);
+        adl::Diagnostics report;
+        const bool reported =
+            plan_step_applicable(model, step, index, &report);
+        SCOPED_TRACE(::testing::Message()
+                     << "round " << round << ": " << to_string(op) << " "
+                     << step.instance << " type=" << step.type
+                     << " node=" << step.node << " connector="
+                     << step.connector << " replica=" << step.replica);
+        EXPECT_EQ(plan_step_applicable(model, step, index), reported);
+        EXPECT_EQ(plan_step_applicable(model, step, index, nullptr, &stuck),
+                  reported);
+        if (reported) {
+          EXPECT_EQ(report.errors(), 0u);
+          ++applicable;
+        } else {
+          ASSERT_GE(report.errors(), 1u);
+          for (const adl::Diagnostic& d : report.items) ++refusals[d.code];
+        }
+      }
+    }
+  }
+  // The draws reach both verdicts and both kinds of refusal.
+  EXPECT_GT(applicable, 0);
+  EXPECT_GT(refusals["plan-invalid"], 0);
+  EXPECT_GT(refusals["quiescence-unreachable"], 0);
 }
 
 }  // namespace

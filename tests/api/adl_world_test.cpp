@@ -9,8 +9,14 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "adl/compiler.h"
+#include "adl/sema.h"
+#include "analysis/architecture.h"
+#include "analysis/path_props.h"
 #include "api/runtime.h"
 #include "api/sharded_runtime.h"
 #include "testing/test_components.h"
@@ -321,6 +327,175 @@ TEST(AdlWorldTest, StandardAspectsServeOnEveryBuilder) {
            });
   srt.run();
   EXPECT_EQ(text, std::optional<std::string>("sharded"));
+}
+
+/// kAspectWorld with `main`'s aspect list replaced by `aspects`.
+std::string aspect_world(const std::string& aspects) {
+  std::string source = kAspectWorld;
+  const std::string declared = "aspects [metrics, checksum]";
+  source.replace(source.find(declared), declared.size(),
+                 "aspects [" + aspects + "]");
+  return source;
+}
+
+// The compiler accepts exactly the aspect names a Runtime resolves: each
+// accepted name compiles and builds, and any other name fails both.
+TEST(AdlWorldTest, AcceptedAspectsBuildAndOthersFailCompileAndBuild) {
+  for (const std::string_view aspect : adl::kConnectorAspects) {
+    SCOPED_TRACE(aspect);
+    const std::string source = aspect_world(std::string(aspect));
+    const adl::CompilationResult compiled = adl::compile(source);
+    EXPECT_TRUE(compiled.ok())
+        << adl::render_text(compiled.diagnostics, "<input>", source);
+    auto built = Runtime::builder()
+                     .component_class<EchoServer>("EchoServer")
+                     .component_class<EchoClient>("EchoClient")
+                     .adl(source)
+                     .build();
+    ASSERT_TRUE(built.ok()) << built.error().message();
+    Runtime& rt = *built.value();
+    EXPECT_EQ(rt.app().find_connector(rt.connector("main"))
+                  ->interceptor_names()
+                  .size(),
+              1u);
+  }
+
+  const std::string bogus = aspect_world("metrics, bogus");
+  const adl::CompilationResult compiled = adl::compile(bogus);
+  ASSERT_FALSE(compiled.ok());
+  ASSERT_EQ(compiled.diagnostics.items.size(), 1u);
+  EXPECT_EQ(compiled.diagnostics.items[0].code, "unknown-aspect");
+  EXPECT_EQ(compiled.diagnostics.items[0].message,
+            "main: unknown aspect 'bogus'");
+  auto built = Runtime::builder()
+                   .component_class<EchoServer>("EchoServer")
+                   .component_class<EchoClient>("EchoClient")
+                   .adl(bogus)
+                   .build();
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.error().code(), ErrorCode::kParseError);
+  EXPECT_NE(built.error().message().find("main: unknown aspect 'bogus'"),
+            std::string::npos)
+      << built.error().message();
+}
+
+// --- the ADL model and the live snapshot ------------------------------------
+
+// E17's storm world: a direct sync connector and two rules.
+constexpr const char* kStormWorld = R"(interface Echo {
+  service echo(text: string) -> string;
+  service ping() -> int;
+}
+interface Trigger {
+  service go(text: string) -> string;
+}
+component EchoServer provides Echo;
+component EchoClient provides Trigger {
+  requires out: Echo;
+}
+node edge { capacity 10000; }
+node core { capacity 10000; }
+link edge <-> core { latency 1ms; bandwidth 100mbps; }
+instance server: EchoServer on core;
+instance client: EchoClient on edge;
+connector main { routing direct; delivery sync; }
+bind client.out -> server via main;
+
+when queue_depth(main) >= 0 reconfigure shuffle {
+  cooldown 7ms;
+  migrate server to edge;
+  migrate server to core;
+}
+when event fault.host_down reconfigure failover {
+  cooldown 15ms;
+  add standby: EchoServer on edge;
+  reroute server to standby;
+}
+)";
+
+/// E18's removal ladder with four spares: one worker and four spares behind
+/// a queued round-robin connector, and one rule removing each spare.
+std::string ladder_world() {
+  std::string s = R"(interface Echo {
+  service echo(text: string) -> string;
+  service ping() -> int;
+}
+interface Trigger {
+  service go(text: string) -> string;
+}
+component EchoServer provides Echo;
+component EchoClient provides Trigger {
+  requires out: Echo;
+}
+node main { capacity 10000; }
+node client { capacity 10000; }
+link main <-> client { latency 1ms; bandwidth 100mbps; }
+instance worker: EchoServer on main;
+instance driver: EchoClient on client;
+)";
+  for (int i = 0; i < 4; ++i) {
+    s += "instance s" + std::to_string(i) + ": EchoServer on main;\n";
+  }
+  s += "connector jobs { routing round_robin; delivery queued; capacity 64; "
+       "}\n";
+  s += "bind driver.out -> worker, s0, s1, s2, s3 via jobs;\n";
+  for (int i = 0; i < 4; ++i) {
+    s += "when queue_depth(jobs) < 4 reconfigure shed_s" + std::to_string(i) +
+         " { remove s" + std::to_string(i) + "; }\n";
+  }
+  return s;
+}
+
+// Two bare bindings, each served through an implicit connector.
+constexpr const char* kBareWorld = R"(interface Echo {
+  service echo(text: string) -> string;
+  service ping() -> int;
+}
+interface Trigger {
+  service go(text: string) -> string;
+}
+component EchoServer provides Echo;
+component EchoClient provides Trigger {
+  requires out: Echo;
+}
+node edge { capacity 2000; }
+node core { capacity 10000; }
+link edge <-> core { latency 2ms; bandwidth 100mbps; }
+instance s1: EchoServer on core;
+instance s2: EchoServer on edge;
+instance c1: EchoClient on edge;
+instance c2: EchoClient on core;
+bind c1.out -> s1;
+bind c2.out -> s2;
+)";
+
+// analysis::model_from(CompiledConfiguration) derives the implicit
+// connectors apart from Runtime::lower_adl; both must give the explorer
+// the configuration the runtime builds, implicit names included.
+TEST(AdlWorldTest, AdlModelMatchesTheLiveSnapshot) {
+  const std::vector<std::pair<std::string, std::string>> worlds = {
+      {"storm", kStormWorld}, {"ladder", ladder_world()}, {"bare", kBareWorld}};
+  for (const auto& [name, source] : worlds) {
+    SCOPED_TRACE(name);
+    const adl::CompilationResult compiled = adl::compile(source);
+    ASSERT_TRUE(compiled.ok())
+        << adl::render_text(compiled.diagnostics, name, source);
+    auto built = Runtime::builder()
+                     .component_class<EchoServer>("EchoServer")
+                     .component_class<EchoClient>("EchoClient")
+                     .adl(source)
+                     .build();
+    ASSERT_TRUE(built.ok()) << built.error().message();
+    EXPECT_EQ(analysis::canonical_config_key(analysis::model_from(
+                  compiled.config)),
+              analysis::canonical_config_key(
+                  analysis::model_from(built.value()->app())));
+  }
+  const std::string bare = analysis::canonical_config_key(
+      analysis::model_from(adl::compile(kBareWorld).config));
+  EXPECT_NE(bare.find("c:implicit_c1_out_0[s1]"), std::string::npos) << bare;
+  EXPECT_NE(bare.find("b:c2.out>implicit_c2_out_1[s2]"), std::string::npos)
+      << bare;
 }
 
 // --- ADL deployment through the builder --------------------------------------
