@@ -11,7 +11,10 @@
 //
 //   1. exactness — discovered configurations and edges must match the
 //      closed form at every rung,
-//   2. cost — wall time and configurations/sec as the graph doubles,
+//   2. cost — configurations/sec of the explorer alone as the graph
+//      doubles: each rung is compiled and modelled once, explored once
+//      untimed, then timed over kTimedExplorations explorations and
+//      reported as the median with its quartiles,
 //   3. honesty — capping the exploration must yield an explicit
 //      "exploration-truncated" finding, never a silently partial verdict,
 //   4. corpus — the shipped configs explore clean (zero false positives)
@@ -33,6 +36,7 @@
 #include "analysis/architecture.h"
 #include "analysis/explorer.h"
 #include "common.h"
+#include "util/stats.h"
 
 namespace aars::bench {
 namespace {
@@ -48,6 +52,15 @@ using analysis::ExplorerOptions;
 // explorer reused them) fails the gate.
 constexpr double kMaxAllocsPerFiring = 8.0;
 constexpr std::size_t kAllocSpares = 9;
+
+/// Timed explorations per ladder rung, after one untimed warm-up; odd, so
+/// the median is one of them.
+constexpr int kTimedExplorations = 15;
+
+/// The closed form of the `k`-spare ladder: 2^k configurations reached by
+/// k*2^(k-1) committed firings.
+std::size_t ladder_configs(std::size_t k) { return std::size_t{1} << k; }
+std::size_t ladder_edges(std::size_t k) { return k * ladder_configs(k) / 2; }
 
 /// 1 permanent worker + `spares` removable spares, one shed rule per spare:
 /// the reachable closure is every subset of the spares.
@@ -128,8 +141,7 @@ Allocs explore_allocs(std::size_t spares) {
   const auto allocs = static_cast<double>(alloc_count() - before);
   const std::size_t configs = result.graph.states.size();
   const std::size_t firings = result.graph.edges.size();
-  if (configs != std::size_t{1} << spares ||
-      firings != spares * (std::size_t{1} << (spares - 1))) {
+  if (configs != ladder_configs(spares) || firings != ladder_edges(spares)) {
     return {};
   }
   return Allocs{allocs / static_cast<double>(firings),
@@ -140,10 +152,55 @@ struct Rung {
   std::size_t spares = 0;
   std::size_t configs = 0;
   std::size_t edges = 0;
-  double wall_us = 0.0;
+  double wall_us = 0.0;  // median exploration
+  // Configurations per second: median and quartiles.
   double configs_per_sec = 0.0;
+  double configs_per_sec_q1 = 0.0;
+  double configs_per_sec_q3 = 0.0;
   bool exact = false;
 };
+
+/// Explores the `k`-spare ladder once untimed, then kTimedExplorations times
+/// under the clock; compiling and modelling it are outside both.  The rung
+/// is exact when every exploration matches the closed form.
+Rung time_rung(std::size_t k) {
+  Rung rung;
+  rung.spares = k;
+  const adl::CompilationResult compiled =
+      analysis::compile_adl(ladder_source(k));
+  if (!compiled.ok()) return rung;
+  const analysis::ArchitectureModel model =
+      analysis::model_from(compiled.config);
+  ExplorerOptions options;
+  options.max_configs = 4096;
+  options.max_depth = 64;
+  const auto exact = [k](const ExplorationResult& result) {
+    return result.graph.states.size() == ladder_configs(k) &&
+           result.graph.edges.size() == ladder_edges(k) &&
+           result.report.ok() && !result.report.truncated;
+  };
+  const ExplorationResult warm_up =
+      analysis::explore(model, compiled.program, options);
+  rung.configs = warm_up.graph.states.size();
+  rung.edges = warm_up.graph.edges.size();
+  rung.exact = exact(warm_up);
+  util::Histogram wall_us;
+  util::Histogram configs_per_sec;
+  for (int i = 0; i < kTimedExplorations; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    const ExplorationResult result =
+        analysis::explore(model, compiled.program, options);
+    const double us = elapsed_us(start);
+    rung.exact = rung.exact && exact(result);
+    wall_us.add(us);
+    configs_per_sec.add(us > 0 ? rung.configs / (us / 1e6) : 0.0);
+  }
+  rung.wall_us = wall_us.p50();
+  rung.configs_per_sec = configs_per_sec.p50();
+  rung.configs_per_sec_q1 = configs_per_sec.percentile(0.25);
+  rung.configs_per_sec_q3 = configs_per_sec.percentile(0.75);
+  return rung;
+}
 
 }  // namespace
 }  // namespace aars::bench
@@ -163,30 +220,17 @@ int main() {
   const std::vector<std::size_t> rungs_k = {2, 4, 6, 8, 10};
   std::vector<Rung> rungs;
   Table ladder({"spares", "configs", "expected", "edges", "expected",
-                "wall(us)", "configs/s"});
+                "wall(us) p50", "configs/s p50", "configs/s q1-q3"});
   for (const std::size_t k : rungs_k) {
-    const std::string source = ladder_source(k);
-    analysis::ExplorerOptions options;
-    options.max_configs = 4096;
-    options.max_depth = 64;
-    const auto start = std::chrono::steady_clock::now();
-    const ExplorationResult result = explore_source(source, options);
-    Rung rung;
-    rung.spares = k;
-    rung.wall_us = elapsed_us(start);
-    rung.configs = result.graph.states.size();
-    rung.edges = result.graph.edges.size();
-    rung.configs_per_sec =
-        rung.wall_us > 0 ? rung.configs / (rung.wall_us / 1e6) : 0.0;
-    const std::size_t want_configs = std::size_t{1} << k;
-    const std::size_t want_edges = k * (std::size_t{1} << (k - 1));
-    rung.exact = rung.configs == want_configs && rung.edges == want_edges &&
-                 result.report.ok() && !result.report.truncated;
+    const Rung rung = time_rung(k);
     ok = ok && rung.exact;
     ladder.add_row({std::to_string(k), std::to_string(rung.configs),
-                    std::to_string(want_configs), std::to_string(rung.edges),
-                    std::to_string(want_edges), fmt(rung.wall_us, 1),
-                    fmt(rung.configs_per_sec, 0)});
+                    std::to_string(ladder_configs(k)),
+                    std::to_string(rung.edges),
+                    std::to_string(ladder_edges(k)),
+                    fmt(rung.wall_us, 1), fmt(rung.configs_per_sec, 0),
+                    fmt(rung.configs_per_sec_q1, 0) + "-" +
+                        fmt(rung.configs_per_sec_q3, 0)});
     rungs.push_back(rung);
   }
   ladder.print();
@@ -265,12 +309,14 @@ int main() {
   // Ladder rows land in BENCH_e18_explore.json for the perf-smoke gate.
   std::string ladder_json = "[";
   for (std::size_t i = 0; i < rungs.size(); ++i) {
-    char row[256];
+    char row[320];
     std::snprintf(row, sizeof(row),
                   "%s{\"spares\": %zu, \"configs\": %zu, \"edges\": %zu, "
-                  "\"wall_us\": %.1f, \"configs_per_sec\": %.1f}",
+                  "\"wall_us\": %.1f, \"configs_per_sec\": %.1f, "
+                  "\"configs_per_sec_q1\": %.1f, \"configs_per_sec_q3\": %.1f}",
                   i == 0 ? "" : ", ", rungs[i].spares, rungs[i].configs,
-                  rungs[i].edges, rungs[i].wall_us, rungs[i].configs_per_sec);
+                  rungs[i].edges, rungs[i].wall_us, rungs[i].configs_per_sec,
+                  rungs[i].configs_per_sec_q1, rungs[i].configs_per_sec_q3);
     ladder_json += row;
   }
   ladder_json += "]";

@@ -187,18 +187,32 @@ ArchitectureModel model_from(const adl::CompiledConfiguration& config) {
   return model;
 }
 
-ArchitectureModel model_from(runtime::Application& app) {
-  ArchitectureModel model;
+namespace {
+
+/// Element `i` of `items`, which holds at least `i` elements: one kept from
+/// an earlier snapshot, whose strings and vectors keep their capacity, or a
+/// new one appended.
+template <typename T>
+T& element(std::vector<T>& items, std::size_t i) {
+  return i < items.size() ? items[i] : items.emplace_back();
+}
+
+}  // namespace
+
+void model_from(runtime::Application& app, ArchitectureModel& into) {
   sim::Network& network = app.network();
   // Node ids are dense from 1 and nodes are never removed.
   const std::size_t node_count = network.node_count();
-  model.nodes.reserve(node_count);
-  for (std::uint64_t raw = 1; raw <= node_count; ++raw) {
-    model.nodes.push_back(network.node(util::NodeId{raw}).name());
+  into.nodes.resize(node_count);
+  for (std::size_t i = 0; i < node_count; ++i) {
+    into.nodes[i] = network.node(util::NodeId{i + 1}).name();
   }
-  const auto node_name = [&model](util::NodeId id) -> std::string {
-    if (!id.valid() || id.raw() > model.nodes.size()) return {};
-    return model.nodes[id.raw() - 1];
+  const auto assign_node = [&into](std::string& out, util::NodeId id) {
+    if (!id.valid() || id.raw() > into.nodes.size()) {
+      out.clear();
+    } else {
+      out = into.nodes[id.raw() - 1];
+    }
   };
   // Each link once, grouped by its lower endpoint in id order and in
   // (from, to) order within a group: count the groups, then place.
@@ -209,61 +223,79 @@ ArchitectureModel model_from(runtime::Application& app) {
   }
   std::size_t offset = 0;
   for (std::size_t& slot : next) offset += std::exchange(slot, offset);
-  model.links.resize(links.size());
+  into.links.resize(links.size());
   for (const auto& [ends, spec] : links) {
     const std::uint64_t lower = std::min(ends.first, ends.second).raw();
-    model.links[next[lower - 1]++] =
-        ModelLink{node_name(ends.first), node_name(ends.second), spec.latency};
+    ModelLink& link = into.links[next[lower - 1]++];
+    assign_node(link.from, ends.first);
+    assign_node(link.to, ends.second);
+    link.latency_us = spec.latency;
   }
 
   const std::vector<util::ComponentId> component_ids = app.component_ids();
-  model.instances.reserve(component_ids.size());
+  into.instances.resize(component_ids.size());
   std::size_t ports = 0;
-  for (util::ComponentId id : component_ids) {
-    const component::Component* comp = app.find_component(id);
-    ModelInstance& m = model.instances.emplace_back();
+  for (std::size_t i = 0; i < component_ids.size(); ++i) {
+    const component::Component* comp = app.find_component(component_ids[i]);
+    ModelInstance& m = into.instances[i];
     m.name = comp->instance_name();
     m.type = comp->type_name();
-    m.node = node_name(app.placement(id));
-    m.required.reserve(comp->required().size());
-    for (const component::RequiredPort& port : comp->required()) {
-      m.required.push_back(ModelPort{port.name, port.interface.name()});
+    assign_node(m.node, app.placement(component_ids[i]));
+    const std::vector<component::RequiredPort>& required = comp->required();
+    m.required.resize(required.size());
+    for (std::size_t p = 0; p < required.size(); ++p) {
+      m.required[p].port = required[p].name;
+      m.required[p].interface = required[p].interface.name();
     }
-    ports += comp->required().size();
+    m.line = 0;
+    ports += required.size();
   }
 
   const std::vector<util::ConnectorId> connector_ids = app.connector_ids();
-  model.connectors.reserve(connector_ids.size());
-  for (util::ConnectorId id : connector_ids) {
-    const connector::Connector* conn = app.find_connector(id);
-    ModelConnector& m = model.connectors.emplace_back();
+  into.connectors.resize(connector_ids.size());
+  for (std::size_t i = 0; i < connector_ids.size(); ++i) {
+    const connector::Connector* conn = app.find_connector(connector_ids[i]);
+    ModelConnector& m = into.connectors[i];
     m.name = conn->name();
     m.sync_delivery = conn->delivery() == connector::DeliveryMode::kSync;
+    m.budget_us = 0;
     m.providers.reserve(conn->providers().size());
+    std::size_t providers = 0;
     for (util::ComponentId provider : conn->providers()) {
       if (const component::Component* comp = app.find_component(provider)) {
-        m.providers.push_back(comp->instance_name());
+        element(m.providers, providers++) = comp->instance_name();
       }
     }
+    m.providers.resize(providers);
+    m.line = 0;
   }
 
-  model.bindings.reserve(ports);
+  into.bindings.reserve(ports);
+  std::size_t bound = 0;
   for (std::size_t i = 0; i < component_ids.size(); ++i) {
-    for (const ModelPort& port : model.instances[i].required) {
-      const util::ConnectorId bound = app.binding(component_ids[i], port.port);
+    for (const ModelPort& port : into.instances[i].required) {
+      const util::ConnectorId via_id = app.binding(component_ids[i], port.port);
       const auto conn = std::lower_bound(connector_ids.begin(),
-                                         connector_ids.end(), bound);
-      if (conn == connector_ids.end() || *conn != bound) continue;
+                                         connector_ids.end(), via_id);
+      if (conn == connector_ids.end() || *conn != via_id) continue;
       const ModelConnector& via =
-          model.connectors[static_cast<std::size_t>(conn -
-                                                    connector_ids.begin())];
-      ModelBinding& m = model.bindings.emplace_back();
-      m.caller = model.instances[i].name;
+          into.connectors[static_cast<std::size_t>(conn -
+                                                   connector_ids.begin())];
+      ModelBinding& m = element(into.bindings, bound++);
+      m.caller = into.instances[i].name;
       m.port = port.port;
       m.connector = via.name;
       m.providers = via.providers;
+      m.line = 0;
     }
   }
+  into.bindings.resize(bound);
+  into.protocols.clear();
+}
+
+ArchitectureModel model_from(runtime::Application& app) {
+  ArchitectureModel model;
+  model_from(app, model);
   return model;
 }
 

@@ -26,6 +26,8 @@ namespace aars::analysis {
 struct ModelPort {
   std::string port;
   std::string interface;  // may be empty when unknown (live model)
+
+  bool operator==(const ModelPort&) const = default;
 };
 
 struct ModelInstance {
@@ -34,6 +36,8 @@ struct ModelInstance {
   std::string node;
   std::vector<ModelPort> required;
   int line = 0;
+
+  bool operator==(const ModelInstance&) const = default;
 };
 
 struct ModelConnector {
@@ -44,6 +48,8 @@ struct ModelConnector {
   /// Provider instance names attached to (or bound through) the connector.
   std::vector<std::string> providers;
   int line = 0;
+
+  bool operator==(const ModelConnector&) const = default;
 };
 
 /// One bound required port: caller.port -> providers via connector.
@@ -53,6 +59,8 @@ struct ModelBinding {
   std::string connector;
   std::vector<std::string> providers;
   int line = 0;
+
+  bool operator==(const ModelBinding&) const = default;
 };
 
 /// A directed link with its propagation latency.
@@ -60,6 +68,8 @@ struct ModelLink {
   std::string from;
   std::string to;
   std::int64_t latency_us = 0;
+
+  bool operator==(const ModelLink&) const = default;
 };
 
 class ArchitectureModel {
@@ -71,6 +81,9 @@ class ArchitectureModel {
   std::vector<ModelBinding> bindings;
   /// component type name -> behavioural protocol (where declared).
   std::map<std::string, lts::Lts> protocols;
+
+  /// Field by field, so a field added later is compared too.
+  bool operator==(const ArchitectureModel&) const = default;
 
   ModelInstance* find_instance(const std::string& name);
   const ModelInstance* find_instance(const std::string& name) const;
@@ -131,11 +144,16 @@ class RouteSearch {
 /// Runtime::lower_adl's "implicit_<instance>_<port>_<n>" naming.
 ArchitectureModel model_from(const adl::CompiledConfiguration& config);
 
-/// Snapshots the live application + its network into a model. Lines are 0
-/// (there is no source text); protocols are absent unless supplied by the
-/// caller. Nodes follow their ids; each link is taken once, at its
-/// lower-numbered endpoint, in (from, to) order; instances, connectors and
-/// bindings follow instance and connector ids, ports their declaration.
+/// Snapshots the live application + its network into `into`, overwriting
+/// whatever it held while keeping the capacity of its strings and vectors,
+/// so a caller that snapshots repeatedly into one model stops allocating
+/// for it. Lines are 0 (there is no source text) and protocols are absent.
+/// Nodes follow their ids; each link is taken once, at its lower-numbered
+/// endpoint, in (from, to) order; instances, connectors and bindings follow
+/// instance and connector ids, ports their declaration.
+void model_from(runtime::Application& app, ArchitectureModel& into);
+
+/// The same snapshot into a new model.
 ArchitectureModel model_from(runtime::Application& app);
 
 }  // namespace aars::analysis

@@ -30,6 +30,8 @@ struct PlanStep {
   std::string connector;
   /// kReroute: the already-running replica taking over.
   std::string replica;
+
+  bool operator==(const PlanStep&) const = default;
 };
 
 using Plan = std::vector<PlanStep>;

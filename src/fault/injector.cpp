@@ -275,8 +275,13 @@ void FaultInjector::publish(const FaultSpec& spec, FaultEvent::Phase phase,
   event.subject = spec.subject();
 
   obs::Registry& reg = obs::Registry::global();
-  reg.counter("fault.injected", {{"kind", to_string(spec.kind)}}).inc();
-  reg.gauge("fault.active").set(static_cast<double>(active_));
+  obs::Counter*& injected = obs_injected_[static_cast<std::size_t>(spec.kind)];
+  if (injected == nullptr) {
+    injected = &reg.counter("fault.injected", {{"kind", to_string(spec.kind)}});
+  }
+  injected->inc();
+  if (obs_active_ == nullptr) obs_active_ = &reg.gauge("fault.active");
+  obs_active_->set(static_cast<double>(active_));
   reg.trace(event.at, obs::TraceKind::kFault, event.subject,
             std::string(to_string(spec.kind)) +
                 (phase == FaultEvent::Phase::kBegin ? " begin" : " end"));
@@ -295,9 +300,11 @@ void FaultInjector::note_fault_ended() {
         app_.messages_dropped() - drops_at_activation_;
     dropped_during_faults_ += delta;
     if (delta > 0) {
-      obs::Registry::global()
-          .counter("fault.dropped_during_fault")
-          .inc(delta);
+      if (obs_dropped_ == nullptr) {
+        obs_dropped_ =
+            &obs::Registry::global().counter("fault.dropped_during_fault");
+      }
+      obs_dropped_->inc(delta);
     }
   }
 }

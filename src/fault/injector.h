@@ -13,6 +13,7 @@
 // storms are built by generating the *scenario* from a seeded Rng.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <optional>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "fault/scenario.h"
+#include "obs/metrics.h"
 #include "runtime/application.h"
 #include "util/errors.h"
 #include "util/ids.h"
@@ -122,6 +124,13 @@ class FaultInjector {
   // Drop accounting: messages_dropped() watermark when faults became active.
   std::uint64_t drops_at_activation_ = 0;
   std::uint64_t dropped_during_faults_ = 0;
+  // Instruments resolved at their first record, so a series appears only
+  // once something records into it.
+  std::array<obs::Counter*,
+             static_cast<std::size_t>(FaultKind::kStepFault) + 1>
+      obs_injected_{};  // by FaultKind
+  obs::Gauge* obs_active_ = nullptr;
+  obs::Counter* obs_dropped_ = nullptr;
 };
 
 }  // namespace aars::fault

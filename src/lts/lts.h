@@ -54,6 +54,8 @@ struct Transition {
   StateId from;
   Label label;
   StateId to;
+
+  bool operator==(const Transition&) const = default;
 };
 
 /// A finite labelled transition system. States are dense indices; state 0 is
@@ -88,6 +90,8 @@ class Lts {
 
   /// True when no reachable non-final state lacks outgoing transitions.
   bool deadlock_free() const;
+
+  bool operator==(const Lts&) const = default;
 
  private:
   std::string name_;

@@ -14,17 +14,13 @@
 //     cost nothing measurable until a bench or experiment opts in.  A
 //     lookup by name is not gated: it takes the mutex, canonicalises the
 //     labels, allocates and creates the series even while the registry is
-//     off.  The sites that still look up at record time are the fault
-//     injector (fault.injected, fault.active, fault.dropped_during_fault),
-//     the engine's verify.warned / verify.rejected, Txn's
-//     txn.step_faults, txn.rollback_steps and txn.rollback_failures, and
-//     the install-time rules.explore_findings.
+//     off, so no site looks up at record time.
 //   * Stable handles.  Instrumented classes resolve their instruments once
 //     (at construction, or at first use where a series must exist only once
-//     recorded, as the reconfiguration engine's phase and txn instruments
-//     and the retry policy's fault.retries and fault.retry_exhausted) and
-//     keep pointers; instruments are never deallocated while the registry
-//     lives, so recording is lock-free and allocation-free.
+//     recorded, as the reconfiguration engine's phase, verify, txn and
+//     explore-findings instruments, the fault injector's and the retry
+//     policy's) and keep pointers; instruments are never deallocated while
+//     the registry lives, so recording is lock-free and allocation-free.
 //   * Mirror, not source of truth.  Subsystems keep their own counters for
 //     control decisions (tests and protocols rely on them regardless of
 //     whether observability is on); the registry mirrors those signals for

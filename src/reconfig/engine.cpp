@@ -1,5 +1,6 @@
 #include "reconfig/engine.h"
 
+#include <algorithm>
 #include <cctype>
 
 #include "util/logging.h"
@@ -40,11 +41,26 @@ std::string ReconfigurationEngine::node_name(NodeId node) {
   return network.node(node).name();
 }
 
-analysis::PlanReview ReconfigurationEngine::review_step(
+const adl::Diagnostics& ReconfigurationEngine::review_step(
     const analysis::PlanStep& step) {
+  analysis::model_from(app_, snapshot_);
+  for (std::size_t i = 0; i < remembered_; ++i) {
+    const Review& review = reviews_[i];
+    if (review.step == step && review.model == snapshot_) {
+      return review.findings;
+    }
+  }
+  Review& review = reviews_[next_review_];
+  next_review_ = (next_review_ + 1) % kRememberedReviews;
+  remembered_ = std::min(remembered_ + 1, kRememberedReviews);
   analysis::VerifierOptions vopts;
   vopts.max_states = options_.verify_max_states;
-  return analysis::verify_plan(analysis::model_from(app_), {step}, vopts);
+  review.findings = analysis::verify_plan(snapshot_, {step}, vopts).report;
+  review.step = step;
+  // The snapshot becomes the key; the model it displaces is the next
+  // snapshot's buffer.
+  std::swap(review.model, snapshot_);
+  return review.findings;
 }
 
 Status ReconfigurationEngine::verify_step(const analysis::PlanStep& step,
@@ -52,12 +68,12 @@ Status ReconfigurationEngine::verify_step(const analysis::PlanStep& step,
   if (options_.verify_mode == analysis::VerifyMode::kOff) {
     return Status::success();
   }
-  const analysis::PlanReview review = review_step(step);
-  if (review.ok()) return Status::success();
+  const adl::Diagnostics& findings = review_step(step);
+  if (findings.ok()) return Status::success();
   obs::Registry& reg = obs::Registry::global();
-  const std::string verdict = review.report.first_error();
+  const std::string verdict = findings.first_error();
   if (options_.verify_mode == analysis::VerifyMode::kWarn) {
-    reg.counter("verify.warned", {{"op", op}}).inc();
+    op_counter(obs_warned_, "verify.warned", op).inc();
     reg.trace(app_.loop().now(), obs::TraceKind::kReconfig, op,
               "verify-warn: " + verdict);
     AARS_WARN << "plan verification (" << op << "): " << verdict
@@ -65,7 +81,7 @@ Status ReconfigurationEngine::verify_step(const analysis::PlanStep& step,
     return Status::success();
   }
   ++verify_rejected_;
-  reg.counter("verify.rejected", {{"op", op}}).inc();
+  op_counter(obs_rejected_, "verify.rejected", op).inc();
   reg.trace(app_.loop().now(), obs::TraceKind::kReconfig, op,
             "verify-reject: " + verdict);
   return Error{ErrorCode::kVerificationFailed,
@@ -158,6 +174,23 @@ obs::HistogramMetric& ReconfigurationEngine::histogram(
   return metric;
 }
 
+obs::Counter& ReconfigurationEngine::op_counter(std::vector<OpCounter>& known,
+                                               const char* name,
+                                               const std::string& op) {
+  for (const OpCounter& counter : known) {
+    if (counter.op == op) return *counter.metric;
+  }
+  obs::Counter& metric = obs::Registry::global().counter(name, {{"op", op}});
+  known.push_back(OpCounter{op, &metric});
+  return metric;
+}
+
+obs::Counter& ReconfigurationEngine::counter(obs::Counter*& slot,
+                                            const char* name) {
+  if (slot == nullptr) slot = &obs::Registry::global().counter(name);
+  return *slot;
+}
+
 void ReconfigurationEngine::record_txn(const ReconfigReport& report) {
   TxnMetrics& metrics = txn_metrics_[static_cast<std::size_t>(report.verdict)];
   if (metrics.duration_us == nullptr) {
@@ -170,6 +203,22 @@ void ReconfigurationEngine::record_txn(const ReconfigReport& report) {
   }
   metrics.duration_us->observe(static_cast<double>(report.duration()));
   metrics.settled->inc();
+  if (report.rollback_steps > 0) {
+    counter(obs_rollback_steps_, "txn.rollback_steps")
+        .inc(report.rollback_steps);
+  }
+  if (report.rollback_failures > 0) {
+    counter(obs_rollback_failures_, "txn.rollback_failures")
+        .inc(report.rollback_failures);
+  }
+}
+
+void ReconfigurationEngine::record_step_fault() {
+  counter(obs_step_faults_, "txn.step_faults").inc();
+}
+
+void ReconfigurationEngine::record_explore_findings(std::size_t findings) {
+  counter(obs_explore_findings_, "rules.explore_findings").inc(findings);
 }
 
 // --- phases ----------------------------------------------------------------

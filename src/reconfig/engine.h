@@ -178,9 +178,17 @@ class ReconfigurationEngine {
   Status verify_step(const analysis::PlanStep& step, const std::string& op);
 
   /// Records a settled transaction (reconfig::Txn): a
-  /// "txn.duration_us"{verdict} sample and a "txn.committed" or
-  /// "txn.rolled_back" count, into instruments resolved at first use.
+  /// "txn.duration_us"{verdict} sample, a "txn.committed" or
+  /// "txn.rolled_back" count, and the undo records its rollback applied
+  /// ("txn.rollback_steps") and failed ("txn.rollback_failures"), into
+  /// instruments resolved at first use.  A Txn lives for one firing, so
+  /// the engine keeps them.
   void record_txn(const ReconfigReport& report);
+  /// Counts a txn step failed by an injected fault ("txn.step_faults").
+  void record_step_fault();
+  /// Counts the findings of a rule program's install-time exploration that
+  /// the warn-mode gate let through ("rules.explore_findings").
+  void record_explore_findings(std::size_t findings);
 
   const Options& options() const { return options_; }
 
@@ -234,9 +242,12 @@ class ReconfigurationEngine {
   std::size_t resume(ComponentId component);
   void finish(ReconfigReport report, Status status, const Done& done);
 
-  /// Runs the plan verifier over `step` against a snapshot of the live
-  /// architecture, whatever the verify mode.
-  analysis::PlanReview review_step(const analysis::PlanStep& step);
+  /// The plan verifier's findings on `step` against a snapshot of the live
+  /// architecture, whatever the verify mode.  When the snapshot and the
+  /// step equal one of the last kRememberedReviews reviews, its findings
+  /// are returned without verifying again.  The reference is valid until
+  /// the next review.
+  const adl::Diagnostics& review_step(const analysis::PlanStep& step);
   /// Node name for plan steps; empty when the id is unknown.
   std::string node_name(NodeId node);
   /// Polls until `component` is quiescent, then calls `next(ok)`.
@@ -249,6 +260,30 @@ class ReconfigurationEngine {
   /// empty phase: resolved at its first sample and kept.
   obs::HistogramMetric& histogram(const std::string& op,
                                   std::string_view phase);
+  struct OpCounter {
+    std::string op;
+    obs::Counter* metric = nullptr;
+  };
+  /// `name`{op}, resolved at its first count and kept in `known`.
+  static obs::Counter& op_counter(std::vector<OpCounter>& known,
+                                  const char* name, const std::string& op);
+  /// `name`, resolved at its first count and kept in `slot`.
+  static obs::Counter& counter(obs::Counter*& slot, const char* name);
+
+  /// One remembered review.  verify_plan is a pure function of the model,
+  /// the step and the engine's fixed VerifierOptions, so a review whose
+  /// snapshot and step equal these has these findings.  The key is the
+  /// whole snapshot: fault windows edit link latencies in place through
+  /// Network::find_link, and canonical_config_key leaves nodes, links and
+  /// latencies out.
+  struct Review {
+    analysis::ArchitectureModel model;
+    analysis::PlanStep step;
+    adl::Diagnostics findings;
+  };
+  /// Reviews remembered, replaced round-robin.  On reconfig_storm 4 answer
+  /// 98.3% of reviews, 8 no more and 2 94.3%.
+  static constexpr std::size_t kRememberedReviews = 4;
 
   /// Instruments resolved at first use, so the registry exports a series
   /// only once something records into it, and an engine that never records
@@ -266,8 +301,19 @@ class ReconfigurationEngine {
 
   Application& app_;
   Options options_;
+  /// The live snapshot of the current review, written in place.
+  analysis::ArchitectureModel snapshot_;
+  std::array<Review, kRememberedReviews> reviews_;
+  std::size_t remembered_ = 0;   // reviews_[0, remembered_) are filled
+  std::size_t next_review_ = 0;  // the slot the next new review takes
   std::vector<PhaseHistogram> histograms_;
   std::array<TxnMetrics, 3> txn_metrics_{};  // by TxnVerdict
+  std::vector<OpCounter> obs_warned_;    // verify.warned{op}
+  std::vector<OpCounter> obs_rejected_;  // verify.rejected{op}
+  obs::Counter* obs_step_faults_ = nullptr;
+  obs::Counter* obs_rollback_steps_ = nullptr;
+  obs::Counter* obs_rollback_failures_ = nullptr;
+  obs::Counter* obs_explore_findings_ = nullptr;
   std::uint64_t started_ = 0;
   std::uint64_t succeeded_ = 0;
   std::uint64_t verify_rejected_ = 0;

@@ -44,9 +44,7 @@ Result<std::shared_ptr<RuleSet>> RuleSet::install(
                      "exploration: " +
                          exploration.report.first_error()};
       }
-      obs::Registry::global()
-          .counter("rules.explore_findings")
-          .inc(errors);
+      engine.record_explore_findings(errors);
     }
   }
 

@@ -195,7 +195,7 @@ void Txn::step(std::size_t index) {
   }
   if (options_.injector != nullptr &&
       options_.injector->should_fail_step(index + 1, actions_.size())) {
-    obs::Registry::global().counter("txn.step_faults").inc();
+    engine_.record_step_fault();
     fail_step(index,
               Error{ErrorCode::kUnavailable,
                     "injected fault: fail-step " + std::to_string(index + 1) +
@@ -539,12 +539,6 @@ void Txn::finish() {
     reg.trace(report_.finished_at, obs::TraceKind::kTxn, label_,
               "committed steps=" + std::to_string(actions_.size()));
   } else {
-    if (report_.rollback_steps > 0) {
-      reg.counter("txn.rollback_steps").inc(report_.rollback_steps);
-    }
-    if (report_.rollback_failures > 0) {
-      reg.counter("txn.rollback_failures").inc(report_.rollback_failures);
-    }
     reg.trace(report_.finished_at, obs::TraceKind::kTxn, label_,
               "rolled_back undo=" + std::to_string(report_.rollback_steps) +
                   " failures=" + std::to_string(report_.rollback_failures) +

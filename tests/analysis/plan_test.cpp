@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -369,6 +370,31 @@ TEST(PlanTest, ProbeWithoutAReportMatchesTheReportingPath) {
   EXPECT_GT(applicable, 0);
   EXPECT_GT(refusals["plan-invalid"], 0);
   EXPECT_GT(refusals["quiescence-unreachable"], 0);
+}
+
+TEST(PlanTest, StepsThatDifferInAnySingleFieldCompareUnequal) {
+  PlanStep base = make_step(PlanOp::kRebind, "client");
+  base.type = "EchoClient";
+  base.node = "n1";
+  base.port = "out";
+  base.connector = "c";
+  base.replica = "server";
+  ASSERT_EQ(base, PlanStep(base));
+  const std::vector<std::pair<std::string, std::function<void(PlanStep&)>>>
+      edits = {
+          {"op", [](PlanStep& s) { s.op = PlanOp::kRemove; }},
+          {"instance", [](PlanStep& s) { s.instance = "server"; }},
+          {"type", [](PlanStep& s) { s.type = "EchoServer"; }},
+          {"node", [](PlanStep& s) { s.node = "n2"; }},
+          {"port", [](PlanStep& s) { s.port = "in"; }},
+          {"connector", [](PlanStep& s) { s.connector = "d"; }},
+          {"replica", [](PlanStep& s) { s.replica = "server2"; }},
+      };
+  for (const auto& [what, edit] : edits) {
+    PlanStep edited = base;
+    edit(edited);
+    EXPECT_FALSE(edited == base) << what;
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "adl/compiler.h"
 #include "analysis/architecture.h"
+#include "lts/lts.h"
 #include "testing/test_components.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -699,6 +700,123 @@ TEST(LiveModelOrderTest, SnapshotFollowsIdsAndLowerLinkEndpoints) {
                 "watcher.out via pool line 0 [backup,server]",
             }));
   EXPECT_TRUE(model.protocols.empty());
+
+  // Snapshotting in place over a model that held another world, with
+  // lines, budgets, protocols and more of everything, gives the same model.
+  ArchitectureModel reused = compile_model(R"(
+interface Echo { service echo(text: string) -> string; }
+component EchoServer provides Echo {
+  protocol {
+    state idle final;
+    state busy;
+    idle -> busy on echo?;
+    busy -> idle on echoed!;
+  }
+}
+component EchoClient { requires out: Echo; requires spare: Echo; }
+node a { capacity 100; }
+node b { capacity 100; }
+node c { capacity 100; }
+node d { capacity 100; }
+link a <-> b { latency 1ms; }
+link b <-> c { latency 1ms; }
+link c <-> d { latency 1ms; }
+instance s1: EchoServer on a;
+instance s2: EchoServer on b;
+instance s3: EchoServer on c;
+instance s4: EchoServer on d;
+instance s5: EchoServer on a;
+instance s6: EchoServer on b;
+instance c1: EchoClient on c;
+instance c2: EchoClient on d;
+connector m { routing round_robin; delivery queued; budget 9ms; }
+connector n { routing round_robin; delivery queued; budget 9ms; }
+connector o { routing round_robin; delivery queued; }
+connector p { routing round_robin; delivery queued; }
+bind c1.out -> s1, s2, s3 via m;
+bind c1.spare -> s4, s5, s6 via n;
+bind c2.out -> s1, s2 via o;
+bind c2.spare -> s3 via p;
+)");
+  ASSERT_FALSE(reused.protocols.empty());
+  model_from(app, reused);
+  EXPECT_EQ(reused, model);
+}
+
+TEST(ArchitectureModelTest, AModelThatDiffersInAnySingleFieldComparesUnequal) {
+  ArchitectureModel base = base_model();
+  base.instances[0].line = 4;
+  base.instances[1].required.front().interface = "Echo";
+  base.connectors[0].budget_us = 5000;
+  lts::Lts protocol("server");
+  protocol.add_transition(0, lts::in("request"), protocol.add_state(true));
+  base.protocols.emplace("EchoServer", protocol);
+  ASSERT_EQ(base, ArchitectureModel(base));
+
+  using Edit = std::function<void(ArchitectureModel&)>;
+  const std::vector<std::pair<std::string, Edit>> edits = {
+      {"node name", [](ArchitectureModel& m) { m.nodes[1] = "n3"; }},
+      {"node added", [](ArchitectureModel& m) { m.nodes.push_back("n3"); }},
+      {"link from", [](ArchitectureModel& m) { m.links[0].from = "n3"; }},
+      {"link to", [](ArchitectureModel& m) { m.links[0].to = "n3"; }},
+      {"link latency", [](ArchitectureModel& m) { ++m.links[0].latency_us; }},
+      {"link order",
+       [](ArchitectureModel& m) { std::swap(m.links[0], m.links[1]); }},
+      {"link removed", [](ArchitectureModel& m) { m.links.pop_back(); }},
+      {"instance name",
+       [](ArchitectureModel& m) { m.instances[0].name = "server2"; }},
+      {"instance type",
+       [](ArchitectureModel& m) { m.instances[0].type = "Other"; }},
+      {"instance node", [](ArchitectureModel& m) { m.instances[0].node = "n2"; }},
+      {"instance line", [](ArchitectureModel& m) { ++m.instances[0].line; }},
+      {"port name",
+       [](ArchitectureModel& m) { m.instances[1].required[0].port = "in"; }},
+      {"port interface",
+       [](ArchitectureModel& m) {
+         m.instances[1].required[0].interface = "Other";
+       }},
+      {"port added",
+       [](ArchitectureModel& m) {
+         m.instances[0].required.push_back({"out", ""});
+       }},
+      {"connector name",
+       [](ArchitectureModel& m) { m.connectors[0].name = "d"; }},
+      {"connector delivery",
+       [](ArchitectureModel& m) { m.connectors[0].sync_delivery = false; }},
+      {"connector budget",
+       [](ArchitectureModel& m) { ++m.connectors[0].budget_us; }},
+      {"connector provider",
+       [](ArchitectureModel& m) { m.connectors[0].providers[0] = "client"; }},
+      {"connector line", [](ArchitectureModel& m) { ++m.connectors[0].line; }},
+      {"binding caller",
+       [](ArchitectureModel& m) { m.bindings[0].caller = "server"; }},
+      {"binding port", [](ArchitectureModel& m) { m.bindings[0].port = "in"; }},
+      {"binding connector",
+       [](ArchitectureModel& m) { m.bindings[0].connector = "d"; }},
+      {"binding provider",
+       [](ArchitectureModel& m) { m.bindings[0].providers.push_back("x"); }},
+      {"binding line", [](ArchitectureModel& m) { ++m.bindings[0].line; }},
+      {"protocol type",
+       [](ArchitectureModel& m) {
+         m.protocols.emplace("Other", m.protocols.at("EchoServer"));
+         m.protocols.erase("EchoServer");
+       }},
+      {"protocol name",
+       [](ArchitectureModel& m) {
+         m.protocols.at("EchoServer") = lts::Lts("other");
+       }},
+      {"protocol final state",
+       [](ArchitectureModel& m) { m.protocols.at("EchoServer").set_final(0); }},
+      {"protocol transition",
+       [](ArchitectureModel& m) {
+         m.protocols.at("EchoServer").add_transition(1, lts::out("reply"), 0);
+       }},
+  };
+  for (const auto& [what, edit] : edits) {
+    ArchitectureModel edited = base;
+    edit(edited);
+    EXPECT_FALSE(edited == base) << what;
+  }
 }
 
 }  // namespace
